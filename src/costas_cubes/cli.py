@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
@@ -431,13 +430,18 @@ def _add_format(sub) -> None:
     sub.add_argument("--format", choices=("text", "machine"), default="text")
 
 
+def _threads(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="costas-cubes",
         description="Verify, construct, enumerate, and classify Costas arrays and Costas cubes.",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for any randomized helper (reproducibility)")
     subs = parser.add_subparsers(dest="command")
 
     s = subs.add_parser("verify", help="check the Costas property of arrays or a cube")
@@ -462,14 +466,14 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--arrays-file", default=None,
                    help="complete Costas array database for this order")
     s.add_argument("--emit-representatives", action="store_true")
-    s.add_argument("--threads", type=int, default=1)
+    s.add_argument("--threads", type=_threads, default=1)
     _add_format(s)
     s.set_defaults(func=cmd_enumerate)
 
     s = subs.add_parser("tables", help="order-by-order class count tables")
     s.add_argument("--table", type=int, choices=(1, 2), required=True)
     s.add_argument("--max-order", type=int, required=True)
-    s.add_argument("--threads", type=int, default=1)
+    s.add_argument("--threads", type=_threads, default=1)
     _add_format(s)
     s.set_defaults(func=cmd_tables)
 
@@ -503,8 +507,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     if not hasattr(args, "func"):
         parser.print_help()
         return 2

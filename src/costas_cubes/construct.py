@@ -424,10 +424,6 @@ class Table2Row:
     g3_variant_ii: int
     total_known: int | None
 
-    @property
-    def constructed(self) -> int:
-        return self.g2x3 + self.w2w2g2 + self.g3
-
 
 def table2(
     max_order: int = SWEEP_ORDER_GUARD,

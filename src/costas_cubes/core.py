@@ -133,16 +133,7 @@ def max_offphase_autocorrelation(perm: Permutation) -> int:
 
 def is_costas(perm: Permutation) -> bool:
     """True iff all difference vectors between pairs of 1 entries are distinct."""
-    vals = perm.values
-    n = len(vals)
-    for d in range(1, n):
-        seen = set()
-        for j in range(n - d):
-            diff = vals[j + d] - vals[j]
-            if diff in seen:
-                return False
-            seen.add(diff)
-    return True
+    return costas_violation(perm) is None
 
 
 def costas_violation(perm: Permutation) -> tuple[int, int] | None:

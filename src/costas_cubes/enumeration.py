@@ -2,10 +2,11 @@
 
 Arrays are generated by column-by-column backtracking with incremental
 difference-vector pruning.  Cubes of order n are generated by the
-pair-join: for every ordered pair (A, B) of Costas arrays of order n,
-build the unique permutation cube with those projections and retain it
-when Projection C is again a Costas array; class counts come from
-canonical forms of the retained cubes.
+pair-join over a complete list of order-n Costas arrays: for every pair
+(A, B) with A a class representative, build the unique permutation cube
+with those projections and retain it when Projection C = A^-1 B is in
+the list.  Cube equivalence absorbs the square symmetries acting on A,
+so no class is lost; class counts come from canonical forms.
 """
 
 from __future__ import annotations
@@ -16,13 +17,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import CostasCube, Permutation, is_costas
+from .reference import COSTAS_ARRAY_TOTALS
 from .symmetry import PLANAR_SYMMETRIES, apply_planar, canonical_array, canonical_cube, projection_set
 
 DEFAULT_ORDER_LIMIT = 13
-
-# Fixed weights make the membership prefilter deterministic; exactness
-# comes from the byte-level verification of every candidate hit.
-_WEIGHT_SEED = 0xC057A5
 
 
 class EnumerationLimitError(ValueError):
@@ -89,53 +87,64 @@ def enumerate_costas_classes(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> list[P
     return array_classes(enumerate_costas_arrays(n, limit))
 
 
-def _check_complete(arrays: Sequence[Permutation], n: int) -> set[tuple[int, ...]]:
-    """Sanity checks for a claimed-complete list of order-n Costas arrays."""
+def _check_complete(arrays: Sequence[Permutation], n: int) -> list[int]:
+    """Sanity checks for a claimed-complete list of order-n Costas arrays;
+    returns the indices of the arrays that are least in their D4 orbit."""
     if not arrays:
         raise ValueError("empty array list")
-    seen = {p.values for p in arrays}
-    if len(seen) != len(arrays):
+    values = {p.values for p in arrays}
+    if len(values) != len(arrays):
         raise ValueError("array list contains duplicates")
     for p in arrays:
         if p.order != n:
             raise ValueError(f"array {p} has order {p.order}, expected {n}")
         if not is_costas(p):
             raise ValueError(f"array {p} is not a Costas array")
-    for p in arrays:
-        for s in PLANAR_SYMMETRIES:
-            if apply_planar(s, p).values not in seen:
-                raise ValueError(
-                    f"array list is not closed under the square symmetries "
-                    f"(image of {p} missing); it cannot be complete"
-                )
-    return seen
+    representatives = []
+    for r, p in enumerate(arrays):
+        images = [apply_planar(s, p).values for s in PLANAR_SYMMETRIES]
+        if not values.issuperset(images):
+            raise ValueError(
+                f"array list is not closed under the square symmetries "
+                f"(image of {p} missing); it cannot be complete"
+            )
+        if min(images) == p.values:
+            representatives.append(r)
+    expected = COSTAS_ARRAY_TOTALS.get(n)
+    if expected is not None and len(arrays) != expected:
+        raise ValueError(
+            f"array list holds {len(arrays)} Costas arrays of order {n}, "
+            f"but there are {expected}; it cannot be complete"
+        )
+    return representatives
 
 
-def _scan_chunk(args) -> set[tuple[tuple[int, int], ...]]:
-    """Pair-join scan over a range of first-array indices.
+# (idx, inverses, table) of the running join, set in each pool worker.
+_shared: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    Returns canonical row lists of the Costas cubes found.  Candidate
-    Projection C matches come from a hashed membership prefilter and are
-    confirmed byte-for-byte against the array list.
-    """
-    matrix, idx, inverses, keys_sorted, row_bytes, weights, a_indices = args
-    n = matrix.shape[1]
+
+def _share(*arrays: np.ndarray) -> None:
+    global _shared
+    _shared = arrays
+
+
+def _scan(a_indices: list[int], shared=None) -> set[tuple[tuple[int, int], ...]]:
+    """Canonical row lists of the Costas cubes whose Projection A is one of
+    the given first arrays.  shared is (idx, inverses, table): the
+    zero-based value matrix, its inverses, and its sorted byte rows."""
+    idx, inverses, table = shared or _shared
+    n = idx.shape[1]
+    row = np.dtype((np.void, n))
+    last = len(table) - 1
     found: set[tuple[tuple[int, int], ...]] = set()
-    last = len(keys_sorted) - 1
     for a in a_indices:
         inv_a = inverses[a]
-        c_all = inv_a[idx]
-        keys = weights[0][c_all[:, 0]].copy()
-        for pos in range(1, n):
-            keys += weights[pos][c_all[:, pos]]
-        loc = np.minimum(np.searchsorted(keys_sorted, keys), last)
-        candidates = np.nonzero(keys_sorted[loc] == keys)[0]
-        if candidates.size == 0:
-            continue
+        # Projection C of the cube with projections (A, B) is A^-1 B.
+        c_rows = inv_a[idx].view(row).ravel()
+        loc = np.minimum(np.searchsorted(table, c_rows), last)
+        hits = np.nonzero(table[loc] == c_rows)[0]
         ja = inv_a.tolist()
-        for b in candidates.tolist():
-            if c_all[b].tobytes() not in row_bytes:
-                continue
+        for b in hits.tolist():
             rows = tuple(zip(ja, inverses[b].tolist()))
             found.add(canonical_cube(CostasCube(rows)).rows)
     return found
@@ -151,55 +160,33 @@ def enumerate_costas_cubes(
     arrays: Sequence[Permutation],
     *,
     threads: int = 1,
-    mode: str = "literal",
 ) -> list[CostasCube]:
     """One canonical representative per equivalence class of order-n
     Costas cubes, from the pair-join over the given complete array list.
 
-    mode "literal" scans every ordered pair; mode "reduced" restricts the
-    first array to canonical class representatives, which reaches the
-    same classes because cube equivalence absorbs the square symmetries
-    acting on Projection A.
+    The first array of each pair ranges over the canonical class
+    representatives only, which reaches every class because cube
+    equivalence absorbs the square symmetries acting on Projection A.
+    threads > 1 splits the scan over a process pool.
     """
-    seen = _check_complete(arrays, n)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    representatives = _check_complete(arrays, n)
     matrix = np.array([p.values for p in arrays], dtype=np.uint8)
-    idx = (matrix - 1).astype(np.intp)
-    inverses = np.array([p.inverse().values for p in arrays], dtype=np.uint8)
-    rng = np.random.default_rng(_WEIGHT_SEED)
-    weights = rng.integers(0, 1 << 64, size=(n, n + 1), dtype=np.uint64)
-    keys = weights[0][matrix[:, 0]].copy()
-    for pos in range(1, n):
-        keys += weights[pos][matrix[:, pos]]
-    order_of = np.argsort(keys, kind="stable")
-    keys_sorted = keys[order_of]
-    row_bytes = {matrix[r].tobytes() for r in range(len(arrays))}
-
-    if mode == "literal":
-        a_indices = list(range(len(arrays)))
-    elif mode == "reduced":
-        a_indices = [
-            r for r, p in enumerate(arrays) if canonical_array(p).values == p.values
-        ]
+    shared = (
+        (matrix - 1).astype(np.intp),
+        np.array([p.inverse().values for p in arrays], dtype=np.uint8),
+        np.sort(matrix.view(np.dtype((np.void, n))).ravel()),
+    )
+    if threads == 1:
+        found = _scan(representatives, shared)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        from multiprocessing import Pool
 
-    if threads <= 1:
-        found = _scan_chunk(
-            (matrix, idx, inverses, keys_sorted, row_bytes, weights, a_indices)
-        )
-    else:
-        from multiprocessing import get_context
-
-        chunks = _chunks(a_indices, threads * 4)
-        payload = [
-            (matrix, idx, inverses, keys_sorted, row_bytes, weights, chunk)
-            for chunk in chunks
-        ]
         found = set()
-        with get_context("fork").Pool(threads) as pool:
-            for part in pool.map(_scan_chunk, payload):
+        with Pool(threads, initializer=_share, initargs=shared) as pool:
+            for part in pool.map(_scan, _chunks(representatives, threads * 4)):
                 found |= part
-    del seen
     return [CostasCube(rows) for rows in sorted(found)]
 
 
@@ -244,6 +231,8 @@ def table1(
     list (e.g. an ingested database); all others are enumerated
     in-process, subject to the order limit.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     reports = []
     for n in range(2, max_n + 1):
         if arrays_by_order is not None and n in arrays_by_order:

@@ -1,6 +1,6 @@
-"""Known classification counts used as display reference data.
+"""Known classification counts used as reference data.
 
-These totals come from the published exhaustive determination of Costas
+The cube totals come from the published exhaustive determination of Costas
 cubes for orders up to 29 (itself built on the complete Costas array
 databases for those orders).  Orders 2-12 are recomputed from scratch by
 the enumeration module and the test suite; the larger orders cannot be
@@ -13,4 +13,15 @@ CUBE_CLASS_COUNTS: dict[int, int] = {
     11: 66, 12: 34, 13: 11, 14: 6, 15: 33, 16: 6, 17: 19, 18: 0,
     19: 0, 20: 2, 21: 50, 22: 4, 23: 11, 24: 2, 25: 20, 26: 1,
     27: 77, 28: 3, 29: 33,
+}
+
+# order -> number of Costas arrays (OEIS A008404; order 29 from Drakakis
+# et al., "Results of the enumeration of Costas arrays of order 29",
+# Adv. Math. Commun. 2011).  A claimed-complete database must hold
+# exactly this many arrays.
+COSTAS_ARRAY_TOTALS: dict[int, int] = {
+    1: 1, 2: 2, 3: 4, 4: 12, 5: 40, 6: 116, 7: 200, 8: 444, 9: 760,
+    10: 2160, 11: 4368, 12: 7852, 13: 12828, 14: 17252, 15: 19612,
+    16: 21104, 17: 18276, 18: 15096, 19: 10240, 20: 6464, 21: 3536,
+    22: 2052, 23: 872, 24: 200, 25: 88, 26: 56, 27: 204, 28: 712, 29: 164,
 }

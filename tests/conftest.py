@@ -7,6 +7,7 @@ import pytest
 from costas_cubes.core import CostasCube, Permutation
 from costas_cubes.enumeration import enumerate_costas_arrays, enumerate_costas_cubes
 from costas_cubes.gf import field_new
+from costas_cubes.symmetry import PLANAR_SYMMETRIES, apply_planar
 
 # Every extension field the suite instantiates, keyed by q.
 EXTENSION_MODULI = {
@@ -104,3 +105,11 @@ def costas_arrays(n: int) -> tuple[Permutation, ...]:
 @functools.lru_cache(maxsize=None)
 def costas_cube_classes(n: int) -> tuple[CostasCube, ...]:
     return tuple(enumerate_costas_cubes(n, costas_arrays(n)))
+
+
+def order7_without_one_class() -> list[Permutation]:
+    """The order-7 Costas arrays minus one whole D4 class: still closed
+    under the square symmetries, but incomplete."""
+    arrays = costas_arrays(7)
+    orbit = {apply_planar(s, arrays[0]).values for s in PLANAR_SYMMETRIES}
+    return [p for p in arrays if p.values not in orbit]

@@ -15,6 +15,7 @@ from conftest import (
     SMALL_SD_TRIPLES,
     costas_arrays,
     cube_from_jk,
+    order7_without_one_class,
 )
 
 
@@ -127,6 +128,27 @@ def test_enumerate_with_arrays_file(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["cube_classes"] == 13
     assert doc["projection_array_classes"] == 6
+
+
+def test_enumerate_rejects_incomplete_arrays_file(capsys, tmp_path):
+    path = tmp_path / "order7.txt"
+    path.write_text(emit_array_file(order7_without_one_class()))
+    code, out, err = run(capsys, "enumerate", "--order", "7", "--arrays-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert "there are 200" in err
+
+
+@pytest.mark.parametrize("command", [["enumerate", "--order", "5"],
+                                     ["tables", "--table", "1", "--max-order", "5"]])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_2(capsys, command, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--threads", threads])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--threads" in captured.err
 
 
 def test_enumerate_emit_representatives(capsys):

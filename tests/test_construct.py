@@ -337,7 +337,6 @@ def test_table2_published_rows():
     assert (rows[15].g2x3, rows[15].w2w2g2, rows[15].g3) == (20, 10, 0)
     assert rows[15].total_known == 33
     assert (rows[5].g2x3, rows[5].w2w2g2, rows[5].g3) == (1, 1, 2)
-    assert rows[5].constructed == 4
     assert (rows[4].g3_variant_i, rows[4].g3_variant_ii) == (1, 1)
 
 

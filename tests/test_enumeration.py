@@ -1,7 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import costas_cubes
 from costas_cubes.core import (
     CostasCube,
     Permutation,
@@ -20,9 +26,10 @@ from costas_cubes.enumeration import (
     projection_class_count,
     table1,
 )
+from costas_cubes.reference import COSTAS_ARRAY_TOTALS
 from costas_cubes.symmetry import PLANAR_SYMMETRIES, apply_planar, array_class_size, canonical_cube
 
-from conftest import costas_arrays, costas_cube_classes
+from conftest import costas_arrays, costas_cube_classes, order7_without_one_class
 
 
 def brute_force_costas(n):
@@ -93,23 +100,47 @@ def _dense_pair_join(n):
 
 
 def test_pair_join_matches_dense_oracle():
-    for n in range(2, 6):
-        assert [c.rows for c in costas_cube_classes(n)] == _dense_pair_join(n)
-
-
-def test_reduced_mode_matches_literal():
     for n in range(2, 8):
-        arrays = list(costas_arrays(n))
-        literal = costas_cube_classes(n)
-        reduced = enumerate_costas_cubes(n, arrays, mode="reduced")
-        assert list(literal) == reduced
-    with pytest.raises(ValueError, match="mode"):
-        enumerate_costas_cubes(5, list(costas_arrays(5)), mode="fast")
+        assert [c.rows for c in costas_cube_classes(n)] == _dense_pair_join(n)
 
 
 def test_threads_do_not_change_output():
     arrays = list(costas_arrays(6))
     assert enumerate_costas_cubes(6, arrays, threads=2) == list(costas_cube_classes(6))
+
+
+def test_threads_under_spawn_match_serial():
+    script = textwrap.dedent(
+        """
+        import multiprocessing
+        from costas_cubes.enumeration import enumerate_costas_arrays, enumerate_costas_cubes
+
+        if __name__ == "__main__":
+            multiprocessing.set_start_method("spawn")
+            cubes = enumerate_costas_cubes(6, enumerate_costas_arrays(6), threads=2)
+            print(repr([c.rows for c in cubes]))
+        """
+    )
+    src = str(Path(costas_cubes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr([c.rows for c in costas_cube_classes(6)])
+
+
+def test_threads_below_one_rejected():
+    arrays = list(costas_arrays(5))
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            enumerate_costas_cubes(5, arrays, threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            table1(5, threads=threads)
+
+
+def test_array_totals_match_published_table():
+    for n in range(1, 11):
+        assert len(costas_arrays(n)) == COSTAS_ARRAY_TOTALS[n]
 
 
 def test_completeness_checks_reject_bad_input():
@@ -124,6 +155,9 @@ def test_completeness_checks_reject_bad_input():
         enumerate_costas_cubes(6, arrays)
     with pytest.raises(ValueError, match="empty"):
         enumerate_costas_cubes(5, [])
+    closed = order7_without_one_class()
+    with pytest.raises(ValueError, match=rf"holds {len(closed)} .* there are 200"):
+        enumerate_costas_cubes(7, closed)
 
 
 def test_projection_class_count_examples():
@@ -152,6 +186,8 @@ def test_table1_accepts_supplied_databases():
     assert reports[-1].cube_classes == 13
     with pytest.raises(EnumerationLimitError):
         table1(5, limit=4)
+    with pytest.raises(ValueError, match="cannot be complete"):
+        table1(7, limit=6, arrays_by_order={7: order7_without_one_class()})
 
 
 def test_table1_representatives_flag():
