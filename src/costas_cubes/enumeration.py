@@ -150,6 +150,16 @@ def _scan(a_indices: list[int], shared=None) -> set[tuple[tuple[int, int], ...]]
     return found
 
 
+def _tables(arrays: Sequence[Permutation], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (idx, inverses, table) arrays that _scan reads."""
+    matrix = np.array([p.values for p in arrays], dtype=np.uint8)
+    return (
+        (matrix - 1).astype(np.intp),
+        np.array([p.inverse().values for p in arrays], dtype=np.uint8),
+        np.sort(matrix.view(np.dtype((np.void, n))).ravel()),
+    )
+
+
 def _chunks(indices: list[int], parts: int) -> list[list[int]]:
     size = (len(indices) + parts - 1) // parts
     return [indices[t : t + size] for t in range(0, len(indices), size)]
@@ -172,12 +182,7 @@ def enumerate_costas_cubes(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     representatives = _check_complete(arrays, n)
-    matrix = np.array([p.values for p in arrays], dtype=np.uint8)
-    shared = (
-        (matrix - 1).astype(np.intp),
-        np.array([p.inverse().values for p in arrays], dtype=np.uint8),
-        np.sort(matrix.view(np.dtype((np.void, n))).ravel()),
-    )
+    shared = _tables(arrays, n)
     if threads == 1:
         found = _scan(representatives, shared)
     else:

@@ -19,6 +19,8 @@ from costas_cubes.core import (
 from costas_cubes.enumeration import (
     ClassReport,
     EnumerationLimitError,
+    _scan,
+    _tables,
     array_classes,
     enumerate_costas_arrays,
     enumerate_costas_classes,
@@ -102,6 +104,17 @@ def _dense_pair_join(n):
 def test_pair_join_matches_dense_oracle():
     for n in range(2, 8):
         assert [c.rows for c in costas_cube_classes(n)] == _dense_pair_join(n)
+
+
+def test_reduced_mode_matches_literal():
+    """The scan over class representatives as first arrays (the join's only
+    mode) finds the same classes as a literal scan over every first array."""
+    for n in range(2, 8):
+        arrays = costas_arrays(n)
+        literal = _scan(list(range(len(arrays))), _tables(arrays, n))
+        assert [c.rows for c in costas_cube_classes(n)] == sorted(literal)
+    with pytest.raises(TypeError, match="mode"):
+        enumerate_costas_cubes(5, list(costas_arrays(5)), mode="fast")
 
 
 def test_threads_do_not_change_output():
