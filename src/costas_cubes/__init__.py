@@ -58,6 +58,7 @@ from .enumeration import (
     ClassReport,
     EnumerationLimitError,
     array_classes,
+    class_report,
     enumerate_costas_arrays,
     enumerate_costas_classes,
     enumerate_costas_cubes,

@@ -2,7 +2,10 @@
 
 Commands: verify, construct, enumerate, tables, sd-set, classify,
 project, import.  Exit codes: 0 success / everything verified,
-1 verification failure, 2 usage or parse error.
+1 verification failure (including an import whose arrays fail a check,
+such as a closed database short of the published total), 2 usage or
+parse error, or a path that cannot be read or written.  Commands raise
+ValueError or OSError for exit 2; only main prints those errors.
 """
 
 from __future__ import annotations
@@ -25,16 +28,16 @@ from .construct import (
     w1,
     w2,
 )
-from .core import costas_violation, is_costas, is_costas_cube, projections
+from .core import Permutation, costas_violation, is_costas, is_costas_cube, projections
 from .enumeration import (
-    EnumerationLimitError,
+    ClassReport,
     array_classes,
+    class_report,
     enumerate_costas_arrays,
-    enumerate_costas_cubes,
-    projection_class_count,
     table1,
+    total_mismatch,
 )
-from .files import emit_array_file, emit_cube_file, parse_array_file, parse_cube_file
+from .files import emit_array_file, emit_cube_file, numbered_arrays, parse_array_file, parse_cube_file
 from .gf import format_element, parse_element, parse_field_spec
 from .symmetry import PLANAR_SYMMETRIES, apply_planar, canonical_array, projection_set
 
@@ -53,11 +56,7 @@ def _read(path: str) -> str:
 def cmd_verify(args) -> int:
     text = _read(args.input)
     if args.target == "array":
-        try:
-            perms = parse_array_file(text)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        perms = parse_array_file(text)
         failures = 0
         out = []
         for idx, p in enumerate(perms, start=1):
@@ -74,11 +73,7 @@ def cmd_verify(args) -> int:
             print(_machine(out))
         return 1 if failures else 0
 
-    try:
-        cube = parse_cube_file(text)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cube = parse_cube_file(text)
     t = projections(cube)
     verdicts = {name: is_costas(p) for name, p in (("A", t.a), ("B", t.b), ("C", t.c))}
     ok = all(verdicts.values())
@@ -115,12 +110,10 @@ _PRIME_ONLY = {"w1", "w2", "cube-w2w2g2"}
 def cmd_construct(args) -> int:
     field = parse_field_spec(args.field)
     if args.family in _PRIME_ONLY and field.m != 1:
-        print(f"error: family {args.family} needs a prime field", file=sys.stderr)
-        return 2
+        raise ValueError(f"family {args.family} needs a prime field")
     missing = [n for n in _NEEDS[args.family] if getattr(args, n) is None]
     if missing:
-        print(f"error: family {args.family} requires --" + " --".join(missing), file=sys.stderr)
-        return 2
+        raise ValueError(f"family {args.family} requires --" + " --".join(missing))
     elems = {n: parse_element(field, getattr(args, n)) for n in _NEEDS[args.family]}
     params = {n: format_element(field, e) for n, e in elems.items()}
 
@@ -174,40 +167,31 @@ def cmd_construct(args) -> int:
 # -- enumerate ----------------------------------------------------------
 
 
+def _counts(report: ClassReport) -> dict:
+    return {"order": report.order, "cube_classes": report.cube_classes,
+            "projection_array_classes": report.projection_array_classes,
+            "total_array_classes": report.total_array_classes}
+
+
 def cmd_enumerate(args) -> int:
-    try:
-        if args.arrays_file:
-            arrays = parse_array_file(_read(args.arrays_file))
-            if any(p.order != args.order for p in arrays):
-                print("error: arrays file does not match --order", file=sys.stderr)
-                return 2
-        else:
-            arrays = enumerate_costas_arrays(args.order)
-    except EnumerationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    cubes = enumerate_costas_cubes(args.order, arrays, threads=args.threads)
-    report = {
-        "order": args.order,
-        "cube_classes": len(cubes),
-        "projection_array_classes": projection_class_count(cubes),
-        "total_array_classes": len(array_classes(arrays)),
-    }
+    if args.arrays_file:
+        arrays = parse_array_file(_read(args.arrays_file))
+    else:
+        arrays = enumerate_costas_arrays(args.order)
+    report = class_report(args.order, arrays, threads=args.threads)
+    doc = _counts(report)
     if args.format == "machine":
         if args.emit_representatives:
-            report["representatives"] = [[list(t) for t in c.triples()] for c in cubes]
-        print(_machine(report))
+            doc["representatives"] = [[list(t) for t in c.triples()] for c in report.representatives]
+        print(_machine(doc))
     else:
         print(
             "order {order}: cube classes {cube_classes}, "
             "projection array classes {projection_array_classes}, "
-            "total array classes {total_array_classes}".format(**report)
+            "total array classes {total_array_classes}".format(**doc)
         )
         if args.emit_representatives:
-            for c in cubes:
+            for c in report.representatives:
                 print(c)
     return 0
 
@@ -217,18 +201,9 @@ def cmd_enumerate(args) -> int:
 
 def cmd_tables(args) -> int:
     if args.table == 1:
-        try:
-            reports = table1(args.max_order, threads=args.threads)
-        except EnumerationLimitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        reports = table1(args.max_order, threads=args.threads)
         if args.format == "machine":
-            print(_machine([
-                {"order": r.order, "cube_classes": r.cube_classes,
-                 "projection_array_classes": r.projection_array_classes,
-                 "total_array_classes": r.total_array_classes}
-                for r in reports
-            ]))
+            print(_machine([_counts(r) for r in reports]))
         else:
             print("order  cubes  projection_arrays  total_arrays")
             for r in reports:
@@ -260,11 +235,7 @@ def cmd_tables(args) -> int:
 
 
 def cmd_sd_set(args) -> int:
-    try:
-        cube = parse_cube_file(_read(args.input))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cube = parse_cube_file(_read(args.input))
     if not is_costas_cube(cube):
         print("error: not a Costas cube", file=sys.stderr)
         return 1
@@ -301,11 +272,7 @@ def _labels_for(values: tuple[int, ...], cat) -> list[str]:
 def cmd_classify(args) -> int:
     text = _read(args.input)
     if args.target == "array":
-        try:
-            perms = parse_array_file(text)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        perms = parse_array_file(text)
         cats = {}
         out = []
         for idx, p in enumerate(perms, start=1):
@@ -319,11 +286,7 @@ def cmd_classify(args) -> int:
         if args.format == "machine":
             print(_machine(out))
         return 0
-    try:
-        cube = parse_cube_file(text)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cube = parse_cube_file(text)
     t = projections(cube)
     cat = catalog(cube.order)
     doc = {}
@@ -342,11 +305,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_project(args) -> int:
-    try:
-        cube = parse_cube_file(_read(args.input))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cube = parse_cube_file(_read(args.input))
     t = projections(cube)
     if args.format == "machine":
         print(_machine({"A": list(t.a.values), "B": list(t.b.values), "C": list(t.c.values)}))
@@ -361,26 +320,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_import(args) -> int:
-    try:
-        text = _read(args.input)
-        lines = [
-            (no, line.strip())
-            for no, line in enumerate(text.splitlines(), start=1)
-            if line.strip() and not line.strip().startswith("#")
-        ]
-        perms = []
-        for no, line in lines:
-            try:
-                perms.append((no, parse_array_file(line)[0]))
-            except ValueError as exc:
-                print(f"error: line {no}: {exc}", file=sys.stderr)
-                return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not perms:
-        print("error: no permutations found", file=sys.stderr)
-        return 2
+    perms = numbered_arrays(_read(args.input))
     orders = {p.order for _, p in perms}
     if len(orders) > 1:
         print(f"error: mixed orders {sorted(orders)} in one file", file=sys.stderr)
@@ -390,9 +330,10 @@ def cmd_import(args) -> int:
         print(f"error: file has order {order}, expected {args.expect_order}", file=sys.stderr)
         return 1
     for no, p in perms:
-        if not is_costas(p):
-            print(f"error: line {no}: {p} is not a Costas array "
-                  f"(repeated vector {costas_violation(p)})", file=sys.stderr)
+        bad = costas_violation(p)
+        if bad is not None:
+            print(f"error: line {no}: {p} is not a Costas array (repeated vector {bad})",
+                  file=sys.stderr)
             return 1
 
     values = {p.values for _, p in perms}
@@ -401,15 +342,15 @@ def cmd_import(args) -> int:
     )
     if not closed:
         if args.expand:
-            for _, p in list(perms):
-                for s in PLANAR_SYMMETRIES:
-                    values.add(apply_planar(s, p).values)
+            values.update(apply_planar(s, p).values for _, p in perms for s in PLANAR_SYMMETRIES)
             print(f"note: expanded to full square-symmetry orbits ({len(values)} arrays)")
         else:
             print("warning: file is not closed under the square symmetries; "
                   "it may hold class representatives only (rerun with --expand)")
-
-    from .core import Permutation
+    mismatch = total_mismatch(order, len(values)) if closed or args.expand else None
+    if mismatch:
+        print(f"error: {mismatch}", file=sys.stderr)
+        return 1
 
     normalized = [Permutation(v) for v in sorted(values)]
     classes = len(array_classes(normalized))
@@ -512,10 +453,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -87,6 +87,16 @@ def enumerate_costas_classes(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> list[P
     return array_classes(enumerate_costas_arrays(n, limit))
 
 
+def total_mismatch(n: int, count: int) -> str | None:
+    """Why a D4-closed list of count order-n Costas arrays cannot be
+    complete, or None if count is the published total (or none is known)."""
+    expected = COSTAS_ARRAY_TOTALS.get(n)
+    if expected is None or count == expected:
+        return None
+    return (f"array list holds {count} Costas arrays of order {n}, "
+            f"but there are {expected}; it cannot be complete")
+
+
 def _check_complete(arrays: Sequence[Permutation], n: int) -> list[int]:
     """Sanity checks for a claimed-complete list of order-n Costas arrays;
     returns the indices of the arrays that are least in their D4 orbit."""
@@ -110,12 +120,9 @@ def _check_complete(arrays: Sequence[Permutation], n: int) -> list[int]:
             )
         if min(images) == p.values:
             representatives.append(r)
-    expected = COSTAS_ARRAY_TOTALS.get(n)
-    if expected is not None and len(arrays) != expected:
-        raise ValueError(
-            f"array list holds {len(arrays)} Costas arrays of order {n}, "
-            f"but there are {expected}; it cannot be complete"
-        )
+    mismatch = total_mismatch(n, len(arrays))
+    if mismatch:
+        raise ValueError(mismatch)
     return representatives
 
 
@@ -165,6 +172,24 @@ def _chunks(indices: list[int], parts: int) -> list[list[int]]:
     return [indices[t : t + size] for t in range(0, len(indices), size)]
 
 
+def _join(n: int, arrays: Sequence[Permutation], representatives: list[int],
+          threads: int) -> list[CostasCube]:
+    """The pair-join with the given first arrays, over a checked list."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    shared = _tables(arrays, n)
+    if threads == 1:
+        found = _scan(representatives, shared)
+    else:
+        from multiprocessing import Pool
+
+        found = set()
+        with Pool(threads, initializer=_share, initargs=shared) as pool:
+            for part in pool.map(_scan, _chunks(representatives, threads * 4)):
+                found |= part
+    return [CostasCube(rows) for rows in sorted(found)]
+
+
 def enumerate_costas_cubes(
     n: int,
     arrays: Sequence[Permutation],
@@ -179,20 +204,7 @@ def enumerate_costas_cubes(
     equivalence absorbs the square symmetries acting on Projection A.
     threads > 1 splits the scan over a process pool.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    representatives = _check_complete(arrays, n)
-    shared = _tables(arrays, n)
-    if threads == 1:
-        found = _scan(representatives, shared)
-    else:
-        from multiprocessing import Pool
-
-        found = set()
-        with Pool(threads, initializer=_share, initargs=shared) as pool:
-            for part in pool.map(_scan, _chunks(representatives, threads * 4)):
-                found |= part
-    return [CostasCube(rows) for rows in sorted(found)]
+    return _join(n, arrays, _check_complete(arrays, n), threads)
 
 
 def projection_class_count(cubes: Iterable[CostasCube]) -> int:
@@ -207,13 +219,14 @@ def projection_class_count(cubes: Iterable[CostasCube]) -> int:
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Class counts for one order: cubes, projection arrays, all arrays."""
+    """Class counts for one order (cubes, projection arrays, all arrays)
+    and one canonical representative per cube class."""
 
     order: int
     cube_classes: int
     projection_array_classes: int
     total_array_classes: int
-    representatives: tuple[CostasCube, ...] | None = None
+    representatives: tuple[CostasCube, ...] = ()
 
     def __post_init__(self) -> None:
         if min(self.cube_classes, self.projection_array_classes, self.total_array_classes) < 0:
@@ -222,13 +235,28 @@ class ClassReport:
             raise ValueError("projection classes cannot exceed total classes")
 
 
+def class_report(n: int, arrays: Sequence[Permutation], *, threads: int = 1) -> ClassReport:
+    """The class report of order n from a complete list of order-n Costas
+    arrays.  A complete list is closed under D4 and has no duplicates, so
+    each array class has exactly one least member: the total number of
+    array classes is the number of first arrays of the join."""
+    representatives = _check_complete(arrays, n)
+    cubes = _join(n, arrays, representatives, threads)
+    return ClassReport(
+        order=n,
+        cube_classes=len(cubes),
+        projection_array_classes=projection_class_count(cubes),
+        total_array_classes=len(representatives),
+        representatives=tuple(cubes),
+    )
+
+
 def table1(
     max_n: int,
     *,
     limit: int = DEFAULT_ORDER_LIMIT,
     arrays_by_order: Mapping[int, Sequence[Permutation]] | None = None,
     threads: int = 1,
-    with_representatives: bool = False,
 ) -> list[ClassReport]:
     """Class reports for orders 2..max_n.
 
@@ -236,22 +264,9 @@ def table1(
     list (e.g. an ingested database); all others are enumerated
     in-process, subject to the order limit.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    supplied = arrays_by_order or {}
     reports = []
     for n in range(2, max_n + 1):
-        if arrays_by_order is not None and n in arrays_by_order:
-            arrays = list(arrays_by_order[n])
-        else:
-            arrays = enumerate_costas_arrays(n, limit)
-        cubes = enumerate_costas_cubes(n, arrays, threads=threads)
-        reports.append(
-            ClassReport(
-                order=n,
-                cube_classes=len(cubes),
-                projection_array_classes=projection_class_count(cubes),
-                total_array_classes=len(array_classes(arrays)),
-                representatives=tuple(cubes) if with_representatives else None,
-            )
-        )
+        arrays = supplied[n] if n in supplied else enumerate_costas_arrays(n, limit)
+        reports.append(class_report(n, arrays, threads=threads))
     return reports

@@ -16,20 +16,25 @@ from typing import Iterable, Sequence
 from .core import CostasCube, Permutation
 
 
-def parse_array_file(text: str) -> list[Permutation]:
-    perms = []
+def numbered_arrays(text: str) -> list[tuple[int, Permutation]]:
+    """(line number, permutation) for every array line of an array file."""
+    numbered = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
             values = tuple(int(tok) for tok in line.split())
-            perms.append(Permutation(values))
+            numbered.append((lineno, Permutation(values)))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    if not perms:
+    if not numbered:
         raise ValueError("no permutations found")
-    return perms
+    return numbered
+
+
+def parse_array_file(text: str) -> list[Permutation]:
+    return [p for _, p in numbered_arrays(text)]
 
 
 def emit_array_file(perms: Iterable[Permutation], comments: Sequence[str] = ()) -> str:

@@ -296,7 +296,9 @@ def g3_cube_admissible(field: FieldSpec) -> list[FieldElement]:
 
 
 class LogTable:
-    """Discrete-logarithm table for a fixed primitive generator.
+    """Discrete logarithms to a fixed primitive generator, read off the
+    field's own exp/log tables: with generator = g0^a for the field's
+    least primitive g0, generator^i = g0^(a*i) and dlog(e) = log_g0(e)/a.
 
     power(i) = generator^i; dlog returns the exponent in [1, q-1], with
     dlog(1) = q-1 so that exponents of the nonidentity powers stay in
@@ -308,23 +310,17 @@ class LogTable:
             raise ValueError(f"{generator} is not primitive in GF({field.q})")
         self.field = field
         self.generator = generator
-        exp = [1] * (field.q - 1)
-        log = [0] * field.q
-        acc = 1
-        for t in range(1, field.q - 1):
-            acc = field.mul(acc, generator)
-            exp[t] = acc
-            log[acc] = t
-        self.exp = exp
-        self._log = log
+        self._exp, self._log = field._tables()
+        self._a = self._log[generator]
+        self._a_inv = pow(self._a, -1, field.q - 1)
 
     def power(self, i: int) -> FieldElement:
-        return self.exp[i % (self.field.q - 1)]
+        return self._exp[self._a * i % (self.field.q - 1)]
 
     def dlog(self, e: FieldElement) -> int:
         if e == 0:
             raise ValueError("0 has no discrete logarithm")
-        t = self._log[e]
+        t = self._log[e] * self._a_inv % (self.field.q - 1)
         return t if t else self.field.q - 1
 
 

@@ -272,6 +272,52 @@ def test_import_expands_representatives(capsys, tmp_path):
     assert len(parse_array_file(out_path.read_text())) == 40
 
 
+def test_import_rejects_incomplete_closed_database(capsys, tmp_path):
+    arrays = order7_without_one_class()
+    reps = [p for p in arrays
+            if all(p.values <= apply_planar(s, p).values for s in PLANAR_SYMMETRIES)]
+    for name, listed, extra in (("full.txt", arrays, []), ("reps.txt", reps, ["--expand"])):
+        path = tmp_path / name
+        path.write_text(emit_array_file(listed))
+        code, _, err = run(capsys, "import", str(path), *extra)
+        assert code == 1
+        assert f"holds {len(arrays)} Costas arrays of order 7, but there are 200" in err
+        assert not (tmp_path / (name + ".normalized")).exists()
+
+
+def test_import_names_bad_line_once(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("2 4 3 1\n1 1\n")
+    code, _, err = run(capsys, "import", str(path))
+    assert code == 2
+    assert err == "error: line 2: (1, 1) is not a bijection on 1..2\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(["verify", "array", "{dir}"], 2, id="verify-directory"),
+    pytest.param(["sd-set", "{dir}"], 2, id="sd-set-directory"),
+    pytest.param(["project", "{dir}"], 2, id="project-directory"),
+    pytest.param(["import", "{dir}"], 2, id="import-directory"),
+    pytest.param(["enumerate", "--order", "5", "--arrays-file", "{dir}"], 2,
+                 id="enumerate-directory"),
+    pytest.param(["import", "{db5}", "--output", "{dir}"], 2, id="import-output-directory"),
+    pytest.param(["verify", "array", "{empty}"], 2, id="verify-empty-file"),
+    pytest.param(["construct", "w2", "--field", "2^4"], 2, id="construct-bad-field-spec"),
+    pytest.param(["import", "{mixed}"], 1, id="import-mixed-orders"),
+])
+def test_exit_code_contract(capsys, tmp_path, argv, expected):
+    paths = {"dir": tmp_path / "a_directory", "empty": tmp_path / "empty.txt",
+             "db5": tmp_path / "db5.txt", "mixed": tmp_path / "mixed.txt"}
+    paths["dir"].mkdir()
+    paths["empty"].write_text("")
+    paths["db5"].write_text(emit_array_file(list(costas_arrays(5))))
+    paths["mixed"].write_text("1 2\n1 3 2\n")
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == expected
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_no_command_prints_help(capsys):
     code, out, _ = run(capsys)
     assert code == 2

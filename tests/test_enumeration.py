@@ -22,6 +22,7 @@ from costas_cubes.enumeration import (
     _scan,
     _tables,
     array_classes,
+    class_report,
     enumerate_costas_arrays,
     enumerate_costas_classes,
     enumerate_costas_cubes,
@@ -204,7 +205,17 @@ def test_table1_accepts_supplied_databases():
 
 
 def test_table1_representatives_flag():
-    report = table1(4, with_representatives=True)[-1]
+    report = table1(4)[-1]
     assert report.representatives is not None
     assert len(report.representatives) == report.cube_classes
     assert all(isinstance(c, CostasCube) for c in report.representatives)
+
+
+def test_class_report_total_is_representative_count():
+    """The total array classes, counted as the least members the
+    completeness check finds, equal the canonical-form count."""
+    for n in range(1, 9):
+        arrays = costas_arrays(n)
+        report = class_report(n, arrays)
+        assert report.total_array_classes == len(array_classes(arrays))
+        assert report.representatives == costas_cube_classes(n)

@@ -159,10 +159,13 @@ def test_dlog_examples():
 
 def test_exp_log_round_trip():
     for f in (GF13, GF16, GF27):
-        g = primitive_elements(f)[0]
-        t = LogTable(f, g)
-        for i in range(1, f.q):
-            assert t.dlog(t.power(i)) == i
+        for g in primitive_elements(f):
+            t = LogTable(f, g)
+            for i in range(1, f.q):
+                assert t.dlog(t.power(i)) == i
+            # negative exponents and exponents above q wrap like field powers
+            for i in (*range(-f.q, 0), *range(f.q, 2 * f.q + 1)):
+                assert t.power(i) == f.pow(g, i)
 
 
 def test_g3_admissible_examples():
