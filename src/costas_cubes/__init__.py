@@ -15,8 +15,6 @@ from .core import (
 )
 from .gf import (
     FieldSpec,
-    LogTable,
-    dlog,
     field_new,
     g3_admissible,
     g3_cube_admissible,

@@ -18,6 +18,11 @@ array families above:
   1-phi^(-1) all primitive; the two variants share Projection A and are
   exchanged by k_reversal.
 
+Every constructor is integer arithmetic on the discrete logs of one
+field, to its least primitive g (gf.FieldSpec.tables): with a = log phi,
+b = log rho, c = log psi and Z[t] = log(1 - g^t), all mod q-1, the
+relation phi^i + rho^j = 1 reads a*i = Z[b*j].
+
 sweep enumerates all admissible parameter tuples per family and counts
 equivalence classes per order; catalog labels canonical arrays of one
 order by the families able to produce them.
@@ -33,7 +38,6 @@ from .reference import CUBE_CLASS_COUNTS
 from .gf import (
     FieldElement,
     FieldSpec,
-    LogTable,
     field_new,
     format_element,
     g3_admissible,
@@ -80,20 +84,10 @@ class ConstructionId:
     family: Family
     field: FieldSpec
     elements: tuple[FieldElement, ...]
-    shift: int | None = None
 
     def describe(self) -> str:
         parts = [format_element(self.field, e) for e in self.elements]
-        if self.shift is not None:
-            parts.append(f"c={self.shift}")
         return f"{self.family.value}(q={self.field.q}; {'; '.join(parts)})"
-
-
-def _require_primitive(field: FieldSpec, e: FieldElement, name: str) -> None:
-    if e == 0 or not is_primitive(field, e):
-        raise ValueError(
-            f"{name}={format_element(field, e)} is not primitive in GF({field.q})"
-        )
 
 
 def default_field(q: int, moduli: dict[int, tuple[int, ...]] | None = None) -> FieldSpec:
@@ -113,29 +107,45 @@ def default_field(q: int, moduli: dict[int, tuple[int, ...]] | None = None) -> F
 # -- array constructions -----------------------------------------------
 
 
+def _logs(field: FieldSpec, **named: FieldElement) -> list[int]:
+    """log_g of each named element, checked primitive in the order given."""
+    log = field.tables()[1]
+    out = []
+    for name, e in named.items():
+        if e == 0 or not is_primitive(field, e):
+            raise ValueError(
+                f"{name}={format_element(field, e)} is not primitive in GF({field.q})"
+            )
+        out.append(log[e])
+    return out
+
+
+def _z(field: FieldSpec, t: int) -> int:
+    """Z[t] = log_g(1 - g^t), for t not divisible by q-1."""
+    exp, log = field.tables()
+    return log[field.sub(1, exp[t % (field.q - 1)])]
+
+
 def w1(p: int, phi: FieldElement, c: int = 0) -> Permutation:
     """Order p-1 array with sigma(j) = phi^(j+c) over GF(p), p > 2 prime."""
     field = field_new(p, 1)
     if p <= 2:
         raise ValueError("W1 requires p > 2")
-    _require_primitive(field, phi, "phi")
+    (a,) = _logs(field, phi=phi)
     if not 0 <= c < p:
         raise ValueError(f"shift c={c} must lie in GF({p})")
-    table = LogTable(field, phi)
-    return Permutation(tuple(table.power(j + c) for j in range(1, p)))
+    exp = field.tables()[0]
+    return Permutation(tuple(exp[a * (j + c) % (p - 1)] for j in range(1, p)))
 
 
 def g2(field: FieldSpec, phi: FieldElement, rho: FieldElement) -> Permutation:
     """Order q-2 array with 1 entries where phi^i + rho^j = 1, q > 3."""
     if field.q <= 3:
         raise ValueError("G2 requires q > 3")
-    _require_primitive(field, phi, "phi")
-    _require_primitive(field, rho, "rho")
-    tp = LogTable(field, phi)
-    tr = LogTable(field, rho)
-    return Permutation(
-        tuple(tp.dlog(field.sub(1, tr.power(j))) for j in range(1, field.q - 1))
-    )
+    a, b = _logs(field, phi=phi, rho=rho)
+    n = field.q - 1
+    a_inv = pow(a, -1, n)
+    return Permutation(tuple(_z(field, b * j) * a_inv % n for j in range(1, n)))
 
 
 def w2(p: int, phi: FieldElement) -> Permutation:
@@ -143,9 +153,9 @@ def w2(p: int, phi: FieldElement) -> Permutation:
     field = field_new(p, 1)
     if p <= 3:
         raise ValueError("W2 requires p > 3")
-    _require_primitive(field, phi, "phi")
-    table = LogTable(field, phi)
-    return Permutation(tuple(table.power(j) - 1 for j in range(1, p - 1)))
+    (a,) = _logs(field, phi=phi)
+    exp = field.tables()[0]
+    return Permutation(tuple(exp[a * j % (p - 1)] - 1 for j in range(1, p - 1)))
 
 
 def g3(field: FieldSpec, phi: FieldElement) -> Permutation:
@@ -156,17 +166,12 @@ def g3(field: FieldSpec, phi: FieldElement) -> Permutation:
     """
     if field.q <= 3:
         raise ValueError("G3 requires q > 3")
-    one_minus = field.sub(1, phi)
-    _require_primitive(field, phi, "phi")
-    _require_primitive(field, one_minus, "1-phi")
-    tp = LogTable(field, phi)
-    tm = LogTable(field, one_minus)
-    values = []
-    for j in range(1, field.q - 2):
-        i = tp.dlog(field.sub(1, tm.power(j + 1))) - 1
-        assert 1 <= i <= field.q - 3
-        values.append(i)
-    return Permutation(tuple(values))
+    a, m = _logs(field, phi=phi, **{"1-phi": field.sub(1, phi)})
+    n = field.q - 1
+    a_inv = pow(a, -1, n)
+    return Permutation(
+        tuple(_z(field, m * (j + 1)) * a_inv % n - 1 for j in range(1, field.q - 2))
+    )
 
 
 # -- cube constructions ------------------------------------------------
@@ -183,20 +188,13 @@ def cube_g2x3(
     """
     if field.q <= 3:
         raise ValueError("this construction requires q > 3")
-    _require_primitive(field, phi, "phi")
-    _require_primitive(field, rho, "rho")
-    _require_primitive(field, psi, "psi")
-    q = field.q
-    tp = LogTable(field, phi)
-    tr = LogTable(field, rho)
-    ts = LogTable(field, psi)
-    rows = []
-    for i in range(1, q - 1):
-        j = (-tr.dlog(field.sub(1, tp.power(i)))) % (q - 1)
-        k = ts.dlog(field.sub(1, tp.power(-i)))
-        assert 1 <= j <= q - 2 and 1 <= k <= q - 2
-        rows.append((j, k))
-    return CostasCube(tuple(rows))
+    a, b, c = _logs(field, phi=phi, rho=rho, psi=psi)
+    n = field.q - 1
+    b_inv, c_inv = pow(b, -1, n), pow(c, -1, n)
+    return CostasCube(tuple(
+        (-_z(field, a * i) * b_inv % n, _z(field, -a * i) * c_inv % n)
+        for i in range(1, n)
+    ))
 
 
 def cube_w2w2g2(p: int, phi: FieldElement, psi: FieldElement) -> CostasCube:
@@ -208,49 +206,43 @@ def cube_w2w2g2(p: int, phi: FieldElement, psi: FieldElement) -> CostasCube:
     field = field_new(p, 1)
     if p <= 3:
         raise ValueError("this construction requires p > 3")
-    _require_primitive(field, phi, "phi")
-    _require_primitive(field, psi, "psi")
-    tp = LogTable(field, phi)
-    ts = LogTable(field, psi)
-    rows = []
-    for i in range(1, p - 1):
-        j = tp.dlog(i + 1)
-        k = ts.dlog(p - i)
-        assert 1 <= j <= p - 2 and 1 <= k <= p - 2
-        rows.append((j, k))
-    return CostasCube(tuple(rows))
+    a, c = _logs(field, phi=phi, psi=psi)
+    n = p - 1
+    a_inv, c_inv = pow(a, -1, n), pow(c, -1, n)
+    log = field.tables()[1]
+    return CostasCube(tuple(
+        (log[i + 1] * a_inv % n, log[p - i] * c_inv % n) for i in range(1, p - 1)
+    ))
 
 
-def _require_g3_cube_admissible(field: FieldSpec, phi: FieldElement) -> None:
-    _require_primitive(field, phi, "phi")
-    if not is_primitive(field, field.sub(1, phi)):
-        raise ValueError(f"1-phi is not primitive in GF({field.q})")
-    if not is_primitive(field, field.sub(1, field.inv(phi))):
-        raise ValueError(f"1-phi^(-1) is not primitive in GF({field.q})")
+def _cube_g3(field: FieldSpec, phi: FieldElement, k_exponent) -> CostasCube:
+    """The G3 cube whose row i reads k at the exponent k_exponent(i) of phi."""
+    if field.q <= 3:
+        raise ValueError("this construction requires q > 3")
+    (a,) = _logs(field, phi=phi)
+    m, r = _logs(field, **{
+        "1-phi": field.sub(1, phi),
+        "1-phi^(-1)": field.sub(1, field.inv(phi)),
+    })
+    n = field.q - 1
+    m_inv, r_inv = pow(m, -1, n), pow(r, -1, n)
+    return CostasCube(tuple(
+        (_z(field, a * (i + 1)) * m_inv % n - 1, _z(field, a * k_exponent(i)) * r_inv % n - 1)
+        for i in range(1, field.q - 2)
+    ))
 
 
 def cube_g3_variant_i(field: FieldSpec, phi: FieldElement) -> CostasCube:
     """Order q-3 cube whose projections are all G3 arrays.
 
-    Requires phi, 1-phi and 1-phi^(-1) all primitive.  Projections:
+    Requires phi, 1-phi and 1-phi^(-1) all primitive.  Row i has
+    j = dlog_(1-phi)(1 - phi^(i+1)) - 1 and
+    k = dlog_(1-phi^(-1))(1 - phi^(-(i+1))) - 1.  Projections:
     A = G3(q, phi), B = G3(q, phi^(-1)), C = G3(q, (1-phi)^(-1)).
     Equals cube_g2x3(field, phi, (1-phi)^(-1), 1-phi^(-1)) with the
     three planes through its 1 entry at (1,1,1) removed.
     """
-    if field.q <= 3:
-        raise ValueError("this construction requires q > 3")
-    _require_g3_cube_admissible(field, phi)
-    q = field.q
-    tp = LogTable(field, phi)
-    tm = LogTable(field, field.sub(1, phi))
-    tmi = LogTable(field, field.sub(1, field.inv(phi)))
-    rows = []
-    for i in range(1, q - 2):
-        j = tm.dlog(field.sub(1, tp.power(i + 1))) - 1
-        k = tmi.dlog(field.sub(1, tp.power(-(i + 1)))) - 1
-        assert 1 <= j <= q - 3 and 1 <= k <= q - 3
-        rows.append((j, k))
-    return CostasCube(tuple(rows))
+    return _cube_g3(field, phi, lambda i: -(i + 1))
 
 
 def cube_g3_variant_ii(field: FieldSpec, phi: FieldElement) -> CostasCube:
@@ -261,20 +253,7 @@ def cube_g3_variant_ii(field: FieldSpec, phi: FieldElement) -> CostasCube:
     reflection of G3(q, phi^(-1)); Projection C is the 180-degree
     rotation of G3(q, (1-phi)^(-1)).
     """
-    if field.q <= 3:
-        raise ValueError("this construction requires q > 3")
-    _require_g3_cube_admissible(field, phi)
-    q = field.q
-    tp = LogTable(field, phi)
-    tm = LogTable(field, field.sub(1, phi))
-    tmi = LogTable(field, field.sub(1, field.inv(phi)))
-    rows = []
-    for i in range(1, q - 2):
-        j = tm.dlog(field.sub(1, tp.power(i + 1))) - 1
-        k = tmi.dlog(field.sub(1, tp.power(i))) - 1
-        assert 1 <= j <= q - 3 and 1 <= k <= q - 3
-        rows.append((j, k))
-    return CostasCube(tuple(rows))
+    return _cube_g3(field, phi, lambda i: i)
 
 
 def k_reversal(cube: CostasCube) -> tuple[CostasCube, bool]:

@@ -7,10 +7,16 @@ after normalization, matching notation such as <1 + x^3 + x^4>.
 
 Prime fields use the same code path with the implicit modulus x, so the
 encoding of an element of GF(p) is simply its least residue.
+
+Each field keeps one exp/log table, to its least primitive element g
+(FieldSpec.tables).  It is the only source of discrete logarithms and
+of primitivity: e = g^t is primitive iff gcd(t, q-1) = 1, and the log
+of e to any other primitive base rho = g^b is log_g(e) * b^(-1) mod q-1.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 FieldElement = int
@@ -179,16 +185,25 @@ class FieldSpec:
                     prod[topdeg - m + t] = (prod[topdeg - m + t] + c * r) % p
         return self.encode(prod[:m])
 
-    def _tables(self) -> tuple[list[int], list[int]]:
+    def tables(self) -> tuple[list[int], list[int]]:
+        """(exp, log) for the least primitive element g: exp[t] = g^t for
+        t in [0, q-1) and log[exp[t]] = t (log[0] is unused).
+
+        g is found as the least element whose power cycle has length q-1;
+        the cycle it walks is exp itself.  Built once per field.
+        """
         if self._exp is None:
-            g = min(e for e in self.nonzero_elements() if is_primitive(self, e))
-            exp = [1] * (self.q - 1)
+            for g in self.nonzero_elements():
+                exp = [1]
+                acc = g
+                while acc != 1:
+                    exp.append(acc)
+                    acc = self._mul_raw(acc, g)
+                if len(exp) == self.q - 1:
+                    break
             log = [0] * self.q
-            acc = 1
-            for t in range(1, self.q - 1):
-                acc = self._mul_raw(acc, g)
-                exp[t] = acc
-                log[acc] = t
+            for t, e in enumerate(exp):
+                log[e] = t
             self._exp, self._log = exp, log
         return self._exp, self._log
 
@@ -199,7 +214,7 @@ class FieldSpec:
             return (a * b) % self.p
         if self.q > _TABLE_LIMIT:
             return self._mul_raw(a, b)
-        exp, log = self._tables()
+        exp, log = self.tables()
         return exp[(log[a] + log[b]) % (self.q - 1)]
 
     def inv(self, a: FieldElement) -> FieldElement:
@@ -209,7 +224,7 @@ class FieldSpec:
             return pow(a, self.p - 2, self.p)
         if self.q > _TABLE_LIMIT:
             return self._pow_raw(a, self.q - 2)
-        exp, log = self._tables()
+        exp, log = self.tables()
         return exp[(self.q - 1 - log[a]) % (self.q - 1)]
 
     def _pow_raw(self, a: FieldElement, k: int) -> FieldElement:
@@ -263,11 +278,11 @@ def field_new(p: int, m: int, modulus: Sequence[int] | None = None) -> FieldSpec
 
 
 def is_primitive(field: FieldSpec, e: FieldElement) -> bool:
-    """True iff e generates the multiplicative group (order exactly q-1)."""
-    if e == 0:
-        raise ValueError("0 is not in the multiplicative group")
-    n = field.q - 1
-    return all(field._pow_raw(e, n // r) != 1 for r in factorize(n))
+    """True iff e generates the multiplicative group (order exactly q-1),
+    read off the field's discrete log: g^t generates iff gcd(t, q-1) = 1."""
+    if not 0 < e < field.q:
+        raise ValueError(f"{e} is not in the multiplicative group of GF({field.q})")
+    return math.gcd(field.tables()[1][e], field.q - 1) == 1
 
 
 def primitive_elements(field: FieldSpec) -> list[FieldElement]:
@@ -293,39 +308,6 @@ def g3_cube_admissible(field: FieldSpec) -> list[FieldElement]:
         for e in g3_admissible(field)
         if is_primitive(field, field.sub(1, field.inv(e)))
     ]
-
-
-class LogTable:
-    """Discrete logarithms to a fixed primitive generator, read off the
-    field's own exp/log tables: with generator = g0^a for the field's
-    least primitive g0, generator^i = g0^(a*i) and dlog(e) = log_g0(e)/a.
-
-    power(i) = generator^i; dlog returns the exponent in [1, q-1], with
-    dlog(1) = q-1 so that exponents of the nonidentity powers stay in
-    the working range [1, q-2].
-    """
-
-    def __init__(self, field: FieldSpec, generator: FieldElement):
-        if not is_primitive(field, generator):
-            raise ValueError(f"{generator} is not primitive in GF({field.q})")
-        self.field = field
-        self.generator = generator
-        self._exp, self._log = field._tables()
-        self._a = self._log[generator]
-        self._a_inv = pow(self._a, -1, field.q - 1)
-
-    def power(self, i: int) -> FieldElement:
-        return self._exp[self._a * i % (self.field.q - 1)]
-
-    def dlog(self, e: FieldElement) -> int:
-        if e == 0:
-            raise ValueError("0 has no discrete logarithm")
-        t = self._log[e] * self._a_inv % (self.field.q - 1)
-        return t if t else self.field.q - 1
-
-
-def dlog(table: LogTable, e: FieldElement) -> int:
-    return table.dlog(e)
 
 
 # -- text forms (CLI surface) ------------------------------------------

@@ -117,15 +117,13 @@ def cube_orbit(cube: CostasCube) -> list[CostasCube]:
     return [CostasCube(rows) for rows in sorted({apply_cube(s, cube).rows for s in CUBE_SYMMETRIES})]
 
 
-def projection_set(cube: CostasCube, *, rotations_only: bool = False) -> set[Permutation]:
+def projection_set(cube: CostasCube) -> set[Permutation]:
     """The distinct Costas arrays occurring as Projection A over the orbit.
 
     For a Costas cube of order > 2 the result is a union of D4 classes,
     so its size is a multiple of 4 and at most 24.  Reflections never
-    enlarge the set (each is realized by some rotation); rotations_only
-    computes the rotation-subgroup variant as a cross-check.
+    enlarge the set (each is realized by some rotation).
     """
     if not is_costas_cube(cube):
         raise ValueError("projection_set requires a Costas cube")
-    group = CUBE_ROTATIONS if rotations_only else CUBE_SYMMETRIES
-    return {projections(apply_cube(s, cube)).a for s in group}
+    return {projections(apply_cube(s, cube)).a for s in CUBE_SYMMETRIES}

@@ -26,9 +26,10 @@ from costas_cubes.core import (
     projections,
 )
 from costas_cubes.gf import (
-    LogTable,
     field_new,
+    g3_admissible,
     g3_cube_admissible,
+    is_primitive,
     parse_element,
     prime_power,
     primitive_elements,
@@ -147,12 +148,11 @@ def test_cube_g2x3_projection_parameters():
 def test_cube_g2x3_all_three_conditions_hold():
     phi, rho, psi = 2, 6, 7
     field = field_new(11, 1)
-    tp, tr, ts = (LogTable(field, e) for e in (phi, rho, psi))
     cube = cube_g2x3(field, phi, rho, psi)
     for i, j, k in cube.triples():
-        assert field.add(tp.power(i), tr.power(-j)) == 1
-        assert field.add(tp.power(-i), ts.power(k)) == 1
-        assert field.add(tr.power(j), ts.power(-k)) == 1
+        assert field.add(field.pow(phi, i), field.pow(rho, -j)) == 1
+        assert field.add(field.pow(phi, -i), field.pow(psi, k)) == 1
+        assert field.add(field.pow(rho, j), field.pow(psi, -k)) == 1
 
 
 def test_cube_g2x3_equal_parameters_small_projection_set():
@@ -365,3 +365,76 @@ def test_catalog_entries_are_canonical_costas():
             assert is_costas(p)
             assert canonical_array(p) == p
             assert labels <= {"W1", "G2", "W2", "G3"}
+
+
+def test_out_of_range_elements_rejected():
+    for call in (
+        lambda: is_primitive(GF13, 13),
+        lambda: is_primitive(GF13, -2),
+        lambda: g2(GF13, 13, 6),
+        lambda: w2(13, 15),
+        lambda: cube_g2x3(GF13, 2, 6, 15),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_constructions_satisfy_defining_equations():
+    # Each constructor against its defining equation, checked with plain
+    # field arithmetic only (add, sub, inv, pow), over every admissible
+    # tuple of every default field with q <= 32.
+    built = 0
+    for q in range(3, 33):
+        if prime_power(q) is None:
+            continue
+        f = default_field(q)
+        add, sub, pw = f.add, f.sub, f.pow
+        prims = primitive_elements(f)
+        if f.m == 1:
+            for phi in prims:
+                for c in range(q):
+                    s = w1(q, phi, c)
+                    assert all(s(j) == pw(phi, j + c) for j in range(1, q))
+                    built += 1
+        if q <= 3:
+            continue
+        for phi in prims:
+            for rho in prims:
+                s = g2(f, phi, rho)
+                assert all(add(pw(phi, s(j)), pw(rho, j)) == 1 for j in range(1, q - 1))
+                built += 1
+                for psi in prims[:2]:
+                    cube = cube_g2x3(f, phi, rho, psi)
+                    for i, j, k in cube.triples():
+                        assert add(pw(phi, i), pw(rho, -j)) == 1
+                        assert add(pw(phi, -i), pw(psi, k)) == 1
+                        assert add(pw(rho, j), pw(psi, -k)) == 1
+                    built += 1
+        if f.m == 1:
+            for phi in prims:
+                s = w2(q, phi)
+                assert all(s(j) == sub(pw(phi, j), 1) for j in range(1, q - 1))
+                built += 1
+                for psi in prims:
+                    cube = cube_w2w2g2(q, phi, psi)
+                    for i, j, k in cube.triples():
+                        assert i == sub(pw(phi, j), 1) == sub(0, pw(psi, k))
+                    built += 1
+        for phi in g3_admissible(f):
+            s = g3(f, phi)
+            one_minus = sub(1, phi)
+            assert all(
+                add(pw(phi, s(j) + 1), pw(one_minus, j + 1)) == 1 for j in range(1, q - 2)
+            )
+            built += 1
+        for phi in g3_cube_admissible(f):
+            one_minus, one_minus_inv = sub(1, phi), sub(1, f.inv(phi))
+            for cube, e in (
+                (cube_g3_variant_i(f, phi), lambda i: -(i + 1)),
+                (cube_g3_variant_ii(f, phi), lambda i: i),
+            ):
+                for i, j, k in cube.triples():
+                    assert add(pw(phi, i + 1), pw(one_minus, j + 1)) == 1
+                    assert add(pw(phi, e(i)), pw(one_minus_inv, k + 1)) == 1
+                built += 1
+    assert built > 6000

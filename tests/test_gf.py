@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from costas_cubes.gf import (
-    LogTable,
-    dlog,
     factorize,
     field_new,
     format_element,
@@ -147,25 +145,40 @@ def test_primitive_element_count_is_totient():
 
 
 def test_dlog_examples():
-    t = LogTable(GF13, 11)
-    assert dlog(t, 11) == 1
-    assert dlog(t, 1) == 12
-    assert t.power(1) - 1 == 10  # matches the first W2(13, 11) value
+    exp, log = GF13.tables()
+    assert exp[:4] == [1, 2, 4, 8]  # g = 2, the least primitive element
+    assert log[11] == 7 and log[1] == 0
+    # the log to base phi = 11 is log_g / log_g(11) mod q-1
+    assert log[11] * pow(log[11], -1, 12) % 12 == 1
+    assert exp[log[11]] - 1 == 10  # matches the first W2(13, 11) value
     with pytest.raises(ValueError):
-        t.dlog(0)
-    with pytest.raises(ValueError, match="not primitive"):
-        LogTable(GF13, 1)
+        is_primitive(GF13, 0)
+    assert not is_primitive(GF13, 1)
 
 
 def test_exp_log_round_trip():
-    for f in (GF13, GF16, GF27):
-        for g in primitive_elements(f):
-            t = LogTable(f, g)
-            for i in range(1, f.q):
-                assert t.dlog(t.power(i)) == i
-            # negative exponents and exponents above q wrap like field powers
-            for i in (*range(-f.q, 0), *range(f.q, 2 * f.q + 1)):
-                assert t.power(i) == f.pow(g, i)
+    for f in (GF13, GF16, GF27, field_new(2, 1)):
+        exp, log = f.tables()
+        g = exp[1 % (f.q - 1)]
+        assert g == primitive_elements(f)[0]
+        assert sorted(exp) == list(f.nonzero_elements())
+        for t in range(f.q - 1):
+            assert log[exp[t]] == t
+            assert exp[t] == f.pow(g, t)
+
+
+def _is_primitive_by_order(field, e):
+    """Oracle: e has order q-1 iff e^((q-1)/r) != 1 for every prime r | q-1."""
+    n = field.q - 1
+    return all(field.pow(e, n // r) != 1 for r in factorize(n))
+
+
+def test_is_primitive_matches_order_oracle():
+    for f in instantiated_fields():
+        if f.q > 1024:
+            continue
+        for e in f.nonzero_elements():
+            assert is_primitive(f, e) == _is_primitive_by_order(f, e), (f, e)
 
 
 def test_g3_admissible_examples():
@@ -199,8 +212,7 @@ def test_reciprocal_identity_and_power_coverage():
         for y in range(2, f.q):
             assert f.add(f.inv(f.sub(1, y)), f.inv(f.sub(1, f.inv(y)))) == 1
         phi = primitive_elements(f)[0]
-        t = LogTable(f, phi)
-        assert {t.power(i) for i in range(1, f.q - 1)} == set(range(2, f.q))
+        assert {f.pow(phi, i) for i in range(1, f.q - 1)} == set(range(2, f.q))
 
 
 def test_field_spec_string_round_trip():
