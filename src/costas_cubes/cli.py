@@ -39,7 +39,7 @@ from .enumeration import (
 )
 from .files import emit_array_file, emit_cube_file, numbered_arrays, parse_array_file, parse_cube_file
 from .gf import format_element, parse_element, parse_field_spec
-from .symmetry import PLANAR_SYMMETRIES, apply_planar, canonical_array, projection_set
+from .symmetry import canonical_array, planar_images, projection_set
 
 
 def _machine(doc) -> str:
@@ -337,12 +337,11 @@ def cmd_import(args) -> int:
             return 1
 
     values = {p.values for _, p in perms}
-    closed = all(
-        apply_planar(s, p).values in values for _, p in perms for s in PLANAR_SYMMETRIES
-    )
+    images = set(map(tuple, planar_images([p for _, p in perms]).reshape(-1, order).tolist()))
+    closed = images == values
     if not closed:
         if args.expand:
-            values.update(apply_planar(s, p).values for _, p in perms for s in PLANAR_SYMMETRIES)
+            values = images
             print(f"note: expanded to full square-symmetry orbits ({len(values)} arrays)")
         else:
             print("warning: file is not closed under the square symmetries; "

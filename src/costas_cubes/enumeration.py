@@ -6,7 +6,8 @@ pair-join over a complete list of order-n Costas arrays: for every pair
 (A, B) with A a class representative, build the unique permutation cube
 with those projections and retain it when Projection C = A^-1 B is in
 the list.  Cube equivalence absorbs the square symmetries acting on A,
-so no class is lost; class counts come from canonical forms.
+so no class is lost; class counts come from canonical forms, and a
+hit in the orbit of a class already found is not canonicalised again.
 """
 
 from __future__ import annotations
@@ -18,7 +19,15 @@ import numpy as np
 
 from .core import CostasCube, Permutation, is_costas
 from .reference import COSTAS_ARRAY_TOTALS
-from .symmetry import PLANAR_SYMMETRIES, apply_planar, canonical_array, canonical_cube, projection_set
+from .symmetry import (
+    PLANAR_SYMMETRIES,
+    AxisSymmetry,
+    canonical_cube,
+    cube_orbit,
+    least_image,
+    planar_images,
+    projection_set,
+)
 
 DEFAULT_ORDER_LIMIT = 13
 
@@ -78,8 +87,15 @@ def enumerate_costas_arrays(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> list[Pe
 
 
 def array_classes(arrays: Iterable[Permutation]) -> list[Permutation]:
-    """One canonical representative per D4 class, sorted."""
-    return [Permutation(v) for v in sorted({canonical_array(p).values for p in arrays})]
+    """One canonical representative per D4 class of the given arrays (all
+    of one order), sorted."""
+    arrays = list(arrays)
+    if not arrays:
+        return []
+    least = least_image(planar_images(arrays))
+    least = least[np.lexsort(least.T[::-1])]
+    distinct = np.concatenate(([True], (least[1:] != least[:-1]).any(axis=1)))
+    return [Permutation(tuple(v)) for v in least[distinct].tolist()]
 
 
 def enumerate_costas_classes(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> list[Permutation]:
@@ -97,37 +113,49 @@ def total_mismatch(n: int, count: int) -> str | None:
             f"but there are {expected}; it cannot be complete")
 
 
-def _check_complete(arrays: Sequence[Permutation], n: int) -> list[int]:
+# The (1, 0) swap of the square axes maps each array to its inverse.
+_INVERSE = PLANAR_SYMMETRIES.index(AxisSymmetry((1, 0), (False, False)))
+
+# (idx, inverses, table) of one join: the zero-based value matrix, its
+# inverses, and its sorted byte rows.
+_Shared = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _check_complete(arrays: Sequence[Permutation], n: int) -> tuple[list[int], _Shared]:
     """Sanity checks for a claimed-complete list of order-n Costas arrays;
-    returns the indices of the arrays that are least in their D4 orbit."""
+    returns the indices of the arrays that are least in their D4 orbit,
+    and the arrays that _scan reads."""
     if not arrays:
         raise ValueError("empty array list")
-    values = {p.values for p in arrays}
-    if len(values) != len(arrays):
+    if len({p.values for p in arrays}) != len(arrays):
         raise ValueError("array list contains duplicates")
     for p in arrays:
         if p.order != n:
             raise ValueError(f"array {p} has order {p.order}, expected {n}")
         if not is_costas(p):
             raise ValueError(f"array {p} is not a Costas array")
-    representatives = []
-    for r, p in enumerate(arrays):
-        images = [apply_planar(s, p).values for s in PLANAR_SYMMETRIES]
-        if not values.issuperset(images):
-            raise ValueError(
-                f"array list is not closed under the square symmetries "
-                f"(image of {p} missing); it cannot be complete"
-            )
-        if min(images) == p.values:
-            representatives.append(r)
+    images = planar_images(arrays)
+    row = np.dtype((np.void, images.itemsize * n))
+    table = np.sort(images[0].view(row).ravel())
+    rows = images.view(row)[..., 0]
+    loc = np.minimum(np.searchsorted(table, rows), len(table) - 1)
+    closed = (table[loc] == rows).all(axis=0)
+    if not closed.all():
+        raise ValueError(
+            f"array list is not closed under the square symmetries "
+            f"(image of {arrays[int(np.argmin(closed))]} missing); it cannot be complete"
+        )
     mismatch = total_mismatch(n, len(arrays))
     if mismatch:
         raise ValueError(mismatch)
-    return representatives
+    # The table is sorted and images[0] is the list itself, so an array is
+    # least in its orbit when none of its images sits before it.
+    representatives = np.nonzero(loc.min(axis=0) == loc[0])[0].tolist()
+    return representatives, ((images[0] - 1).astype(np.intp), images[_INVERSE], table)
 
 
-# (idx, inverses, table) of the running join, set in each pool worker.
-_shared: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+# The arrays of the running join, set in each pool worker.
+_shared: _Shared | None = None
 
 
 def _share(*arrays: np.ndarray) -> None:
@@ -135,36 +163,30 @@ def _share(*arrays: np.ndarray) -> None:
     _shared = arrays
 
 
-def _scan(a_indices: list[int], shared=None) -> set[tuple[tuple[int, int], ...]]:
+def _scan(a_indices: list[int], shared: _Shared | None = None) -> set[tuple[tuple[int, int], ...]]:
     """Canonical row lists of the Costas cubes whose Projection A is one of
-    the given first arrays.  shared is (idx, inverses, table): the
-    zero-based value matrix, its inverses, and its sorted byte rows."""
+    the given first arrays."""
     idx, inverses, table = shared or _shared
-    n = idx.shape[1]
-    row = np.dtype((np.void, n))
+    row = np.dtype((np.void, inverses.itemsize * inverses.shape[1]))
     last = len(table) - 1
     found: set[tuple[tuple[int, int], ...]] = set()
+    # Every image of every class found so far, as the bytes of its j
+    # sequence and then its k sequence: a hit among them needs no
+    # canonical form.
+    seen: set[bytes] = set()
     for a in a_indices:
         inv_a = inverses[a]
         # Projection C of the cube with projections (A, B) is A^-1 B.
         c_rows = inv_a[idx].view(row).ravel()
         loc = np.minimum(np.searchsorted(table, c_rows), last)
         hits = np.nonzero(table[loc] == c_rows)[0]
-        ja = inv_a.tolist()
+        j_key = inv_a.tobytes()
         for b in hits.tolist():
-            rows = tuple(zip(ja, inverses[b].tolist()))
-            found.add(canonical_cube(CostasCube(rows)).rows)
+            if j_key + inverses[b].tobytes() not in seen:
+                rep = canonical_cube(CostasCube(tuple(zip(inv_a.tolist(), inverses[b].tolist()))))
+                found.add(rep.rows)
+                seen.update(np.array(c.rows, dtype=inverses.dtype).T.tobytes() for c in cube_orbit(rep))
     return found
-
-
-def _tables(arrays: Sequence[Permutation], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (idx, inverses, table) arrays that _scan reads."""
-    matrix = np.array([p.values for p in arrays], dtype=np.uint8)
-    return (
-        (matrix - 1).astype(np.intp),
-        np.array([p.inverse().values for p in arrays], dtype=np.uint8),
-        np.sort(matrix.view(np.dtype((np.void, n))).ravel()),
-    )
 
 
 def _chunks(indices: list[int], parts: int) -> list[list[int]]:
@@ -172,12 +194,10 @@ def _chunks(indices: list[int], parts: int) -> list[list[int]]:
     return [indices[t : t + size] for t in range(0, len(indices), size)]
 
 
-def _join(n: int, arrays: Sequence[Permutation], representatives: list[int],
-          threads: int) -> list[CostasCube]:
+def _join(representatives: list[int], shared: _Shared, threads: int) -> list[CostasCube]:
     """The pair-join with the given first arrays, over a checked list."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    shared = _tables(arrays, n)
     if threads == 1:
         found = _scan(representatives, shared)
     else:
@@ -204,17 +224,13 @@ def enumerate_costas_cubes(
     equivalence absorbs the square symmetries acting on Projection A.
     threads > 1 splits the scan over a process pool.
     """
-    return _join(n, arrays, _check_complete(arrays, n), threads)
+    return _join(*_check_complete(arrays, n), threads)
 
 
 def projection_class_count(cubes: Iterable[CostasCube]) -> int:
     """Number of D4 classes of Costas arrays that occur as a projection
     of at least one of the given cubes (via their full orbits)."""
-    classes: set[tuple[int, ...]] = set()
-    for cube in cubes:
-        for p in projection_set(cube):
-            classes.add(canonical_array(p).values)
-    return len(classes)
+    return len(array_classes(p for cube in cubes for p in projection_set(cube)))
 
 
 @dataclass(frozen=True)
@@ -240,8 +256,8 @@ def class_report(n: int, arrays: Sequence[Permutation], *, threads: int = 1) -> 
     arrays.  A complete list is closed under D4 and has no duplicates, so
     each array class has exactly one least member: the total number of
     array classes is the number of first arrays of the join."""
-    representatives = _check_complete(arrays, n)
-    cubes = _join(n, arrays, representatives, threads)
+    representatives, shared = _check_complete(arrays, n)
+    cubes = _join(representatives, shared, threads)
     return ClassReport(
         order=n,
         cube_classes=len(cubes),

@@ -54,12 +54,16 @@ def parse_cube_file(text: str) -> CostasCube:
         if not isinstance(triples, list):
             raise ValueError('JSON cube file needs a "triples" list')
         clean = []
+        # JSON true and false load as bool, a subclass of int: neither is a
+        # coordinate or an order.
         for t in triples:
-            if not (isinstance(t, list) and len(t) == 3 and all(isinstance(x, int) for x in t)):
+            if not (isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t)):
                 raise ValueError(f"bad triple {t!r}")
             clean.append((t[0], t[1], t[2]))
         cube = CostasCube.from_triples(clean)
         order = doc.get("order")
+        if isinstance(order, bool):
+            raise ValueError(f"bad order {order!r}")
         if order is not None and order != cube.order:
             raise ValueError(f"declared order {order} does not match {cube.order} triples")
         return cube

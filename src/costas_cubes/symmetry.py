@@ -6,14 +6,22 @@ axes[a] and then optionally reverses the coordinate (x -> n+1-x).  With
 two axes this gives the 8 square symmetries; with three axes the 48 cube
 symmetries.  The orientation-preserving elements (signed permutation
 matrices of determinant +1) form the 24-element rotation subgroup.
+
+apply_planar and apply_cube map one object by one symmetry.  Canonical
+forms, orbits and projection sets read all images of an object at once:
+one numpy pass forms the 8 square images of a whole value matrix, or the
+48 cube images of one cube, and the least image is found with np.lexsort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations as _axis_orders, product as _product
+from typing import Sequence
 
-from .core import CostasCube, Permutation, is_costas_cube, projections
+import numpy as np
+
+from .core import CostasCube, Permutation, is_costas_cube
 
 
 @dataclass(frozen=True)
@@ -96,25 +104,79 @@ def apply_cube(sym: AxisSymmetry, cube: CostasCube) -> CostasCube:
     return CostasCube(tuple(rows))
 
 
+def planar_images(perms: Sequence[Permutation]) -> np.ndarray:
+    """Value matrices of the images of perms (all of one order n) under
+    PLANAR_SYMMETRIES, in that order: shape (8, len(perms), n), in the
+    least unsigned dtype that holds n.  images[0] is perms itself."""
+    n = perms[0].order
+    values = np.array([p.values for p in perms], dtype=np.min_scalar_type(n))
+    inverse = np.argsort(values, axis=1).astype(values.dtype) + 1
+    images = np.empty((len(PLANAR_SYMMETRIES),) + values.shape, values.dtype)
+    for s, sym in enumerate(PLANAR_SYMMETRIES):
+        # Swapping the axes inverts the permutation, flipping the second
+        # axis reverses the value sequence, flipping the first complements it.
+        image = inverse if sym.axes == (1, 0) else values
+        if sym.flips[1]:
+            image = image[:, ::-1]
+        images[s] = n - image + 1 if sym.flips[0] else image
+    return images
+
+
+def _least(images: np.ndarray) -> np.ndarray:
+    """Index along axis 0 of the lexicographically least row (last axis)
+    of images, for every position of the axes in between."""
+    return np.lexsort(np.swapaxes(images, 0, -1)[::-1])[..., 0]
+
+
+def least_image(images: np.ndarray) -> np.ndarray:
+    """The lexicographically least of each array's images: (N, n) from the
+    (8, N, n) planar_images."""
+    return images[_least(images), np.arange(images.shape[1])]
+
+
 def canonical_array(perm: Permutation) -> Permutation:
     """Lexicographically least value sequence over the D4 orbit of perm."""
-    return Permutation(min(apply_planar(s, perm).values for s in PLANAR_SYMMETRIES))
+    return Permutation(tuple(least_image(planar_images([perm]))[0].tolist()))
 
 
 def array_class_size(perm: Permutation) -> int:
     """Size of the D4 orbit: 4 or 8 for order > 2 (4 iff a diagonal
     reflection fixes the array), the literal orbit size at orders <= 2."""
-    return len({apply_planar(s, perm).values for s in PLANAR_SYMMETRIES})
+    return len(set(map(tuple, planar_images([perm])[:, 0].tolist())))
+
+
+# The 48 cube symmetries as gathers: image axis a of CUBE_SYMMETRIES[s]
+# reads input axis _CUBE_AXES[s, a], reversed where _CUBE_FLIPS[s, a].
+_CUBE_AXES = np.array([s.axes for s in CUBE_SYMMETRIES])
+_CUBE_FLIPS = np.array([s.flips for s in CUBE_SYMMETRIES])[:, None, :]
+_CUBE_INDEX = np.arange(len(CUBE_SYMMETRIES))[:, None]
+
+
+def _cube_images(cube: CostasCube) -> np.ndarray:
+    """Row lists of the images of cube under CUBE_SYMMETRIES, in that
+    order, each flattened to j_1, k_1, ..., j_n, k_n: shape (48, 2n)."""
+    n = cube.order
+    coords = np.column_stack((np.arange(1, n + 1), cube.rows))
+    moved = coords[:, _CUBE_AXES].swapaxes(0, 1)
+    moved = np.where(_CUBE_FLIPS, n + 1 - moved, moved)
+    rows = np.empty((len(CUBE_SYMMETRIES), n, 2), dtype=moved.dtype)
+    rows[_CUBE_INDEX, moved[:, :, 0] - 1] = moved[:, :, 1:]
+    return rows.reshape(len(CUBE_SYMMETRIES), 2 * n)
+
+
+def _as_cube(flat_rows: Sequence[int]) -> CostasCube:
+    return CostasCube(tuple(zip(flat_rows[0::2], flat_rows[1::2])))
 
 
 def canonical_cube(cube: CostasCube) -> CostasCube:
     """Lexicographically least row list over the 48-element orbit of cube."""
-    return CostasCube(min(apply_cube(s, cube).rows for s in CUBE_SYMMETRIES))
+    images = _cube_images(cube)
+    return _as_cube(images[_least(images)].tolist())
 
 
 def cube_orbit(cube: CostasCube) -> list[CostasCube]:
     """The distinct images of cube under all 48 symmetries, sorted by rows."""
-    return [CostasCube(rows) for rows in sorted({apply_cube(s, cube).rows for s in CUBE_SYMMETRIES})]
+    return [_as_cube(rows) for rows in sorted(set(map(tuple, _cube_images(cube).tolist())))]
 
 
 def projection_set(cube: CostasCube) -> set[Permutation]:
@@ -126,4 +188,8 @@ def projection_set(cube: CostasCube) -> set[Permutation]:
     """
     if not is_costas_cube(cube):
         raise ValueError("projection_set requires a Costas cube")
-    return {projections(apply_cube(s, cube)).a for s in CUBE_SYMMETRIES}
+    images = _cube_images(cube)
+    # Projection A of an image puts i at position j_i.
+    a = np.empty((len(CUBE_SYMMETRIES), cube.order), dtype=images.dtype)
+    a[_CUBE_INDEX, images[:, 0::2] - 1] = np.arange(1, cube.order + 1)
+    return {Permutation(v) for v in set(map(tuple, a.tolist()))}

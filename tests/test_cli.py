@@ -55,6 +55,19 @@ def test_verify_cube_structural_error(capsys, tmp_path):
     assert "j coordinates" in err
 
 
+@pytest.mark.parametrize("doc", [
+    '{"order": 1, "triples": [[true, true, 1]]}',
+    '{"order": true, "triples": [[1, 1, 1]]}',
+])
+def test_verify_rejects_json_booleans(capsys, tmp_path, doc):
+    path = tmp_path / "cube.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, "verify", "cube", str(path), "--format", "machine")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad ")
+
+
 def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "cube", "/nonexistent/file")
     assert code == 2

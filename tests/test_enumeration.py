@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import costas_cubes
+from costas_cubes import enumeration
 from costas_cubes.core import (
     CostasCube,
     Permutation,
@@ -19,8 +20,8 @@ from costas_cubes.core import (
 from costas_cubes.enumeration import (
     ClassReport,
     EnumerationLimitError,
+    _check_complete,
     _scan,
-    _tables,
     array_classes,
     class_report,
     enumerate_costas_arrays,
@@ -112,10 +113,24 @@ def test_reduced_mode_matches_literal():
     mode) finds the same classes as a literal scan over every first array."""
     for n in range(2, 8):
         arrays = costas_arrays(n)
-        literal = _scan(list(range(len(arrays))), _tables(arrays, n))
+        literal = _scan(list(range(len(arrays))), _check_complete(arrays, n)[1])
         assert [c.rows for c in costas_cube_classes(n)] == sorted(literal)
     with pytest.raises(TypeError, match="mode"):
         enumerate_costas_cubes(5, list(costas_arrays(5)), mode="fast")
+
+
+def test_join_canonicalises_once_per_class(monkeypatch):
+    """Hits in the orbit of a class already found skip the canonical form."""
+    expected = list(costas_cube_classes(8))
+    calls = []
+
+    def counted(cube):
+        calls.append(cube)
+        return canonical_cube(cube)
+
+    monkeypatch.setattr(enumeration, "canonical_cube", counted)
+    assert enumerate_costas_cubes(8, list(costas_arrays(8)), threads=1) == expected
+    assert len(calls) == len(expected) == 42
 
 
 def test_threads_do_not_change_output():

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from costas_cubes.construct import Family, _sweep_tuples
 from costas_cubes.core import CostasCube, Permutation, is_costas, is_costas_cube, projections
 from costas_cubes.symmetry import (
     CUBE_ROTATIONS,
@@ -18,6 +20,7 @@ from costas_cubes.symmetry import (
     canonical_array,
     canonical_cube,
     cube_orbit,
+    planar_images,
     projection_set,
 )
 
@@ -31,6 +34,32 @@ from conftest import (
 perms_up_to_7 = st.integers(1, 7).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1)))
 )
+cubes_up_to_9 = st.integers(1, 9).flatmap(
+    lambda n: st.tuples(st.permutations(range(1, n + 1)), st.permutations(range(1, n + 1)))
+).map(lambda jk: CostasCube(tuple(zip(*jk))))
+
+
+# Oracles: the symmetry functions as loops over one image at a time.
+
+
+def _canonical_array_oracle(perm):
+    return Permutation(min(apply_planar(s, perm).values for s in PLANAR_SYMMETRIES))
+
+
+def _array_class_size_oracle(perm):
+    return len({apply_planar(s, perm).values for s in PLANAR_SYMMETRIES})
+
+
+def _canonical_cube_oracle(cube):
+    return CostasCube(min(apply_cube(s, cube).rows for s in CUBE_SYMMETRIES))
+
+
+def _cube_orbit_oracle(cube):
+    return [CostasCube(rows) for rows in sorted({apply_cube(s, cube).rows for s in CUBE_SYMMETRIES})]
+
+
+def _projection_set_oracle(cube):
+    return {projections(apply_cube(s, cube)).a for s in CUBE_SYMMETRIES}
 
 
 def test_group_sizes():
@@ -127,7 +156,26 @@ def test_canonical_array_orbit_constant_and_idempotent(vals):
     assert canonical_array(rep) == rep
     for s in PLANAR_SYMMETRIES:
         assert canonical_array(apply_planar(s, p)) == rep
-    assert rep.values == min(apply_planar(s, p).values for s in PLANAR_SYMMETRIES)
+    assert rep == _canonical_array_oracle(p)
+    assert array_class_size(p) == _array_class_size_oracle(p)
+
+
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=6)))
+def test_planar_images_match_apply_planar(rows):
+    perms = [Permutation(tuple(v)) for v in rows]
+    images = planar_images(perms)
+    assert images.shape == (8, len(perms), perms[0].order)
+    for s, sym in enumerate(PLANAR_SYMMETRIES):
+        assert [tuple(v) for v in images[s].tolist()] == [apply_planar(sym, p).values for p in perms]
+
+
+@given(cubes_up_to_9)
+def test_canonical_cube_orbit_constant_property(cube):
+    rep = canonical_cube(cube)
+    assert rep == _canonical_cube_oracle(cube)
+    for s in CUBE_SYMMETRIES:
+        assert canonical_cube(apply_cube(s, cube)) == rep
 
 
 def test_canonical_array_examples():
@@ -186,6 +234,43 @@ def test_projection_set_rejects_non_costas():
     diag = CostasCube(tuple((i, i) for i in range(1, 5)))
     with pytest.raises(ValueError, match="Costas cube"):
         projection_set(diag)
+
+
+def test_images_pass_matches_oracles_on_sweep_cubes():
+    """Every cube the Table 2 sweeps construct up to order 13."""
+    checked = 0
+    for family in (Family.CUBE_G2X3, Family.CUBE_W2W2G2, Family.CUBE_G3):
+        for _, constructor, field, elements in _sweep_tuples(family, 13, None):
+            cube = constructor(field.p if family is Family.CUBE_W2W2G2 else field, *elements)
+            assert canonical_cube(cube) == _canonical_cube_oracle(cube)
+            checked += 1
+    assert checked > 400
+
+
+def test_images_pass_matches_oracles_on_join_classes():
+    """Every pair-join class of orders 2-9 and every member of its orbit."""
+    for n in range(2, 10):
+        for cube in costas_cube_classes(n):
+            assert canonical_cube(cube) == _canonical_cube_oracle(cube) == cube
+            orbit = cube_orbit(cube)
+            assert orbit == _cube_orbit_oracle(cube)
+            assert all(canonical_cube(image) == cube for image in orbit)
+            members = projection_set(cube)
+            assert members == _projection_set_oracle(cube)
+            for p in members:
+                assert canonical_array(p) == _canonical_array_oracle(p)
+                assert array_class_size(p) == _array_class_size_oracle(p)
+
+
+def test_images_pass_matches_oracles_at_order_300():
+    """Coordinates above 255 must not wrap in either images pass."""
+    rng = random.Random(300)
+    cube = CostasCube(tuple(zip(rng.sample(range(1, 301), 300), rng.sample(range(1, 301), 300))))
+    assert canonical_cube(cube) == _canonical_cube_oracle(cube)
+    assert cube_orbit(cube) == _cube_orbit_oracle(cube)
+    perm = projections(cube).a
+    assert canonical_array(perm) == _canonical_array_oracle(perm)
+    assert array_class_size(perm) == _array_class_size_oracle(perm)
 
 
 def test_projection_set_rotations_match_full_group():
