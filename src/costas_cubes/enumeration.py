@@ -20,10 +20,8 @@ import numpy as np
 from .core import CostasCube, Permutation, is_costas
 from .reference import COSTAS_ARRAY_TOTALS
 from .symmetry import (
-    PLANAR_SYMMETRIES,
-    AxisSymmetry,
     canonical_cube,
-    cube_orbit,
+    cube_images,
     least_image,
     planar_images,
     projection_set,
@@ -113,9 +111,6 @@ def total_mismatch(n: int, count: int) -> str | None:
             f"but there are {expected}; it cannot be complete")
 
 
-# The (1, 0) swap of the square axes maps each array to its inverse.
-_INVERSE = PLANAR_SYMMETRIES.index(AxisSymmetry((1, 0), (False, False)))
-
 # (idx, inverses, table) of one join: the zero-based value matrix, its
 # inverses, and its sorted byte rows.
 _Shared = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -134,12 +129,19 @@ def _check_complete(arrays: Sequence[Permutation], n: int) -> tuple[list[int], _
             raise ValueError(f"array {p} has order {p.order}, expected {n}")
         if not is_costas(p):
             raise ValueError(f"array {p} is not a Costas array")
-    images = planar_images(arrays)
-    row = np.dtype((np.void, images.itemsize * n))
-    table = np.sort(images[0].view(row).ravel())
-    rows = images.view(row)[..., 0]
-    loc = np.minimum(np.searchsorted(table, rows), len(table) - 1)
-    closed = (table[loc] == rows).all(axis=0)
+    values = np.array([p.values for p in arrays], dtype=np.min_scalar_type(n))
+    row = np.dtype((np.void, values.itemsize * n))
+    table = np.sort(values.view(row).ravel())
+    last = len(table) - 1
+    # An array is least in its orbit when none of its images sits before
+    # it in the sorted table.
+    own = least = np.searchsorted(table, values.view(row).ravel())
+    closed = np.ones(len(arrays), dtype=bool)
+    for image in planar_images(arrays):
+        rows = image.view(row).ravel()
+        loc = np.minimum(np.searchsorted(table, rows), last)
+        closed &= table[loc] == rows
+        least = np.minimum(least, loc)
     if not closed.all():
         raise ValueError(
             f"array list is not closed under the square symmetries "
@@ -148,10 +150,9 @@ def _check_complete(arrays: Sequence[Permutation], n: int) -> tuple[list[int], _
     mismatch = total_mismatch(n, len(arrays))
     if mismatch:
         raise ValueError(mismatch)
-    # The table is sorted and images[0] is the list itself, so an array is
-    # least in its orbit when none of its images sits before it.
-    representatives = np.nonzero(loc.min(axis=0) == loc[0])[0].tolist()
-    return representatives, ((images[0] - 1).astype(np.intp), images[_INVERSE], table)
+    representatives = np.nonzero(least == own)[0].tolist()
+    inverses = np.argsort(values, axis=1).astype(values.dtype) + 1
+    return representatives, ((values - 1).astype(np.intp), inverses, table)
 
 
 # The arrays of the running join, set in each pool worker.
@@ -183,9 +184,11 @@ def _scan(a_indices: list[int], shared: _Shared | None = None) -> set[tuple[tupl
         j_key = inv_a.tobytes()
         for b in hits.tolist():
             if j_key + inverses[b].tobytes() not in seen:
-                rep = canonical_cube(CostasCube(tuple(zip(inv_a.tolist(), inverses[b].tolist()))))
-                found.add(rep.rows)
-                seen.update(np.array(c.rows, dtype=inverses.dtype).T.tobytes() for c in cube_orbit(rep))
+                cube = CostasCube(tuple(zip(inv_a.tolist(), inverses[b].tolist())))
+                found.add(canonical_cube(cube).rows)
+                images = cube_images(cube)
+                keys = np.hstack((images[:, 0::2], images[:, 1::2])).astype(inverses.dtype)
+                seen.update(map(bytes, keys))
     return found
 
 

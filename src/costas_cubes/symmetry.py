@@ -107,8 +107,14 @@ def apply_cube(sym: AxisSymmetry, cube: CostasCube) -> CostasCube:
 def planar_images(perms: Sequence[Permutation]) -> np.ndarray:
     """Value matrices of the images of perms (all of one order n) under
     PLANAR_SYMMETRIES, in that order: shape (8, len(perms), n), in the
-    least unsigned dtype that holds n.  images[0] is perms itself."""
+    least unsigned dtype that holds n."""
     n = perms[0].order
+    for p in perms:
+        if p.order != n:
+            raise ValueError(
+                f"arrays of orders {n} and {p.order} mixed; "
+                "the images of a list are taken within one order"
+            )
     values = np.array([p.values for p in perms], dtype=np.min_scalar_type(n))
     inverse = np.argsort(values, axis=1).astype(values.dtype) + 1
     images = np.empty((len(PLANAR_SYMMETRIES),) + values.shape, values.dtype)
@@ -152,7 +158,7 @@ _CUBE_FLIPS = np.array([s.flips for s in CUBE_SYMMETRIES])[:, None, :]
 _CUBE_INDEX = np.arange(len(CUBE_SYMMETRIES))[:, None]
 
 
-def _cube_images(cube: CostasCube) -> np.ndarray:
+def cube_images(cube: CostasCube) -> np.ndarray:
     """Row lists of the images of cube under CUBE_SYMMETRIES, in that
     order, each flattened to j_1, k_1, ..., j_n, k_n: shape (48, 2n)."""
     n = cube.order
@@ -170,13 +176,13 @@ def _as_cube(flat_rows: Sequence[int]) -> CostasCube:
 
 def canonical_cube(cube: CostasCube) -> CostasCube:
     """Lexicographically least row list over the 48-element orbit of cube."""
-    images = _cube_images(cube)
+    images = cube_images(cube)
     return _as_cube(images[_least(images)].tolist())
 
 
 def cube_orbit(cube: CostasCube) -> list[CostasCube]:
     """The distinct images of cube under all 48 symmetries, sorted by rows."""
-    return [_as_cube(rows) for rows in sorted(set(map(tuple, _cube_images(cube).tolist())))]
+    return [_as_cube(rows) for rows in sorted(set(map(tuple, cube_images(cube).tolist())))]
 
 
 def projection_set(cube: CostasCube) -> set[Permutation]:
@@ -188,7 +194,7 @@ def projection_set(cube: CostasCube) -> set[Permutation]:
     """
     if not is_costas_cube(cube):
         raise ValueError("projection_set requires a Costas cube")
-    images = _cube_images(cube)
+    images = cube_images(cube)
     # Projection A of an image puts i at position j_i.
     a = np.empty((len(CUBE_SYMMETRIES), cube.order), dtype=images.dtype)
     a[_CUBE_INDEX, images[:, 0::2] - 1] = np.arange(1, cube.order + 1)

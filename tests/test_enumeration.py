@@ -192,6 +192,8 @@ def test_completeness_checks_reject_bad_input():
 def test_projection_class_count_examples():
     assert projection_class_count(costas_cube_classes(4)) == 1
     assert projection_class_count(costas_cube_classes(6)) == 17
+    with pytest.raises(ValueError, match="orders 4 and 6 mixed"):
+        projection_class_count(costas_cube_classes(4) + costas_cube_classes(6))
 
 
 def test_class_report_validation():
@@ -234,3 +236,5 @@ def test_class_report_total_is_representative_count():
         report = class_report(n, arrays)
         assert report.total_array_classes == len(array_classes(arrays))
         assert report.representatives == costas_cube_classes(n)
+    with pytest.raises(ValueError, match="orders 4 and 5 mixed"):
+        array_classes(costas_arrays(4) + costas_arrays(5))
