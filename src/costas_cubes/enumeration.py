@@ -1,13 +1,18 @@
 """Exhaustive generation of Costas arrays and Costas cubes.
 
-Arrays are generated by column-by-column backtracking with incremental
-difference-vector pruning.  Cubes of order n are generated by the
-pair-join over a complete list of order-n Costas arrays: for every pair
-(A, B) with A a class representative, build the unique permutation cube
-with those projections and retain it when Projection C = A^-1 B is in
-the list.  Cube equivalence absorbs the square symmetries acting on A,
-so no class is lost; class counts come from canonical forms, and a
-hit in the orbit of a class already found is not canonicalised again.
+Arrays are generated breadth-first: from each two-column prefix, one
+numpy step per column extends every partial array of the frontier,
+pruned by one difference bitmask per column distance.  Only first values
+up to ceil(n/2) are searched; the complement v -> n+1-v supplies the
+rest.
+
+Cubes of order n are generated by the pair-join over a complete list of
+order-n Costas arrays: for every pair (A, B) with A a class
+representative, build the unique permutation cube with those projections
+and retain it when Projection C = A^-1 B is in the list.  Cube
+equivalence absorbs the square symmetries acting on A, so no class is
+lost; class counts come from canonical forms, and a hit in the orbit of
+a class already found is not canonicalised again.
 """
 
 from __future__ import annotations
@@ -42,46 +47,69 @@ class EnumerationLimitError(ValueError):
         self.limit = limit
 
 
+# The difference masks keep bits 1..2n-1 of one int64 word, below its sign
+# bit, and the free candidates are unpacked from 32 bits.
+MAX_WORD_ORDER = 31
+
+
+def _prefix_search(n: int, a: int, b: int) -> np.ndarray:
+    """The order-n Costas arrays that begin with the values a, b, as the
+    rows of an (m, n) int matrix in lexicographic order.
+
+    Each step extends the whole frontier by one column.  A row carries its
+    values, its used values (bit n - v for value v) and one difference
+    mask per column distance d (bit values[c - d] - values[c] + n for the
+    columns c - d and c).
+    """
+    full = (1 << n) - 1
+    values = np.array([[a, b]], dtype=np.int64)
+    used = np.array([(1 << (n - a)) | (1 << (n - b))], dtype=np.int64)
+    masks = np.array([[1 << (a - b + n)]], dtype=np.int64)
+    for k in range(2, n):
+        # The mask of distance d, shifted right by the value d columns back,
+        # holds the bit of candidate v at n - v: one OR over the distances
+        # blocks every candidate that would repeat a difference.
+        blocked = used | np.bitwise_or.reduce(masks >> values[:, :-k:-1], axis=1)
+        grid = np.unpackbits((~blocked & full).astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)
+        # Row-major (row, candidate) order keeps the frontier lexicographic.
+        rows, cols = np.divmod(np.flatnonzero(grid[:, 32 - n :]), n)
+        v = cols + 1
+        grown = np.empty((len(rows), k + 1), dtype=np.int64)
+        grown[:, :k] = values[rows]
+        grown[:, k] = v
+        values = grown
+        used = used[rows] | (1 << (n - v))
+        bits = 1 << (values[:, k - 1 :: -1] - v[:, None] + n)
+        bits[:, :-1] |= masks[rows]
+        masks = bits
+    return values
+
+
 def enumerate_costas_arrays(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> list[Permutation]:
-    """All Costas permutations of order n, in lexicographic order."""
+    """All Costas permutations of order n, in lexicographic order.
+
+    Orders above limit raise EnumerationLimitError, and orders above
+    MAX_WORD_ORDER a ValueError, before any search starts."""
     if n < 1:
         raise ValueError("order must be >= 1")
     if n > limit:
         raise EnumerationLimitError(n, limit)
-    out: list[Permutation] = []
-    values = [0] * n
-    # masks[d] has bit (diff + n) set when value difference diff has been
-    # seen between columns at distance d
-    masks = [0] * n
-
-    def extend(col: int, free: int) -> None:
-        if col == n:
-            out.append(Permutation(tuple(values)))
-            return
-        avail = free
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            v = bit.bit_length() - 1
-            shifts = []
-            ok = True
-            for d in range(1, col + 1):
-                s = values[col - d] - v + n
-                if (masks[d] >> s) & 1:
-                    ok = False
-                    break
-                shifts.append((d, 1 << s))
-            if not ok:
-                continue
-            for d, b in shifts:
-                masks[d] |= b
-            values[col] = v
-            extend(col + 1, free ^ bit)
-            for d, b in shifts:
-                masks[d] ^= b
-
-    extend(0, (1 << (n + 1)) - 2)
-    return out
+    if n > MAX_WORD_ORDER:
+        raise ValueError(
+            f"order {n} needs difference-mask bits up to {2 * n - 1}, beyond one "
+            f"64-bit word; the enumerator handles orders up to {MAX_WORD_ORDER}"
+        )
+    if n == 1:
+        return [Permutation((1,))]
+    half = (n + 1) // 2
+    groups = [
+        np.concatenate([_prefix_search(n, a, b) for b in range(1, n + 1) if b != a])
+        for a in range(1, half + 1)
+    ]
+    # The complement v -> n+1-v maps the arrays that begin with n+1-a onto
+    # those that begin with a, in reversed order.
+    groups += [n + 1 - groups[n - a][::-1] for a in range(half + 1, n + 1)]
+    return [Permutation(tuple(v)) for group in groups for v in group.tolist()]
 
 
 def array_classes(arrays: Iterable[Permutation]) -> list[Permutation]:

@@ -38,6 +38,7 @@ from costas_cubes.enumeration import (
     enumerate_costas_cubes,
     projection_class_count,
     array_classes,
+    class_report,
     table1,
 )
 from costas_cubes.files import emit_array_file, parse_array_file
@@ -114,6 +115,16 @@ def test_criterion_1_table1_orders_2_to_10():
         assert got == TABLE1[r.order], f"order {r.order}: {got} != {TABLE1[r.order]}"
     assert elapsed < 120, f"orders 2-10 took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 1: PASS table 1 orders 2-10 exact ({elapsed:.1f}s)")
+
+
+def test_criterion_1_table1_orders_11_and_12():
+    start = time.perf_counter()
+    for n in (11, 12):
+        r = class_report(n, costas_arrays(n))
+        got = (r.cube_classes, r.projection_array_classes, r.total_array_classes)
+        assert got == TABLE1[n], f"order {n}: {got} != {TABLE1[n]}"
+    elapsed = time.perf_counter() - start
+    print(f"\nACCEPTANCE 1: PASS table 1 orders 11-12 exact ({elapsed:.1f}s)")
 
 
 @pytest.mark.stretch

@@ -346,3 +346,19 @@ def test_entry_point_exists():
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+def test_reproduce_table1_script_exits_1_on_a_differing_row(capsys, monkeypatch):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_table1.py"
+    spec = importlib.util.spec_from_file_location("reproduce_table1", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--max-order", "5"]) == 0
+    assert "differs" not in capsys.readouterr().out
+    monkeypatch.setitem(script.CUBE_CLASS_COUNTS, 5, 12)
+    assert script.main(["--max-order", "5"]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if "differs" in line][0].split()[0] == "5"

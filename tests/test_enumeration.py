@@ -18,6 +18,7 @@ from costas_cubes.core import (
     projections,
 )
 from costas_cubes.enumeration import (
+    MAX_WORD_ORDER,
     ClassReport,
     EnumerationLimitError,
     _check_complete,
@@ -43,6 +44,78 @@ def brute_force_costas(n):
         for vals in itertools.permutations(range(1, n + 1))
         if is_costas(Permutation(vals))
     ]
+
+
+def backtrack_costas_arrays(n):
+    """Oracle: depth-first backtracking, one column per recursion level,
+    with the same incremental difference masks as the breadth-first
+    search."""
+    out: list[Permutation] = []
+    values = [0] * n
+    # masks[d] has bit (diff + n) set when value difference diff has been
+    # seen between columns at distance d
+    masks = [0] * n
+
+    def extend(col: int, free: int) -> None:
+        if col == n:
+            out.append(Permutation(tuple(values)))
+            return
+        avail = free
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            v = bit.bit_length() - 1
+            shifts = []
+            ok = True
+            for d in range(1, col + 1):
+                s = values[col - d] - v + n
+                if (masks[d] >> s) & 1:
+                    ok = False
+                    break
+                shifts.append((d, 1 << s))
+            if not ok:
+                continue
+            for d, b in shifts:
+                masks[d] |= b
+            values[col] = v
+            extend(col + 1, free ^ bit)
+            for d, b in shifts:
+                masks[d] ^= b
+
+    extend(0, (1 << (n + 1)) - 2)
+    return out
+
+
+def test_breadth_first_matches_backtracking_oracle():
+    """Content and order, for even and odd orders: the complement merge
+    and, for odd n, the self-complementary middle first value."""
+    for n in range(1, 11):
+        assert enumerate_costas_arrays(n) == backtrack_costas_arrays(n)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_complement_merge_of_an_empty_group(monkeypatch, n):
+    """A searched first value with no arrays leaves its complement group
+    empty too; the other groups are unchanged."""
+    expected = [p for p in costas_arrays(n) if p.values[0] not in (2, n - 1)]
+    search = enumeration._prefix_search
+
+    def without_first_value_2(order, a, b):
+        found = search(order, a, b)
+        return found[:0] if a == 2 else found
+
+    monkeypatch.setattr(enumeration, "_prefix_search", without_first_value_2)
+    assert enumerate_costas_arrays(n) == expected
+
+
+def test_word_size_guard_rejects_before_searching(monkeypatch):
+    searched = []
+    monkeypatch.setattr(enumeration, "_prefix_search", lambda *args: searched.append(args))
+    for n in (40, MAX_WORD_ORDER + 1):
+        with pytest.raises(ValueError, match=rf"order {n} .*64-bit word") as err:
+            enumerate_costas_arrays(n, limit=40)
+        assert not isinstance(err.value, EnumerationLimitError)
+    assert searched == []
 
 
 def test_backtracking_matches_brute_force():
@@ -168,7 +241,7 @@ def test_threads_below_one_rejected():
 
 
 def test_array_totals_match_published_table():
-    for n in range(1, 11):
+    for n in range(1, 13):
         assert len(costas_arrays(n)) == COSTAS_ARRAY_TOTALS[n]
 
 
