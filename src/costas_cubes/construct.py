@@ -19,9 +19,10 @@ array families above:
   exchanged by k_reversal.
 
 Every constructor is integer arithmetic on the discrete logs of one
-field, to its least primitive g (gf.FieldSpec.tables): with a = log phi,
-b = log rho, c = log psi and Z[t] = log(1 - g^t), all mod q-1, the
-relation phi^i + rho^j = 1 reads a*i = Z[b*j].
+field, to its least primitive g, read from the field's one table
+(gf.FieldSpec.tables): with a = log phi, b = log rho, c = log psi and the
+Zech column Z[t] = log(1 - g^t), all mod q-1, the relation
+phi^i + rho^j = 1 reads a*i = Z[b*j], and each row is one Z read.
 
 sweep enumerates all admissible parameter tuples per family and counts
 equivalence classes per order; catalog labels canonical arrays of one
@@ -120,12 +121,6 @@ def _logs(field: FieldSpec, **named: FieldElement) -> list[int]:
     return out
 
 
-def _z(field: FieldSpec, t: int) -> int:
-    """Z[t] = log_g(1 - g^t), for t not divisible by q-1."""
-    exp, log = field.tables()
-    return log[field.sub(1, exp[t % (field.q - 1)])]
-
-
 def w1(p: int, phi: FieldElement, c: int = 0) -> Permutation:
     """Order p-1 array with sigma(j) = phi^(j+c) over GF(p), p > 2 prime."""
     field = field_new(p, 1)
@@ -145,7 +140,8 @@ def g2(field: FieldSpec, phi: FieldElement, rho: FieldElement) -> Permutation:
     a, b = _logs(field, phi=phi, rho=rho)
     n = field.q - 1
     a_inv = pow(a, -1, n)
-    return Permutation(tuple(_z(field, b * j) * a_inv % n for j in range(1, n)))
+    zech = field.tables()[2]
+    return Permutation(tuple(zech[b * j % n] * a_inv % n for j in range(1, n)))
 
 
 def w2(p: int, phi: FieldElement) -> Permutation:
@@ -169,8 +165,9 @@ def g3(field: FieldSpec, phi: FieldElement) -> Permutation:
     a, m = _logs(field, phi=phi, **{"1-phi": field.sub(1, phi)})
     n = field.q - 1
     a_inv = pow(a, -1, n)
+    zech = field.tables()[2]
     return Permutation(
-        tuple(_z(field, m * (j + 1)) * a_inv % n - 1 for j in range(1, field.q - 2))
+        tuple(zech[m * (j + 1) % n] * a_inv % n - 1 for j in range(1, field.q - 2))
     )
 
 
@@ -191,8 +188,9 @@ def cube_g2x3(
     a, b, c = _logs(field, phi=phi, rho=rho, psi=psi)
     n = field.q - 1
     b_inv, c_inv = pow(b, -1, n), pow(c, -1, n)
+    zech = field.tables()[2]
     return CostasCube(tuple(
-        (-_z(field, a * i) * b_inv % n, _z(field, -a * i) * c_inv % n)
+        (-zech[a * i % n] * b_inv % n, zech[-a * i % n] * c_inv % n)
         for i in range(1, n)
     ))
 
@@ -226,8 +224,9 @@ def _cube_g3(field: FieldSpec, phi: FieldElement, k_exponent) -> CostasCube:
     })
     n = field.q - 1
     m_inv, r_inv = pow(m, -1, n), pow(r, -1, n)
+    zech = field.tables()[2]
     return CostasCube(tuple(
-        (_z(field, a * (i + 1)) * m_inv % n - 1, _z(field, a * k_exponent(i)) * r_inv % n - 1)
+        (zech[a * (i + 1) % n] * m_inv % n - 1, zech[a * k_exponent(i) % n] * r_inv % n - 1)
         for i in range(1, field.q - 2)
     ))
 
@@ -289,7 +288,8 @@ class SweepReport:
 
 
 def _sweep_tuples(family: Family, max_order: int, moduli):
-    """Yield (order, constructor, field, elements) over admissible tuples."""
+    """Yield (order, witness family, field, elements, cube) over admissible
+    tuples, building each cube."""
     if family in (Family.CUBE_G2X3, Family.CUBE_G3, Family.CUBE_G3_I, Family.CUBE_G3_II):
         shift = 2 if family is Family.CUBE_G2X3 else 3
         for q in range(4, max_order + shift + 1):
@@ -301,13 +301,16 @@ def _sweep_tuples(family: Family, max_order: int, moduli):
                 for phi in prims:
                     for rho in prims:
                         for psi in prims:
-                            yield q - 2, cube_g2x3, field, (phi, rho, psi)
+                            cube = cube_g2x3(field, phi, rho, psi)
+                            yield q - 2, family, field, (phi, rho, psi), cube
             else:
                 for phi in g3_cube_admissible(field):
                     if family in (Family.CUBE_G3, Family.CUBE_G3_I):
-                        yield q - 3, cube_g3_variant_i, field, (phi,)
+                        cube = cube_g3_variant_i(field, phi)
+                        yield q - 3, Family.CUBE_G3_I, field, (phi,), cube
                     if family in (Family.CUBE_G3, Family.CUBE_G3_II):
-                        yield q - 3, cube_g3_variant_ii, field, (phi,)
+                        cube = cube_g3_variant_ii(field, phi)
+                        yield q - 3, Family.CUBE_G3_II, field, (phi,), cube
     elif family is Family.CUBE_W2W2G2:
         for p in range(5, max_order + 3):
             if not is_prime(p) or p - 2 < 2 or p - 2 > max_order:
@@ -316,19 +319,15 @@ def _sweep_tuples(family: Family, max_order: int, moduli):
             prims = primitive_elements(field)
             for phi in prims:
                 for psi in prims:
-                    yield p - 2, cube_w2w2g2, field, (phi, psi)
+                    yield p - 2, family, field, (phi, psi), cube_w2w2g2(p, phi, psi)
     else:
         raise ValueError(f"sweep is defined for cube families, not {family}")
-
-
-_VARIANT_OF = {cube_g3_variant_i: Family.CUBE_G3_I, cube_g3_variant_ii: Family.CUBE_G3_II}
 
 
 def sweep(
     family: Family,
     max_order: int = SWEEP_ORDER_GUARD,
     *,
-    guard: int = SWEEP_ORDER_GUARD,
     moduli: dict[int, tuple[int, ...]] | None = None,
 ) -> SweepReport:
     """All inequivalent cubes of orders 2..max_order from one family.
@@ -337,18 +336,12 @@ def sweep(
     constructed, canonicalized, and deduplicated; the witness recorded
     for a class is the first tuple that produced it.
     """
-    if max_order > guard:
-        raise ValueError(f"max_order {max_order} exceeds the guard {guard}")
+    if max_order > SWEEP_ORDER_GUARD:
+        raise ValueError(f"max_order {max_order} exceeds the guard {SWEEP_ORDER_GUARD}")
     classes: dict[int, dict[CostasCube, ConstructionId]] = {}
-    for order, constructor, field, elements in _sweep_tuples(family, max_order, moduli):
-        if family is Family.CUBE_W2W2G2:
-            cube = constructor(field.p, *elements)
-        else:
-            cube = constructor(field, *elements)
-        rep = canonical_cube(cube)
-        witness_family = _VARIANT_OF.get(constructor, family)
+    for order, witness_family, field, elements, cube in _sweep_tuples(family, max_order, moduli):
         classes.setdefault(order, {}).setdefault(
-            rep, ConstructionId(witness_family, field, elements)
+            canonical_cube(cube), ConstructionId(witness_family, field, elements)
         )
     return SweepReport(family, classes)
 
@@ -407,7 +400,6 @@ class Table2Row:
 def table2(
     max_order: int = SWEEP_ORDER_GUARD,
     *,
-    guard: int = SWEEP_ORDER_GUARD,
     moduli: dict[int, tuple[int, ...]] | None = None,
 ) -> list[Table2Row]:
     """Constructed-class counts per order over all four cube families.
@@ -415,10 +407,10 @@ def table2(
     The two G3 variants are pooled into one column (their class sets can
     overlap) and also reported separately.
     """
-    s_ggg = sweep(Family.CUBE_G2X3, max_order, guard=guard, moduli=moduli)
-    s_www = sweep(Family.CUBE_W2W2G2, max_order, guard=guard, moduli=moduli)
-    s_i = sweep(Family.CUBE_G3_I, max_order, guard=guard, moduli=moduli)
-    s_ii = sweep(Family.CUBE_G3_II, max_order, guard=guard, moduli=moduli)
+    s_ggg = sweep(Family.CUBE_G2X3, max_order, moduli=moduli)
+    s_www = sweep(Family.CUBE_W2W2G2, max_order, moduli=moduli)
+    s_i = sweep(Family.CUBE_G3_I, max_order, moduli=moduli)
+    s_ii = sweep(Family.CUBE_G3_II, max_order, moduli=moduli)
     rows = []
     for order in range(2, max_order + 1):
         pooled = set(s_i.classes.get(order, {})) | set(s_ii.classes.get(order, {}))

@@ -5,13 +5,14 @@ in ascending order, are the coefficients of the residue polynomial.  The
 modulus is likewise an ascending coefficient list (c_0, ..., c_m), monic
 after normalization, matching notation such as <1 + x^3 + x^4>.
 
-Prime fields use the same code path with the implicit modulus x, so the
-encoding of an element of GF(p) is simply its least residue.
-
-Each field keeps one exp/log table, to its least primitive element g
-(FieldSpec.tables).  It is the only source of discrete logarithms and
-of primitivity: e = g^t is primitive iff gcd(t, q-1) = 1, and the log
-of e to any other primitive base rho = g^b is log_g(e) * b^(-1) mod q-1.
+Each field keeps one table, to its least primitive element g
+(FieldSpec.tables): exp, log and the Zech column Z[t] = log(1 - g^t).
+Every operation is one read of it: mul, inv and pow add logs, and
+a - b = a * (1 - b/a) reads Z.  Prime fields use the same code path with
+the implicit modulus x, so the encoding of an element of GF(p) is simply
+its least residue.  The table is also the only source of primitivity:
+e = g^t is primitive iff gcd(t, q-1) = 1, and the log of e to any other
+primitive base rho = g^b is log_g(e) * b^(-1) mod q-1.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Sequence
 FieldElement = int
 
 PRIMITIVE_ELEMENT_GUARD = 1 << 20
-_TABLE_LIMIT = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -73,8 +73,6 @@ def _poly_rem(num: list[int], den: Sequence[int], p: int) -> list[int]:
 def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     """Trial division by every monic polynomial of degree 1..deg/2."""
     m = len(coeffs) - 1
-    if m == 1:
-        return True
     for d in range(1, m // 2 + 1):
         for enc in range(p**d):
             den, e = [], enc
@@ -95,14 +93,9 @@ class FieldSpec:
         self.m = m
         self.modulus = modulus
         self.q = p**m
-        if p == 2:
-            # bit-packed modulus for the carry-less multiply fast path
-            self._mod_int = sum(c << t for t, c in enumerate(modulus))
-        else:
-            # x^m == sum_t reduction[t] x^t
-            self._reduction = tuple((-c) % p for c in modulus[:m])
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._zech: list[int] | None = None
 
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, m={self.m}, modulus={self.modulus})"
@@ -139,102 +132,61 @@ class FieldSpec:
 
     # -- arithmetic ----------------------------------------------------
 
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        if self.m == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return self.encode([x + y for x, y in zip(self.digits(a), self.digits(b))])
-
-    def neg(self, a: FieldElement) -> FieldElement:
-        if self.m == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        return self.encode([-x for x in self.digits(a)])
-
-    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return self.add(a, self.neg(b))
-
     def _mul_raw(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        if self.m == 1:
-            return (a * b) % self.p
-        if self.p == 2:
-            top = 1 << self.m
-            r = 0
-            while b:
-                if b & 1:
-                    r ^= a
-                b >>= 1
-                a <<= 1
-                if a & top:
-                    a ^= self._mod_int
-            return r
-        p, m = self.p, self.m
-        da, db = self.digits(a), self.digits(b)
-        prod = [0] * (2 * m - 1)
-        for s, ca in enumerate(da):
+        """Product of the digit polynomials, reduced by the modulus; only
+        tables() calls it.  Zero digits of a are skipped."""
+        prod = [0] * (2 * self.m - 1)
+        db = self.digits(b)
+        for s, ca in enumerate(self.digits(a)):
             if ca:
                 for t, cb in enumerate(db):
-                    prod[s + t] = (prod[s + t] + ca * cb) % p
-        for topdeg in range(2 * m - 2, m - 1, -1):
-            c = prod[topdeg]
-            if c:
-                prod[topdeg] = 0
-                for t, r in enumerate(self._reduction):
-                    prod[topdeg - m + t] = (prod[topdeg - m + t] + c * r) % p
-        return self.encode(prod[:m])
+                    prod[s + t] += ca * cb
+        return self.encode(_poly_rem(prod, self.modulus, self.p))
 
-    def tables(self) -> tuple[list[int], list[int]]:
-        """(exp, log) for the least primitive element g: exp[t] = g^t for
-        t in [0, q-1) and log[exp[t]] = t (log[0] is unused).
+    def tables(self) -> tuple[list[int], list[int], list[int]]:
+        """(exp, log, zech) for the least primitive element g: exp[t] = g^t
+        for t in [0, q-1), log[exp[t]] = t and zech[t] = log(1 - g^t)
+        (log[0] and zech[0] are unused).
 
-        g is found as the least element whose power cycle has length q-1;
-        the cycle it walks is exp itself.  Built once per field.
+        g is the least element whose power cycle, exp itself, has length
+        q-1.  1 - g^t = 1 + g^(t + log(-1)), and adding 1 changes digit 0
+        only.  Built once per field; q above PRIMITIVE_ELEMENT_GUARD is
+        refused before anything is built.
         """
         if self._exp is None:
+            if self.q > PRIMITIVE_ELEMENT_GUARD:
+                raise ValueError(f"q={self.q} exceeds the table guard {PRIMITIVE_ELEMENT_GUARD}")
             for g in self.nonzero_elements():
                 exp = [1]
                 acc = g
                 while acc != 1:
                     exp.append(acc)
-                    acc = self._mul_raw(acc, g)
+                    acc = self._mul_raw(g, acc)  # small g has few nonzero digits
                 if len(exp) == self.q - 1:
                     break
             log = [0] * self.q
             for t, e in enumerate(exp):
                 log[e] = t
-            self._exp, self._log = exp, log
-        return self._exp, self._log
+            p, n = self.p, self.q - 1
+            minus_one = log[p - 1]
+            zech = [0] * n
+            for t in range(1, n):
+                e = exp[(t + minus_one) % n]
+                zech[t] = log[e - e % p + (e + 1) % p]
+            self._exp, self._log, self._zech = exp, log, zech
+        return self._exp, self._log, self._zech
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         if a == 0 or b == 0:
             return 0
-        if self.m == 1:
-            return (a * b) % self.p
-        if self.q > _TABLE_LIMIT:
-            return self._mul_raw(a, b)
-        exp, log = self.tables()
+        exp, log, _ = self.tables()
         return exp[(log[a] + log[b]) % (self.q - 1)]
 
     def inv(self, a: FieldElement) -> FieldElement:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        if self.q > _TABLE_LIMIT:
-            return self._pow_raw(a, self.q - 2)
-        exp, log = self.tables()
-        return exp[(self.q - 1 - log[a]) % (self.q - 1)]
-
-    def _pow_raw(self, a: FieldElement, k: int) -> FieldElement:
-        r = 1
-        while k:
-            if k & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            k >>= 1
-        return r
+        exp, log, _ = self.tables()
+        return exp[-log[a] % (self.q - 1)]
 
     def pow(self, a: FieldElement, k: int) -> FieldElement:
         if a == 0:
@@ -243,13 +195,29 @@ class FieldSpec:
             if k == 0:
                 return 1
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        if k < 0:
-            a = self.inv(a)
-            k = -k
-        k %= self.q - 1 or 1
-        if self.m == 1:
-            return pow(a, k, self.p) if k else 1
-        return self._pow_raw(a, k)
+        exp, log, _ = self.tables()
+        return exp[log[a] * k % (self.q - 1)]
+
+    def neg(self, a: FieldElement) -> FieldElement:
+        if a == 0:
+            return 0
+        exp, log, _ = self.tables()
+        return exp[(log[a] + log[self.p - 1]) % (self.q - 1)]
+
+    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
+        """a - b = a * (1 - b/a), read from the Zech column."""
+        if b == 0:
+            return a
+        if a == 0:
+            return self.neg(b)
+        if a == b:
+            return 0
+        exp, log, zech = self.tables()
+        n = self.q - 1
+        return exp[(log[a] + zech[(log[b] - log[a]) % n]) % n]
+
+    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
+        return self.sub(a, self.neg(b))
 
 
 def field_new(p: int, m: int, modulus: Sequence[int] | None = None) -> FieldSpec:
@@ -287,15 +255,12 @@ def is_primitive(field: FieldSpec, e: FieldElement) -> bool:
 
 def primitive_elements(field: FieldSpec) -> list[FieldElement]:
     """All primitive elements, ascending by encoding."""
-    if field.q > PRIMITIVE_ELEMENT_GUARD:
-        raise ValueError(f"q={field.q} exceeds the enumeration guard {PRIMITIVE_ELEMENT_GUARD}")
     return [e for e in field.nonzero_elements() if is_primitive(field, e)]
 
 
 def g3_admissible(field: FieldSpec) -> list[FieldElement]:
     """Primitive phi for which 1 - phi is also primitive."""
-    one = 1
-    return [e for e in primitive_elements(field) if is_primitive(field, field.sub(one, e))]
+    return [e for e in primitive_elements(field) if is_primitive(field, field.sub(1, e))]
 
 
 def g3_cube_admissible(field: FieldSpec) -> list[FieldElement]:
@@ -325,12 +290,6 @@ def parse_field_spec(text: str) -> FieldSpec:
     p_str, _, m_str = head.partition("^")
     coeffs = tuple(int(c) for c in tail.split(","))
     return field_new(int(p_str), int(m_str), coeffs)
-
-
-def format_field_spec(field: FieldSpec) -> str:
-    if field.m == 1:
-        return str(field.p)
-    return f"{field.p}^{field.m}:" + ",".join(map(str, field.modulus))
 
 
 def parse_element(field: FieldSpec, text: str) -> FieldElement:

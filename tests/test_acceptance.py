@@ -42,6 +42,7 @@ from costas_cubes.enumeration import (
     table1,
 )
 from costas_cubes.files import emit_array_file, parse_array_file
+from costas_cubes.reference import TABLE1, TABLE2
 from costas_cubes.gf import (
     field_new,
     g3_cube_admissible,
@@ -89,21 +90,6 @@ from conftest import (
     cube_from_jk,
     instantiated_fields,
 )
-
-TABLE1 = {
-    # order: (cube classes, projection array classes, total array classes)
-    2: (1, 1, 1), 3: (1, 1, 1), 4: (2, 1, 2), 5: (13, 6, 6), 6: (47, 17, 17),
-    7: (30, 26, 30), 8: (42, 44, 60), 9: (46, 61, 100), 10: (69, 133, 277),
-    11: (66, 126, 555), 12: (34, 74, 990), 13: (11, 22, 1616),
-}
-
-TABLE2 = {
-    # order: (g2x3, w2w2g2, g3 pooled); absent orders have no classes
-    2: (1, 0, 0), 3: (1, 1, 0), 4: (0, 0, 2), 5: (1, 1, 2), 6: (4, 0, 0),
-    7: (2, 0, 0), 9: (4, 3, 0), 11: (4, 3, 0), 14: (5, 0, 0), 15: (20, 10, 0),
-    17: (10, 6, 0), 20: (0, 0, 2), 21: (35, 15, 0), 23: (10, 0, 0),
-    24: (0, 0, 2), 25: (20, 0, 0), 27: (56, 21, 0), 29: (20, 10, 2),
-}
 
 
 def test_criterion_1_table1_orders_2_to_10():

@@ -120,6 +120,13 @@ def test_construct_prime_family_on_extension_field(capsys):
     assert "prime field" in err
 
 
+def test_construct_refuses_a_field_above_the_table_guard(capsys):
+    code, _, err = run(capsys, "construct", "g2", "--field", "2147483647", "--phi", "7", "--rho", "7")
+    assert code == 2
+    assert "guard" in err
+    assert "Traceback" not in err
+
+
 def test_enumerate_order6(capsys):
     code, out, _ = run(capsys, "enumerate", "--order", "6")
     assert code == 0
@@ -358,7 +365,30 @@ def test_reproduce_table1_script_exits_1_on_a_differing_row(capsys, monkeypatch)
     spec.loader.exec_module(script)
     assert script.main(["--max-order", "5"]) == 0
     assert "differs" not in capsys.readouterr().out
-    monkeypatch.setitem(script.CUBE_CLASS_COUNTS, 5, 12)
-    assert script.main(["--max-order", "5"]) == 1
-    out = capsys.readouterr().out
-    assert [line for line in out.splitlines() if "differs" in line][0].split()[0] == "5"
+    for published, column in (((12, 6, 6), "cubes"), ((13, 7, 6), "projection_arrays")):
+        monkeypatch.setitem(script.TABLE1, 5, published)
+        assert script.main(["--max-order", "5"]) == 1
+        out = capsys.readouterr().out
+        flagged = [line for line in out.splitlines() if "differs" in line]
+        assert len(flagged) == 1
+        assert flagged[0].split()[0] == "5"
+        assert flagged[0].endswith("differs from published " + column)
+
+
+def test_reproduce_table2_script_exits_1_on_a_differing_row(capsys, monkeypatch):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_table2.py"
+    spec = importlib.util.spec_from_file_location("reproduce_table2", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--max-order", "9"]) == 0
+    assert "differs" not in capsys.readouterr().out
+    # one differing column each; order 8 constructs nothing but must still print
+    for order, published in ((5, (1, 1, 1)), (6, (4, 1, 0)), (8, (1, 0, 0))):
+        monkeypatch.setitem(script.TABLE2, order, published)
+        assert script.main(["--max-order", "9"]) == 1
+        flagged = [line for line in capsys.readouterr().out.splitlines() if "differs" in line]
+        assert [line.split()[0] for line in flagged] == [str(order)]
+        monkeypatch.undo()

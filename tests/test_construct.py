@@ -64,6 +64,7 @@ from conftest import (
     P13_J,
     P13_K,
     SMALL_SD_TRIPLES,
+    costas_cube_classes,
     cube_from_jk,
 )
 
@@ -330,6 +331,21 @@ def test_sweep_is_modulus_invariant_at_q16():
     alt_set = set(sweep(Family.CUBE_G2X3, 14, moduli=alt).classes.get(14, {}))
     assert default_set == alt_set
     assert len(default_set) == 5
+
+
+def test_sweep_classes_lie_in_the_pair_join_classes():
+    """Table 2 meets Table 1: each constructed class of order <= 10 is one of
+    the classes the exhaustive pair-join finds, and those are all Costas."""
+    found = 0
+    for family in (Family.CUBE_G2X3, Family.CUBE_W2W2G2, Family.CUBE_G3,
+                   Family.CUBE_G3_I, Family.CUBE_G3_II):
+        report = sweep(family, 10)
+        for order, classes in report.classes.items():
+            joined = set(costas_cube_classes(order))
+            assert set(classes) <= joined, (family, order)
+            assert all(is_costas_cube(cube) for cube in joined)
+            found += len(classes)
+    assert found > 0
 
 
 def test_table2_published_rows():

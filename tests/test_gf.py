@@ -7,7 +7,6 @@ from costas_cubes.gf import (
     factorize,
     field_new,
     format_element,
-    format_field_spec,
     g3_admissible,
     g3_cube_admissible,
     is_primitive,
@@ -65,11 +64,45 @@ def _naive_mul(field, a, b):
     return field.encode(prod[:m])
 
 
+def _naive_add(field, a, b):
+    return field.encode([x + y for x, y in zip(field.digits(a), field.digits(b))])
+
+
+def _naive_neg(field, a):
+    return field.encode([-x for x in field.digits(a)])
+
+
+def _naive_pow(field, a, k):
+    """Square-and-multiply over _naive_mul, for k >= 0."""
+    r = 1
+    while k:
+        if k & 1:
+            r = _naive_mul(field, r, a)
+        a = _naive_mul(field, a, a)
+        k >>= 1
+    return r
+
+
 def test_mul_matches_naive_oracle():
-    for f in (GF16, GF27, field_new(5, 2, (1, 1, 1))):
+    """Every table-read operation, and the Zech column itself, against the
+    digit-level oracles, over every instantiated field with q <= 64."""
+    for f in instantiated_fields():
+        if f.q > 64:
+            continue
+        exp, log, zech = f.tables()
+        for t in range(1, f.q - 1):
+            assert zech[t] == log[_naive_add(f, 1, _naive_neg(f, exp[t]))], (f, t)
         for a in f.elements():
+            assert f.neg(a) == _naive_neg(f, a), (f, a)
+            for k in (0, 1, 2, 3, f.q - 2, f.q - 1, f.q, 2 * f.q + 1):
+                assert f.pow(a, k) == _naive_pow(f, a, k), (f, a, k)
+            if a:
+                assert f.inv(a) == _naive_pow(f, a, f.q - 2), (f, a)
+                assert f.pow(a, -3) == _naive_pow(f, a, 3 * (f.q - 2)), (f, a)
             for b in f.elements():
-                assert f.mul(a, b) == _naive_mul(f, a, b)
+                assert f.mul(a, b) == _naive_mul(f, a, b), (f, a, b)
+                assert f.add(a, b) == _naive_add(f, a, b), (f, a, b)
+                assert f.sub(a, b) == _naive_add(f, a, _naive_neg(f, b)), (f, a, b)
 
 
 def test_field_axioms_exhaustive_small():
@@ -145,7 +178,7 @@ def test_primitive_element_count_is_totient():
 
 
 def test_dlog_examples():
-    exp, log = GF13.tables()
+    exp, log, _ = GF13.tables()
     assert exp[:4] == [1, 2, 4, 8]  # g = 2, the least primitive element
     assert log[11] == 7 and log[1] == 0
     # the log to base phi = 11 is log_g / log_g(11) mod q-1
@@ -158,7 +191,7 @@ def test_dlog_examples():
 
 def test_exp_log_round_trip():
     for f in (GF13, GF16, GF27, field_new(2, 1)):
-        exp, log = f.tables()
+        exp, log, _ = f.tables()
         g = exp[1 % (f.q - 1)]
         assert g == primitive_elements(f)[0]
         assert sorted(exp) == list(f.nonzero_elements())
@@ -218,7 +251,7 @@ def test_reciprocal_identity_and_power_coverage():
 def test_field_spec_string_round_trip():
     assert parse_field_spec("13") == GF13
     assert parse_field_spec("2^4:1,0,0,1,1") == GF16
-    assert parse_field_spec(format_field_spec(GF27)) == GF27
+    assert parse_field_spec("3^3:1,0,2,1") == GF27
     with pytest.raises(ValueError):
         parse_field_spec("2^4")
 

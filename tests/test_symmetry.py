@@ -240,8 +240,7 @@ def test_images_pass_matches_oracles_on_sweep_cubes():
     """Every cube the Table 2 sweeps construct up to order 13."""
     checked = 0
     for family in (Family.CUBE_G2X3, Family.CUBE_W2W2G2, Family.CUBE_G3):
-        for _, constructor, field, elements in _sweep_tuples(family, 13, None):
-            cube = constructor(field.p if family is Family.CUBE_W2W2G2 else field, *elements)
+        for *_, cube in _sweep_tuples(family, 13, None):
             assert canonical_cube(cube) == _canonical_cube_oracle(cube)
             checked += 1
     assert checked > 400
