@@ -22,10 +22,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
-    print("order  cubes  projection_arrays  total_arrays    published")
     start = time.perf_counter()
+    try:
+        rows = table1(args.max_order, threads=args.threads)
+    except ValueError as exc:
+        parser.error(str(exc))
+    print("order  cubes  projection_arrays  total_arrays    published")
     differs = False
-    for row in table1(args.max_order, threads=args.threads):
+    for row in rows:
         got = (row.cube_classes, row.projection_array_classes, row.total_array_classes)
         known = TABLE1.get(row.order)
         flag = ""

@@ -22,7 +22,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     start = time.perf_counter()
-    rows = table2(args.max_order)
+    try:
+        rows = table2(args.max_order)
+    except ValueError as exc:
+        parser.error(str(exc))
     print("order  g2x3  w2w2g2  g3 (i/ii)  total_known")
     differs = False
     for r in rows:

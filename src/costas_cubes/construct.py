@@ -24,8 +24,12 @@ field, to its least primitive g, read from the field's one table
 Zech column Z[t] = log(1 - g^t), all mod q-1, the relation
 phi^i + rho^j = 1 reads a*i = Z[b*j], and each row is one Z read.
 
-sweep enumerates all admissible parameter tuples per family and counts
-equivalence classes per order; catalog labels canonical arrays of one
+Each cube family has one row formula, numpy arithmetic over arrays of
+these logs.  A constructor evaluates it at one parameter tuple.  sweep
+evaluates it once per field, at every admissible tuple, into one int16
+row matrix, and counts equivalence classes per order: a row among the 48
+images of a class already found is skipped, so each class is
+canonicalized exactly once.  catalog labels canonical arrays of one
 order by the families able to produce them.
 """
 
@@ -33,6 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .core import CostasCube, Permutation, is_costas_cube
 from .reference import CUBE_CLASS_COUNTS
@@ -48,7 +54,7 @@ from .gf import (
     prime_power,
     primitive_elements,
 )
-from .symmetry import canonical_array, canonical_cube
+from .symmetry import canonical_array, canonical_cube, cube_images
 
 # One fixed representation per non-prime field order used by sweeps and
 # the catalog; different moduli give isomorphic fields and identical
@@ -174,6 +180,55 @@ def g3(field: FieldSpec, phi: FieldElement) -> Permutation:
 # -- cube constructions ------------------------------------------------
 
 
+# The row formulas: the logs of the parameters broadcast against the row
+# index i on a last axis, and each formula returns the j and k columns.
+
+
+def _unit_inverse(x, n: int) -> np.ndarray:
+    """x^(-1) mod n, elementwise, for units x of the integers mod n."""
+    x = np.asarray(x)
+    return np.array([pow(t, -1, n) for t in x.ravel().tolist()], dtype=np.int64).reshape(x.shape)
+
+
+def _g2x3_jk(field: FieldSpec, a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """j = -Z[a*i] * b^(-1) and k = Z[-a*i] * c^(-1) (mod q-1), i = 1..q-2."""
+    n = field.q - 1
+    zech = np.array(field.tables()[2])
+    ai = a * np.arange(1, n)
+    return -zech[ai % n] * _unit_inverse(b, n) % n, zech[-ai % n] * _unit_inverse(c, n) % n
+
+
+def _w2w2g2_jk(field: FieldSpec, a, c) -> tuple[np.ndarray, np.ndarray]:
+    """j = log(i+1) * a^(-1) and k = log(p-i) * c^(-1) (mod p-1), i = 1..p-2."""
+    p, n = field.q, field.q - 1
+    log = np.array(field.tables()[1])
+    i = np.arange(1, n)
+    return log[i + 1] * _unit_inverse(a, n) % n, log[p - i] * _unit_inverse(c, n) % n
+
+
+def _g3_jk(field: FieldSpec, a, sign, shift) -> tuple[np.ndarray, np.ndarray]:
+    """j = Z[a*(i+1)] * m^(-1) - 1 and k = Z[a*sign*(i+shift)] * r^(-1) - 1
+    (mod q-1), i = 1..q-3, where m = Z[a] = log(1-phi) and
+    r = Z[-a] = log(1-phi^(-1))."""
+    n = field.q - 1
+    zech = np.array(field.tables()[2])
+    i = np.arange(1, n - 1)
+    m_inv, r_inv = _unit_inverse(zech[a % n], n), _unit_inverse(zech[-a % n], n)
+    return (
+        zech[a * (i + 1) % n] * m_inv % n - 1,
+        zech[a * sign * (i + shift) % n] * r_inv % n - 1,
+    )
+
+
+# The exponent of phi at which row i of a G3 variant reads k is
+# sign * (i + shift).
+_G3_K_EXPONENT = {Family.CUBE_G3_I: (-1, 1), Family.CUBE_G3_II: (1, 0)}
+
+
+def _cube(j: np.ndarray, k: np.ndarray) -> CostasCube:
+    return CostasCube(tuple(zip(j.tolist(), k.tolist())))
+
+
 def cube_g2x3(
     field: FieldSpec, phi: FieldElement, rho: FieldElement, psi: FieldElement
 ) -> CostasCube:
@@ -185,14 +240,7 @@ def cube_g2x3(
     """
     if field.q <= 3:
         raise ValueError("this construction requires q > 3")
-    a, b, c = _logs(field, phi=phi, rho=rho, psi=psi)
-    n = field.q - 1
-    b_inv, c_inv = pow(b, -1, n), pow(c, -1, n)
-    zech = field.tables()[2]
-    return CostasCube(tuple(
-        (-zech[a * i % n] * b_inv % n, zech[-a * i % n] * c_inv % n)
-        for i in range(1, n)
-    ))
+    return _cube(*_g2x3_jk(field, *_logs(field, phi=phi, rho=rho, psi=psi)))
 
 
 def cube_w2w2g2(p: int, phi: FieldElement, psi: FieldElement) -> CostasCube:
@@ -204,31 +252,19 @@ def cube_w2w2g2(p: int, phi: FieldElement, psi: FieldElement) -> CostasCube:
     field = field_new(p, 1)
     if p <= 3:
         raise ValueError("this construction requires p > 3")
-    a, c = _logs(field, phi=phi, psi=psi)
-    n = p - 1
-    a_inv, c_inv = pow(a, -1, n), pow(c, -1, n)
-    log = field.tables()[1]
-    return CostasCube(tuple(
-        (log[i + 1] * a_inv % n, log[p - i] * c_inv % n) for i in range(1, p - 1)
-    ))
+    return _cube(*_w2w2g2_jk(field, *_logs(field, phi=phi, psi=psi)))
 
 
-def _cube_g3(field: FieldSpec, phi: FieldElement, k_exponent) -> CostasCube:
-    """The G3 cube whose row i reads k at the exponent k_exponent(i) of phi."""
+def _cube_g3(field: FieldSpec, phi: FieldElement, variant: Family) -> CostasCube:
     if field.q <= 3:
         raise ValueError("this construction requires q > 3")
     (a,) = _logs(field, phi=phi)
-    m, r = _logs(field, **{
+    # Checked here for the error message; the formula reads their logs off Z.
+    _logs(field, **{
         "1-phi": field.sub(1, phi),
         "1-phi^(-1)": field.sub(1, field.inv(phi)),
     })
-    n = field.q - 1
-    m_inv, r_inv = pow(m, -1, n), pow(r, -1, n)
-    zech = field.tables()[2]
-    return CostasCube(tuple(
-        (zech[a * (i + 1) % n] * m_inv % n - 1, zech[a * k_exponent(i) % n] * r_inv % n - 1)
-        for i in range(1, field.q - 2)
-    ))
+    return _cube(*_g3_jk(field, a, *_G3_K_EXPONENT[variant]))
 
 
 def cube_g3_variant_i(field: FieldSpec, phi: FieldElement) -> CostasCube:
@@ -241,7 +277,7 @@ def cube_g3_variant_i(field: FieldSpec, phi: FieldElement) -> CostasCube:
     Equals cube_g2x3(field, phi, (1-phi)^(-1), 1-phi^(-1)) with the
     three planes through its 1 entry at (1,1,1) removed.
     """
-    return _cube_g3(field, phi, lambda i: -(i + 1))
+    return _cube_g3(field, phi, Family.CUBE_G3_I)
 
 
 def cube_g3_variant_ii(field: FieldSpec, phi: FieldElement) -> CostasCube:
@@ -252,7 +288,7 @@ def cube_g3_variant_ii(field: FieldSpec, phi: FieldElement) -> CostasCube:
     reflection of G3(q, phi^(-1)); Projection C is the 180-degree
     rotation of G3(q, (1-phi)^(-1)).
     """
-    return _cube_g3(field, phi, lambda i: i)
+    return _cube_g3(field, phi, Family.CUBE_G3_II)
 
 
 def k_reversal(cube: CostasCube) -> tuple[CostasCube, bool]:
@@ -287,41 +323,50 @@ class SweepReport:
         return sorted(self.classes)
 
 
-def _sweep_tuples(family: Family, max_order: int, moduli):
-    """Yield (order, witness family, field, elements, cube) over admissible
-    tuples, building each cube."""
-    if family in (Family.CUBE_G2X3, Family.CUBE_G3, Family.CUBE_G3_I, Family.CUBE_G3_II):
-        shift = 2 if family is Family.CUBE_G2X3 else 3
-        for q in range(4, max_order + shift + 1):
-            if prime_power(q) is None or q - shift < 2 or q - shift > max_order:
-                continue
-            field = default_field(q, moduli)
-            if family is Family.CUBE_G2X3:
-                prims = primitive_elements(field)
-                for phi in prims:
-                    for rho in prims:
-                        for psi in prims:
-                            cube = cube_g2x3(field, phi, rho, psi)
-                            yield q - 2, family, field, (phi, rho, psi), cube
-            else:
-                for phi in g3_cube_admissible(field):
-                    if family in (Family.CUBE_G3, Family.CUBE_G3_I):
-                        cube = cube_g3_variant_i(field, phi)
-                        yield q - 3, Family.CUBE_G3_I, field, (phi,), cube
-                    if family in (Family.CUBE_G3, Family.CUBE_G3_II):
-                        cube = cube_g3_variant_ii(field, phi)
-                        yield q - 3, Family.CUBE_G3_II, field, (phi,), cube
+# The G3 variants each sweep family walks, in the order of a field's rows.
+_G3_VARIANTS = {
+    Family.CUBE_G3_I: (Family.CUBE_G3_I,),
+    Family.CUBE_G3_II: (Family.CUBE_G3_II,),
+    Family.CUBE_G3: (Family.CUBE_G3_I, Family.CUBE_G3_II),
+}
+
+
+def _field_rows(family: Family, field: FieldSpec):
+    """Every admissible tuple of family over field, as one (T, 2n) int16
+    matrix of flattened rows j_1, k_1, ..., j_n, k_n in sweep order, and
+    the function mapping a row index to its ConstructionId.
+
+    Tuples run phi-major over the ascending primitive elements; the G3
+    variants alternate for each phi.  int16 holds every coordinate the
+    sweep guard admits."""
+    log = field.tables()[1]
+    if family is Family.CUBE_G2X3:
+        axes = (primitive_elements(field),) * 3
+        a = np.array([log[e] for e in axes[0]], dtype=np.int64)
+        j, k = _g2x3_jk(
+            field, a[:, None, None, None], a[None, :, None, None], a[None, None, :, None]
+        )
     elif family is Family.CUBE_W2W2G2:
-        for p in range(5, max_order + 3):
-            if not is_prime(p) or p - 2 < 2 or p - 2 > max_order:
-                continue
-            field = field_new(p, 1)
-            prims = primitive_elements(field)
-            for phi in prims:
-                for psi in prims:
-                    yield p - 2, family, field, (phi, psi), cube_w2w2g2(p, phi, psi)
+        axes = (primitive_elements(field),) * 2
+        a = np.array([log[e] for e in axes[0]], dtype=np.int64)
+        j, k = _w2w2g2_jk(field, a[:, None, None], a[None, :, None])
     else:
-        raise ValueError(f"sweep is defined for cube families, not {family}")
+        axes = (g3_cube_admissible(field), _G3_VARIANTS[family])
+        a = np.array([log[e] for e in axes[0]], dtype=np.int64)
+        sign, shift = np.array([_G3_K_EXPONENT[v] for v in axes[1]]).T[:, None, :, None]
+        j, k = _g3_jk(field, a[:, None, None], sign, shift)
+    shape = tuple(map(len, axes))
+    rows = np.empty(shape + (j.shape[-1], 2), dtype=np.int16)
+    rows[..., 0] = j
+    rows[..., 1] = k
+
+    def witness(t: int) -> ConstructionId:
+        values = tuple(axis[x] for axis, x in zip(axes, np.unravel_index(t, shape)))
+        if family in _G3_VARIANTS:
+            return ConstructionId(values[1], field, values[:1])
+        return ConstructionId(family, field, values)
+
+    return rows.reshape(-1, 2 * j.shape[-1]), witness
 
 
 def sweep(
@@ -332,17 +377,36 @@ def sweep(
 ) -> SweepReport:
     """All inequivalent cubes of orders 2..max_order from one family.
 
-    Every admissible parameter tuple over the configured fields is
-    constructed, canonicalized, and deduplicated; the witness recorded
-    for a class is the first tuple that produced it.
+    Each configured field makes one row matrix of every admissible
+    parameter tuple.  Its rows are walked in tuple order against a set of
+    the row bytes of every image of the classes found so far: a row in
+    the set is skipped, and any other row is a new class, canonicalized
+    once and witnessed by its tuple, whose 48 images then join the set.
+    The witness of a class is thus the first tuple that produced it.
     """
     if max_order > SWEEP_ORDER_GUARD:
         raise ValueError(f"max_order {max_order} exceeds the guard {SWEEP_ORDER_GUARD}")
+    if family in (Family.CUBE_G2X3, Family.CUBE_W2W2G2):
+        shift = 2
+    elif family in _G3_VARIANTS:
+        shift = 3
+    else:
+        raise ValueError(f"sweep is defined for cube families, not {family}")
     classes: dict[int, dict[CostasCube, ConstructionId]] = {}
-    for order, witness_family, field, elements, cube in _sweep_tuples(family, max_order, moduli):
-        classes.setdefault(order, {}).setdefault(
-            canonical_cube(cube), ConstructionId(witness_family, field, elements)
-        )
+    for q in range(4, max_order + shift + 1):
+        if q - shift < 2 or prime_power(q) is None:
+            continue
+        if family is Family.CUBE_W2W2G2 and not is_prime(q):
+            continue
+        rows, witness = _field_rows(family, default_field(q, moduli))
+        seen: set[bytes] = set()
+        for t, row in enumerate(rows):
+            if row.tobytes() in seen:
+                continue
+            values = row.tolist()
+            cube = CostasCube(tuple(zip(values[0::2], values[1::2])))
+            classes.setdefault(q - shift, {})[canonical_cube(cube)] = witness(t)
+            seen.update(map(bytes, cube_images(cube).astype(np.int16)))
     return SweepReport(family, classes)
 
 
@@ -407,6 +471,8 @@ def table2(
     The two G3 variants are pooled into one column (their class sets can
     overlap) and also reported separately.
     """
+    if max_order < 2:
+        raise ValueError(f"max order {max_order} is below 2, the least order Table 2 lists")
     s_ggg = sweep(Family.CUBE_G2X3, max_order, moduli=moduli)
     s_www = sweep(Family.CUBE_W2W2G2, max_order, moduli=moduli)
     s_i = sweep(Family.CUBE_G3_I, max_order, moduli=moduli)

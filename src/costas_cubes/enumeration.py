@@ -311,6 +311,8 @@ def table1(
     list (e.g. an ingested database); all others are enumerated
     in-process, subject to the order limit.
     """
+    if max_n < 2:
+        raise ValueError(f"max order {max_n} is below 2, the least order Table 1 lists")
     supplied = arrays_by_order or {}
     reports = []
     for n in range(2, max_n + 1):

@@ -324,6 +324,8 @@ def test_import_names_bad_line_once(capsys, tmp_path):
     pytest.param(["verify", "array", "{empty}"], 2, id="verify-empty-file"),
     pytest.param(["construct", "w2", "--field", "2^4"], 2, id="construct-bad-field-spec"),
     pytest.param(["import", "{mixed}"], 1, id="import-mixed-orders"),
+    pytest.param(["tables", "--table", "1", "--max-order", "1"], 2, id="tables-1-max-order-1"),
+    pytest.param(["tables", "--table", "2", "--max-order", "0"], 2, id="tables-2-max-order-0"),
 ])
 def test_exit_code_contract(capsys, tmp_path, argv, expected):
     paths = {"dir": tmp_path / "a_directory", "empty": tmp_path / "empty.txt",
@@ -334,6 +336,7 @@ def test_exit_code_contract(capsys, tmp_path, argv, expected):
     paths["mixed"].write_text("1 2\n1 3 2\n")
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == expected
+    assert code == 1 or out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
 
@@ -365,6 +368,10 @@ def test_reproduce_table1_script_exits_1_on_a_differing_row(capsys, monkeypatch)
     spec.loader.exec_module(script)
     assert script.main(["--max-order", "5"]) == 0
     assert "differs" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_:
+        script.main(["--max-order", "1"])
+    assert exit_.value.code == 2
+    assert "max order 1 is below 2" in capsys.readouterr().err
     for published, column in (((12, 6, 6), "cubes"), ((13, 7, 6), "projection_arrays")):
         monkeypatch.setitem(script.TABLE1, 5, published)
         assert script.main(["--max-order", "5"]) == 1
@@ -385,6 +392,10 @@ def test_reproduce_table2_script_exits_1_on_a_differing_row(capsys, monkeypatch)
     spec.loader.exec_module(script)
     assert script.main(["--max-order", "9"]) == 0
     assert "differs" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_:
+        script.main(["--max-order", "1"])
+    assert exit_.value.code == 2
+    assert "max order 1 is below 2" in capsys.readouterr().err
     # one differing column each; order 8 constructs nothing but must still print
     for order, published in ((5, (1, 1, 1)), (6, (4, 1, 0)), (8, (1, 0, 0))):
         monkeypatch.setitem(script.TABLE2, order, published)

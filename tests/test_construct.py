@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 
 from costas_cubes.construct import (
     DEFAULT_MODULI,
+    ConstructionId,
     Family,
+    _field_rows,
     catalog,
     cube_g2x3,
     cube_g3_variant_i,
@@ -29,6 +32,7 @@ from costas_cubes.gf import (
     field_new,
     g3_admissible,
     g3_cube_admissible,
+    is_prime,
     is_primitive,
     parse_element,
     prime_power,
@@ -313,15 +317,126 @@ def test_sweep_counts_match_published_table():
         sweep(Family.W1, 6)
 
 
+# -- the per-tuple sweep, the oracle of the batched one -------------------
+
+CUBE_FAMILIES = (Family.CUBE_G2X3, Family.CUBE_W2W2G2, Family.CUBE_G3,
+                 Family.CUBE_G3_I, Family.CUBE_G3_II)
+
+# A second irreducible modulus for every extension field the sweeps use.
+# GF(4) has a single irreducible quadratic, 1 + x + x^2, so it keeps it.
+OTHER_MODULI = {
+    4: (1, 1, 1),
+    8: (1, 1, 0, 1),
+    9: (2, 1, 1),
+    16: (1, 1, 0, 0, 1),
+    25: (2, 0, 1),
+    27: (1, 2, 0, 1),
+    32: (1, 0, 0, 1, 0, 1),
+}
+
+# The single-tuple constructor of each witness family, from a witness.
+REBUILD = {
+    Family.CUBE_G2X3: lambda w: cube_g2x3(w.field, *w.elements),
+    Family.CUBE_W2W2G2: lambda w: cube_w2w2g2(w.field.p, *w.elements),
+    Family.CUBE_G3_I: lambda w: cube_g3_variant_i(w.field, *w.elements),
+    Family.CUBE_G3_II: lambda w: cube_g3_variant_ii(w.field, *w.elements),
+}
+
+
+def sweep_tuples_oracle(family, max_order, moduli=None):
+    """Yield (order, witness family, field, elements, cube) over admissible
+    tuples in sweep order, building each cube with its constructor."""
+    if family in (Family.CUBE_G2X3, Family.CUBE_G3, Family.CUBE_G3_I, Family.CUBE_G3_II):
+        shift = 2 if family is Family.CUBE_G2X3 else 3
+        for q in range(4, max_order + shift + 1):
+            if prime_power(q) is None or q - shift < 2 or q - shift > max_order:
+                continue
+            field = default_field(q, moduli)
+            if family is Family.CUBE_G2X3:
+                prims = primitive_elements(field)
+                for phi in prims:
+                    for rho in prims:
+                        for psi in prims:
+                            cube = cube_g2x3(field, phi, rho, psi)
+                            yield q - 2, family, field, (phi, rho, psi), cube
+            else:
+                for phi in g3_cube_admissible(field):
+                    if family in (Family.CUBE_G3, Family.CUBE_G3_I):
+                        cube = cube_g3_variant_i(field, phi)
+                        yield q - 3, Family.CUBE_G3_I, field, (phi,), cube
+                    if family in (Family.CUBE_G3, Family.CUBE_G3_II):
+                        cube = cube_g3_variant_ii(field, phi)
+                        yield q - 3, Family.CUBE_G3_II, field, (phi,), cube
+    else:
+        for p in range(5, max_order + 3):
+            if not is_prime(p) or p - 2 < 2 or p - 2 > max_order:
+                continue
+            field = field_new(p, 1)
+            prims = primitive_elements(field)
+            for phi in prims:
+                for psi in prims:
+                    yield p - 2, family, field, (phi, psi), cube_w2w2g2(p, phi, psi)
+
+
+def sweep_oracle(family, max_order, moduli=None):
+    """The classes of sweep(family, max_order), canonicalizing every tuple."""
+    classes = {}
+    for order, witness_family, field, elements, cube in sweep_tuples_oracle(family, max_order, moduli):
+        classes.setdefault(order, {}).setdefault(
+            canonical_cube(cube), ConstructionId(witness_family, field, elements)
+        )
+    return classes
+
+
+def _listing(classes):
+    """Orders, classes and witnesses in insertion order."""
+    return [(order, cube, witness.describe())
+            for order, found in classes.items() for cube, witness in found.items()]
+
+
+@pytest.mark.parametrize("moduli", [DEFAULT_MODULI, OTHER_MODULI], ids=["default", "other"])
+def test_sweep_matches_per_tuple_oracle(moduli):
+    for q, modulus in OTHER_MODULI.items():
+        pm = prime_power(q)
+        field_new(pm[0], pm[1], modulus)  # irreducible
+        assert modulus != DEFAULT_MODULI[q] or q == 4
+    for family in CUBE_FAMILIES:
+        report = sweep(family, 29, moduli=moduli)
+        oracle = sweep_oracle(family, 29, moduli)
+        assert _listing(report.classes) == _listing(oracle), family
+        assert report.classes == oracle
+
+
+def test_field_rows_match_constructors_tuple_by_tuple():
+    """Row t of a field's matrix is the cube its constructor builds at the
+    t-th tuple in sweep order, and decodes to that tuple's witness; a cube
+    can equal a permuted tuple's up to symmetry, which the class-level
+    comparison would not see."""
+    for family in (Family.CUBE_G2X3, Family.CUBE_W2W2G2, Family.CUBE_G3):
+        by_field = {}
+        for _, witness_family, field, elements, cube in sweep_tuples_oracle(family, 29, OTHER_MODULI):
+            by_field.setdefault(field, []).append((ConstructionId(witness_family, field, elements), cube))
+        for field, tuples in by_field.items():
+            rows, witness = _field_rows(family, field)
+            assert rows.dtype == np.int16
+            assert rows.shape == (len(tuples), 2 * tuples[0][1].order)
+            for t, (construction, cube) in enumerate(tuples):
+                assert rows[t].tolist() == [x for row in cube.rows for x in row]
+                assert witness(t) == construction
+
+
 def test_sweep_outputs_are_costas_and_witnessed():
-    report = sweep(Family.CUBE_G2X3, 9)
-    for order, classes in report.classes.items():
-        for cube, witness in classes.items():
-            assert cube.order == order
-            assert is_costas_cube(cube)
-            assert canonical_cube(cube) == cube
-            assert witness.family is Family.CUBE_G2X3
-            assert "q=" in witness.describe()
+    for family in CUBE_FAMILIES:
+        witness_families = {Family.CUBE_G3: {Family.CUBE_G3_I, Family.CUBE_G3_II}}.get(
+            family, {family})
+        for order, classes in sweep(family, 29).classes.items():
+            for cube, witness in classes.items():
+                assert cube.order == order
+                assert is_costas_cube(cube)
+                assert canonical_cube(cube) == cube
+                assert witness.family in witness_families
+                assert canonical_cube(REBUILD[witness.family](witness)) == cube
+                assert f"q={witness.field.q}" in witness.describe()
 
 
 def test_sweep_is_modulus_invariant_at_q16():
@@ -334,18 +449,20 @@ def test_sweep_is_modulus_invariant_at_q16():
 
 
 def test_sweep_classes_lie_in_the_pair_join_classes():
-    """Table 2 meets Table 1: each constructed class of order <= 10 is one of
+    """Table 2 meets Table 1: each constructed class of order <= 11 is one of
     the classes the exhaustive pair-join finds, and those are all Costas."""
     found = 0
-    for family in (Family.CUBE_G2X3, Family.CUBE_W2W2G2, Family.CUBE_G3,
-                   Family.CUBE_G3_I, Family.CUBE_G3_II):
-        report = sweep(family, 10)
+    for family in CUBE_FAMILIES:
+        report = sweep(family, 11)
         for order, classes in report.classes.items():
             joined = set(costas_cube_classes(order))
             assert set(classes) <= joined, (family, order)
             assert all(is_costas_cube(cube) for cube in joined)
             found += len(classes)
     assert found > 0
+    assert len(costas_cube_classes(11)) == 66
+    assert sweep(Family.CUBE_G2X3, 11).count(11) == 4
+    assert sweep(Family.CUBE_W2W2G2, 11).count(11) == 3
 
 
 def test_table2_published_rows():

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from costas_cubes.construct import Family, _sweep_tuples
+from costas_cubes.construct import Family
 from costas_cubes.core import CostasCube, Permutation, is_costas, is_costas_cube, projections
 from costas_cubes.symmetry import (
     CUBE_ROTATIONS,
@@ -24,6 +24,7 @@ from costas_cubes.symmetry import (
     projection_set,
 )
 
+from test_construct import sweep_tuples_oracle
 from conftest import (
     ORDER6_A,
     SMALL_SD_MEMBERS,
@@ -240,7 +241,7 @@ def test_images_pass_matches_oracles_on_sweep_cubes():
     """Every cube the Table 2 sweeps construct up to order 13."""
     checked = 0
     for family in (Family.CUBE_G2X3, Family.CUBE_W2W2G2, Family.CUBE_G3):
-        for *_, cube in _sweep_tuples(family, 13, None):
+        for *_, cube in sweep_tuples_oracle(family, 13):
             assert canonical_cube(cube) == _canonical_cube_oracle(cube)
             checked += 1
     assert checked > 400
