@@ -15,6 +15,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .construct import (
     Family,
     catalog,
@@ -28,7 +30,7 @@ from .construct import (
     w1,
     w2,
 )
-from .core import Permutation, costas_violation, is_costas, is_costas_cube, projections
+from .core import Permutation, costas_violation, first_non_costas, is_costas, is_costas_cube, projections
 from .enumeration import (
     ClassReport,
     array_classes,
@@ -329,12 +331,12 @@ def cmd_import(args) -> int:
     if args.expect_order is not None and order != args.expect_order:
         print(f"error: file has order {order}, expected {args.expect_order}", file=sys.stderr)
         return 1
-    for no, p in perms:
-        bad = costas_violation(p)
-        if bad is not None:
-            print(f"error: line {no}: {p} is not a Costas array (repeated vector {bad})",
-                  file=sys.stderr)
-            return 1
+    bad = first_non_costas(np.array([p.values for _, p in perms]))
+    if bad is not None:
+        no, p = perms[bad]
+        print(f"error: line {no}: {p} is not a Costas array (repeated vector {costas_violation(p)})",
+              file=sys.stderr)
+        return 1
 
     values = {p.values for _, p in perms}
     images = set(map(tuple, planar_images([p for _, p in perms]).reshape(-1, order).tolist()))

@@ -22,6 +22,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -152,6 +154,21 @@ def costas_violation(perm: Permutation) -> tuple[int, int] | None:
                 return (d, diff)
             seen.add(diff)
     return None
+
+
+def first_non_costas(values: np.ndarray) -> int | None:
+    """The index of the first row of an (N, n) matrix of permutation value
+    sequences that is not a Costas array, or None if every row is.
+
+    One pass per column shift d: the differences at shift d are sorted
+    along each row, and a repeat shows as two equal neighbours."""
+    values = np.asarray(values, dtype=np.int32)
+    bad = np.zeros(len(values), dtype=bool)
+    # Shift n - 1 has a single difference, which cannot repeat.
+    for d in range(1, values.shape[1] - 1):
+        diffs = np.sort(values[:, d:] - values[:, :-d], axis=1)
+        bad |= (diffs[:, 1:] == diffs[:, :-1]).any(axis=1)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def projections(cube: CostasCube) -> ProjectionTriple:

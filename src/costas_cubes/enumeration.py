@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import CostasCube, Permutation, is_costas
+from .core import CostasCube, Permutation, first_non_costas
 from .reference import COSTAS_ARRAY_TOTALS
 from .symmetry import (
     canonical_cube,
@@ -139,9 +139,73 @@ def total_mismatch(n: int, count: int) -> str | None:
             f"but there are {expected}; it cannot be complete")
 
 
-# (idx, inverses, table) of one join: the zero-based value matrix, its
-# inverses, and its sorted byte rows.
-_Shared = tuple[np.ndarray, np.ndarray, np.ndarray]
+# A table of N rows of order n is indexed on prefixes of the least length
+# m with n^m >= _PREFIX_SPREAD * N, so that most absent rows fail on the
+# prefix alone and a prefix's range holds few rows.
+_PREFIX_SPREAD = 16
+
+
+class _PrefixIndex:
+    """Exact membership in a sorted table of distinct zero-based value
+    rows of order n.
+
+    A row's prefix is its first m values, packed base n into the integer
+    key sum(row[j] * n^(m-1-j)), which keeps the table's order; m is the
+    least length with n^m >= _PREFIX_SPREAD * N (at most n).  The index
+    holds a dense bool table of the keys that occur, the sorted distinct
+    keys and each key's range of table rows.  A row is in the table when
+    its key occurs and it equals one row of that key's range in full.
+    """
+
+    def __init__(self, table: np.ndarray):
+        count, n = table.shape
+        m = 1
+        while m < n and n**m < _PREFIX_SPREAD * count:
+            m += 1
+        self.table = table
+        self.weights = n ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        self.prefixes, starts = np.unique(self.keys(table), return_index=True)
+        self.starts = np.append(starts, count)
+        self.occurs = np.zeros(n**m, dtype=bool)
+        self.occurs[self.prefixes] = True
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        """The prefix keys of the rows of an (R, n) value matrix."""
+        return rows[:, : len(self.weights)].astype(np.int64) @ self.weights
+
+    def pair_weights(self, inverses: np.ndarray) -> np.ndarray:
+        """The (N, n) float matrix M with M[b, v] = w[B^-1(v)], where w is
+        the key weight of a column (0 beyond the prefix) and inverses holds
+        the zero-based B^-1 of every row.  The key of A^-1 B is z @ M[b]
+        for the zero-based inverse z of A: keys stay below n^m < 2^53, so
+        a float product is exact."""
+        padded = np.zeros(inverses.shape[1])
+        padded[: len(self.weights)] = self.weights
+        return padded[inverses]
+
+    def find(self, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """The table position of each row of an (R, n) value matrix, or -1
+        where the row is absent; keys are the rows' prefix keys."""
+        loc = np.full(len(rows), -1, dtype=np.intp)
+        (live,) = np.nonzero(self.occurs[keys])
+        rank = np.searchsorted(self.prefixes, keys[live])
+        at, end = self.starts[rank], self.starts[rank + 1]
+        # Each pass compares every unresolved row with the next row of its
+        # range: most ranges hold a single row.
+        while len(live):
+            same = (self.table[at] == rows[live]).all(axis=1)
+            loc[live[same]] = at[same]
+            at += 1
+            more = ~same & (at < end)
+            live, at, end = live[more], at[more], end[more]
+        return loc
+
+
+# (idx, inverses, pair_weights, index) of one join: the zero-based value
+# matrix and the one-based inverses, in list order, the weights whose
+# product with a zero-based inverse gives prefix keys, and the index of
+# the sorted value rows.
+_Shared = tuple[np.ndarray, np.ndarray, np.ndarray, _PrefixIndex]
 
 
 def _check_complete(arrays: Sequence[Permutation], n: int) -> tuple[list[int], _Shared]:
@@ -152,23 +216,29 @@ def _check_complete(arrays: Sequence[Permutation], n: int) -> tuple[list[int], _
         raise ValueError("empty array list")
     if len({p.values for p in arrays}) != len(arrays):
         raise ValueError("array list contains duplicates")
-    for p in arrays:
-        if p.order != n:
-            raise ValueError(f"array {p} has order {p.order}, expected {n}")
-        if not is_costas(p):
-            raise ValueError(f"array {p} is not a Costas array")
-    values = np.array([p.values for p in arrays], dtype=np.min_scalar_type(n))
-    row = np.dtype((np.void, values.itemsize * n))
-    table = np.sort(values.view(row).ravel())
-    last = len(table) - 1
+    # The Costas check covers the arrays before the first one of the wrong
+    # order, so that the first faulty array is the one named.
+    wrong = next((i for i, p in enumerate(arrays) if p.order != n), len(arrays))
+    values = np.array([p.values for p in arrays[:wrong]], dtype=np.min_scalar_type(n)).reshape(wrong, n)
+    bad = first_non_costas(values)
+    if bad is not None:
+        raise ValueError(f"array {arrays[bad]} is not a Costas array")
+    if wrong < len(arrays):
+        p = arrays[wrong]
+        raise ValueError(f"array {p} has order {p.order}, expected {n}")
+    idx = values - 1
+    order = np.lexsort(idx.T[::-1])
+    index = _PrefixIndex(idx[order])
     # An array is least in its orbit when none of its images sits before
     # it in the sorted table.
-    own = least = np.searchsorted(table, values.view(row).ravel())
+    own = np.empty(len(order), dtype=np.intp)
+    own[order] = np.arange(len(order))
+    least = own
     closed = np.ones(len(arrays), dtype=bool)
     for image in planar_images(arrays):
-        rows = image.view(row).ravel()
-        loc = np.minimum(np.searchsorted(table, rows), last)
-        closed &= table[loc] == rows
+        image -= 1
+        loc = index.find(image, index.keys(image))
+        closed &= loc >= 0
         least = np.minimum(least, loc)
     if not closed.all():
         raise ValueError(
@@ -179,44 +249,51 @@ def _check_complete(arrays: Sequence[Permutation], n: int) -> tuple[list[int], _
     if mismatch:
         raise ValueError(mismatch)
     representatives = np.nonzero(least == own)[0].tolist()
-    inverses = np.argsort(values, axis=1).astype(values.dtype) + 1
-    return representatives, ((values - 1).astype(np.intp), inverses, table)
+    inverses = np.argsort(idx, axis=1).astype(idx.dtype)
+    return representatives, (idx, inverses + 1, index.pair_weights(inverses), index)
 
 
 # The arrays of the running join, set in each pool worker.
 _shared: _Shared | None = None
 
 
-def _share(*arrays: np.ndarray) -> None:
+def _share(*shared) -> None:
     global _shared
-    _shared = arrays
+    _shared = shared
+
+
+# First arrays per block hold about this many pairs, so that the block's
+# key matrix stays a few MB.
+_BLOCK_PAIRS = 1 << 15
 
 
 def _scan(a_indices: list[int], shared: _Shared | None = None) -> set[tuple[tuple[int, int], ...]]:
     """Canonical row lists of the Costas cubes whose Projection A is one of
     the given first arrays."""
-    idx, inverses, table = shared or _shared
-    row = np.dtype((np.void, inverses.itemsize * inverses.shape[1]))
-    last = len(table) - 1
+    idx, inverses, pair_weights, index = shared or _shared
     found: set[tuple[tuple[int, int], ...]] = set()
     # Every image of every class found so far, as the bytes of its j
     # sequence and then its k sequence: a hit among them needs no
     # canonical form.
     seen: set[bytes] = set()
-    for a in a_indices:
-        inv_a = inverses[a]
-        # Projection C of the cube with projections (A, B) is A^-1 B.
-        c_rows = inv_a[idx].view(row).ravel()
-        loc = np.minimum(np.searchsorted(table, c_rows), last)
-        hits = np.nonzero(table[loc] == c_rows)[0]
-        j_key = inv_a.tobytes()
-        for b in hits.tolist():
-            if j_key + inverses[b].tobytes() not in seen:
-                cube = CostasCube(tuple(zip(inv_a.tolist(), inverses[b].tolist())))
+    step = max(1, _BLOCK_PAIRS // len(idx))
+    for start in range(0, len(a_indices), step):
+        block = np.array(a_indices[start : start + step], dtype=np.intp)
+        z = inverses[block] - 1
+        # Projection C of the cube with projections (A, B) is A^-1 B: its
+        # prefix key is linear in A^-1, and only pairs whose key occurs
+        # are compared in full.
+        keys = (z @ pair_weights.T).astype(np.int64)
+        first, second = np.nonzero(index.occurs[keys])
+        c_rows = z[first[:, None], idx[second]]
+        hit = index.find(c_rows, keys[first, second]) >= 0
+        for a, b in zip(block[first[hit]].tolist(), second[hit].tolist()):
+            if inverses[a].tobytes() + inverses[b].tobytes() not in seen:
+                cube = CostasCube(tuple(zip(inverses[a].tolist(), inverses[b].tolist())))
                 found.add(canonical_cube(cube).rows)
                 images = cube_images(cube)
-                keys = np.hstack((images[:, 0::2], images[:, 1::2])).astype(inverses.dtype)
-                seen.update(map(bytes, keys))
+                images = np.hstack((images[:, 0::2], images[:, 1::2])).astype(inverses.dtype)
+                seen.update(map(bytes, images))
     return found
 
 

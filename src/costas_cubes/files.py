@@ -24,8 +24,7 @@ def numbered_arrays(text: str) -> list[tuple[int, Permutation]]:
         if not line or line.startswith("#"):
             continue
         try:
-            values = tuple(int(tok) for tok in line.split())
-            numbered.append((lineno, Permutation(values)))
+            numbered.append((lineno, Permutation(tuple(map(int, line.split())))))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if not numbered:

@@ -268,6 +268,11 @@ def test_import_rejects_non_costas_line(capsys, tmp_path):
     code, _, err = run(capsys, "import", str(path))
     assert code == 1
     assert "line 2" in err and "not a Costas array" in err
+    # Only the first bad array is named, by its file line.
+    path.write_text("# db\n2 4 3 1\n\n1 3 4 2\n1 2 3 4\n4 3 2 1\n")
+    code, _, err = run(capsys, "import", str(path))
+    assert code == 1
+    assert err == "error: line 5: (1,2,3,4) is not a Costas array (repeated vector (1, 1))\n"
 
 
 def test_import_order_mismatch(capsys, tmp_path):

@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from costas_cubes.core import (
     costas_violation,
     cube_from_pair,
     cube_from_projections,
+    first_non_costas,
     is_costas,
     is_costas_cube,
     max_offphase_autocorrelation,
@@ -83,6 +86,48 @@ def test_costas_agrees_with_autocorrelation_random(vals):
     p = Permutation(tuple(vals))
     assert is_costas(p) == (max_offphase_autocorrelation(p) <= 1)
     assert (costas_violation(p) is None) == is_costas(p)
+
+
+def _first_bad(rows) -> int | None:
+    return next((i for i, v in enumerate(rows) if costas_violation(Permutation(tuple(v)))), None)
+
+
+def test_first_non_costas_exhaustive_orders_1_to_7():
+    """Every permutation of orders 1-7, one row at a time and as one
+    matrix, against the single-array costas_violation."""
+    for n in range(1, 8):
+        values = np.array(list(itertools.permutations(range(1, n + 1)))).reshape(-1, n)
+        assert [first_non_costas(values[i : i + 1]) is None for i in range(len(values))] == [
+            costas_violation(Permutation(tuple(v))) is None for v in values.tolist()
+        ]
+        assert first_non_costas(values) == _first_bad(values.tolist())
+        costas = values[[is_costas(Permutation(tuple(v))) for v in values.tolist()]]
+        assert first_non_costas(costas) is None
+
+
+def test_first_non_costas_random_order_29_rows():
+    """Lempel-Golomb arrays of order 29 and their planar images, with a
+    near miss (two values swapped) or a random permutation at a random
+    place: the first bad row is found by its index."""
+    from costas_cubes.construct import g2
+    from costas_cubes.gf import field_new, primitive_elements
+    from costas_cubes.symmetry import planar_images
+
+    field = field_new(31, 1)
+    phis = primitive_elements(field)
+    rng = random.Random(29)
+    arrays = [g2(field, rng.choice(phis), rng.choice(phis)) for _ in range(8)]
+    good = planar_images(arrays).reshape(-1, 29).astype(np.int64)
+    assert first_non_costas(good) is None
+    for trial in range(40):
+        rows = good[rng.sample(range(len(good)), 20)].copy()
+        at = rng.randrange(len(rows))
+        if trial % 2:
+            i, j = rng.sample(range(29), 2)
+            rows[at, [i, j]] = rows[at, [j, i]]
+        else:
+            rows[at] = rng.sample(range(1, 30), 29)
+        assert first_non_costas(rows) == _first_bad(rows.tolist())
 
 
 def test_projections_order6(order6_cube):

@@ -5,6 +5,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import costas_cubes
@@ -21,6 +22,7 @@ from costas_cubes.enumeration import (
     MAX_WORD_ORDER,
     ClassReport,
     EnumerationLimitError,
+    _PrefixIndex,
     _check_complete,
     _scan,
     array_classes,
@@ -192,6 +194,46 @@ def test_reduced_mode_matches_literal():
         enumerate_costas_cubes(5, list(costas_arrays(5)), mode="fast")
 
 
+@pytest.mark.parametrize("n", [5, 16, 22, 29])
+def test_prefix_index_matches_a_dict_oracle(n):
+    """Sorted tables of distinct permutation rows, in groups of 1 to 4 rows
+    that share all but their last three values; hits, misses and near
+    misses (the last two values swapped) against a dict of the table."""
+    rng = np.random.default_rng(n)
+    rows = set()
+    for _ in range(60):
+        head = rng.permutation(n)
+        for _ in range(rng.integers(1, 5)):
+            rows.add(tuple(head[: n - 3]) + tuple(rng.permutation(head[n - 3 :])))
+    table = np.array(sorted(rows), dtype=np.uint8)
+    index = _PrefixIndex(table)
+    m = len(index.weights)
+    assert m == n or n**m >= 16 * len(table) > n ** (m - 1)
+    widths = np.diff(index.starts)
+    assert widths.min() >= 1 and (n < 16 or widths.max() > 1)
+    near = table.copy()
+    near[:, [-2, -1]] = near[:, [-1, -2]]
+    misses = np.array([rng.permutation(n) for _ in range(200)], dtype=np.uint8)
+    queries = np.concatenate((table[rng.permutation(len(table))], near, misses))
+    position = {row: at for at, row in enumerate(map(tuple, table.tolist()))}
+    want = [position.get(tuple(q), -1) for q in queries.tolist()]
+    assert index.find(queries, index.keys(queries)).tolist() == want
+    assert any(w < 0 for w in want) and any(w >= 0 for w in want[len(table) :])
+
+
+@pytest.mark.parametrize("n", [5, 11, 29])
+def test_pair_weights_give_the_keys_of_a_inverse_b(n):
+    """The prefix key of A^-1 B is the product of the zero-based inverse
+    of A with B's row of pair_weights, exactly in float."""
+    rng = np.random.default_rng(n)
+    values = np.array([rng.permutation(n) for _ in range(300)], dtype=np.uint8)
+    index = _PrefixIndex(values[np.lexsort(values.T[::-1])])
+    inverses = np.argsort(values, axis=1).astype(np.uint8)
+    keys = (inverses @ index.pair_weights(inverses).T).astype(np.int64)
+    for a in range(0, 300, 37):
+        assert keys[a].tolist() == index.keys(inverses[a][values]).tolist()
+
+
 def test_join_canonicalises_once_per_class(monkeypatch):
     """Hits in the orbit of a class already found skip the canonical form."""
     expected = list(costas_cube_classes(8))
@@ -260,6 +302,29 @@ def test_completeness_checks_reject_bad_input():
     closed = order7_without_one_class()
     with pytest.raises(ValueError, match=rf"holds {len(closed)} .* there are 200"):
         enumerate_costas_cubes(7, closed)
+
+
+def test_check_complete_messages_name_the_first_faulty_array():
+    arrays = list(costas_arrays(6))
+    line, wrong_order = Permutation((1, 2, 3, 4, 5, 6)), Permutation((1, 2))
+    later = Permutation((6, 5, 4, 3, 2, 1))
+    cases = [
+        (arrays[:7] + [line] + arrays[7:] + [later], r"array \(1,2,3,4,5,6\) is not a Costas array"),
+        (arrays[:7] + [line, wrong_order], r"array \(1,2,3,4,5,6\) is not a Costas array"),
+        (arrays[:7] + [wrong_order, line], r"array \(1,2\) has order 2, expected 6"),
+        (arrays + [arrays[9]], "array list contains duplicates"),
+    ]
+    # Without one array, the first array in list order that has it as an
+    # image is named.
+    missing = arrays[20]
+    rest = (arrays[:20] + arrays[21:])[::-1]
+    named = next(p for p in rest if missing in {apply_planar(s, p) for s in PLANAR_SYMMETRIES})
+    cases.append((rest, rf"array list is not closed under the square symmetries "
+                        rf"\(image of \({','.join(map(str, named.values))}\) missing\); "
+                        "it cannot be complete"))
+    for listed, message in cases:
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            _check_complete(listed, 6)
 
 
 def test_projection_class_count_examples():
