@@ -405,8 +405,9 @@ def sweep(
                 continue
             values = row.tolist()
             cube = CostasCube(tuple(zip(values[0::2], values[1::2])))
-            classes.setdefault(q - shift, {})[canonical_cube(cube)] = witness(t)
-            seen.update(map(bytes, cube_images(cube).astype(np.int16)))
+            images = cube_images(cube)
+            classes.setdefault(q - shift, {})[canonical_cube(cube, images)] = witness(t)
+            seen.update(map(bytes, images.astype(np.int16)))
     return SweepReport(family, classes)
 
 

@@ -7,12 +7,18 @@ up to ceil(n/2) are searched; the complement v -> n+1-v supplies the
 rest.
 
 Cubes of order n are generated by the pair-join over a complete list of
-order-n Costas arrays: for every pair (A, B) with A a class
-representative, build the unique permutation cube with those projections
-and retain it when Projection C = A^-1 B is in the list.  Cube
-equivalence absorbs the square symmetries acting on A, so no class is
-lost; class counts come from canonical forms, and a hit in the orbit of
-a class already found is not canonicalised again.
+order-n Costas arrays: for a pair (A, B), build the unique permutation
+cube with those projections and retain it when Projection C = A^-1 B is
+in the list.  Array classes are ordered by the sorted-list position of
+their least member.  The cube symmetries permute the three projection
+planes and act on each by the square symmetries, so every cube class has
+a member whose Projection A lies in the least class of its three
+projections, and moving A to its class representative keeps that true.
+So A ranges over the class representatives and B over the arrays of no
+lesser class.  C is looked up by a hashed key of its whole row, and
+compared in full only when the key occurs.  Class counts come from
+canonical forms, and a hit in the orbit of a class already found is not
+canonicalised again.
 """
 
 from __future__ import annotations
@@ -22,14 +28,14 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import CostasCube, Permutation, first_non_costas
+from .core import CostasCube, Permutation, first_non_costas, is_costas_cube
 from .reference import COSTAS_ARRAY_TOTALS
 from .symmetry import (
     canonical_cube,
+    canonical_projections,
     cube_images,
     least_image,
     planar_images,
-    projection_set,
 )
 
 DEFAULT_ORDER_LIMIT = 13
@@ -118,10 +124,13 @@ def array_classes(arrays: Iterable[Permutation]) -> list[Permutation]:
     arrays = list(arrays)
     if not arrays:
         return []
-    least = least_image(planar_images(arrays))
-    least = least[np.lexsort(least.T[::-1])]
-    distinct = np.concatenate(([True], (least[1:] != least[:-1]).any(axis=1)))
-    return [Permutation(tuple(v)) for v in least[distinct].tolist()]
+    return [Permutation(tuple(v)) for v in _distinct_rows(least_image(planar_images(arrays))).tolist()]
+
+
+def _distinct_rows(values: np.ndarray) -> np.ndarray:
+    """The distinct rows of a value matrix, sorted."""
+    values = values[np.lexsort(values.T[::-1])]
+    return values[np.concatenate(([True], (values[1:] != values[:-1]).any(axis=1)))]
 
 
 def enumerate_costas_classes(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> list[Permutation]:
@@ -139,79 +148,97 @@ def total_mismatch(n: int, count: int) -> str | None:
             f"but there are {expected}; it cannot be complete")
 
 
-# A table of N rows of order n is indexed on prefixes of the least length
-# m with n^m >= _PREFIX_SPREAD * N, so that most absent rows fail on the
-# prefix alone and a prefix's range holds few rows.
-_PREFIX_SPREAD = 16
+# A table of N rows is keyed into R slots, R the least power of two with
+# R >= _KEY_SPREAD * N, so that about one absent row in _KEY_SPREAD finds
+# its key in use.
+_KEY_SPREAD = 64
 
 
-class _PrefixIndex:
+def _mixer_weights(count: int, bits: int) -> list[int]:
+    """The top bits bits of the first count outputs of splitmix64."""
+    mask = (1 << 64) - 1
+    state, weights = 0, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        weights.append((z ^ (z >> 31)) >> (64 - bits))
+    return weights
+
+
+class _RowIndex:
     """Exact membership in a sorted table of distinct zero-based value
     rows of order n.
 
-    A row's prefix is its first m values, packed base n into the integer
-    key sum(row[j] * n^(m-1-j)), which keeps the table's order; m is the
-    least length with n^m >= _PREFIX_SPREAD * N (at most n).  The index
-    holds a dense bool table of the keys that occur, the sorted distinct
-    keys and each key's range of table rows.  A row is in the table when
-    its key occurs and it equals one row of that key's range in full.
+    A row's key is (row . w) mod R for fixed pseudo-random weights w_j < R,
+    with R the least power of two with R >= _KEY_SPREAD * N.  The index
+    holds the table rows grouped by key (a stable sort), a dense bool table
+    of the keys that occur, the sorted distinct keys and each key's range
+    of grouped rows.  A row is in the table when its key occurs and it
+    equals one row of that key's range in full.
     """
 
     def __init__(self, table: np.ndarray):
         count, n = table.shape
-        m = 1
-        while m < n and n**m < _PREFIX_SPREAD * count:
-            m += 1
-        self.table = table
-        self.weights = n ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        self.prefixes, starts = np.unique(self.keys(table), return_index=True)
+        bits = (_KEY_SPREAD * count - 1).bit_length()
+        # Float products of value rows and weights are exact while every
+        # sum row . w, below n (n-1) R, stays below 2^53.
+        if n * (n - 1) << bits >= 1 << 53:
+            raise ValueError(
+                f"row keys of order {n} over {1 << bits} slots reach 2^53; "
+                "float row products would not be exact"
+            )
+        self.mask = (1 << bits) - 1
+        self.weights = np.array(_mixer_weights(n, bits), dtype=np.int64)
+        keys = self.keys(table)
+        self.positions = np.argsort(keys, kind="stable")
+        self.table = table[self.positions]
+        self.distinct, starts = np.unique(keys[self.positions], return_index=True)
         self.starts = np.append(starts, count)
-        self.occurs = np.zeros(n**m, dtype=bool)
-        self.occurs[self.prefixes] = True
+        self.occurs = np.zeros(1 << bits, dtype=bool)
+        self.occurs[self.distinct] = True
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
-        """The prefix keys of the rows of an (R, n) value matrix."""
-        return rows[:, : len(self.weights)].astype(np.int64) @ self.weights
+        """The keys of the rows of an (R, n) value matrix."""
+        return (rows.astype(np.int64) @ self.weights) & self.mask
 
     def pair_weights(self, inverses: np.ndarray) -> np.ndarray:
-        """The (N, n) float matrix M with M[b, v] = w[B^-1(v)], where w is
-        the key weight of a column (0 beyond the prefix) and inverses holds
-        the zero-based B^-1 of every row.  The key of A^-1 B is z @ M[b]
-        for the zero-based inverse z of A: keys stay below n^m < 2^53, so
-        a float product is exact."""
-        padded = np.zeros(inverses.shape[1])
-        padded[: len(self.weights)] = self.weights
-        return padded[inverses]
+        """The (N, n) float matrix M with M[b, v] = w[B^-1(v)], where
+        inverses holds the zero-based B^-1 of every row.  The key of
+        A^-1 B is z @ M[b] mod R for the zero-based inverse z of A, and
+        the float product is exact."""
+        return self.weights.astype(float)[inverses]
 
     def find(self, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """The table position of each row of an (R, n) value matrix, or -1
-        where the row is absent; keys are the rows' prefix keys."""
+        """The position in the sorted table of each row of an (R, n) value
+        matrix, or -1 where the row is absent; keys are the rows' keys."""
         loc = np.full(len(rows), -1, dtype=np.intp)
         (live,) = np.nonzero(self.occurs[keys])
-        rank = np.searchsorted(self.prefixes, keys[live])
+        rank = np.searchsorted(self.distinct, keys[live])
         at, end = self.starts[rank], self.starts[rank + 1]
         # Each pass compares every unresolved row with the next row of its
         # range: most ranges hold a single row.
         while len(live):
             same = (self.table[at] == rows[live]).all(axis=1)
-            loc[live[same]] = at[same]
+            loc[live[same]] = self.positions[at[same]]
             at += 1
             more = ~same & (at < end)
             live, at, end = live[more], at[more], end[more]
         return loc
 
 
-# (idx, inverses, pair_weights, index) of one join: the zero-based value
-# matrix and the one-based inverses, in list order, the weights whose
-# product with a zero-based inverse gives prefix keys, and the index of
-# the sorted value rows.
-_Shared = tuple[np.ndarray, np.ndarray, np.ndarray, _PrefixIndex]
+# (classes, idx, inverses, pair_weights, index) of one join, each row an
+# array of the list in class order: the array's class (the sorted-table
+# position of the least member of its D4 orbit), its zero-based values
+# and one-based inverse, the weights whose product with a zero-based
+# inverse gives row keys, and the index of the sorted value rows.
+_Shared = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, _RowIndex]
 
 
 def _check_complete(arrays: Sequence[Permutation], n: int) -> tuple[list[int], _Shared]:
     """Sanity checks for a claimed-complete list of order-n Costas arrays;
-    returns the indices of the arrays that are least in their D4 orbit,
-    and the arrays that _scan reads."""
+    returns the class-order positions of the arrays that are least in
+    their D4 orbit, and the arrays that _scan reads."""
     if not arrays:
         raise ValueError("empty array list")
     if len({p.values for p in arrays}) != len(arrays):
@@ -228,7 +255,7 @@ def _check_complete(arrays: Sequence[Permutation], n: int) -> tuple[list[int], _
         raise ValueError(f"array {p} has order {p.order}, expected {n}")
     idx = values - 1
     order = np.lexsort(idx.T[::-1])
-    index = _PrefixIndex(idx[order])
+    index = _RowIndex(idx[order])
     # An array is least in its orbit when none of its images sits before
     # it in the sorted table.
     own = np.empty(len(order), dtype=np.intp)
@@ -248,9 +275,11 @@ def _check_complete(arrays: Sequence[Permutation], n: int) -> tuple[list[int], _
     mismatch = total_mismatch(n, len(arrays))
     if mismatch:
         raise ValueError(mismatch)
-    representatives = np.nonzero(least == own)[0].tolist()
+    by_class = np.argsort(least, kind="stable")
+    representatives = np.nonzero(least[by_class] == own[by_class])[0].tolist()
+    idx = idx[by_class]
     inverses = np.argsort(idx, axis=1).astype(idx.dtype)
-    return representatives, (idx, inverses + 1, index.pair_weights(inverses), index)
+    return representatives, (least[by_class], idx, inverses + 1, index.pair_weights(inverses), index)
 
 
 # The arrays of the running join, set in each pool worker.
@@ -262,44 +291,53 @@ def _share(*shared) -> None:
     _shared = shared
 
 
-# First arrays per block hold about this many pairs, so that the block's
-# key matrix stays a few MB.
+# First arrays per block meet about this many second arrays, so that the
+# block's key matrix stays a few MB.
 _BLOCK_PAIRS = 1 << 15
 
 
 def _scan(a_indices: list[int], shared: _Shared | None = None) -> set[tuple[tuple[int, int], ...]]:
     """Canonical row lists of the Costas cubes whose Projection A is one of
-    the given first arrays."""
-    idx, inverses, pair_weights, index = shared or _shared
+    the given first arrays (class-order positions) and whose Projection B
+    is of no lesser class."""
+    classes, idx, inverses, pair_weights, index = shared or _shared
     found: set[tuple[tuple[int, int], ...]] = set()
     # Every image of every class found so far, as the bytes of its j
     # sequence and then its k sequence: a hit among them needs no
     # canonical form.
     seen: set[bytes] = set()
-    step = max(1, _BLOCK_PAIRS // len(idx))
-    for start in range(0, len(a_indices), step):
+    a_indices = sorted(a_indices)
+    start = 0
+    while start < len(a_indices):
+        # The block's second arrays are the suffix of the list from its
+        # least class on.
+        lo = int(np.searchsorted(classes, classes[a_indices[start]]))
+        step = max(1, _BLOCK_PAIRS // (len(idx) - lo))
         block = np.array(a_indices[start : start + step], dtype=np.intp)
+        start += step
         z = inverses[block] - 1
         # Projection C of the cube with projections (A, B) is A^-1 B: its
-        # prefix key is linear in A^-1, and only pairs whose key occurs
-        # are compared in full.
-        keys = (z @ pair_weights.T).astype(np.int64)
+        # key is linear in A^-1, and only pairs whose key occurs are
+        # compared in full.
+        keys = (z @ pair_weights[lo:].T).astype(np.int64)
+        keys &= index.mask
         first, second = np.nonzero(index.occurs[keys])
+        keys = keys[first, second]
+        second += lo
+        # The block's later first arrays keep only second arrays of no
+        # lesser class than their own.
+        keep = classes[second] >= classes[block[first]]
+        first, second, keys = first[keep], second[keep], keys[keep]
         c_rows = z[first[:, None], idx[second]]
-        hit = index.find(c_rows, keys[first, second]) >= 0
+        hit = index.find(c_rows, keys) >= 0
         for a, b in zip(block[first[hit]].tolist(), second[hit].tolist()):
             if inverses[a].tobytes() + inverses[b].tobytes() not in seen:
                 cube = CostasCube(tuple(zip(inverses[a].tolist(), inverses[b].tolist())))
-                found.add(canonical_cube(cube).rows)
                 images = cube_images(cube)
+                found.add(canonical_cube(cube, images).rows)
                 images = np.hstack((images[:, 0::2], images[:, 1::2])).astype(inverses.dtype)
                 seen.update(map(bytes, images))
     return found
-
-
-def _chunks(indices: list[int], parts: int) -> list[list[int]]:
-    size = (len(indices) + parts - 1) // parts
-    return [indices[t : t + size] for t in range(0, len(indices), size)]
 
 
 def _join(representatives: list[int], shared: _Shared, threads: int) -> list[CostasCube]:
@@ -311,9 +349,12 @@ def _join(representatives: list[int], shared: _Shared, threads: int) -> list[Cos
     else:
         from multiprocessing import Pool
 
+        # Early first arrays meet the most second arrays: dealing them out
+        # in turn balances the parts.
+        parts = threads * 4
         found = set()
         with Pool(threads, initializer=_share, initargs=shared) as pool:
-            for part in pool.map(_scan, _chunks(representatives, threads * 4)):
+            for part in pool.map(_scan, [representatives[t::parts] for t in range(parts)]):
                 found |= part
     return [CostasCube(rows) for rows in sorted(found)]
 
@@ -328,17 +369,28 @@ def enumerate_costas_cubes(
     Costas cubes, from the pair-join over the given complete array list.
 
     The first array of each pair ranges over the canonical class
-    representatives only, which reaches every class because cube
-    equivalence absorbs the square symmetries acting on Projection A.
+    representatives only, and the second over the arrays of no lesser
+    class; see the module docstring for why this reaches every class.
     threads > 1 splits the scan over a process pool.
     """
     return _join(*_check_complete(arrays, n), threads)
 
 
+def _projection_classes(cubes: Sequence[CostasCube]) -> int:
+    """projection_class_count of cubes known to be Costas."""
+    if not cubes:
+        return 0
+    return len(_distinct_rows(canonical_projections(cubes)))
+
+
 def projection_class_count(cubes: Iterable[CostasCube]) -> int:
     """Number of D4 classes of Costas arrays that occur as a projection
-    of at least one of the given cubes (via their full orbits)."""
-    return len(array_classes(p for cube in cubes for p in projection_set(cube)))
+    of at least one of the given Costas cubes (all of one order)."""
+    cubes = list(cubes)
+    for cube in cubes:
+        if not is_costas_cube(cube):
+            raise ValueError(f"projection_class_count requires Costas cubes, not {cube.rows}")
+    return _projection_classes(cubes)
 
 
 @dataclass(frozen=True)
@@ -369,7 +421,7 @@ def class_report(n: int, arrays: Sequence[Permutation], *, threads: int = 1) -> 
     return ClassReport(
         order=n,
         cube_classes=len(cubes),
-        projection_array_classes=projection_class_count(cubes),
+        projection_array_classes=_projection_classes(cubes),
         total_array_classes=len(representatives),
         representatives=tuple(cubes),
     )

@@ -158,31 +158,81 @@ _CUBE_FLIPS = np.array([s.flips for s in CUBE_SYMMETRIES])[:, None, :]
 _CUBE_INDEX = np.arange(len(CUBE_SYMMETRIES))[:, None]
 
 
+def _cube_rows(cubes: Sequence[CostasCube]) -> np.ndarray:
+    """The one-based rows of cubes (all of one order n): shape (C, n, 2),
+    in the least unsigned dtype that holds n + 1."""
+    n = cubes[0].order
+    for cube in cubes:
+        if cube.order != n:
+            raise ValueError(
+                f"cubes of orders {n} and {cube.order} mixed; "
+                "the images of a list are taken within one order"
+            )
+    rows = np.array([cube.rows for cube in cubes], dtype=np.min_scalar_type(n + 1))
+    return rows.reshape(len(cubes), n, 2)
+
+
+def _image_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows of the images of the cubes of a (C, n, 2) row matrix under
+    CUBE_SYMMETRIES, in that order: shape (48, C, n, 2)."""
+    count, n, _ = rows.shape
+    i = np.broadcast_to(np.arange(1, n + 1, dtype=rows.dtype)[:, None], (count, n, 1))
+    coords = np.concatenate((i, rows), axis=2)
+    moved = coords[:, :, _CUBE_AXES].transpose(2, 0, 1, 3)
+    moved = np.where(_CUBE_FLIPS[:, :, None], n + 1 - moved, moved)
+    images = np.empty((len(CUBE_SYMMETRIES), count, n, 2), dtype=moved.dtype)
+    images[_CUBE_INDEX[:, :, None], np.arange(count)[:, None], moved[..., 0] - 1] = moved[..., 1:]
+    return images
+
+
 def cube_images(cube: CostasCube) -> np.ndarray:
     """Row lists of the images of cube under CUBE_SYMMETRIES, in that
     order, each flattened to j_1, k_1, ..., j_n, k_n: shape (48, 2n)."""
-    n = cube.order
-    coords = np.column_stack((np.arange(1, n + 1), cube.rows))
-    moved = coords[:, _CUBE_AXES].swapaxes(0, 1)
-    moved = np.where(_CUBE_FLIPS, n + 1 - moved, moved)
-    rows = np.empty((len(CUBE_SYMMETRIES), n, 2), dtype=moved.dtype)
-    rows[_CUBE_INDEX, moved[:, :, 0] - 1] = moved[:, :, 1:]
-    return rows.reshape(len(CUBE_SYMMETRIES), 2 * n)
+    return _image_rows(_cube_rows([cube])).reshape(len(CUBE_SYMMETRIES), 2 * cube.order)
 
 
 def _as_cube(flat_rows: Sequence[int]) -> CostasCube:
     return CostasCube(tuple(zip(flat_rows[0::2], flat_rows[1::2])))
 
 
-def canonical_cube(cube: CostasCube) -> CostasCube:
-    """Lexicographically least row list over the 48-element orbit of cube."""
-    images = cube_images(cube)
+def canonical_cube(cube: CostasCube, images: np.ndarray | None = None) -> CostasCube:
+    """Lexicographically least row list over the 48-element orbit of cube;
+    images, when given, are cube_images(cube)."""
+    if images is None:
+        images = cube_images(cube)
     return _as_cube(images[_least(images)].tolist())
 
 
 def cube_orbit(cube: CostasCube) -> list[CostasCube]:
     """The distinct images of cube under all 48 symmetries, sorted by rows."""
     return [_as_cube(rows) for rows in sorted(set(map(tuple, cube_images(cube).tolist())))]
+
+
+def _projection_images(cubes: Sequence[CostasCube]) -> np.ndarray:
+    """Value matrices of Projection A of the images of cubes (all of one
+    order n) under CUBE_SYMMETRIES, in that order: shape (48, C, n)."""
+    images = _image_rows(_cube_rows(cubes))
+    symmetries, count, n, _ = images.shape
+    # Projection A of an image puts i at position j_i.
+    a = np.empty((symmetries, count, n), dtype=images.dtype)
+    a[_CUBE_INDEX[:, :, None], np.arange(count)[:, None], images[..., 0] - 1] = np.arange(1, n + 1)
+    return a
+
+
+# The 16 cube symmetries whose image's third axis reads input axis t (row
+# t): restricted to the other two axes they are the 8 square symmetries,
+# each twice, so their Projections A are the D4 orbit of the projection
+# that collapses axis t.
+_BY_COLLAPSED_AXIS = np.argsort(_CUBE_AXES[:, 2], kind="stable").reshape(3, -1)
+
+
+def canonical_projections(cubes: Sequence[CostasCube]) -> np.ndarray:
+    """The canonical arrays of the three projections of each of the given
+    cubes (all of one order n), read from the Projections A of their
+    images: shape (3C, n), in no particular order."""
+    a = _projection_images(cubes)[_BY_COLLAPSED_AXIS].swapaxes(0, 1)
+    least = np.take_along_axis(a, _least(a)[None, ..., None], axis=0)[0]
+    return least.reshape(-1, a.shape[-1])
 
 
 def projection_set(cube: CostasCube) -> set[Permutation]:
@@ -194,8 +244,5 @@ def projection_set(cube: CostasCube) -> set[Permutation]:
     """
     if not is_costas_cube(cube):
         raise ValueError("projection_set requires a Costas cube")
-    images = cube_images(cube)
-    # Projection A of an image puts i at position j_i.
-    a = np.empty((len(CUBE_SYMMETRIES), cube.order), dtype=images.dtype)
-    a[_CUBE_INDEX, images[:, 0::2] - 1] = np.arange(1, cube.order + 1)
+    a = _projection_images([cube])[:, 0]
     return {Permutation(v) for v in set(map(tuple, a.tolist()))}

@@ -22,7 +22,7 @@ from costas_cubes.enumeration import (
     MAX_WORD_ORDER,
     ClassReport,
     EnumerationLimitError,
-    _PrefixIndex,
+    _RowIndex,
     _check_complete,
     _scan,
     array_classes,
@@ -34,7 +34,13 @@ from costas_cubes.enumeration import (
     table1,
 )
 from costas_cubes.reference import COSTAS_ARRAY_TOTALS
-from costas_cubes.symmetry import PLANAR_SYMMETRIES, apply_planar, array_class_size, canonical_cube
+from costas_cubes.symmetry import (
+    PLANAR_SYMMETRIES,
+    apply_planar,
+    array_class_size,
+    canonical_cube,
+    projection_set,
+)
 
 from conftest import costas_arrays, costas_cube_classes, order7_without_one_class
 
@@ -195,10 +201,12 @@ def test_reduced_mode_matches_literal():
 
 
 @pytest.mark.parametrize("n", [5, 16, 22, 29])
-def test_prefix_index_matches_a_dict_oracle(n):
-    """Sorted tables of distinct permutation rows, in groups of 1 to 4 rows
-    that share all but their last three values; hits, misses and near
-    misses (the last two values swapped) against a dict of the table."""
+def test_prefix_index_matches_a_dict_oracle(monkeypatch, n):
+    """The row index of sorted tables of distinct permutation rows, in
+    groups of 1 to 4 rows that share all but their last three values;
+    hits, misses and near misses (the last two values swapped) against a
+    dict of the table.  At the join's key spread most keys hold one row;
+    at a spread of 1 many keys hold several, and find walks their ranges."""
     rng = np.random.default_rng(n)
     rows = set()
     for _ in range(60):
@@ -206,32 +214,79 @@ def test_prefix_index_matches_a_dict_oracle(n):
         for _ in range(rng.integers(1, 5)):
             rows.add(tuple(head[: n - 3]) + tuple(rng.permutation(head[n - 3 :])))
     table = np.array(sorted(rows), dtype=np.uint8)
-    index = _PrefixIndex(table)
-    m = len(index.weights)
-    assert m == n or n**m >= 16 * len(table) > n ** (m - 1)
-    widths = np.diff(index.starts)
-    assert widths.min() >= 1 and (n < 16 or widths.max() > 1)
     near = table.copy()
     near[:, [-2, -1]] = near[:, [-1, -2]]
     misses = np.array([rng.permutation(n) for _ in range(200)], dtype=np.uint8)
     queries = np.concatenate((table[rng.permutation(len(table))], near, misses))
     position = {row: at for at, row in enumerate(map(tuple, table.tolist()))}
     want = [position.get(tuple(q), -1) for q in queries.tolist()]
-    assert index.find(queries, index.keys(queries)).tolist() == want
     assert any(w < 0 for w in want) and any(w >= 0 for w in want[len(table) :])
+    for spread in (enumeration._KEY_SPREAD, 1):
+        monkeypatch.setattr(enumeration, "_KEY_SPREAD", spread)
+        index = _RowIndex(table)
+        slots = index.mask + 1
+        assert slots >= spread * len(table) > slots // 2
+        assert (index.weights < slots).all()
+        keys = index.keys(index.table)
+        assert (keys == index.keys(table)[index.positions]).all()
+        widths = np.diff(index.starts)
+        assert (np.repeat(index.distinct, widths) == keys).all()
+        assert sorted(index.positions.tolist()) == list(range(len(table)))
+        if spread == 1:
+            assert widths.max() > 1
+        assert index.find(queries, index.keys(queries)).tolist() == want
+
+
+def test_row_index_rejects_inexact_keys(monkeypatch):
+    """Row products reaching 2^53 would be rounded in float: the index
+    refuses them before it allocates its key table."""
+    table = np.array([np.arange(29)], dtype=np.uint8)
+    monkeypatch.setattr(enumeration, "_KEY_SPREAD", 1 << 44)
+    with pytest.raises(ValueError, match=r"2\^53"):
+        _RowIndex(table)
 
 
 @pytest.mark.parametrize("n", [5, 11, 29])
 def test_pair_weights_give_the_keys_of_a_inverse_b(n):
-    """The prefix key of A^-1 B is the product of the zero-based inverse
-    of A with B's row of pair_weights, exactly in float."""
+    """The key of A^-1 B is the product of the zero-based inverse of A
+    with B's row of pair_weights, exact in float, masked to the key
+    range."""
     rng = np.random.default_rng(n)
     values = np.array([rng.permutation(n) for _ in range(300)], dtype=np.uint8)
-    index = _PrefixIndex(values[np.lexsort(values.T[::-1])])
+    index = _RowIndex(values[np.lexsort(values.T[::-1])])
     inverses = np.argsort(values, axis=1).astype(np.uint8)
-    keys = (inverses @ index.pair_weights(inverses).T).astype(np.int64)
+    products = inverses @ index.pair_weights(inverses).T
+    keys = products.astype(np.int64) & index.mask
+    assert (products == np.rint(products)).all() and products.max() < 2**53
     for a in range(0, 300, 37):
         assert keys[a].tolist() == index.keys(inverses[a][values]).tolist()
+
+
+def _unrestricted_join(arrays):
+    """Oracle: every array as Projection A against every array as
+    Projection B, Projection C = A^-1 B looked up in a set of the row
+    bytes of the list, and every hit canonicalised."""
+    values = np.array([p.values for p in arrays], dtype=np.uint8)
+    count, n = values.shape
+    members = set(map(bytes, values))
+    inverses = np.argsort(values, axis=1).astype(np.uint8) + 1
+    found = set()
+    for start in range(0, count, 64):
+        c_rows = inverses[start : start + 64][:, values - 1].reshape(-1, n)
+        c_bytes = c_rows.view(np.dtype((np.void, n))).ravel().tolist()
+        for pair in np.nonzero(list(map(members.__contains__, c_bytes)))[0]:
+            a, b = divmod(start * count + int(pair), count)
+            cube = CostasCube(tuple(zip(inverses[a].tolist(), inverses[b].tolist())))
+            found.add(canonical_cube(cube).rows)
+    return sorted(found)
+
+
+def test_class_ordered_join_matches_unrestricted_join():
+    """First arrays restricted to class representatives and second arrays
+    to classes no less than the first's lose no class."""
+    for n in range(2, 11):
+        arrays = costas_arrays(n)
+        assert [c.rows for c in class_report(n, arrays).representatives] == _unrestricted_join(arrays)
 
 
 def test_join_canonicalises_once_per_class(monkeypatch):
@@ -239,9 +294,9 @@ def test_join_canonicalises_once_per_class(monkeypatch):
     expected = list(costas_cube_classes(8))
     calls = []
 
-    def counted(cube):
+    def counted(cube, *images):
         calls.append(cube)
-        return canonical_cube(cube)
+        return canonical_cube(cube, *images)
 
     monkeypatch.setattr(enumeration, "canonical_cube", counted)
     assert enumerate_costas_cubes(8, list(costas_arrays(8)), threads=1) == expected
@@ -251,6 +306,37 @@ def test_join_canonicalises_once_per_class(monkeypatch):
 def test_threads_do_not_change_output():
     arrays = list(costas_arrays(6))
     assert enumerate_costas_cubes(6, arrays, threads=2) == list(costas_cube_classes(6))
+
+
+def test_threads_deal_each_representative_to_one_part(monkeypatch):
+    """The pool's parts hold every representative once, dealt in turn, so
+    that the early first arrays, which meet the most second arrays, are
+    spread over the parts."""
+    import multiprocessing
+
+    dealt = []
+
+    class SerialPool:
+        def __init__(self, processes, initializer, initargs):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, parts):
+            dealt.extend(parts)
+            return [fn(part) for part in parts]
+
+    monkeypatch.setattr(enumeration, "_shared", None)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    arrays = list(costas_arrays(7))
+    assert enumerate_costas_cubes(7, arrays, threads=3) == list(costas_cube_classes(7))
+    representatives = _check_complete(arrays, 7)[0]
+    assert dealt == [representatives[t::12] for t in range(12)]
+    assert sorted(r for part in dealt for r in part) == representatives
 
 
 def test_threads_under_spawn_match_serial():
@@ -330,8 +416,22 @@ def test_check_complete_messages_name_the_first_faulty_array():
 def test_projection_class_count_examples():
     assert projection_class_count(costas_cube_classes(4)) == 1
     assert projection_class_count(costas_cube_classes(6)) == 17
+    assert projection_class_count([]) == 0
     with pytest.raises(ValueError, match="orders 4 and 6 mixed"):
         projection_class_count(costas_cube_classes(4) + costas_cube_classes(6))
+    diagonal = CostasCube(tuple((i, i) for i in range(1, 5)))
+    with pytest.raises(ValueError, match="requires Costas cubes"):
+        projection_class_count(costas_cube_classes(4) + (diagonal,))
+
+
+def test_projection_class_count_matches_projection_sets():
+    """The count over canonical projections equals the classes of the
+    union of the cubes' projection sets, and class_report's count."""
+    for n in range(1, 9):
+        cubes = costas_cube_classes(n)
+        want = len(array_classes(p for cube in cubes for p in projection_set(cube)))
+        assert projection_class_count(cubes) == want
+        assert class_report(n, costas_arrays(n)).projection_array_classes == want
 
 
 def test_class_report_validation():
