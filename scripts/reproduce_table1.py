@@ -19,12 +19,11 @@ COLUMNS = ("cubes", "projection_arrays", "total_arrays")
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-order", type=int, default=10)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     start = time.perf_counter()
     try:
-        rows = table1(args.max_order, threads=args.threads)
+        rows = table1(args.max_order)
     except ValueError as exc:
         parser.error(str(exc))
     print("order  cubes  projection_arrays  total_arrays    published")

@@ -10,7 +10,6 @@ from .core import (
     cube_from_projections,
     is_costas,
     is_costas_cube,
-    max_offphase_autocorrelation,
     projections,
 )
 from .gf import (
@@ -58,7 +57,6 @@ from .enumeration import (
     array_classes,
     class_report,
     enumerate_costas_arrays,
-    enumerate_costas_classes,
     enumerate_costas_cubes,
     projection_class_count,
     table1,

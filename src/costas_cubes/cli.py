@@ -180,7 +180,7 @@ def cmd_enumerate(args) -> int:
         arrays = parse_array_file(_read(args.arrays_file))
     else:
         arrays = enumerate_costas_arrays(args.order)
-    report = class_report(args.order, arrays, threads=args.threads)
+    report = class_report(args.order, arrays)
     doc = _counts(report)
     if args.format == "machine":
         if args.emit_representatives:
@@ -203,7 +203,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_tables(args) -> int:
     if args.table == 1:
-        reports = table1(args.max_order, threads=args.threads)
+        reports = table1(args.max_order)
         if args.format == "machine":
             print(_machine([_counts(r) for r in reports]))
         else:
@@ -372,13 +372,6 @@ def _add_format(sub) -> None:
     sub.add_argument("--format", choices=("text", "machine"), default="text")
 
 
-def _threads(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="costas-cubes",
@@ -408,14 +401,12 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--arrays-file", default=None,
                    help="complete Costas array database for this order")
     s.add_argument("--emit-representatives", action="store_true")
-    s.add_argument("--threads", type=_threads, default=1)
     _add_format(s)
     s.set_defaults(func=cmd_enumerate)
 
     s = subs.add_parser("tables", help="order-by-order class count tables")
     s.add_argument("--table", type=int, choices=(1, 2), required=True)
     s.add_argument("--max-order", type=int, required=True)
-    s.add_argument("--threads", type=_threads, default=1)
     _add_format(s)
     s.set_defaults(func=cmd_tables)
 

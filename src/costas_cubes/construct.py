@@ -54,7 +54,7 @@ from .gf import (
     prime_power,
     primitive_elements,
 )
-from .symmetry import canonical_array, canonical_cube, cube_images
+from .symmetry import canonical_array, first_of_each_class
 
 # One fixed representation per non-prime field order used by sweeps and
 # the catalog; different moduli give isomorphic fields and identical
@@ -378,11 +378,8 @@ def sweep(
     """All inequivalent cubes of orders 2..max_order from one family.
 
     Each configured field makes one row matrix of every admissible
-    parameter tuple.  Its rows are walked in tuple order against a set of
-    the row bytes of every image of the classes found so far: a row in
-    the set is skipped, and any other row is a new class, canonicalized
-    once and witnessed by its tuple, whose 48 images then join the set.
-    The witness of a class is thus the first tuple that produced it.
+    parameter tuple, walked in tuple order by first_of_each_class: the
+    witness of a class is the first tuple that produced it.
     """
     if max_order > SWEEP_ORDER_GUARD:
         raise ValueError(f"max_order {max_order} exceeds the guard {SWEEP_ORDER_GUARD}")
@@ -399,15 +396,8 @@ def sweep(
         if family is Family.CUBE_W2W2G2 and not is_prime(q):
             continue
         rows, witness = _field_rows(family, default_field(q, moduli))
-        seen: set[bytes] = set()
-        for t, row in enumerate(rows):
-            if row.tobytes() in seen:
-                continue
-            values = row.tolist()
-            cube = CostasCube(tuple(zip(values[0::2], values[1::2])))
-            images = cube_images(cube)
-            classes.setdefault(q - shift, {})[canonical_cube(cube, images)] = witness(t)
-            seen.update(map(bytes, images.astype(np.int16)))
+        for t, cube in first_of_each_class(rows):
+            classes.setdefault(q - shift, {})[cube] = witness(t)
     return SweepReport(family, classes)
 
 

@@ -18,7 +18,6 @@ Index conventions used throughout the package (all 1-based):
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -115,22 +114,6 @@ class ProjectionTriple:
     def __post_init__(self) -> None:
         if not (self.a.order == self.b.order == self.c.order):
             raise ValueError("projections must have equal order")
-
-
-def max_offphase_autocorrelation(perm: Permutation) -> int:
-    """Largest out-of-phase aperiodic autocorrelation of the array form.
-
-    This is the maximum, over nonzero shifts (u, v), of the number of
-    coincidences between the array and its translate; equivalently the
-    largest multiplicity among vectors joining ordered pairs of distinct
-    1 entries.  0 occurs only at order 1; the permutation is Costas
-    exactly when the result is at most 1.
-    """
-    pts = perm.cells()
-    counts = Counter(
-        (p2[0] - p1[0], p2[1] - p1[1]) for p1 in pts for p2 in pts if p1 != p2
-    )
-    return max(counts.values(), default=0)
 
 
 def is_costas(perm: Permutation) -> bool:

@@ -30,13 +30,7 @@ import numpy as np
 
 from .core import CostasCube, Permutation, first_non_costas, is_costas_cube
 from .reference import COSTAS_ARRAY_TOTALS
-from .symmetry import (
-    canonical_cube,
-    canonical_projections,
-    cube_images,
-    least_image,
-    planar_images,
-)
+from .symmetry import canonical_projections, first_of_each_class, least_image, planar_images
 
 DEFAULT_ORDER_LIMIT = 13
 
@@ -131,11 +125,6 @@ def _distinct_rows(values: np.ndarray) -> np.ndarray:
     """The distinct rows of a value matrix, sorted."""
     values = values[np.lexsort(values.T[::-1])]
     return values[np.concatenate(([True], (values[1:] != values[:-1]).any(axis=1)))]
-
-
-def enumerate_costas_classes(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> list[Permutation]:
-    """Canonical representatives of the D4 classes of order-n Costas arrays."""
-    return array_classes(enumerate_costas_arrays(n, limit))
 
 
 def total_mismatch(n: int, count: int) -> str | None:
@@ -282,31 +271,19 @@ def _check_complete(arrays: Sequence[Permutation], n: int) -> tuple[list[int], _
     return representatives, (least[by_class], idx, inverses + 1, index.pair_weights(inverses), index)
 
 
-# The arrays of the running join, set in each pool worker.
-_shared: _Shared | None = None
-
-
-def _share(*shared) -> None:
-    global _shared
-    _shared = shared
-
-
 # First arrays per block meet about this many second arrays, so that the
 # block's key matrix stays a few MB.
 _BLOCK_PAIRS = 1 << 15
 
 
-def _scan(a_indices: list[int], shared: _Shared | None = None) -> set[tuple[tuple[int, int], ...]]:
-    """Canonical row lists of the Costas cubes whose Projection A is one of
-    the given first arrays (class-order positions) and whose Projection B
-    is of no lesser class."""
-    classes, idx, inverses, pair_weights, index = shared or _shared
-    found: set[tuple[tuple[int, int], ...]] = set()
-    # Every image of every class found so far, as the bytes of its j
-    # sequence and then its k sequence: a hit among them needs no
-    # canonical form.
-    seen: set[bytes] = set()
-    a_indices = sorted(a_indices)
+def _scan(a_indices: list[int], shared: _Shared) -> list[CostasCube]:
+    """Canonical representatives, sorted, of the classes of the Costas
+    cubes whose Projection A is one of the given first arrays (class-order
+    positions, ascending) and whose Projection B is of no lesser class."""
+    classes, idx, inverses, pair_weights, index = shared
+    n = idx.shape[1]
+    # The hit cubes of every block, as rows j_1, k_1, ..., j_n, k_n.
+    hits = []
     start = 0
     while start < len(a_indices):
         # The block's second arrays are the suffix of the list from its
@@ -330,50 +307,21 @@ def _scan(a_indices: list[int], shared: _Shared | None = None) -> set[tuple[tupl
         first, second, keys = first[keep], second[keep], keys[keep]
         c_rows = z[first[:, None], idx[second]]
         hit = index.find(c_rows, keys) >= 0
-        for a, b in zip(block[first[hit]].tolist(), second[hit].tolist()):
-            if inverses[a].tobytes() + inverses[b].tobytes() not in seen:
-                cube = CostasCube(tuple(zip(inverses[a].tolist(), inverses[b].tolist())))
-                images = cube_images(cube)
-                found.add(canonical_cube(cube, images).rows)
-                images = np.hstack((images[:, 0::2], images[:, 1::2])).astype(inverses.dtype)
-                seen.update(map(bytes, images))
-    return found
+        a, b = inverses[block[first[hit]]], inverses[second[hit]]
+        hits.append(np.stack((a, b), axis=2).reshape(-1, 2 * n))
+    cubes = (cube for _, cube in first_of_each_class(np.concatenate(hits)))
+    return sorted(cubes, key=lambda cube: cube.rows)
 
 
-def _join(representatives: list[int], shared: _Shared, threads: int) -> list[CostasCube]:
-    """The pair-join with the given first arrays, over a checked list."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads == 1:
-        found = _scan(representatives, shared)
-    else:
-        from multiprocessing import Pool
-
-        # Early first arrays meet the most second arrays: dealing them out
-        # in turn balances the parts.
-        parts = threads * 4
-        found = set()
-        with Pool(threads, initializer=_share, initargs=shared) as pool:
-            for part in pool.map(_scan, [representatives[t::parts] for t in range(parts)]):
-                found |= part
-    return [CostasCube(rows) for rows in sorted(found)]
-
-
-def enumerate_costas_cubes(
-    n: int,
-    arrays: Sequence[Permutation],
-    *,
-    threads: int = 1,
-) -> list[CostasCube]:
+def enumerate_costas_cubes(n: int, arrays: Sequence[Permutation]) -> list[CostasCube]:
     """One canonical representative per equivalence class of order-n
     Costas cubes, from the pair-join over the given complete array list.
 
     The first array of each pair ranges over the canonical class
     representatives only, and the second over the arrays of no lesser
     class; see the module docstring for why this reaches every class.
-    threads > 1 splits the scan over a process pool.
     """
-    return _join(*_check_complete(arrays, n), threads)
+    return _scan(*_check_complete(arrays, n))
 
 
 def _projection_classes(cubes: Sequence[CostasCube]) -> int:
@@ -411,13 +359,13 @@ class ClassReport:
             raise ValueError("projection classes cannot exceed total classes")
 
 
-def class_report(n: int, arrays: Sequence[Permutation], *, threads: int = 1) -> ClassReport:
+def class_report(n: int, arrays: Sequence[Permutation]) -> ClassReport:
     """The class report of order n from a complete list of order-n Costas
     arrays.  A complete list is closed under D4 and has no duplicates, so
     each array class has exactly one least member: the total number of
     array classes is the number of first arrays of the join."""
     representatives, shared = _check_complete(arrays, n)
-    cubes = _join(representatives, shared, threads)
+    cubes = _scan(representatives, shared)
     return ClassReport(
         order=n,
         cube_classes=len(cubes),
@@ -432,7 +380,6 @@ def table1(
     *,
     limit: int = DEFAULT_ORDER_LIMIT,
     arrays_by_order: Mapping[int, Sequence[Permutation]] | None = None,
-    threads: int = 1,
 ) -> list[ClassReport]:
     """Class reports for orders 2..max_n.
 
@@ -446,5 +393,5 @@ def table1(
     reports = []
     for n in range(2, max_n + 1):
         arrays = supplied[n] if n in supplied else enumerate_costas_arrays(n, limit)
-        reports.append(class_report(n, arrays, threads=threads))
+        reports.append(class_report(n, arrays))
     return reports

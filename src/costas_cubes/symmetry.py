@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations as _axis_orders, product as _product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -201,6 +201,25 @@ def canonical_cube(cube: CostasCube, images: np.ndarray | None = None) -> Costas
     if images is None:
         images = cube_images(cube)
     return _as_cube(images[_least(images)].tolist())
+
+
+def first_of_each_class(rows: np.ndarray) -> Iterator[tuple[int, CostasCube]]:
+    """(t, canonical form) for each row t of a (T, 2n) matrix of flattened
+    cube rows whose class no earlier row holds.
+
+    The rows are walked in order against a set of the row bytes, in the
+    matrix's dtype, of every image of the classes found so far: a row in
+    the set is skipped, and any other row is canonicalized once and its
+    48 images join the set.
+    """
+    seen: set[bytes] = set()
+    for t, row in enumerate(rows):
+        if row.tobytes() in seen:
+            continue
+        cube = _as_cube(row.tolist())
+        images = cube_images(cube)
+        seen.update(map(bytes, images.astype(rows.dtype)))
+        yield t, canonical_cube(cube, images)
 
 
 def cube_orbit(cube: CostasCube) -> list[CostasCube]:

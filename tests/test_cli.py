@@ -159,18 +159,6 @@ def test_enumerate_rejects_incomplete_arrays_file(capsys, tmp_path):
     assert "there are 200" in err
 
 
-@pytest.mark.parametrize("command", [["enumerate", "--order", "5"],
-                                     ["tables", "--table", "1", "--max-order", "5"]])
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_threads_below_one_exit_2(capsys, command, threads):
-    with pytest.raises(SystemExit) as exc:
-        main(command + ["--threads", threads])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--threads" in captured.err
-
-
 def test_enumerate_emit_representatives(capsys):
     code, out, _ = run(capsys, "enumerate", "--order", "4", "--emit-representatives",
                        "--format", "machine")

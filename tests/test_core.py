@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from costas_cubes.core import (
     first_non_costas,
     is_costas,
     is_costas_cube,
-    max_offphase_autocorrelation,
     projections,
 )
 
@@ -35,6 +35,24 @@ from conftest import (
     costas_arrays,
     cube_from_jk,
 )
+
+
+def max_offphase_autocorrelation(perm: Permutation) -> int:
+    """Largest out-of-phase aperiodic autocorrelation of the array form:
+    the oracle for is_costas and costas_violation.
+
+    This is the maximum, over nonzero shifts (u, v), of the number of
+    coincidences between the array and its translate; equivalently the
+    largest multiplicity among vectors joining ordered pairs of distinct
+    1 entries.  0 occurs only at order 1; the permutation is Costas
+    exactly when the result is at most 1.
+    """
+    pts = perm.cells()
+    counts = Counter(
+        (p2[0] - p1[0], p2[1] - p1[1]) for p1 in pts for p2 in pts if p1 != p2
+    )
+    return max(counts.values(), default=0)
+
 
 perms_up_to_8 = st.integers(1, 8).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1)))

@@ -1,15 +1,9 @@
 import itertools
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import costas_cubes
-from costas_cubes import enumeration
+from costas_cubes import enumeration, symmetry
 from costas_cubes.core import (
     CostasCube,
     Permutation,
@@ -28,12 +22,11 @@ from costas_cubes.enumeration import (
     array_classes,
     class_report,
     enumerate_costas_arrays,
-    enumerate_costas_classes,
     enumerate_costas_cubes,
     projection_class_count,
     table1,
 )
-from costas_cubes.reference import COSTAS_ARRAY_TOTALS
+from costas_cubes.reference import COSTAS_ARRAY_TOTALS, CUBE_CLASS_COUNTS
 from costas_cubes.symmetry import (
     PLANAR_SYMMETRIES,
     apply_planar,
@@ -145,14 +138,14 @@ def test_enumeration_limit_error():
 
 
 def test_class_counts():
-    assert len(enumerate_costas_classes(5)) == 6
-    assert len(enumerate_costas_classes(6)) == 17
-    assert len(enumerate_costas_classes(7)) == 30
+    assert len(array_classes(costas_arrays(5))) == 6
+    assert len(array_classes(costas_arrays(6))) == 17
+    assert len(array_classes(costas_arrays(7))) == 30
 
 
 def test_raw_count_consistent_with_class_sizes():
     for n in (5, 6, 7):
-        reps = enumerate_costas_classes(n)
+        reps = array_classes(costas_arrays(n))
         assert sum(array_class_size(p) for p in reps) == len(costas_arrays(n))
 
 
@@ -171,7 +164,7 @@ def test_pair_join_representatives_are_canonical_costas_cubes():
 def _dense_pair_join(n):
     """Independent oracle: expand class representatives to full orbits,
     then test Projection C of every ordered pair directly."""
-    reps = enumerate_costas_classes(n)
+    reps = array_classes(costas_arrays(n))
     arrays = sorted(
         {apply_planar(s, p).values for p in reps for s in PLANAR_SYMMETRIES}
     )
@@ -195,9 +188,18 @@ def test_reduced_mode_matches_literal():
     for n in range(2, 8):
         arrays = costas_arrays(n)
         literal = _scan(list(range(len(arrays))), _check_complete(arrays, n)[1])
-        assert [c.rows for c in costas_cube_classes(n)] == sorted(literal)
+        assert list(costas_cube_classes(n)) == literal
     with pytest.raises(TypeError, match="mode"):
         enumerate_costas_cubes(5, list(costas_arrays(5)), mode="fast")
+
+
+def test_one_first_array_per_block(monkeypatch):
+    """Blocks of one first array each, some of which hit nothing (orders
+    4, 5, 7 and 8), give the same classes as the default blocks."""
+    expected = {n: costas_cube_classes(n) for n in range(2, 9)}
+    monkeypatch.setattr(enumeration, "_BLOCK_PAIRS", 1)
+    for n, cubes in expected.items():
+        assert tuple(enumerate_costas_cubes(n, costas_arrays(n))) == cubes
 
 
 @pytest.mark.parametrize("n", [5, 16, 22, 29])
@@ -298,74 +300,9 @@ def test_join_canonicalises_once_per_class(monkeypatch):
         calls.append(cube)
         return canonical_cube(cube, *images)
 
-    monkeypatch.setattr(enumeration, "canonical_cube", counted)
-    assert enumerate_costas_cubes(8, list(costas_arrays(8)), threads=1) == expected
+    monkeypatch.setattr(symmetry, "canonical_cube", counted)
+    assert enumerate_costas_cubes(8, list(costas_arrays(8))) == expected
     assert len(calls) == len(expected) == 42
-
-
-def test_threads_do_not_change_output():
-    arrays = list(costas_arrays(6))
-    assert enumerate_costas_cubes(6, arrays, threads=2) == list(costas_cube_classes(6))
-
-
-def test_threads_deal_each_representative_to_one_part(monkeypatch):
-    """The pool's parts hold every representative once, dealt in turn, so
-    that the early first arrays, which meet the most second arrays, are
-    spread over the parts."""
-    import multiprocessing
-
-    dealt = []
-
-    class SerialPool:
-        def __init__(self, processes, initializer, initargs):
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return None
-
-        def map(self, fn, parts):
-            dealt.extend(parts)
-            return [fn(part) for part in parts]
-
-    monkeypatch.setattr(enumeration, "_shared", None)
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    arrays = list(costas_arrays(7))
-    assert enumerate_costas_cubes(7, arrays, threads=3) == list(costas_cube_classes(7))
-    representatives = _check_complete(arrays, 7)[0]
-    assert dealt == [representatives[t::12] for t in range(12)]
-    assert sorted(r for part in dealt for r in part) == representatives
-
-
-def test_threads_under_spawn_match_serial():
-    script = textwrap.dedent(
-        """
-        import multiprocessing
-        from costas_cubes.enumeration import enumerate_costas_arrays, enumerate_costas_cubes
-
-        if __name__ == "__main__":
-            multiprocessing.set_start_method("spawn")
-            cubes = enumerate_costas_cubes(6, enumerate_costas_arrays(6), threads=2)
-            print(repr([c.rows for c in cubes]))
-        """
-    )
-    src = str(Path(costas_cubes.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == repr([c.rows for c in costas_cube_classes(6)])
-
-
-def test_threads_below_one_rejected():
-    arrays = list(costas_arrays(5))
-    for threads in (0, -3):
-        with pytest.raises(ValueError, match="threads"):
-            enumerate_costas_cubes(5, arrays, threads=threads)
-        with pytest.raises(ValueError, match="threads"):
-            table1(5, threads=threads)
 
 
 def test_array_totals_match_published_table():
@@ -476,3 +413,13 @@ def test_class_report_total_is_representative_count():
         assert report.representatives == costas_cube_classes(n)
     with pytest.raises(ValueError, match="orders 4 and 5 mixed"):
         array_classes(costas_arrays(4) + costas_arrays(5))
+
+
+@pytest.mark.stretch
+def test_order_14_join_stretch():
+    """The in-process reach: the order-14 search and pair-join, about 25 s."""
+    # The same report counts 6 projection classes and 2168 array classes;
+    # reference.py holds no published figure for either.
+    arrays = enumerate_costas_arrays(14, limit=14)
+    assert len(arrays) == COSTAS_ARRAY_TOTALS[14] == 17252
+    assert class_report(14, arrays).cube_classes == CUBE_CLASS_COUNTS[14] == 6

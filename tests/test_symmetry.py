@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,6 +22,7 @@ from costas_cubes.symmetry import (
     canonical_cube,
     canonical_projections,
     cube_orbit,
+    first_of_each_class,
     planar_images,
     projection_set,
 )
@@ -238,6 +240,18 @@ def test_cube_orbit_properties(order6_cube):
     assert len(cube_orbit(CostasCube(((1, 1),)))) == 1
     image = apply_cube(CUBE_SYMMETRIES[17], order6_cube)
     assert cube_orbit(image) == orbit
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16])
+def test_first_of_each_class_skips_known_orbits(dtype):
+    """Two images of one class around one cube of another: the walk
+    yields the first row of each class, with its canonical form."""
+    x, y = costas_cube_classes(5)[:2]
+    cubes = [apply_cube(CUBE_SYMMETRIES[5], x), y, apply_cube(CUBE_SYMMETRIES[17], x)]
+    assert cubes[0] != cubes[2]
+    rows = np.array([[v for row in cube.rows for v in row] for cube in cubes], dtype=dtype)
+    assert list(first_of_each_class(rows)) == [(0, x), (1, y)]
+    assert list(first_of_each_class(np.empty((0, 10), dtype=dtype))) == []
 
 
 def _rotation_projection_set(cube):
