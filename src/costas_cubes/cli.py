@@ -96,46 +96,34 @@ def cmd_verify(args) -> int:
 
 # -- construct ----------------------------------------------------------
 
-_NEEDS = {
-    "w1": ("phi",),
-    "g2": ("phi", "rho"),
-    "w2": ("phi",),
-    "g3": ("phi",),
-    "cube-g2x3": ("phi", "rho", "psi"),
-    "cube-w2w2g2": ("phi", "psi"),
-    "cube-g3-i": ("phi",),
-    "cube-g3-ii": ("phi",),
+# Family name: (constructor, parameter names, prime fields only).  The
+# prime-only constructors take the prime p in place of the field.
+_FAMILIES = {
+    "w1": (w1, ("phi",), True),
+    "g2": (g2, ("phi", "rho"), False),
+    "w2": (w2, ("phi",), True),
+    "g3": (g3, ("phi",), False),
+    "cube-g2x3": (cube_g2x3, ("phi", "rho", "psi"), False),
+    "cube-w2w2g2": (cube_w2w2g2, ("phi", "psi"), True),
+    "cube-g3-i": (cube_g3_variant_i, ("phi",), False),
+    "cube-g3-ii": (cube_g3_variant_ii, ("phi",), False),
 }
-_PRIME_ONLY = {"w1", "w2", "cube-w2w2g2"}
 
 
 def cmd_construct(args) -> int:
+    build, needs, prime_only = _FAMILIES[args.family]
     field = parse_field_spec(args.field)
-    if args.family in _PRIME_ONLY and field.m != 1:
+    if prime_only and field.m != 1:
         raise ValueError(f"family {args.family} needs a prime field")
-    missing = [n for n in _NEEDS[args.family] if getattr(args, n) is None]
+    missing = [n for n in needs if getattr(args, n) is None]
     if missing:
         raise ValueError(f"family {args.family} requires --" + " --".join(missing))
-    elems = {n: parse_element(field, getattr(args, n)) for n in _NEEDS[args.family]}
-    params = {n: format_element(field, e) for n, e in elems.items()}
-
+    elems = [parse_element(field, getattr(args, n)) for n in needs]
+    params = {n: format_element(field, e) for n, e in zip(needs, elems)}
     if args.family == "w1":
-        obj = w1(field.p, elems["phi"], args.c)
+        elems.append(args.c)
         params["c"] = str(args.c)
-    elif args.family == "g2":
-        obj = g2(field, elems["phi"], elems["rho"])
-    elif args.family == "w2":
-        obj = w2(field.p, elems["phi"])
-    elif args.family == "g3":
-        obj = g3(field, elems["phi"])
-    elif args.family == "cube-g2x3":
-        obj = cube_g2x3(field, elems["phi"], elems["rho"], elems["psi"])
-    elif args.family == "cube-w2w2g2":
-        obj = cube_w2w2g2(field.p, elems["phi"], elems["psi"])
-    elif args.family == "cube-g3-i":
-        obj = cube_g3_variant_i(field, elems["phi"])
-    else:
-        obj = cube_g3_variant_ii(field, elems["phi"])
+    obj = build(field.p if prime_only else field, *elems)
 
     stamp = f"{args.family} over GF({field.q}) " + " ".join(f"{k}={v}" for k, v in params.items())
     if hasattr(obj, "rows"):
@@ -278,8 +266,9 @@ def cmd_classify(args) -> int:
         cats = {}
         out = []
         for idx, p in enumerate(perms, start=1):
-            cat = cats.setdefault(p.order, catalog(p.order))
-            labels = _labels_for(canonical_array(p).values, cat)
+            if p.order not in cats:
+                cats[p.order] = catalog(p.order)
+            labels = _labels_for(canonical_array(p).values, cats[p.order])
             out.append({"index": idx, "values": list(p.values), "costas": is_costas(p),
                         "labels": labels})
             if args.format != "machine":
@@ -386,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_verify)
 
     s = subs.add_parser("construct", help="run one finite-field construction")
-    s.add_argument("family", choices=sorted(_NEEDS))
+    s.add_argument("family", choices=sorted(_FAMILIES))
     s.add_argument("--field", required=True,
                    help='field spec "p^m:c0,...,cm" or prime shorthand, e.g. 2^4:1,0,0,1,1 or 13')
     s.add_argument("--phi", default=None, help='element as encoding or polynomial, e.g. 11 or "1+2x^2"')

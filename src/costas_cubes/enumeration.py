@@ -28,9 +28,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import CostasCube, Permutation, first_non_costas, is_costas_cube
+from .core import CostasCube, Permutation, first_non_costas, is_costas_cube, projections
 from .reference import COSTAS_ARRAY_TOTALS
-from .symmetry import canonical_projections, first_of_each_class, least_image, planar_images
+from .symmetry import first_of_each_class, least_image, planar_images
 
 DEFAULT_ORDER_LIMIT = 13
 
@@ -325,10 +325,10 @@ def enumerate_costas_cubes(n: int, arrays: Sequence[Permutation]) -> list[Costas
 
 
 def _projection_classes(cubes: Sequence[CostasCube]) -> int:
-    """projection_class_count of cubes known to be Costas."""
-    if not cubes:
-        return 0
-    return len(_distinct_rows(canonical_projections(cubes)))
+    """projection_class_count of cubes known to be Costas: the D4 classes
+    of their projections A, B and C, which hold every array their orbits
+    project."""
+    return len(array_classes(p for t in map(projections, cubes) for p in (t.a, t.b, t.c)))
 
 
 def projection_class_count(cubes: Iterable[CostasCube]) -> int:

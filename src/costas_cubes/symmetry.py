@@ -8,9 +8,12 @@ symmetries.  The orientation-preserving elements (signed permutation
 matrices of determinant +1) form the 24-element rotation subgroup.
 
 apply_planar and apply_cube map one object by one symmetry.  Canonical
-forms, orbits and projection sets read all images of an object at once:
-one numpy pass forms the 8 square images of a whole value matrix, or the
-48 cube images of one cube, and the least image is found with np.lexsort.
+forms and orbits read all images of an object at once: one numpy pass
+forms the 8 square images of a whole value matrix, or the 48 cube images
+of one cube, and the least image is found with np.lexsort.  The cube
+symmetries permute the three projection planes and act on each by the
+square symmetries, so the arrays a cube's orbit projects are the square
+images of its projections A, B and C.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import CostasCube, Permutation, is_costas_cube
+from .core import CostasCube, Permutation, is_costas_cube, projections
 
 
 @dataclass(frozen=True)
@@ -158,37 +161,16 @@ _CUBE_FLIPS = np.array([s.flips for s in CUBE_SYMMETRIES])[:, None, :]
 _CUBE_INDEX = np.arange(len(CUBE_SYMMETRIES))[:, None]
 
 
-def _cube_rows(cubes: Sequence[CostasCube]) -> np.ndarray:
-    """The one-based rows of cubes (all of one order n): shape (C, n, 2),
-    in the least unsigned dtype that holds n + 1."""
-    n = cubes[0].order
-    for cube in cubes:
-        if cube.order != n:
-            raise ValueError(
-                f"cubes of orders {n} and {cube.order} mixed; "
-                "the images of a list are taken within one order"
-            )
-    rows = np.array([cube.rows for cube in cubes], dtype=np.min_scalar_type(n + 1))
-    return rows.reshape(len(cubes), n, 2)
-
-
-def _image_rows(rows: np.ndarray) -> np.ndarray:
-    """Rows of the images of the cubes of a (C, n, 2) row matrix under
-    CUBE_SYMMETRIES, in that order: shape (48, C, n, 2)."""
-    count, n, _ = rows.shape
-    i = np.broadcast_to(np.arange(1, n + 1, dtype=rows.dtype)[:, None], (count, n, 1))
-    coords = np.concatenate((i, rows), axis=2)
-    moved = coords[:, :, _CUBE_AXES].transpose(2, 0, 1, 3)
-    moved = np.where(_CUBE_FLIPS[:, :, None], n + 1 - moved, moved)
-    images = np.empty((len(CUBE_SYMMETRIES), count, n, 2), dtype=moved.dtype)
-    images[_CUBE_INDEX[:, :, None], np.arange(count)[:, None], moved[..., 0] - 1] = moved[..., 1:]
-    return images
-
-
 def cube_images(cube: CostasCube) -> np.ndarray:
     """Row lists of the images of cube under CUBE_SYMMETRIES, in that
     order, each flattened to j_1, k_1, ..., j_n, k_n: shape (48, 2n)."""
-    return _image_rows(_cube_rows([cube])).reshape(len(CUBE_SYMMETRIES), 2 * cube.order)
+    n = cube.order
+    coords = np.array(cube.triples(), dtype=np.min_scalar_type(n + 1))
+    moved = coords[:, _CUBE_AXES].swapaxes(0, 1)
+    moved = np.where(_CUBE_FLIPS, n + 1 - moved, moved)
+    images = np.empty((len(CUBE_SYMMETRIES), n, 2), dtype=moved.dtype)
+    images[_CUBE_INDEX, moved[..., 0] - 1] = moved[..., 1:]
+    return images.reshape(len(CUBE_SYMMETRIES), 2 * n)
 
 
 def _as_cube(flat_rows: Sequence[int]) -> CostasCube:
@@ -227,35 +209,9 @@ def cube_orbit(cube: CostasCube) -> list[CostasCube]:
     return [_as_cube(rows) for rows in sorted(set(map(tuple, cube_images(cube).tolist())))]
 
 
-def _projection_images(cubes: Sequence[CostasCube]) -> np.ndarray:
-    """Value matrices of Projection A of the images of cubes (all of one
-    order n) under CUBE_SYMMETRIES, in that order: shape (48, C, n)."""
-    images = _image_rows(_cube_rows(cubes))
-    symmetries, count, n, _ = images.shape
-    # Projection A of an image puts i at position j_i.
-    a = np.empty((symmetries, count, n), dtype=images.dtype)
-    a[_CUBE_INDEX[:, :, None], np.arange(count)[:, None], images[..., 0] - 1] = np.arange(1, n + 1)
-    return a
-
-
-# The 16 cube symmetries whose image's third axis reads input axis t (row
-# t): restricted to the other two axes they are the 8 square symmetries,
-# each twice, so their Projections A are the D4 orbit of the projection
-# that collapses axis t.
-_BY_COLLAPSED_AXIS = np.argsort(_CUBE_AXES[:, 2], kind="stable").reshape(3, -1)
-
-
-def canonical_projections(cubes: Sequence[CostasCube]) -> np.ndarray:
-    """The canonical arrays of the three projections of each of the given
-    cubes (all of one order n), read from the Projections A of their
-    images: shape (3C, n), in no particular order."""
-    a = _projection_images(cubes)[_BY_COLLAPSED_AXIS].swapaxes(0, 1)
-    least = np.take_along_axis(a, _least(a)[None, ..., None], axis=0)[0]
-    return least.reshape(-1, a.shape[-1])
-
-
 def projection_set(cube: CostasCube) -> set[Permutation]:
-    """The distinct Costas arrays occurring as Projection A over the orbit.
+    """The distinct Costas arrays occurring as Projection A over the orbit:
+    the square images of the projections A, B and C of cube.
 
     For a Costas cube of order > 2 the result is a union of D4 classes,
     so its size is a multiple of 4 and at most 24.  Reflections never
@@ -263,5 +219,6 @@ def projection_set(cube: CostasCube) -> set[Permutation]:
     """
     if not is_costas_cube(cube):
         raise ValueError("projection_set requires a Costas cube")
-    a = _projection_images([cube])[:, 0]
-    return {Permutation(v) for v in set(map(tuple, a.tolist()))}
+    t = projections(cube)
+    images = planar_images([t.a, t.b, t.c]).reshape(-1, cube.order)
+    return {Permutation(v) for v in set(map(tuple, images.tolist()))}

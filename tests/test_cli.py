@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from costas_cubes import cli
 from costas_cubes.cli import main
-from costas_cubes.core import CostasCube
+from costas_cubes.construct import catalog
+from costas_cubes.core import CostasCube, Permutation
 from costas_cubes.files import emit_array_file, emit_cube_file, parse_array_file, parse_cube_file
 from costas_cubes.symmetry import apply_planar, PLANAR_SYMMETRIES
 
@@ -228,6 +230,22 @@ def test_classify_array_machine(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert "W2" in doc[0]["labels"]
+
+
+def test_classify_array_builds_one_catalog_per_order(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def counting_catalog(order):
+        calls.append(order)
+        return catalog(order)
+
+    monkeypatch.setattr(cli, "catalog", counting_catalog)
+    path = tmp_path / "a.txt"
+    path.write_text(emit_array_file([*costas_arrays(5)[:3], Permutation(P13_A), *costas_arrays(5)[3:6]]))
+    code, out, _ = run(capsys, "classify", "array", str(path))
+    assert code == 0
+    assert len(out.splitlines()) == 7
+    assert calls == [5, 11]
 
 
 def test_project_output_reparses_as_array_file(capsys, order6_file):
