@@ -15,8 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .construct import (
     Family,
     catalog,
@@ -30,15 +28,16 @@ from .construct import (
     w1,
     w2,
 )
-from .core import Permutation, costas_violation, first_non_costas, is_costas, is_costas_cube, projections
-from .enumeration import (
-    ClassReport,
-    array_classes,
-    class_report,
-    enumerate_costas_arrays,
-    table1,
-    total_mismatch,
+from .core import (
+    Permutation,
+    costas_violation,
+    first_non_costas,
+    is_costas,
+    is_costas_cube,
+    projections,
+    value_matrix,
 )
+from .enumeration import ClassReport, array_classes, class_report, costas_values, table1, total_mismatch
 from .files import emit_array_file, emit_cube_file, numbered_arrays, parse_array_file, parse_cube_file
 from .gf import format_element, parse_element, parse_field_spec
 from .symmetry import canonical_array, planar_images, projection_set
@@ -58,7 +57,7 @@ def _read(path: str) -> str:
 def cmd_verify(args) -> int:
     text = _read(args.input)
     if args.target == "array":
-        perms = parse_array_file(text)
+        perms = [p for _, p in numbered_arrays(text)]
         failures = 0
         out = []
         for idx, p in enumerate(perms, start=1):
@@ -167,7 +166,7 @@ def cmd_enumerate(args) -> int:
     if args.arrays_file:
         arrays = parse_array_file(_read(args.arrays_file))
     else:
-        arrays = enumerate_costas_arrays(args.order)
+        arrays = costas_values(args.order)
     report = class_report(args.order, arrays)
     doc = _counts(report)
     if args.format == "machine":
@@ -262,7 +261,7 @@ def _labels_for(values: tuple[int, ...], cat) -> list[str]:
 def cmd_classify(args) -> int:
     text = _read(args.input)
     if args.target == "array":
-        perms = parse_array_file(text)
+        perms = [p for _, p in numbered_arrays(text)]
         cats = {}
         out = []
         for idx, p in enumerate(perms, start=1):
@@ -311,8 +310,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_import(args) -> int:
-    perms = numbered_arrays(_read(args.input))
-    orders = {p.order for _, p in perms}
+    numbered = numbered_arrays(_read(args.input))
+    orders = {p.order for _, p in numbered}
     if len(orders) > 1:
         print(f"error: mixed orders {sorted(orders)} in one file", file=sys.stderr)
         return 1
@@ -320,15 +319,16 @@ def cmd_import(args) -> int:
     if args.expect_order is not None and order != args.expect_order:
         print(f"error: file has order {order}, expected {args.expect_order}", file=sys.stderr)
         return 1
-    bad = first_non_costas(np.array([p.values for _, p in perms]))
+    matrix = value_matrix([p for _, p in numbered])
+    bad = first_non_costas(matrix)
     if bad is not None:
-        no, p = perms[bad]
+        no, p = numbered[bad]
         print(f"error: line {no}: {p} is not a Costas array (repeated vector {costas_violation(p)})",
               file=sys.stderr)
         return 1
 
-    values = {p.values for _, p in perms}
-    images = set(map(tuple, planar_images([p for _, p in perms]).reshape(-1, order).tolist()))
+    values = {p.values for _, p in numbered}
+    images = set(map(tuple, planar_images(matrix).reshape(-1, order).tolist()))
     closed = images == values
     if not closed:
         if args.expand:

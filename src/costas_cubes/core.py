@@ -19,7 +19,7 @@ Index conventions used throughout the package (all 1-based):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -137,6 +137,16 @@ def costas_violation(perm: Permutation) -> tuple[int, int] | None:
                 return (d, diff)
             seen.add(diff)
     return None
+
+
+def value_matrix(arrays: Sequence[Permutation]) -> np.ndarray:
+    """The value sequences of arrays as the rows of one matrix, in the
+    least unsigned dtype that holds them: for arrays all of order n, their
+    (N, n) value matrix.  Arrays of lesser order are padded with zeros to
+    the largest order, so a row's order is its count of nonzero values."""
+    width = max((p.order for p in arrays), default=0)
+    rows = [p.values + (0,) * (width - p.order) for p in arrays]
+    return np.array(rows, dtype=np.min_scalar_type(width)).reshape(len(rows), width)
 
 
 def first_non_costas(values: np.ndarray) -> int | None:

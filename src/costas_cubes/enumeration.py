@@ -19,6 +19,12 @@ lesser class.  C is looked up by a hashed key of its whole row, and
 compared in full only when the key occurs.  Class counts come from
 canonical forms, and a hit in the orbit of a class already found is not
 canonicalised again.
+
+The array list reaches the join as one (N, n) value matrix, from
+costas_values or files.parse_array_file; a list of Permutations is turned
+into one by core.value_matrix on entry.  The completeness check reads
+duplicates from the same sort that orders the index, and Permutations
+are built only to name a faulty array.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import CostasCube, Permutation, first_non_costas, is_costas_cube, projections
+from .core import CostasCube, Permutation, first_non_costas, is_costas_cube, projections, value_matrix
 from .reference import COSTAS_ARRAY_TOTALS
 from .symmetry import first_of_each_class, least_image, planar_images
 
@@ -85,8 +91,9 @@ def _prefix_search(n: int, a: int, b: int) -> np.ndarray:
     return values
 
 
-def enumerate_costas_arrays(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> list[Permutation]:
-    """All Costas permutations of order n, in lexicographic order.
+def costas_values(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> np.ndarray:
+    """All Costas permutations of order n as the rows of an (N, n) value
+    matrix, in lexicographic order.
 
     Orders above limit raise EnumerationLimitError, and orders above
     MAX_WORD_ORDER a ValueError, before any search starts."""
@@ -99,8 +106,9 @@ def enumerate_costas_arrays(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> list[Pe
             f"order {n} needs difference-mask bits up to {2 * n - 1}, beyond one "
             f"64-bit word; the enumerator handles orders up to {MAX_WORD_ORDER}"
         )
+    dtype = np.min_scalar_type(n)
     if n == 1:
-        return [Permutation((1,))]
+        return np.ones((1, 1), dtype=dtype)
     half = (n + 1) // 2
     groups = [
         np.concatenate([_prefix_search(n, a, b) for b in range(1, n + 1) if b != a])
@@ -109,7 +117,13 @@ def enumerate_costas_arrays(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> list[Pe
     # The complement v -> n+1-v maps the arrays that begin with n+1-a onto
     # those that begin with a, in reversed order.
     groups += [n + 1 - groups[n - a][::-1] for a in range(half + 1, n + 1)]
-    return [Permutation(tuple(v)) for group in groups for v in group.tolist()]
+    return np.concatenate(groups).astype(dtype)
+
+
+def enumerate_costas_arrays(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> list[Permutation]:
+    """All Costas permutations of order n, in lexicographic order; see
+    costas_values."""
+    return [Permutation(tuple(v)) for v in costas_values(n, limit).tolist()]
 
 
 def array_classes(arrays: Iterable[Permutation]) -> list[Permutation]:
@@ -118,7 +132,15 @@ def array_classes(arrays: Iterable[Permutation]) -> list[Permutation]:
     arrays = list(arrays)
     if not arrays:
         return []
-    return [Permutation(tuple(v)) for v in _distinct_rows(least_image(planar_images(arrays))).tolist()]
+    n = arrays[0].order
+    for p in arrays:
+        if p.order != n:
+            raise ValueError(
+                f"arrays of orders {n} and {p.order} mixed; "
+                "the images of a list are taken within one order"
+            )
+    values = least_image(planar_images(value_matrix(arrays)))
+    return [Permutation(tuple(v)) for v in _distinct_rows(values).tolist()]
 
 
 def _distinct_rows(values: np.ndarray) -> np.ndarray:
@@ -224,49 +246,56 @@ class _RowIndex:
 _Shared = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, _RowIndex]
 
 
-def _check_complete(arrays: Sequence[Permutation], n: int) -> tuple[list[int], _Shared]:
-    """Sanity checks for a claimed-complete list of order-n Costas arrays;
-    returns the class-order positions of the arrays that are least in
-    their D4 orbit, and the arrays that _scan reads."""
-    if not arrays:
+def _as_permutation(row: np.ndarray) -> Permutation:
+    """The array of one row of a value_matrix, for messages."""
+    return Permutation(tuple(v for v in row.tolist() if v))
+
+
+def _check_complete(arrays: np.ndarray | Sequence[Permutation], n: int) -> tuple[list[int], _Shared]:
+    """Sanity checks for a claimed-complete list of order-n Costas arrays,
+    given as a value matrix (a value_matrix, if of mixed orders) or as
+    Permutations; returns the class-order positions of the arrays that are
+    least in their D4 orbit, and the arrays that _scan reads."""
+    values = arrays if isinstance(arrays, np.ndarray) else value_matrix(arrays)
+    if not len(values):
         raise ValueError("empty array list")
-    if len({p.values for p in arrays}) != len(arrays):
+    order = np.lexsort(values.T[::-1])
+    ordered = values[order]
+    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
         raise ValueError("array list contains duplicates")
     # The Costas check covers the arrays before the first one of the wrong
     # order, so that the first faulty array is the one named.
-    wrong = next((i for i, p in enumerate(arrays) if p.order != n), len(arrays))
-    values = np.array([p.values for p in arrays[:wrong]], dtype=np.min_scalar_type(n)).reshape(wrong, n)
-    bad = first_non_costas(values)
+    wrong_order = np.count_nonzero(values, axis=1) != n
+    wrong = int(np.argmax(wrong_order)) if wrong_order.any() else len(values)
+    bad = first_non_costas(values[:wrong, :n])
     if bad is not None:
-        raise ValueError(f"array {arrays[bad]} is not a Costas array")
-    if wrong < len(arrays):
-        p = arrays[wrong]
+        raise ValueError(f"array {_as_permutation(values[bad])} is not a Costas array")
+    if wrong < len(values):
+        p = _as_permutation(values[wrong])
         raise ValueError(f"array {p} has order {p.order}, expected {n}")
-    idx = values - 1
-    order = np.lexsort(idx.T[::-1])
-    index = _RowIndex(idx[order])
+    index = _RowIndex(ordered - 1)
     # An array is least in its orbit when none of its images sits before
     # it in the sorted table.
     own = np.empty(len(order), dtype=np.intp)
     own[order] = np.arange(len(order))
     least = own
-    closed = np.ones(len(arrays), dtype=bool)
-    for image in planar_images(arrays):
+    closed = np.ones(len(values), dtype=bool)
+    for image in planar_images(values):
         image -= 1
         loc = index.find(image, index.keys(image))
         closed &= loc >= 0
         least = np.minimum(least, loc)
     if not closed.all():
         raise ValueError(
-            f"array list is not closed under the square symmetries "
-            f"(image of {arrays[int(np.argmin(closed))]} missing); it cannot be complete"
+            f"array list is not closed under the square symmetries (image of "
+            f"{_as_permutation(values[int(np.argmin(closed))])} missing); it cannot be complete"
         )
-    mismatch = total_mismatch(n, len(arrays))
+    mismatch = total_mismatch(n, len(values))
     if mismatch:
         raise ValueError(mismatch)
     by_class = np.argsort(least, kind="stable")
     representatives = np.nonzero(least[by_class] == own[by_class])[0].tolist()
-    idx = idx[by_class]
+    idx = values[by_class] - 1
     inverses = np.argsort(idx, axis=1).astype(idx.dtype)
     return representatives, (least[by_class], idx, inverses + 1, index.pair_weights(inverses), index)
 
@@ -313,9 +342,10 @@ def _scan(a_indices: list[int], shared: _Shared) -> list[CostasCube]:
     return sorted(cubes, key=lambda cube: cube.rows)
 
 
-def enumerate_costas_cubes(n: int, arrays: Sequence[Permutation]) -> list[CostasCube]:
+def enumerate_costas_cubes(n: int, arrays: np.ndarray | Sequence[Permutation]) -> list[CostasCube]:
     """One canonical representative per equivalence class of order-n
-    Costas cubes, from the pair-join over the given complete array list.
+    Costas cubes, from the pair-join over the given complete array list
+    (a value matrix or Permutations).
 
     The first array of each pair ranges over the canonical class
     representatives only, and the second over the arrays of no lesser
@@ -359,9 +389,9 @@ class ClassReport:
             raise ValueError("projection classes cannot exceed total classes")
 
 
-def class_report(n: int, arrays: Sequence[Permutation]) -> ClassReport:
+def class_report(n: int, arrays: np.ndarray | Sequence[Permutation]) -> ClassReport:
     """The class report of order n from a complete list of order-n Costas
-    arrays.  A complete list is closed under D4 and has no duplicates, so
+    arrays (a value matrix or Permutations).  A complete list is closed under D4 and has no duplicates, so
     each array class has exactly one least member: the total number of
     array classes is the number of first arrays of the join."""
     representatives, shared = _check_complete(arrays, n)
@@ -379,7 +409,7 @@ def table1(
     max_n: int,
     *,
     limit: int = DEFAULT_ORDER_LIMIT,
-    arrays_by_order: Mapping[int, Sequence[Permutation]] | None = None,
+    arrays_by_order: Mapping[int, np.ndarray | Sequence[Permutation]] | None = None,
 ) -> list[ClassReport]:
     """Class reports for orders 2..max_n.
 
@@ -392,6 +422,6 @@ def table1(
     supplied = arrays_by_order or {}
     reports = []
     for n in range(2, max_n + 1):
-        arrays = supplied[n] if n in supplied else enumerate_costas_arrays(n, limit)
+        arrays = supplied[n] if n in supplied else costas_values(n, limit)
         reports.append(class_report(n, arrays))
     return reports

@@ -2,6 +2,10 @@
 
 Array files hold one permutation per line as whitespace-separated
 1-based values; lines starting with '#' and blank lines are ignored.
+Each value is read as int() reads it.  parse_array_file gives the arrays
+of a file as one value matrix, for the pair-join; numbered_arrays gives
+them one validated Permutation per line, for the commands that read
+arrays one by one or of mixed orders, and names the first bad line.
 
 Cube files are either a JSON document {"order": n, "triples": [[i, j, k],
 ...]} (extra keys ignored) or plain text with one "i j k" line per row,
@@ -13,7 +17,9 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
-from .core import CostasCube, Permutation
+import numpy as np
+
+from .core import CostasCube, Permutation, value_matrix
 
 
 def numbered_arrays(text: str) -> list[tuple[int, Permutation]]:
@@ -32,8 +38,27 @@ def numbered_arrays(text: str) -> list[tuple[int, Permutation]]:
     return numbered
 
 
-def parse_array_file(text: str) -> list[Permutation]:
-    return [p for _, p in numbered_arrays(text)]
+def parse_array_file(text: str) -> np.ndarray:
+    """The arrays of an array file as the rows of one (N, n) value matrix.
+
+    One np.array call converts the tokens of all array lines, with the
+    int() reading of numbered_arrays, and fails unless every line holds
+    as many tokens as the first; one sort along the rows checks that each
+    row is a bijection on 1..n.  Any other text is read again by
+    numbered_arrays, which names its first bad line; a file whose arrays
+    are all valid but of more than one order gives their value_matrix,
+    zero-padded.
+    """
+    lines = [tokens for tokens in map(str.split, text.splitlines())
+             if tokens and not tokens[0].startswith("#")]
+    try:
+        values = np.array(lines, dtype=np.int64)
+    except (ValueError, OverflowError):
+        values = np.empty(0)
+    n = values.shape[-1]
+    if values.ndim == 2 and (np.sort(values, axis=1) == np.arange(1, n + 1)).all():
+        return values.astype(np.min_scalar_type(n))
+    return value_matrix([p for _, p in numbered_arrays(text)])
 
 
 def emit_array_file(perms: Iterable[Permutation], comments: Sequence[str] = ()) -> str:

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import CostasCube, Permutation, is_costas_cube, projections
+from .core import CostasCube, Permutation, is_costas_cube, projections, value_matrix
 
 
 @dataclass(frozen=True)
@@ -107,18 +107,11 @@ def apply_cube(sym: AxisSymmetry, cube: CostasCube) -> CostasCube:
     return CostasCube(tuple(rows))
 
 
-def planar_images(perms: Sequence[Permutation]) -> np.ndarray:
-    """Value matrices of the images of perms (all of one order n) under
-    PLANAR_SYMMETRIES, in that order: shape (8, len(perms), n), in the
-    least unsigned dtype that holds n."""
-    n = perms[0].order
-    for p in perms:
-        if p.order != n:
-            raise ValueError(
-                f"arrays of orders {n} and {p.order} mixed; "
-                "the images of a list are taken within one order"
-            )
-    values = np.array([p.values for p in perms], dtype=np.min_scalar_type(n))
+def planar_images(values: np.ndarray) -> np.ndarray:
+    """Value matrices of the images of the rows of an (N, n) value matrix
+    under PLANAR_SYMMETRIES, in that order: shape (8, N, n), in the
+    matrix's dtype."""
+    n = values.shape[1]
     inverse = np.argsort(values, axis=1).astype(values.dtype) + 1
     images = np.empty((len(PLANAR_SYMMETRIES),) + values.shape, values.dtype)
     for s, sym in enumerate(PLANAR_SYMMETRIES):
@@ -145,13 +138,13 @@ def least_image(images: np.ndarray) -> np.ndarray:
 
 def canonical_array(perm: Permutation) -> Permutation:
     """Lexicographically least value sequence over the D4 orbit of perm."""
-    return Permutation(tuple(least_image(planar_images([perm]))[0].tolist()))
+    return Permutation(tuple(least_image(planar_images(value_matrix([perm])))[0].tolist()))
 
 
 def array_class_size(perm: Permutation) -> int:
     """Size of the D4 orbit: 4 or 8 for order > 2 (4 iff a diagonal
     reflection fixes the array), the literal orbit size at orders <= 2."""
-    return len(set(map(tuple, planar_images([perm])[:, 0].tolist())))
+    return len(set(map(tuple, planar_images(value_matrix([perm]))[:, 0].tolist())))
 
 
 # The 48 cube symmetries as gathers: image axis a of CUBE_SYMMETRIES[s]
@@ -220,5 +213,5 @@ def projection_set(cube: CostasCube) -> set[Permutation]:
     if not is_costas_cube(cube):
         raise ValueError("projection_set requires a Costas cube")
     t = projections(cube)
-    images = planar_images([t.a, t.b, t.c]).reshape(-1, cube.order)
+    images = planar_images(value_matrix([t.a, t.b, t.c])).reshape(-1, cube.order)
     return {Permutation(v) for v in set(map(tuple, images.tolist()))}

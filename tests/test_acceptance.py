@@ -309,7 +309,7 @@ def test_criterion_6_ingestion_path(tmp_path, capsys):
     db.write_text(emit_array_file(list(costas_arrays(9))))
     assert cli_main(["import", str(db), "--expect-order", "9"]) == 0
     normalized = tmp_path / "order9.txt.normalized"
-    arrays = parse_array_file(normalized.read_text())
+    arrays = [Permutation(tuple(v)) for v in parse_array_file(normalized.read_text()).tolist()]
     assert len(arrays) == len(costas_arrays(9))
     cubes = enumerate_costas_cubes(9, arrays)
     got = (len(cubes), projection_class_count(cubes), len(array_classes(arrays)))

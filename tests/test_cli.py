@@ -251,8 +251,8 @@ def test_classify_array_builds_one_catalog_per_order(capsys, tmp_path, monkeypat
 def test_project_output_reparses_as_array_file(capsys, order6_file):
     code, out, _ = run(capsys, "project", order6_file)
     assert code == 0
-    perms = parse_array_file(out)
-    assert [p.values for p in perms] == [
+    values = parse_array_file(out)
+    assert [tuple(v) for v in values.tolist()] == [
         (3, 5, 4, 2, 6, 1), (4, 3, 6, 1, 5, 2), (3, 1, 5, 6, 2, 4)
     ]
 
@@ -314,6 +314,54 @@ def test_import_rejects_incomplete_closed_database(capsys, tmp_path):
         assert code == 1
         assert f"holds {len(arrays)} Costas arrays of order 7, but there are 200" in err
         assert not (tmp_path / (name + ".normalized")).exists()
+
+
+# The first failing check names the fault: a bad line, then an empty list,
+# duplicates, a non-Costas array before the first of the wrong order, the
+# wrong order, closure under the square symmetries, the published total.
+_ARRAYS_FILE_ERRORS = {
+    "1 2 3\n1 3\n": ["line 2: (1, 3) is not a bijection on 1..2"] * 2,
+    "2 1 3\n1 2\n": ["array (2,1,3) has order 3, expected 2", "array (1,2) has order 2, expected 3"],
+    "1 2\n2 1\n99999999999999999999 1\n":
+        ["line 3: (99999999999999999999, 1) is not a bijection on 1..2"] * 2,
+    "1 2\n1 two\n": ["line 2: invalid literal for int() with base 10: 'two'"] * 2,
+    "1 2\n2 1\n1 2\n": ["array list contains duplicates"] * 2,
+    "1 2 3\n": ["array (1,2,3) has order 3, expected 2", "array (1,2,3) is not a Costas array"],
+    "2 1\n": ["array list is not closed under the square symmetries (image of (2,1) missing); "
+              "it cannot be complete", "array (2,1) has order 2, expected 3"],
+    "# only\n": ["no permutations found"] * 2,
+}
+
+
+@pytest.mark.parametrize("text, order, message", [
+    pytest.param(text, order, messages[order - 2], id=f"{text!r}-order{order}")
+    for text, messages in _ARRAYS_FILE_ERRORS.items() for order in (2, 3)
+])
+def test_enumerate_arrays_file_error_contract(capsys, tmp_path, text, order, message):
+    path = tmp_path / "db.txt"
+    path.write_text(text)
+    assert run(capsys, "enumerate", "--order", str(order), "--arrays-file", str(path)) == (
+        2, "", f"error: {message}\n")
+
+
+def test_join_route_builds_no_permutation_per_line(capsys, tmp_path, monkeypatch):
+    """The array file reaches the pair-join as one value matrix: the 200
+    order-7 arrays do not become 200 Permutations on the way."""
+    path = tmp_path / "db7.txt"
+    arrays = costas_arrays(7)
+    assert len(arrays) == 200
+    path.write_text(emit_array_file(arrays))
+    built = []
+    check = Permutation.__post_init__
+
+    def counted(self):
+        built.append(self.values)
+        check(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counted)
+    code, out, _ = run(capsys, "enumerate", "--order", "7", "--arrays-file", str(path))
+    assert (code, out) == (0, "order 7: cube classes 30, projection array classes 26, total array classes 30\n")
+    assert len(built) < 200
 
 
 def test_import_names_bad_line_once(capsys, tmp_path):

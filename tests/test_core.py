@@ -129,13 +129,14 @@ def test_first_non_costas_random_order_29_rows():
     place: the first bad row is found by its index."""
     from costas_cubes.construct import g2
     from costas_cubes.gf import field_new, primitive_elements
+    from costas_cubes.core import value_matrix
     from costas_cubes.symmetry import planar_images
 
     field = field_new(31, 1)
     phis = primitive_elements(field)
     rng = random.Random(29)
     arrays = [g2(field, rng.choice(phis), rng.choice(phis)) for _ in range(8)]
-    good = planar_images(arrays).reshape(-1, 29).astype(np.int64)
+    good = planar_images(value_matrix(arrays)).reshape(-1, 29).astype(np.int64)
     assert first_non_costas(good) is None
     for trial in range(40):
         rows = good[rng.sample(range(len(good)), 20)].copy()

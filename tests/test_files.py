@@ -1,11 +1,14 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from costas_cubes.core import CostasCube, Permutation
+from costas_cubes.core import CostasCube, Permutation, value_matrix
 from costas_cubes.files import (
     emit_array_file,
     emit_cube_file,
+    numbered_arrays,
     parse_array_file,
     parse_cube_file,
 )
@@ -16,7 +19,7 @@ from conftest import ORDER6_TRIPLES
 def test_array_file_round_trip():
     perms = [Permutation((2, 4, 5, 1, 6, 3)), Permutation((3, 5, 4, 2, 6, 1))]
     text = emit_array_file(perms, comments=["two known arrays"])
-    assert parse_array_file(text) == perms
+    assert parse_array_file(text).tolist() == [list(p.values) for p in perms]
     assert text.startswith("# two known arrays\n")
 
 
@@ -27,6 +30,75 @@ def test_array_file_errors_carry_line_numbers():
         parse_array_file("2 1\n1 two\n")
     with pytest.raises(ValueError, match="no permutations"):
         parse_array_file("# nothing here\n")
+
+
+def _spelled(draw, value: int) -> str:
+    """One token for value: plain, or in another spelling that int()
+    reads alike, or (rarely) a token that is not value at all."""
+    style = draw(st.sampled_from(
+        ["plain"] * 6 + ["sign", "zeros", "underscore", "arabic", "fullwidth", "other"]))
+    if style == "sign":
+        return "+" + str(value)
+    if style == "zeros":
+        return "0" * draw(st.integers(1, 3)) + str(value)
+    if style == "underscore":
+        return "0_" + str(value)
+    if style == "arabic":
+        return "".join(chr(0x660 + int(d)) for d in str(value))
+    if style == "fullwidth":
+        return "".join(chr(0xFF10 + int(d)) for d in str(value))
+    if style == "other":
+        return draw(st.sampled_from(["0", "-1", "two", "1.0", "_1", "1__0", "9" * 20, "-" + "9" * 20]))
+    return str(value)
+
+
+@st.composite
+def array_texts(draw) -> str:
+    """Array files with comment and blank lines, mixed line endings and
+    blanks, respelled values, and now and then a ragged or faulty line."""
+    n = draw(st.integers(1, 5))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["array"] * 5 + ["comment", "blank", "ragged"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])) + "# " + draw(st.sampled_from(["", "1 2", "x"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t ", "  "])))
+        else:
+            k = draw(st.integers(1, 6)) if kind == "ragged" else n
+            values = draw(st.permutations(range(1, k + 1)))
+            if values and draw(st.booleans()) and kind == "ragged":
+                values = values[:-1] or values + [values[0]]
+            tokens = [_spelled(draw, v) for v in values]
+            seps = [draw(st.sampled_from([" ", "  ", "\t", " \t"])) for _ in tokens]
+            lead, trail = (draw(st.sampled_from(["", " ", "\t"])) for _ in range(2))
+            lines.append(lead + "".join(s + t for s, t in zip([""] + seps, tokens)) + trail)
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@given(array_texts())
+def test_parse_array_file_matches_numbered_arrays(text):
+    """parse_array_file reads what numbered_arrays reads, and fails with
+    its message where it fails; it never raises OverflowError."""
+    try:
+        expected = value_matrix([p for _, p in numbered_arrays(text)])
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            parse_array_file(text)
+        assert str(raised.value) == str(exc)
+    else:
+        values = parse_array_file(text)
+        assert values.dtype == expected.dtype
+        assert np.array_equal(values, expected)
+
+
+def test_parse_array_file_needs_every_line_at_full_width():
+    """The tokens of the lines 1 2 / 1 2 1 / 2 regroup into three rows
+    1 2, but the second line is not a bijection."""
+    with pytest.raises(ValueError, match=r"^line 2: \(1, 2, 1\) is not a bijection on 1..3$"):
+        parse_array_file("1 2\n1 2 1\n2\n")
+    assert parse_array_file("2 1\n1\n").tolist() == [[2, 1], [1, 0]]
 
 
 def test_cube_file_text_round_trip():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from costas_cubes.construct import Family
-from costas_cubes.core import CostasCube, Permutation, is_costas, is_costas_cube, projections
+from costas_cubes.core import CostasCube, Permutation, is_costas, is_costas_cube, projections, value_matrix
 from costas_cubes.symmetry import (
     CUBE_ROTATIONS,
     CUBE_SYMMETRIES,
@@ -68,7 +68,7 @@ def _projection_set_oracle(cube):
 def _square_images_of_projections(cube):
     """The rows of the planar_images of the projections A, B and C."""
     t = projections(cube)
-    return {Permutation(tuple(v)) for v in planar_images([t.a, t.b, t.c]).reshape(-1, cube.order).tolist()}
+    return {Permutation(tuple(v)) for v in planar_images(value_matrix([t.a, t.b, t.c])).reshape(-1, cube.order).tolist()}
 
 
 def test_group_sizes():
@@ -173,7 +173,7 @@ def test_canonical_array_orbit_constant_and_idempotent(vals):
     lambda n: st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=6)))
 def test_planar_images_match_apply_planar(rows):
     perms = [Permutation(tuple(v)) for v in rows]
-    images = planar_images(perms)
+    images = planar_images(value_matrix(perms))
     assert images.shape == (8, len(perms), perms[0].order)
     for s, sym in enumerate(PLANAR_SYMMETRIES):
         assert [tuple(v) for v in images[s].tolist()] == [apply_planar(sym, p).values for p in perms]
