@@ -11,6 +11,7 @@ ValueError or OSError for exit 2; only main prints those errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -361,6 +362,8 @@ def _add_format(sub) -> None:
     sub.add_argument("--format", choices=("text", "machine"), default="text")
 
 
+# Parsing leaves the parser unchanged, so one parser serves every call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="costas-cubes",

@@ -9,26 +9,28 @@ rest.
 Cubes of order n are generated by the pair-join over a complete list of
 order-n Costas arrays: for a pair (A, B), build the unique permutation
 cube with those projections and retain it when Projection C = A^-1 B is
-in the list.  Array classes are ordered by the sorted-list position of
-their least member.  The cube symmetries permute the three projection
+in the list.  The list is indexed by a hashed key of each whole row, its
+rows grouped by key, and array classes are ordered by the index position
+of their first member.  The cube symmetries permute the three projection
 planes and act on each by the square symmetries, so every cube class has
 a member whose Projection A lies in the least class of its three
-projections, and moving A to its class representative keeps that true.
-So A ranges over the class representatives and B over the arrays of no
-lesser class.  C is looked up by a hashed key of its whole row, and
-compared in full only when the key occurs.  Class counts come from
-canonical forms, and a hit in the orbit of a class already found is not
-canonicalised again.
+projections, and moving A to the first member of its class keeps that
+true.  So A ranges over the first member of each class and B over the
+arrays of no lesser class.  C is looked up by its key, and compared in
+full only when the key occurs.  Class counts come from canonical forms,
+and a hit in the orbit of a class already found is not canonicalised
+again.
 
 The array list reaches the join as one (N, n) value matrix, from
 costas_values or files.parse_array_file; a list of Permutations is turned
 into one by core.value_matrix on entry.  The completeness check reads
-duplicates from the same sort that orders the index, and Permutations
-are built only to name a faulty array.
+duplicates from one sort of the list, and Permutations are built only to
+name a faulty array.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -165,28 +167,18 @@ def total_mismatch(n: int, count: int) -> str | None:
 _KEY_SPREAD = 64
 
 
-def _mixer_weights(count: int, bits: int) -> list[int]:
-    """The top bits bits of the first count outputs of splitmix64."""
-    mask = (1 << 64) - 1
-    state, weights = 0, []
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        weights.append((z ^ (z >> 31)) >> (64 - bits))
-    return weights
-
-
 class _RowIndex:
-    """Exact membership in a sorted table of distinct zero-based value
-    rows of order n.
+    """Exact membership in a table of distinct zero-based value rows of
+    order n.
 
     A row's key is (row . w) mod R for fixed pseudo-random weights w_j < R,
     with R the least power of two with R >= _KEY_SPREAD * N.  The index
-    holds the table rows grouped by key (a stable sort), a dense bool table
+    holds the table rows grouped by key (a stable sort; row i of the
+    grouped table is row order[i] of the given one), a dense bool table
     of the keys that occur, the sorted distinct keys and each key's range
-    of grouped rows.  A row is in the table when its key occurs and it
-    equals one row of that key's range in full.
+    of grouped rows.
+    A row is in the table when its key occurs and it equals one row of
+    that key's range in full.
     """
 
     def __init__(self, table: np.ndarray):
@@ -200,11 +192,14 @@ class _RowIndex:
                 "float row products would not be exact"
             )
         self.mask = (1 << bits) - 1
-        self.weights = np.array(_mixer_weights(n, bits), dtype=np.int64)
+        # Seeded weights from the random module (importing numpy.random
+        # would add about 6 MB to a join's peak memory), drawn with
+        # repetition since n may exceed R.
+        self.weights = np.array(random.Random(0).choices(range(1 << bits), k=n), dtype=np.int64)
         keys = self.keys(table)
-        self.positions = np.argsort(keys, kind="stable")
-        self.table = table[self.positions]
-        self.distinct, starts = np.unique(keys[self.positions], return_index=True)
+        self.order = np.argsort(keys, kind="stable")
+        self.table = table[self.order]
+        self.distinct, starts = np.unique(keys[self.order], return_index=True)
         self.starts = np.append(starts, count)
         self.occurs = np.zeros(1 << bits, dtype=bool)
         self.occurs[self.distinct] = True
@@ -213,15 +208,8 @@ class _RowIndex:
         """The keys of the rows of an (R, n) value matrix."""
         return (rows.astype(np.int64) @ self.weights) & self.mask
 
-    def pair_weights(self, inverses: np.ndarray) -> np.ndarray:
-        """The (N, n) float matrix M with M[b, v] = w[B^-1(v)], where
-        inverses holds the zero-based B^-1 of every row.  The key of
-        A^-1 B is z @ M[b] mod R for the zero-based inverse z of A, and
-        the float product is exact."""
-        return self.weights.astype(float)[inverses]
-
     def find(self, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """The position in the sorted table of each row of an (R, n) value
+        """The position in self.table of each row of an (R, n) value
         matrix, or -1 where the row is absent; keys are the rows' keys."""
         loc = np.full(len(rows), -1, dtype=np.intp)
         (live,) = np.nonzero(self.occurs[keys])
@@ -231,19 +219,11 @@ class _RowIndex:
         # range: most ranges hold a single row.
         while len(live):
             same = (self.table[at] == rows[live]).all(axis=1)
-            loc[live[same]] = self.positions[at[same]]
+            loc[live[same]] = at[same]
             at += 1
             more = ~same & (at < end)
             live, at, end = live[more], at[more], end[more]
         return loc
-
-
-# (classes, idx, inverses, pair_weights, index) of one join, each row an
-# array of the list in class order: the array's class (the sorted-table
-# position of the least member of its D4 orbit), its zero-based values
-# and one-based inverse, the weights whose product with a zero-based
-# inverse gives row keys, and the index of the sorted value rows.
-_Shared = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, _RowIndex]
 
 
 def _as_permutation(row: np.ndarray) -> Permutation:
@@ -251,16 +231,16 @@ def _as_permutation(row: np.ndarray) -> Permutation:
     return Permutation(tuple(v for v in row.tolist() if v))
 
 
-def _check_complete(arrays: np.ndarray | Sequence[Permutation], n: int) -> tuple[list[int], _Shared]:
+def _check_complete(arrays: np.ndarray | Sequence[Permutation], n: int) -> tuple[_RowIndex, np.ndarray]:
     """Sanity checks for a claimed-complete list of order-n Costas arrays,
     given as a value matrix (a value_matrix, if of mixed orders) or as
-    Permutations; returns the class-order positions of the arrays that are
-    least in their D4 orbit, and the arrays that _scan reads."""
+    Permutations; returns the index of the list's zero-based rows and the
+    class of each index row: the least index position of its planar
+    images."""
     values = arrays if isinstance(arrays, np.ndarray) else value_matrix(arrays)
     if not len(values):
         raise ValueError("empty array list")
-    order = np.lexsort(values.T[::-1])
-    ordered = values[order]
+    ordered = values[np.lexsort(values.T[::-1])]
     if (ordered[1:] == ordered[:-1]).all(axis=1).any():
         raise ValueError("array list contains duplicates")
     # The Costas check covers the arrays before the first one of the wrong
@@ -273,31 +253,21 @@ def _check_complete(arrays: np.ndarray | Sequence[Permutation], n: int) -> tuple
     if wrong < len(values):
         p = _as_permutation(values[wrong])
         raise ValueError(f"array {p} has order {p.order}, expected {n}")
-    index = _RowIndex(ordered - 1)
-    # An array is least in its orbit when none of its images sits before
-    # it in the sorted table.
-    own = np.empty(len(order), dtype=np.intp)
-    own[order] = np.arange(len(order))
-    least = own
-    closed = np.ones(len(values), dtype=bool)
-    for image in planar_images(values):
-        image -= 1
-        loc = index.find(image, index.keys(image))
-        closed &= loc >= 0
-        least = np.minimum(least, loc)
+    index = _RowIndex(values - 1)
+    # The identity is the first planar image, so each row finds itself.
+    images = planar_images(index.table + 1)
+    images -= 1
+    found = np.array([index.find(image, index.keys(image)) for image in images])
+    closed = (found >= 0).all(axis=0)
     if not closed.all():
         raise ValueError(
             f"array list is not closed under the square symmetries (image of "
-            f"{_as_permutation(values[int(np.argmin(closed))])} missing); it cannot be complete"
+            f"{_as_permutation(values[index.order[~closed].min()])} missing); it cannot be complete"
         )
     mismatch = total_mismatch(n, len(values))
     if mismatch:
         raise ValueError(mismatch)
-    by_class = np.argsort(least, kind="stable")
-    representatives = np.nonzero(least[by_class] == own[by_class])[0].tolist()
-    idx = values[by_class] - 1
-    inverses = np.argsort(idx, axis=1).astype(idx.dtype)
-    return representatives, (least[by_class], idx, inverses + 1, index.pair_weights(inverses), index)
+    return index, found.min(axis=0)
 
 
 # First arrays per block meet about this many second arrays, so that the
@@ -305,40 +275,47 @@ def _check_complete(arrays: np.ndarray | Sequence[Permutation], n: int) -> tuple
 _BLOCK_PAIRS = 1 << 15
 
 
-def _scan(a_indices: list[int], shared: _Shared) -> list[CostasCube]:
+def _scan(index: _RowIndex, least: np.ndarray) -> list[CostasCube]:
     """Canonical representatives, sorted, of the classes of the Costas
-    cubes whose Projection A is one of the given first arrays (class-order
-    positions, ascending) and whose Projection B is of no lesser class."""
-    classes, idx, inverses, pair_weights, index = shared
+    cubes whose Projection A is the first member of its class and whose
+    Projection B is of no lesser class, from _check_complete's index and
+    classes."""
+    # In class order each class's first member comes first, so the arrays
+    # of no lesser class than a first array are the list from it on.
+    by_class = np.argsort(least, kind="stable")
+    (firsts,) = np.nonzero(least[by_class] == by_class)
+    idx = index.table[by_class]
     n = idx.shape[1]
+    inverses = np.argsort(idx, axis=1).astype(idx.dtype)
+    # The key of A^-1 B is z @ weights[b] mod R for the zero-based inverse
+    # z of A, and the float product is exact.
+    weights = index.weights.astype(float)[inverses]
     # The hit cubes of every block, as rows j_1, k_1, ..., j_n, k_n.
     hits = []
     start = 0
-    while start < len(a_indices):
-        # The block's second arrays are the suffix of the list from its
-        # least class on.
-        lo = int(np.searchsorted(classes, classes[a_indices[start]]))
+    while start < len(firsts):
+        lo = firsts[start]
         step = max(1, _BLOCK_PAIRS // (len(idx) - lo))
-        block = np.array(a_indices[start : start + step], dtype=np.intp)
+        block = firsts[start : start + step]
         start += step
-        z = inverses[block] - 1
+        z = inverses[block]
         # Projection C of the cube with projections (A, B) is A^-1 B: its
         # key is linear in A^-1, and only pairs whose key occurs are
         # compared in full.
-        keys = (z @ pair_weights[lo:].T).astype(np.int64)
+        keys = (z @ weights[lo:].T).astype(np.int64)
         keys &= index.mask
         first, second = np.nonzero(index.occurs[keys])
         keys = keys[first, second]
         second += lo
-        # The block's later first arrays keep only second arrays of no
-        # lesser class than their own.
-        keep = classes[second] >= classes[block[first]]
+        # The block's later first arrays keep only the second arrays from
+        # their own position on.
+        keep = second >= block[first]
         first, second, keys = first[keep], second[keep], keys[keep]
         c_rows = z[first[:, None], idx[second]]
         hit = index.find(c_rows, keys) >= 0
         a, b = inverses[block[first[hit]]], inverses[second[hit]]
         hits.append(np.stack((a, b), axis=2).reshape(-1, 2 * n))
-    cubes = (cube for _, cube in first_of_each_class(np.concatenate(hits)))
+    cubes = (cube for _, cube in first_of_each_class(np.concatenate(hits) + 1))
     return sorted(cubes, key=lambda cube: cube.rows)
 
 
@@ -347,9 +324,9 @@ def enumerate_costas_cubes(n: int, arrays: np.ndarray | Sequence[Permutation]) -
     Costas cubes, from the pair-join over the given complete array list
     (a value matrix or Permutations).
 
-    The first array of each pair ranges over the canonical class
-    representatives only, and the second over the arrays of no lesser
-    class; see the module docstring for why this reaches every class.
+    The first array of each pair ranges over one member of each array
+    class only, and the second over the arrays of no lesser class; see
+    the module docstring for why this reaches every class.
     """
     return _scan(*_check_complete(arrays, n))
 
@@ -391,16 +368,18 @@ class ClassReport:
 
 def class_report(n: int, arrays: np.ndarray | Sequence[Permutation]) -> ClassReport:
     """The class report of order n from a complete list of order-n Costas
-    arrays (a value matrix or Permutations).  A complete list is closed under D4 and has no duplicates, so
-    each array class has exactly one least member: the total number of
-    array classes is the number of first arrays of the join."""
-    representatives, shared = _check_complete(arrays, n)
-    cubes = _scan(representatives, shared)
+    arrays (a value matrix or Permutations).  A complete list is closed
+    under D4 and has no duplicates, so each array class has exactly one
+    first member, the row whose class is its own index position: the
+    total number of array classes is the number of first arrays of the
+    join."""
+    index, least = _check_complete(arrays, n)
+    cubes = _scan(index, least)
     return ClassReport(
         order=n,
         cube_classes=len(cubes),
         projection_array_classes=_projection_classes(cubes),
-        total_array_classes=len(representatives),
+        total_array_classes=int(np.count_nonzero(least == np.arange(len(least)))),
         representatives=tuple(cubes),
     )
 

@@ -248,6 +248,15 @@ def test_classify_array_builds_one_catalog_per_order(capsys, tmp_path, monkeypat
     assert calls == [5, 11]
 
 
+def test_main_builds_one_parser(capsys, order6_file):
+    """Parsing leaves the parser unchanged, so main builds it once per
+    process rather than once per call."""
+    cli._build_parser.cache_clear()
+    assert run(capsys)[0] == 2
+    assert run(capsys, "verify", "cube", order6_file)[0] == 0
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_project_output_reparses_as_array_file(capsys, order6_file):
     code, out, _ = run(capsys, "project", order6_file)
     assert code == 0

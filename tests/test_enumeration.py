@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,14 +19,15 @@ from costas_cubes.enumeration import (
     EnumerationLimitError,
     _RowIndex,
     _check_complete,
-    _scan,
     array_classes,
     class_report,
+    costas_values,
     enumerate_costas_arrays,
     enumerate_costas_cubes,
     projection_class_count,
     table1,
 )
+from costas_cubes.files import parse_array_file
 from costas_cubes.reference import COSTAS_ARRAY_TOTALS, CUBE_CLASS_COUNTS
 from costas_cubes.symmetry import (
     PLANAR_SYMMETRIES,
@@ -36,6 +38,9 @@ from costas_cubes.symmetry import (
 )
 
 from conftest import costas_arrays, costas_cube_classes, order7_without_one_class
+
+# The join benchmark's input: the 4368 order-11 Costas arrays.
+ORDER11_DATABASE = Path(__file__).parents[1] / "perfbench" / "data" / "costas_order11.txt"
 
 
 def brute_force_costas(n):
@@ -182,17 +187,6 @@ def test_pair_join_matches_dense_oracle():
         assert [c.rows for c in costas_cube_classes(n)] == _dense_pair_join(n)
 
 
-def test_reduced_mode_matches_literal():
-    """The scan over class representatives as first arrays (the join's only
-    mode) finds the same classes as a literal scan over every first array."""
-    for n in range(2, 8):
-        arrays = costas_arrays(n)
-        literal = _scan(list(range(len(arrays))), _check_complete(arrays, n)[1])
-        assert list(costas_cube_classes(n)) == literal
-    with pytest.raises(TypeError, match="mode"):
-        enumerate_costas_cubes(5, list(costas_arrays(5)), mode="fast")
-
-
 def test_one_first_array_per_block(monkeypatch):
     """Blocks of one first array each, some of which hit nothing (orders
     4, 5, 7 and 8), give the same classes as the default blocks."""
@@ -203,19 +197,19 @@ def test_one_first_array_per_block(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [5, 16, 22, 29])
-def test_prefix_index_matches_a_dict_oracle(monkeypatch, n):
-    """The row index of sorted tables of distinct permutation rows, in
-    groups of 1 to 4 rows that share all but their last three values;
-    hits, misses and near misses (the last two values swapped) against a
-    dict of the table.  At the join's key spread most keys hold one row;
-    at a spread of 1 many keys hold several, and find walks their ranges."""
+def test_row_index_matches_a_dict_oracle(monkeypatch, n):
+    """The row index of tables of distinct permutation rows, in groups of
+    1 to 4 rows that share all but their last three values; hits, misses
+    and near misses (the last two values swapped) against a dict of the
+    table.  At the join's key spread most keys hold one row; at a spread
+    of 1 many keys hold several, and find walks their ranges."""
     rng = np.random.default_rng(n)
     rows = set()
     for _ in range(60):
         head = rng.permutation(n)
         for _ in range(rng.integers(1, 5)):
             rows.add(tuple(head[: n - 3]) + tuple(rng.permutation(head[n - 3 :])))
-    table = np.array(sorted(rows), dtype=np.uint8)
+    table = np.array(sorted(rows), dtype=np.uint8)[rng.permutation(len(rows))]
     near = table.copy()
     near[:, [-2, -1]] = near[:, [-1, -2]]
     misses = np.array([rng.permutation(n) for _ in range(200)], dtype=np.uint8)
@@ -229,14 +223,15 @@ def test_prefix_index_matches_a_dict_oracle(monkeypatch, n):
         slots = index.mask + 1
         assert slots >= spread * len(table) > slots // 2
         assert (index.weights < slots).all()
+        assert sorted(index.order.tolist()) == list(range(len(table)))
+        assert (index.table == table[index.order]).all()
         keys = index.keys(index.table)
-        assert (keys == index.keys(table)[index.positions]).all()
         widths = np.diff(index.starts)
         assert (np.repeat(index.distinct, widths) == keys).all()
-        assert sorted(index.positions.tolist()) == list(range(len(table)))
         if spread == 1:
             assert widths.max() > 1
-        assert index.find(queries, index.keys(queries)).tolist() == want
+        loc = index.find(queries, index.keys(queries))
+        assert np.where(loc >= 0, index.order[loc], -1).tolist() == want
 
 
 def test_row_index_rejects_inexact_keys(monkeypatch):
@@ -251,13 +246,13 @@ def test_row_index_rejects_inexact_keys(monkeypatch):
 @pytest.mark.parametrize("n", [5, 11, 29])
 def test_pair_weights_give_the_keys_of_a_inverse_b(n):
     """The key of A^-1 B is the product of the zero-based inverse of A
-    with B's row of pair_weights, exact in float, masked to the key
-    range."""
+    with the weights gathered by the inverse of B, exact in float, masked
+    to the key range."""
     rng = np.random.default_rng(n)
     values = np.array([rng.permutation(n) for _ in range(300)], dtype=np.uint8)
-    index = _RowIndex(values[np.lexsort(values.T[::-1])])
+    index = _RowIndex(values)
     inverses = np.argsort(values, axis=1).astype(np.uint8)
-    products = inverses @ index.pair_weights(inverses).T
+    products = inverses @ index.weights.astype(float)[inverses].T
     keys = products.astype(np.int64) & index.mask
     assert (products == np.rint(products)).all() and products.max() < 2**53
     for a in range(0, 300, 37):
@@ -291,6 +286,20 @@ def test_class_ordered_join_matches_unrestricted_join():
         assert [c.rows for c in class_report(n, arrays).representatives] == _unrestricted_join(arrays)
 
 
+def test_join_output_does_not_depend_on_row_order():
+    """The list's rows are indexed, and its classes ordered, by a hashed
+    key of each row: seeded shuffles of a list give the report of the
+    lexicographic list, representatives included."""
+    lists = {n: costas_values(n) for n in (7, 8, 9)}
+    lists[11] = parse_array_file(ORDER11_DATABASE.read_text())
+    for n, values in lists.items():
+        expected = class_report(n, values[np.lexsort(values.T[::-1])])
+        assert expected.representatives == costas_cube_classes(n)
+        for seed in range(3):
+            shuffled = values[np.random.default_rng(seed).permutation(len(values))]
+            assert class_report(n, shuffled) == expected
+
+
 def test_join_canonicalises_once_per_class(monkeypatch):
     """Hits in the orbit of a class already found skip the canonical form."""
     expected = list(costas_cube_classes(8))
@@ -322,6 +331,11 @@ def test_completeness_checks_reject_bad_input():
         enumerate_costas_cubes(6, arrays)
     with pytest.raises(ValueError, match="empty"):
         enumerate_costas_cubes(5, [])
+    # An order-70 row needs more weights than a one-row table has key
+    # slots (64); the list still reaches the closure check.
+    welch70 = Permutation(tuple(pow(7, i, 71) for i in range(70)))
+    with pytest.raises(ValueError, match="closed"):
+        enumerate_costas_cubes(70, [welch70])
     closed = order7_without_one_class()
     with pytest.raises(ValueError, match=rf"holds {len(closed)} .* there are 200"):
         enumerate_costas_cubes(7, closed)
