@@ -8,16 +8,20 @@ symmetries.  The orientation-preserving elements (signed permutation
 matrices of determinant +1) form the 24-element rotation subgroup.
 
 apply_planar and apply_cube map one object by one symmetry.  Canonical
-forms and orbits read all images of an object at once: one numpy pass
-forms the 8 square images of a whole value matrix, or the 48 cube images
-of one cube, and the least image is found with np.lexsort.  The cube
-symmetries permute the three projection planes and act on each by the
-square symmetries, so the arrays a cube's orbit projects are the square
-images of its projections A, B and C.
+forms and orbits read all images of an object at once.  One numpy pass
+forms the 8 square images of a whole value matrix, and the least is
+found with np.lexsort.  The 48 images of a cube are one gather, through
+an index table built once per order, from 18 sequences of its
+coordinates: i, j and k and their complements, each listed in the order
+of i, of j and of k; the least is the least of their bytes as big-endian
+words.  The cube symmetries permute the three projection planes and act
+on each by the square symmetries, so the arrays a cube's orbit projects
+are the square images of its projections A, B and C.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import permutations as _axis_orders, product as _product
 from typing import Iterator, Sequence
@@ -147,23 +151,47 @@ def array_class_size(perm: Permutation) -> int:
     return len(set(map(tuple, planar_images(value_matrix([perm]))[:, 0].tolist())))
 
 
-# The 48 cube symmetries as gathers: image axis a of CUBE_SYMMETRIES[s]
-# reads input axis _CUBE_AXES[s, a], reversed where _CUBE_FLIPS[s, a].
-_CUBE_AXES = np.array([s.axes for s in CUBE_SYMMETRIES])
-_CUBE_FLIPS = np.array([s.flips for s in CUBE_SYMMETRIES])[:, None, :]
-_CUBE_INDEX = np.arange(len(CUBE_SYMMETRIES))[:, None]
+@functools.cache
+def _cube_gather(n: int) -> np.ndarray:
+    """Index table of the 48 cube images of order n into the sequences of
+    _row_images: image s lists coordinate axes[1 + c] (complemented where
+    flips[1 + c]) in the order of coordinate axes[0], from the back where
+    flips[0], for c = 0, 1 (j then k).  Shape (48, 2n), in
+    CUBE_SYMMETRIES order."""
+    positions = np.arange(n)
+    table = np.empty((len(CUBE_SYMMETRIES), n, 2), dtype=np.intp)
+    for s, sym in enumerate(CUBE_SYMMETRIES):
+        for c in (0, 1):
+            sequence = (sym.axes[1 + c] + 3 * sym.flips[1 + c]) * 3 + sym.axes[0]
+            table[s, :, c] = sequence * n + (positions[::-1] if sym.flips[0] else positions)
+    table.setflags(write=False)
+    return table.reshape(len(CUBE_SYMMETRIES), 2 * n)
+
+
+def _row_images(row: np.ndarray) -> np.ndarray:
+    """cube_images of one flattened row list j_1, k_1, ..., j_n, k_n, in
+    the row's dtype: one gather from 18 sequences, coordinate x of i, j, k
+    (0, 1, 2) or its complement n+1-x (3, 4, 5) listed in the order of
+    coordinate y, at (3x + y) * n."""
+    n = len(row) // 2
+    coords = np.empty((6, n), dtype=row.dtype)
+    coords[0] = np.arange(1, n + 1)
+    coords[1:3] = row.reshape(n, 2).T
+    coords[3:] = n - coords[:3] + 1
+    return coords[:, np.argsort(coords[:3], axis=1)].reshape(-1)[_cube_gather(n)]
 
 
 def cube_images(cube: CostasCube) -> np.ndarray:
     """Row lists of the images of cube under CUBE_SYMMETRIES, in that
-    order, each flattened to j_1, k_1, ..., j_n, k_n: shape (48, 2n)."""
+    order, each flattened to j_1, k_1, ..., j_n, k_n: shape (48, 2n), one
+    gather from the coordinate sequences of the cube's rows."""
     n = cube.order
-    coords = np.array(cube.triples(), dtype=np.min_scalar_type(n + 1))
-    moved = coords[:, _CUBE_AXES].swapaxes(0, 1)
-    moved = np.where(_CUBE_FLIPS, n + 1 - moved, moved)
-    images = np.empty((len(CUBE_SYMMETRIES), n, 2), dtype=moved.dtype)
-    images[_CUBE_INDEX, moved[..., 0] - 1] = moved[..., 1:]
-    return images.reshape(len(CUBE_SYMMETRIES), 2 * n)
+    return _row_images(np.array(cube.rows, dtype=np.min_scalar_type(n + 1)).reshape(2 * n))
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a C-contiguous 2-d array."""
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
 
 
 def _as_cube(flat_rows: Sequence[int]) -> CostasCube:
@@ -172,10 +200,14 @@ def _as_cube(flat_rows: Sequence[int]) -> CostasCube:
 
 def canonical_cube(cube: CostasCube, images: np.ndarray | None = None) -> CostasCube:
     """Lexicographically least row list over the 48-element orbit of cube;
-    images, when given, are cube_images(cube)."""
+    images, when given, are cube_images(cube) in any integer dtype.
+
+    The least image is the least of the images' bytes as big-endian
+    unsigned 32-bit words, whose byte order is their numeric order."""
     if images is None:
         images = cube_images(cube)
-    return _as_cube(images[_least(images)].tolist())
+    least = min(_row_keys(np.ascontiguousarray(images, dtype=">u4")))
+    return _as_cube(np.frombuffer(least, dtype=">u4").tolist())
 
 
 def first_of_each_class(rows: np.ndarray) -> Iterator[tuple[int, CostasCube]]:
@@ -185,16 +217,16 @@ def first_of_each_class(rows: np.ndarray) -> Iterator[tuple[int, CostasCube]]:
     The rows are walked in order against a set of the row bytes, in the
     matrix's dtype, of every image of the classes found so far: a row in
     the set is skipped, and any other row is canonicalized once and its
-    48 images join the set.
+    48 images, formed in the matrix's dtype, join the set.
     """
+    rows = np.ascontiguousarray(rows)
     seen: set[bytes] = set()
-    for t, row in enumerate(rows):
-        if row.tobytes() in seen:
+    for t, key in enumerate(_row_keys(rows)):
+        if key in seen:
             continue
-        cube = _as_cube(row.tolist())
-        images = cube_images(cube)
-        seen.update(map(bytes, images.astype(rows.dtype)))
-        yield t, canonical_cube(cube, images)
+        images = _row_images(rows[t])
+        seen.update(_row_keys(images))
+        yield t, canonical_cube(_as_cube(rows[t].tolist()), images)
 
 
 def cube_orbit(cube: CostasCube) -> list[CostasCube]:

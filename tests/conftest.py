@@ -7,7 +7,7 @@ import pytest
 from costas_cubes.core import CostasCube, Permutation
 from costas_cubes.enumeration import enumerate_costas_arrays, enumerate_costas_cubes
 from costas_cubes.gf import field_new
-from costas_cubes.symmetry import PLANAR_SYMMETRIES, apply_planar
+from costas_cubes.symmetry import CUBE_SYMMETRIES, PLANAR_SYMMETRIES, apply_cube, apply_planar
 
 # Every extension field the suite instantiates, keyed by q.
 EXTENSION_MODULI = {
@@ -81,6 +81,11 @@ GF27_D_C = (21, 2, 7, 3, 13, 1, 4, 8, 19, 17, 23, 12, 20, 11, 10, 22, 15, 9, 18,
 GF27_E_A = GF27_D_A
 GF27_E_B = (19, 23, 21, 18, 5, 4, 22, 17, 7, 10, 11, 13, 20, 2, 8, 1, 15, 6, 16, 12, 24, 9, 14, 3)
 GF27_E_C = (9, 11, 1, 19, 20, 7, 16, 10, 3, 15, 14, 5, 13, 2, 8, 6, 17, 21, 24, 12, 22, 18, 23, 4)
+
+
+def canonical_cube_oracle(cube: CostasCube) -> CostasCube:
+    """canonical_cube as a loop over one apply_cube image at a time."""
+    return CostasCube(min(apply_cube(s, cube).rows for s in CUBE_SYMMETRIES))
 
 
 def cube_from_jk(j_row, k_row) -> CostasCube:

@@ -68,6 +68,7 @@ from conftest import (
     P13_J,
     P13_K,
     SMALL_SD_TRIPLES,
+    canonical_cube_oracle,
     costas_cube_classes,
     cube_from_jk,
 )
@@ -437,6 +438,21 @@ def test_sweep_outputs_are_costas_and_witnessed():
                 assert witness.family in witness_families
                 assert canonical_cube(REBUILD[witness.family](witness)) == cube
                 assert f"q={witness.field.q}" in witness.describe()
+
+
+def test_sweep_classes_above_order_13_match_the_oracle():
+    """The oracle tests of canonical_cube stop at order 13: here every
+    sweep class of orders 14-29 is the least apply_cube image of its
+    rebuilt witness."""
+    checked = 0
+    for family in CUBE_FAMILIES:
+        for order, classes in sweep(family, 29).classes.items():
+            if order < 14:
+                continue
+            for cube, witness in classes.items():
+                assert canonical_cube_oracle(REBUILD[witness.family](witness)) == cube
+                checked += 1
+    assert checked > 200
 
 
 def test_sweep_is_modulus_invariant_at_q16():

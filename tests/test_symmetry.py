@@ -20,6 +20,7 @@ from costas_cubes.symmetry import (
     array_class_size,
     canonical_array,
     canonical_cube,
+    cube_images,
     cube_orbit,
     first_of_each_class,
     planar_images,
@@ -30,6 +31,7 @@ from test_construct import sweep_tuples_oracle
 from conftest import (
     ORDER6_A,
     SMALL_SD_MEMBERS,
+    canonical_cube_oracle,
     costas_arrays,
     costas_cube_classes,
 )
@@ -42,6 +44,14 @@ cubes_up_to_9 = st.integers(1, 9).flatmap(
 ).map(lambda jk: CostasCube(tuple(zip(*jk))))
 
 
+def _random_cube(n, rng):
+    return CostasCube(tuple(zip(rng.sample(range(1, n + 1), n), rng.sample(range(1, n + 1), n))))
+
+
+def _flat_rows(cubes, dtype):
+    return np.array([[v for row in cube.rows for v in row] for cube in cubes], dtype=dtype)
+
+
 # Oracles: the symmetry functions as loops over one image at a time.
 
 
@@ -51,10 +61,6 @@ def _canonical_array_oracle(perm):
 
 def _array_class_size_oracle(perm):
     return len({apply_planar(s, perm).values for s in PLANAR_SYMMETRIES})
-
-
-def _canonical_cube_oracle(cube):
-    return CostasCube(min(apply_cube(s, cube).rows for s in CUBE_SYMMETRIES))
 
 
 def _cube_orbit_oracle(cube):
@@ -179,10 +185,23 @@ def test_planar_images_match_apply_planar(rows):
         assert [tuple(v) for v in images[s].tolist()] == [apply_planar(sym, p).values for p in perms]
 
 
+def test_cube_images_follow_cube_symmetries():
+    """Image s of cube_images is apply_cube(CUBE_SYMMETRIES[s]), flattened,
+    at every order 1-9 and at order 300."""
+    rng = random.Random(9)
+    cubes = [_random_cube(n, rng) for n in range(1, 10) for _ in range(5)]
+    cubes.append(_random_cube(300, random.Random(300)))
+    for cube in cubes:
+        images = cube_images(cube)
+        assert images.shape == (48, 2 * cube.order)
+        assert images.tolist() == [[v for row in apply_cube(s, cube).rows for v in row]
+                                   for s in CUBE_SYMMETRIES]
+
+
 @given(cubes_up_to_9)
 def test_canonical_cube_orbit_constant_property(cube):
     rep = canonical_cube(cube)
-    assert rep == _canonical_cube_oracle(cube)
+    assert rep == canonical_cube_oracle(cube)
     for s in CUBE_SYMMETRIES:
         assert canonical_cube(apply_cube(s, cube)) == rep
 
@@ -242,9 +261,26 @@ def test_first_of_each_class_skips_known_orbits(dtype):
     x, y = costas_cube_classes(5)[:2]
     cubes = [apply_cube(CUBE_SYMMETRIES[5], x), y, apply_cube(CUBE_SYMMETRIES[17], x)]
     assert cubes[0] != cubes[2]
-    rows = np.array([[v for row in cube.rows for v in row] for cube in cubes], dtype=dtype)
+    rows = _flat_rows(cubes, dtype)
     assert list(first_of_each_class(rows)) == [(0, x), (1, y)]
     assert list(first_of_each_class(np.empty((0, 10), dtype=dtype))) == []
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.uint16])
+def test_first_of_each_class_above_order_255(dtype):
+    """Coordinates above 255 neither wrap nor collide in the byte keys:
+    the middle cube is the last one with the values 1 and 257 swapped in
+    both coordinates, so it equals that image of x modulo 256, yet lies in
+    another class.  The least image of x (seed 0) is decided by a
+    coordinate above 255, so a little-endian byte compare misorders it."""
+    x = _random_cube(300, random.Random(0))
+    image = apply_cube(CUBE_SYMMETRIES[17], x)
+    swap = {1: 257, 257: 1}
+    y = CostasCube(tuple((swap.get(j, j), swap.get(k, k)) for j, k in image.rows))
+    x_form, y_form = canonical_cube_oracle(x), canonical_cube_oracle(y)
+    assert x_form != y_form
+    cubes = [apply_cube(CUBE_SYMMETRIES[5], x), y, image]
+    assert list(first_of_each_class(_flat_rows(cubes, dtype))) == [(0, x_form), (1, y_form)]
 
 
 def _rotation_projection_set(cube):
@@ -269,7 +305,7 @@ def test_images_pass_matches_oracles_on_sweep_cubes():
     checked = 0
     for family in (Family.CUBE_G2X3, Family.CUBE_W2W2G2, Family.CUBE_G3):
         for *_, cube in sweep_tuples_oracle(family, 13):
-            assert canonical_cube(cube) == _canonical_cube_oracle(cube)
+            assert canonical_cube(cube) == canonical_cube_oracle(cube)
             checked += 1
     assert checked > 400
 
@@ -279,7 +315,7 @@ def test_images_pass_matches_oracles_on_join_classes():
     for n in range(2, 10):
         classes = costas_cube_classes(n)
         for cube in classes:
-            assert canonical_cube(cube) == _canonical_cube_oracle(cube) == cube
+            assert canonical_cube(cube) == canonical_cube_oracle(cube) == cube
             orbit = cube_orbit(cube)
             assert orbit == _cube_orbit_oracle(cube)
             assert all(canonical_cube(image) == cube for image in orbit)
@@ -292,9 +328,8 @@ def test_images_pass_matches_oracles_on_join_classes():
 
 def test_images_pass_matches_oracles_at_order_300():
     """Coordinates above 255 must not wrap in either images pass."""
-    rng = random.Random(300)
-    cube = CostasCube(tuple(zip(rng.sample(range(1, 301), 300), rng.sample(range(1, 301), 300))))
-    assert canonical_cube(cube) == _canonical_cube_oracle(cube)
+    cube = _random_cube(300, random.Random(300))
+    assert canonical_cube(cube) == canonical_cube_oracle(cube)
     assert cube_orbit(cube) == _cube_orbit_oracle(cube)
     assert _square_images_of_projections(cube) == _projection_set_oracle(cube)
     perm = projections(cube).a
