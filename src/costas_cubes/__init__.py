@@ -6,9 +6,6 @@ from .core import (
     Permutation,
     ProjectionTriple,
     costas_violation,
-    cube_from_pair,
-    cube_from_projections,
-    is_costas,
     is_costas_cube,
     projections,
 )
@@ -24,15 +21,10 @@ from .gf import (
 )
 from .symmetry import (
     AxisSymmetry,
-    CUBE_ROTATIONS,
     CUBE_SYMMETRIES,
     PLANAR_SYMMETRIES,
-    apply_cube,
-    apply_planar,
-    array_class_size,
     canonical_array,
     canonical_cube,
-    cube_orbit,
     projection_set,
 )
 from .construct import (
@@ -58,10 +50,20 @@ from .enumeration import (
     class_report,
     enumerate_costas_arrays,
     enumerate_costas_cubes,
-    projection_class_count,
     table1,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = (
+    "CostasCube", "Permutation", "ProjectionTriple", "costas_violation", "is_costas_cube",
+    "projections",
+    "FieldSpec", "field_new", "g3_admissible", "g3_cube_admissible", "is_primitive",
+    "parse_element", "parse_field_spec", "primitive_elements",
+    "AxisSymmetry", "CUBE_SYMMETRIES", "PLANAR_SYMMETRIES", "canonical_array", "canonical_cube",
+    "projection_set",
+    "ConstructionId", "Family", "catalog", "cube_g2x3", "cube_g3_variant_i", "cube_g3_variant_ii",
+    "cube_w2w2g2", "g2", "g3", "k_reversal", "sweep", "table2", "w1", "w2",
+    "ClassReport", "EnumerationLimitError", "array_classes", "class_report",
+    "enumerate_costas_arrays", "enumerate_costas_cubes", "table1",
+)

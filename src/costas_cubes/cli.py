@@ -33,7 +33,6 @@ from .core import (
     Permutation,
     costas_violation,
     first_non_costas,
-    is_costas,
     is_costas_cube,
     projections,
     value_matrix,
@@ -77,7 +76,8 @@ def cmd_verify(args) -> int:
 
     cube = parse_cube_file(text)
     t = projections(cube)
-    verdicts = {name: is_costas(p) for name, p in (("A", t.a), ("B", t.b), ("C", t.c))}
+    verdicts = {name: costas_violation(p) is None
+                for name, p in (("A", t.a), ("B", t.b), ("C", t.c))}
     ok = all(verdicts.values())
     if args.format == "machine":
         print(_machine({
@@ -143,7 +143,7 @@ def cmd_construct(args) -> int:
                         f"projection C: {' '.join(map(str, t.c.values))}"]
             print(emit_cube_file(obj, comments=comments), end="")
     else:
-        verified = is_costas(obj)
+        verified = costas_violation(obj) is None
         if args.format == "machine":
             print(_machine({
                 "family": args.family, "field": args.field, "parameters": params,
@@ -269,8 +269,8 @@ def cmd_classify(args) -> int:
             if p.order not in cats:
                 cats[p.order] = catalog(p.order)
             labels = _labels_for(canonical_array(p).values, cats[p.order])
-            out.append({"index": idx, "values": list(p.values), "costas": is_costas(p),
-                        "labels": labels})
+            out.append({"index": idx, "values": list(p.values),
+                        "costas": costas_violation(p) is None, "labels": labels})
             if args.format != "machine":
                 shown = ",".join(labels) if labels else "unlabeled"
                 print(f"{idx}: {p} {shown}")

@@ -319,9 +319,6 @@ class SweepReport:
     def count(self, order: int) -> int:
         return len(self.classes.get(order, {}))
 
-    def orders(self) -> list[int]:
-        return sorted(self.classes)
-
 
 # The G3 variants each sweep family walks, in the order of a field's rows.
 _G3_VARIANTS = {

@@ -19,7 +19,7 @@ Index conventions used throughout the package (all 1-based):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,20 +40,6 @@ class Permutation:
     @property
     def order(self) -> int:
         return len(self.values)
-
-    def __call__(self, j: int) -> int:
-        """sigma(j) for a 1-based argument j."""
-        return self.values[j - 1]
-
-    def inverse(self) -> Permutation:
-        inv = [0] * len(self.values)
-        for j, i in enumerate(self.values, start=1):
-            inv[i - 1] = j
-        return Permutation(tuple(inv))
-
-    def cells(self) -> tuple[tuple[int, int], ...]:
-        """Coordinates (i, j) of the 1 entries of the array form."""
-        return tuple((i, j) for j, i in enumerate(self.values, start=1))
 
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.values)) + ")"
@@ -116,11 +102,6 @@ class ProjectionTriple:
             raise ValueError("projections must have equal order")
 
 
-def is_costas(perm: Permutation) -> bool:
-    """True iff all difference vectors between pairs of 1 entries are distinct."""
-    return costas_violation(perm) is None
-
-
 def costas_violation(perm: Permutation) -> tuple[int, int] | None:
     """A repeated difference vector (column shift, value shift), or None.
 
@@ -177,42 +158,7 @@ def projections(cube: CostasCube) -> ProjectionTriple:
     return ProjectionTriple(Permutation(tuple(a)), Permutation(tuple(b)), Permutation(tuple(c)))
 
 
-def cube_from_projections(a: Permutation, b: Permutation) -> CostasCube:
-    """The unique permutation cube with Projection A = a and Projection B = b.
-
-    Row i carries its 1 at j_i = sigma_A^{-1}(i), k_i = sigma_B^{-1}(i).
-    """
-    if a.order != b.order:
-        raise ValueError(f"order mismatch: {a.order} vs {b.order}")
-    ja = a.inverse().values
-    kb = b.inverse().values
-    return CostasCube(tuple(zip(ja, kb)))
-
-
-PairName = Literal["AB", "AC", "BC"]
-
-
-def cube_from_pair(which: PairName, x: Permutation, y: Permutation) -> CostasCube:
-    """Reconstruct the cube whose named projection pair is (x, y).
-
-    Any two projections determine a permutation cube; the AB case
-    coincides with cube_from_projections.
-    """
-    if x.order != y.order:
-        raise ValueError(f"order mismatch: {x.order} vs {y.order}")
-    if which == "AB":
-        return cube_from_projections(x, y)
-    if which == "AC":
-        ja = x.inverse().values
-        cinv = y.inverse().values
-        return CostasCube(tuple((j, cinv[j - 1]) for j in ja))
-    if which == "BC":
-        kb = x.inverse().values
-        return CostasCube(tuple((y.values[k - 1], k) for k in kb))
-    raise ValueError(f"unknown projection pair {which!r}")
-
-
 def is_costas_cube(cube: CostasCube) -> bool:
     """True iff all three projections of the cube are Costas arrays."""
     t = projections(cube)
-    return is_costas(t.a) and is_costas(t.b) and is_costas(t.c)
+    return all(costas_violation(p) is None for p in (t.a, t.b, t.c))

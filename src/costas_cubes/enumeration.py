@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import CostasCube, Permutation, first_non_costas, is_costas_cube, projections, value_matrix
+from .core import CostasCube, Permutation, first_non_costas, projections, value_matrix
 from .reference import COSTAS_ARRAY_TOTALS
 from .symmetry import first_of_each_class, least_image, planar_images
 
@@ -332,20 +332,10 @@ def enumerate_costas_cubes(n: int, arrays: np.ndarray | Sequence[Permutation]) -
 
 
 def _projection_classes(cubes: Sequence[CostasCube]) -> int:
-    """projection_class_count of cubes known to be Costas: the D4 classes
-    of their projections A, B and C, which hold every array their orbits
-    project."""
+    """The number of D4 classes of Costas arrays that occur as a
+    projection of the given Costas cubes: the classes of their
+    projections A, B and C, which hold every array their orbits project."""
     return len(array_classes(p for t in map(projections, cubes) for p in (t.a, t.b, t.c)))
-
-
-def projection_class_count(cubes: Iterable[CostasCube]) -> int:
-    """Number of D4 classes of Costas arrays that occur as a projection
-    of at least one of the given Costas cubes (all of one order)."""
-    cubes = list(cubes)
-    for cube in cubes:
-        if not is_costas_cube(cube):
-            raise ValueError(f"projection_class_count requires Costas cubes, not {cube.rows}")
-    return _projection_classes(cubes)
 
 
 @dataclass(frozen=True)
@@ -384,23 +374,9 @@ def class_report(n: int, arrays: np.ndarray | Sequence[Permutation]) -> ClassRep
     )
 
 
-def table1(
-    max_n: int,
-    *,
-    limit: int = DEFAULT_ORDER_LIMIT,
-    arrays_by_order: Mapping[int, np.ndarray | Sequence[Permutation]] | None = None,
-) -> list[ClassReport]:
-    """Class reports for orders 2..max_n.
-
-    Orders present in arrays_by_order use the supplied complete array
-    list (e.g. an ingested database); all others are enumerated
-    in-process, subject to the order limit.
-    """
+def table1(max_n: int) -> list[ClassReport]:
+    """Class reports for orders 2..max_n, each from the Costas arrays
+    enumerated in-process, subject to the order limit."""
     if max_n < 2:
         raise ValueError(f"max order {max_n} is below 2, the least order Table 1 lists")
-    supplied = arrays_by_order or {}
-    reports = []
-    for n in range(2, max_n + 1):
-        arrays = supplied[n] if n in supplied else costas_values(n, limit)
-        reports.append(class_report(n, arrays))
-    return reports
+    return [class_report(n, costas_values(n)) for n in range(2, max_n + 1)]

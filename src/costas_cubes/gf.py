@@ -7,7 +7,7 @@ after normalization, matching notation such as <1 + x^3 + x^4>.
 
 Each field keeps one table, to its least primitive element g
 (FieldSpec.tables): exp, log and the Zech column Z[t] = log(1 - g^t).
-Every operation is one read of it: mul, inv and pow add logs, and
+Every operation is one read of it: inv and neg add logs, and
 a - b = a * (1 - b/a) reads Z.  Prime fields use the same code path with
 the implicit modulus x, so the encoding of an element of GF(p) is simply
 its least residue.  The table is also the only source of primitivity:
@@ -124,9 +124,6 @@ class FieldSpec:
             e = e * self.p + c % self.p
         return e
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def nonzero_elements(self) -> range:
         return range(1, self.q)
 
@@ -176,27 +173,11 @@ class FieldSpec:
             self._exp, self._log, self._zech = exp, log, zech
         return self._exp, self._log, self._zech
 
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        if a == 0 or b == 0:
-            return 0
-        exp, log, _ = self.tables()
-        return exp[(log[a] + log[b]) % (self.q - 1)]
-
     def inv(self, a: FieldElement) -> FieldElement:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         exp, log, _ = self.tables()
         return exp[-log[a] % (self.q - 1)]
-
-    def pow(self, a: FieldElement, k: int) -> FieldElement:
-        if a == 0:
-            if k > 0:
-                return 0
-            if k == 0:
-                return 1
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        exp, log, _ = self.tables()
-        return exp[log[a] * k % (self.q - 1)]
 
     def neg(self, a: FieldElement) -> FieldElement:
         if a == 0:
@@ -215,9 +196,6 @@ class FieldSpec:
         exp, log, zech = self.tables()
         n = self.q - 1
         return exp[(log[a] + zech[(log[b] - log[a]) % n]) % n]
-
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return self.sub(a, self.neg(b))
 
 
 def field_new(p: int, m: int, modulus: Sequence[int] | None = None) -> FieldSpec:

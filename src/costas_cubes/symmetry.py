@@ -4,13 +4,11 @@ and permutation cubes, canonical forms, orbits, and projection sets.
 A symmetry is a signed axis permutation: output axis a reads input axis
 axes[a] and then optionally reverses the coordinate (x -> n+1-x).  With
 two axes this gives the 8 square symmetries; with three axes the 48 cube
-symmetries.  The orientation-preserving elements (signed permutation
-matrices of determinant +1) form the 24-element rotation subgroup.
+symmetries.
 
-apply_planar and apply_cube map one object by one symmetry.  Canonical
-forms and orbits read all images of an object at once.  One numpy pass
-forms the 8 square images of a whole value matrix, and the least is
-found with np.lexsort.  The 48 images of a cube are one gather, through
+Canonical forms and orbits read all images of an object at once.  One
+numpy pass forms the 8 square images of a whole value matrix, and the
+least is found with np.lexsort.  The 48 images of a cube are one gather, through
 an index table built once per order, from 18 sequences of its
 coordinates: i, j and k and their complements, each listed in the order
 of i, of j and of k; the least is the least of their bytes as big-endian
@@ -38,39 +36,6 @@ class AxisSymmetry:
     axes: tuple[int, ...]
     flips: tuple[bool, ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
-
-    @property
-    def is_rotation(self) -> bool:
-        """True for orientation-preserving elements (determinant +1)."""
-        inversions = sum(
-            1
-            for x in range(self.dim)
-            for y in range(x + 1, self.dim)
-            if self.axes[x] > self.axes[y]
-        )
-        return (inversions + sum(self.flips)) % 2 == 0
-
-    def apply_coords(self, coords: tuple[int, ...], n: int) -> tuple[int, ...]:
-        """Image of a 1-based coordinate tuple in an order-n array."""
-        return tuple(
-            (n + 1 - coords[src]) if flip else coords[src]
-            for src, flip in zip(self.axes, self.flips)
-        )
-
-    def compose(self, other: AxisSymmetry) -> AxisSymmetry:
-        """self after other: apply(compose(f, g), x) == apply(f, apply(g, x))."""
-        axes = tuple(other.axes[a] for a in self.axes)
-        flips = tuple(f ^ other.flips[a] for a, f in zip(self.axes, self.flips))
-        return AxisSymmetry(axes, flips)
-
-    def inverse(self) -> AxisSymmetry:
-        axes = tuple(self.axes.index(a) for a in range(self.dim))
-        flips = tuple(self.flips[axes[a]] for a in range(self.dim))
-        return AxisSymmetry(axes, flips)
-
 
 def _group(dim: int) -> tuple[AxisSymmetry, ...]:
     return tuple(
@@ -82,33 +47,6 @@ def _group(dim: int) -> tuple[AxisSymmetry, ...]:
 
 PLANAR_SYMMETRIES: tuple[AxisSymmetry, ...] = _group(2)
 CUBE_SYMMETRIES: tuple[AxisSymmetry, ...] = _group(3)
-CUBE_ROTATIONS: tuple[AxisSymmetry, ...] = tuple(s for s in CUBE_SYMMETRIES if s.is_rotation)
-
-PLANAR_IDENTITY = AxisSymmetry((0, 1), (False, False))
-# i -> n+1-i with j fixed: mirrors the array left-right when the first
-# index is drawn as the horizontal coordinate.
-VERTICAL_REFLECTION = AxisSymmetry((0, 1), (True, False))
-ROTATION_180 = AxisSymmetry((0, 1), (True, True))
-
-
-def apply_planar(sym: AxisSymmetry, perm: Permutation) -> Permutation:
-    """Image of a permutation array under a square symmetry."""
-    n = perm.order
-    values = [0] * n
-    for cell in perm.cells():
-        i, j = sym.apply_coords(cell, n)
-        values[j - 1] = i
-    return Permutation(tuple(values))
-
-
-def apply_cube(sym: AxisSymmetry, cube: CostasCube) -> CostasCube:
-    """Image of a permutation cube under a cube symmetry."""
-    n = cube.order
-    rows = [(0, 0)] * n
-    for triple in cube.triples():
-        i, j, k = sym.apply_coords(triple, n)
-        rows[i - 1] = (j, k)
-    return CostasCube(tuple(rows))
 
 
 def planar_images(values: np.ndarray) -> np.ndarray:
@@ -143,12 +81,6 @@ def least_image(images: np.ndarray) -> np.ndarray:
 def canonical_array(perm: Permutation) -> Permutation:
     """Lexicographically least value sequence over the D4 orbit of perm."""
     return Permutation(tuple(least_image(planar_images(value_matrix([perm])))[0].tolist()))
-
-
-def array_class_size(perm: Permutation) -> int:
-    """Size of the D4 orbit: 4 or 8 for order > 2 (4 iff a diagonal
-    reflection fixes the array), the literal orbit size at orders <= 2."""
-    return len(set(map(tuple, planar_images(value_matrix([perm]))[:, 0].tolist())))
 
 
 @functools.cache
@@ -227,11 +159,6 @@ def first_of_each_class(rows: np.ndarray) -> Iterator[tuple[int, CostasCube]]:
         images = _row_images(rows[t])
         seen.update(_row_keys(images))
         yield t, canonical_cube(_as_cube(rows[t].tolist()), images)
-
-
-def cube_orbit(cube: CostasCube) -> list[CostasCube]:
-    """The distinct images of cube under all 48 symmetries, sorted by rows."""
-    return [_as_cube(rows) for rows in sorted(set(map(tuple, cube_images(cube).tolist())))]
 
 
 def projection_set(cube: CostasCube) -> set[Permutation]:

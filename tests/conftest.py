@@ -1,4 +1,7 @@
-"""Shared fixtures: known worked examples and a session enumeration cache."""
+"""Shared fixtures, known worked examples, a session enumeration cache,
+and the reference oracles: the per-element symmetry action, projection-pair
+reconstruction and digit-level field arithmetic that the package's numpy
+kernels and log tables are checked against."""
 
 import functools
 
@@ -7,7 +10,7 @@ import pytest
 from costas_cubes.core import CostasCube, Permutation
 from costas_cubes.enumeration import enumerate_costas_arrays, enumerate_costas_cubes
 from costas_cubes.gf import field_new
-from costas_cubes.symmetry import CUBE_SYMMETRIES, PLANAR_SYMMETRIES, apply_cube, apply_planar
+from costas_cubes.symmetry import CUBE_SYMMETRIES, PLANAR_SYMMETRIES, AxisSymmetry
 
 # Every extension field the suite instantiates, keyed by q.
 EXTENSION_MODULI = {
@@ -83,9 +86,120 @@ GF27_E_B = (19, 23, 21, 18, 5, 4, 22, 17, 7, 10, 11, 13, 20, 2, 8, 1, 15, 6, 16,
 GF27_E_C = (9, 11, 1, 19, 20, 7, 16, 10, 3, 15, 14, 5, 13, 2, 8, 6, 17, 21, 24, 12, 22, 18, 23, 4)
 
 
+# -- symmetry oracles ----------------------------------------------------
+
+
+def apply_symmetry(sym: AxisSymmetry, coords: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Image of a 1-based coordinate tuple of an order-n array (two axes)
+    or cube (three axes): output axis a reads input axis sym.axes[a],
+    reversed (x -> n+1-x) where sym.flips[a]."""
+    return tuple(n + 1 - coords[a] if flip else coords[a] for a, flip in zip(sym.axes, sym.flips))
+
+
+def image(sym: AxisSymmetry, obj):
+    """Image of a Permutation under a square symmetry, or of a CostasCube
+    under a cube symmetry, one 1 entry at a time through apply_symmetry.
+    The array's 1 entries are the cells (sigma(j), j)."""
+    n = obj.order
+    if isinstance(obj, Permutation):
+        cells = (apply_symmetry(sym, (i, j), n) for j, i in enumerate(obj.values, start=1))
+        return Permutation(tuple(i for i, _ in sorted(cells, key=lambda cell: cell[1])))
+    return CostasCube.from_triples(apply_symmetry(sym, t, n) for t in obj.triples())
+
+
+def is_rotation(sym: AxisSymmetry) -> bool:
+    """True for orientation-preserving symmetries (determinant +1): the
+    parity of the axis permutation plus the number of reversed axes is even."""
+    axes = sym.axes
+    inversions = sum(axes[x] > axes[y] for x in range(len(axes)) for y in range(x + 1, len(axes)))
+    return (inversions + sum(sym.flips)) % 2 == 0
+
+
+CUBE_ROTATIONS = tuple(s for s in CUBE_SYMMETRIES if is_rotation(s))
+# i -> n+1-i with j fixed: mirrors the array left-right when the first
+# index is drawn as the horizontal coordinate.
+VERTICAL_REFLECTION = AxisSymmetry((0, 1), (True, False))
+ROTATION_180 = AxisSymmetry((0, 1), (True, True))
+
+
 def canonical_cube_oracle(cube: CostasCube) -> CostasCube:
-    """canonical_cube as a loop over one apply_cube image at a time."""
-    return CostasCube(min(apply_cube(s, cube).rows for s in CUBE_SYMMETRIES))
+    """canonical_cube as a loop over one image at a time."""
+    return min((image(s, cube) for s in CUBE_SYMMETRIES), key=lambda c: c.rows)
+
+
+def cube_orbit_oracle(cube: CostasCube) -> list[CostasCube]:
+    """The distinct images of cube under the 48 symmetries, sorted by rows."""
+    return sorted({image(s, cube) for s in CUBE_SYMMETRIES}, key=lambda c: c.rows)
+
+
+def array_class_size_oracle(perm: Permutation) -> int:
+    """The size of the D4 orbit of perm."""
+    return len({image(s, perm) for s in PLANAR_SYMMETRIES})
+
+
+# -- projection oracles --------------------------------------------------
+
+
+def inverse(perm: Permutation) -> Permutation:
+    inv = [0] * perm.order
+    for j, i in enumerate(perm.values, start=1):
+        inv[i - 1] = j
+    return Permutation(tuple(inv))
+
+
+def cube_from_pair(which: str, x: Permutation, y: Permutation) -> CostasCube:
+    """The permutation cube whose projection pair which ("AB", "AC" or
+    "BC") is (x, y).  Row i has j_i = A^-1(i) and k_i = B^-1(i), and
+    Projection C links them: C(k_i) = j_i."""
+    if which == "AB":
+        j, k = inverse(x).values, inverse(y).values
+    elif which == "AC":
+        j = inverse(x).values
+        k = tuple(inverse(y).values[jj - 1] for jj in j)
+    else:
+        k = inverse(x).values
+        j = tuple(y.values[kk - 1] for kk in k)
+    return CostasCube(tuple(zip(j, k)))
+
+
+# -- field oracles ------------------------------------------------------
+
+
+def field_add(field, a: int, b: int) -> int:
+    """a + b, digit by digit mod p."""
+    return field.encode([x + y for x, y in zip(field.digits(a), field.digits(b))])
+
+
+def field_mul(field, a: int, b: int) -> int:
+    """Schoolbook polynomial product reduced by long division."""
+    p, m = field.p, field.m
+    da, db = field.digits(a), field.digits(b)
+    prod = [0] * (2 * m)
+    for s, ca in enumerate(da):
+        for t, cb in enumerate(db):
+            prod[s + t] = (prod[s + t] + ca * cb) % p
+    for top in range(2 * m - 1, m - 1, -1):
+        c = prod[top]
+        if c:
+            for t, cm in enumerate(field.modulus):
+                prod[top - m + t] = (prod[top - m + t] - c * cm) % p
+    return field.encode(prod[:m])
+
+
+@functools.lru_cache(maxsize=None)
+def field_pow(field, a: int, k: int) -> int:
+    """a^k by square-and-multiply over field_mul; a negative k reads
+    a^(k mod q-1), so a must then be nonzero.  Cached, as the tests
+    raise few bases to many exponents."""
+    if k < 0:
+        k %= field.q - 1
+    r = 1
+    while k:
+        if k & 1:
+            r = field_mul(field, r, a)
+        a = field_mul(field, a, a)
+        k >>= 1
+    return r
 
 
 def cube_from_jk(j_row, k_row) -> CostasCube:
@@ -116,5 +230,5 @@ def order7_without_one_class() -> list[Permutation]:
     """The order-7 Costas arrays minus one whole D4 class: still closed
     under the square symmetries, but incomplete."""
     arrays = costas_arrays(7)
-    orbit = {apply_planar(s, arrays[0]).values for s in PLANAR_SYMMETRIES}
+    orbit = {image(s, arrays[0]).values for s in PLANAR_SYMMETRIES}
     return [p for p in arrays if p.values not in orbit]

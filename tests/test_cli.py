@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +10,7 @@ from costas_cubes.cli import main
 from costas_cubes.construct import catalog
 from costas_cubes.core import CostasCube, Permutation
 from costas_cubes.files import emit_array_file, emit_cube_file, parse_array_file, parse_cube_file
-from costas_cubes.symmetry import apply_planar, PLANAR_SYMMETRIES
+from costas_cubes.symmetry import PLANAR_SYMMETRIES
 
 from conftest import (
     GF16_J,
@@ -17,6 +20,7 @@ from conftest import (
     SMALL_SD_TRIPLES,
     costas_arrays,
     cube_from_jk,
+    image,
     order7_without_one_class,
 )
 
@@ -32,6 +36,69 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Golden CLI runs: each command below, in both output formats (import has
+# one), over the input files of golden_inputs, run from the directory that
+# holds them.  cli_golden.json holds each run's argv, exit code, stdout and
+# stderr, and for import the normalized file it writes.
+GOLDEN_COMMANDS = {
+    "verify-array-costas": ["verify", "array", "costas.txt"],
+    "verify-array-not-costas": ["verify", "array", "line.txt"],
+    "verify-cube-order6": ["verify", "cube", "cube6.txt"],
+    "verify-cube-not-costas": ["verify", "cube", "diagonal.txt"],
+    "construct-w1": ["construct", "w1", "--field", "13", "--phi", "2", "--c", "3"],
+    "construct-cube-g2x3": ["construct", "cube-g2x3", "--field", "2^4:1,0,0,1,1",
+                            "--phi", "x", "--rho", "1+x^2+x^3", "--psi", "x+x^2+x^3"],
+    "sd-set": ["sd-set", "cube6.txt"],
+    "classify-array": ["classify", "array", "arrays.txt"],
+    "classify-cube": ["classify", "cube", "cube6.txt"],
+    "project": ["project", "cube6.txt"],
+}
+GOLDEN_IMPORT = ["import", "order5.txt", "--expect-order", "5", "--output", "order5.normalized"]
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+def golden_inputs() -> dict[str, str]:
+    return {
+        "costas.txt": "2 4 5 1 6 3\n",
+        "line.txt": "1 2 3 4\n",
+        "cube6.txt": emit_cube_file(CostasCube.from_triples(ORDER6_TRIPLES)),
+        "diagonal.txt": "1 1 1\n2 2 2\n3 3 3\n4 4 4\n",
+        "arrays.txt": emit_array_file([Permutation(P13_A), Permutation((1, 2, 3, 4))]),
+        "order5.txt": emit_array_file(list(costas_arrays(5))),
+    }
+
+
+def golden_cases() -> dict[str, list[str]]:
+    """Case name -> argv."""
+    cases = {f"{name} --format {fmt}": [*argv, "--format", fmt]
+             for name, argv in GOLDEN_COMMANDS.items() for fmt in ("text", "machine")}
+    cases["import"] = GOLDEN_IMPORT
+    return cases
+
+
+def golden_run(argv: list[str]) -> dict:
+    """One CLI run in the current directory, which holds golden_inputs."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    run = {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    if argv[0] == "import":
+        run["written"] = Path(argv[-1]).read_text()
+    return run
+
+
+def test_golden_covers_every_case():
+    assert sorted(GOLDEN) == sorted(golden_cases())
+
+
+@pytest.mark.parametrize("case", sorted(golden_cases()))
+def test_cli_output_matches_golden(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    for name, text in golden_inputs().items():
+        Path(name).write_text(text)
+    assert golden_run(golden_cases()[case]) == GOLDEN[case]
 
 
 def test_verify_cube_pass(capsys, order6_file):
@@ -300,7 +367,7 @@ def test_import_order_mismatch(capsys, tmp_path):
 
 def test_import_expands_representatives(capsys, tmp_path):
     reps = [p for p in costas_arrays(5)
-            if all(p.values <= apply_planar(s, p).values for s in PLANAR_SYMMETRIES)]
+            if all(p.values <= image(s, p).values for s in PLANAR_SYMMETRIES)]
     path = tmp_path / "reps.txt"
     out_path = tmp_path / "full.txt"
     path.write_text(emit_array_file(reps))
@@ -315,7 +382,7 @@ def test_import_expands_representatives(capsys, tmp_path):
 def test_import_rejects_incomplete_closed_database(capsys, tmp_path):
     arrays = order7_without_one_class()
     reps = [p for p in arrays
-            if all(p.values <= apply_planar(s, p).values for s in PLANAR_SYMMETRIES)]
+            if all(p.values <= image(s, p).values for s in PLANAR_SYMMETRIES)]
     for name, listed, extra in (("full.txt", arrays, []), ("reps.txt", reps, ["--expand"])):
         path = tmp_path / name
         path.write_text(emit_array_file(listed))

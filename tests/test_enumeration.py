@@ -8,8 +8,7 @@ from costas_cubes import enumeration, symmetry
 from costas_cubes.core import (
     CostasCube,
     Permutation,
-    cube_from_projections,
-    is_costas,
+    costas_violation,
     is_costas_cube,
     projections,
 )
@@ -24,20 +23,24 @@ from costas_cubes.enumeration import (
     costas_values,
     enumerate_costas_arrays,
     enumerate_costas_cubes,
-    projection_class_count,
     table1,
 )
 from costas_cubes.files import parse_array_file
 from costas_cubes.reference import COSTAS_ARRAY_TOTALS, CUBE_CLASS_COUNTS
 from costas_cubes.symmetry import (
     PLANAR_SYMMETRIES,
-    apply_planar,
-    array_class_size,
     canonical_cube,
     projection_set,
 )
 
-from conftest import costas_arrays, costas_cube_classes, order7_without_one_class
+from conftest import (
+    array_class_size_oracle,
+    costas_arrays,
+    costas_cube_classes,
+    cube_from_pair,
+    image,
+    order7_without_one_class,
+)
 
 # The join benchmark's input: the 4368 order-11 Costas arrays.
 ORDER11_DATABASE = Path(__file__).parents[1] / "perfbench" / "data" / "costas_order11.txt"
@@ -48,7 +51,7 @@ def brute_force_costas(n):
     return [
         Permutation(vals)
         for vals in itertools.permutations(range(1, n + 1))
-        if is_costas(Permutation(vals))
+        if costas_violation(Permutation(vals)) is None
     ]
 
 
@@ -151,7 +154,7 @@ def test_class_counts():
 def test_raw_count_consistent_with_class_sizes():
     for n in (5, 6, 7):
         reps = array_classes(costas_arrays(n))
-        assert sum(array_class_size(p) for p in reps) == len(costas_arrays(n))
+        assert sum(array_class_size_oracle(p) for p in reps) == len(costas_arrays(n))
 
 
 def test_pair_join_class_counts():
@@ -171,13 +174,13 @@ def _dense_pair_join(n):
     then test Projection C of every ordered pair directly."""
     reps = array_classes(costas_arrays(n))
     arrays = sorted(
-        {apply_planar(s, p).values for p in reps for s in PLANAR_SYMMETRIES}
+        {image(s, p).values for p in reps for s in PLANAR_SYMMETRIES}
     )
     found = set()
     for a_vals in arrays:
         for b_vals in arrays:
-            cube = cube_from_projections(Permutation(a_vals), Permutation(b_vals))
-            if is_costas(projections(cube).c):
+            cube = cube_from_pair("AB", Permutation(a_vals), Permutation(b_vals))
+            if costas_violation(projections(cube).c) is None:
                 found.add(canonical_cube(cube).rows)
     return sorted(found)
 
@@ -355,7 +358,7 @@ def test_check_complete_messages_name_the_first_faulty_array():
     # image is named.
     missing = arrays[20]
     rest = (arrays[:20] + arrays[21:])[::-1]
-    named = next(p for p in rest if missing in {apply_planar(s, p) for s in PLANAR_SYMMETRIES})
+    named = next(p for p in rest if missing in {image(s, p) for s in PLANAR_SYMMETRIES})
     cases.append((rest, rf"array list is not closed under the square symmetries "
                         rf"\(image of \({','.join(map(str, named.values))}\) missing\); "
                         "it cannot be complete"))
@@ -365,23 +368,17 @@ def test_check_complete_messages_name_the_first_faulty_array():
 
 
 def test_projection_class_count_examples():
-    assert projection_class_count(costas_cube_classes(4)) == 1
-    assert projection_class_count(costas_cube_classes(6)) == 17
-    assert projection_class_count([]) == 0
-    with pytest.raises(ValueError, match="orders 4 and 6 mixed"):
-        projection_class_count(costas_cube_classes(4) + costas_cube_classes(6))
-    diagonal = CostasCube(tuple((i, i) for i in range(1, 5)))
-    with pytest.raises(ValueError, match="requires Costas cubes"):
-        projection_class_count(costas_cube_classes(4) + (diagonal,))
+    assert class_report(4, costas_arrays(4)).projection_array_classes == 1
+    assert class_report(6, costas_arrays(6)).projection_array_classes == 17
+    assert class_report(1, costas_arrays(1)).projection_array_classes == 1
 
 
 def test_projection_class_count_matches_projection_sets():
-    """The count over canonical projections equals the classes of the
-    union of the cubes' projection sets, and class_report's count."""
+    """class_report's count over canonical projections equals the classes
+    of the union of the cubes' projection sets."""
     for n in range(1, 9):
         cubes = costas_cube_classes(n)
         want = len(array_classes(p for cube in cubes for p in projection_set(cube)))
-        assert projection_class_count(cubes) == want
         assert class_report(n, costas_arrays(n)).projection_array_classes == want
 
 
@@ -401,13 +398,14 @@ def test_table1_small_rows():
 
 
 def test_table1_accepts_supplied_databases():
-    supplied = {5: list(costas_arrays(5))}
-    reports = table1(5, limit=4, arrays_by_order=supplied)
-    assert reports[-1].cube_classes == 13
+    """A supplied database reaches class_report, past the enumeration limit;
+    an incomplete one is refused."""
+    assert class_report(5, list(costas_arrays(5))) == table1(5)[-1]
+    assert class_report(5, list(costas_arrays(5))).cube_classes == 13
     with pytest.raises(EnumerationLimitError):
-        table1(5, limit=4)
+        costas_values(5, limit=4)
     with pytest.raises(ValueError, match="cannot be complete"):
-        table1(7, limit=6, arrays_by_order={7: order7_without_one_class()})
+        class_report(7, order7_without_one_class())
 
 
 def test_table1_representatives_flag():
