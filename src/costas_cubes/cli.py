@@ -1,11 +1,14 @@
 """Command-line interface.
 
 Commands: verify, construct, enumerate, tables, sd-set, classify,
-project, import.  Exit codes: 0 success / everything verified,
-1 verification failure (including an import whose arrays fail a check,
-such as a closed database short of the published total), 2 usage or
-parse error, or a path that cannot be read or written.  Commands raise
-ValueError or OSError for exit 2; only main prints those errors.
+project, import.  tables prints Table 1 or Table 2 with the published
+rows (reference.TABLE1/TABLE2) and flags each row that differs.
+Exit codes: 0 success / everything verified, 1 verification failure
+(including a tables row that differs from the published one, or an
+import whose arrays fail a check, such as a closed database short of
+the published total), 2 usage or parse error, or a path that cannot be
+read or written.  Commands raise ValueError or OSError for exit 2; only
+main prints those errors.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .core import (
 from .enumeration import ClassReport, array_classes, class_report, costas_values, table1, total_mismatch
 from .files import emit_array_file, emit_cube_file, numbered_arrays, parse_array_file, parse_cube_file
 from .gf import format_element, parse_element, parse_field_spec
+from .reference import TABLE1, TABLE2
 from .symmetry import canonical_array, planar_images, projection_set
 
 
@@ -189,36 +193,39 @@ def cmd_enumerate(args) -> int:
 # -- tables -------------------------------------------------------------
 
 
-def cmd_tables(args) -> int:
-    if args.table == 1:
-        reports = table1(args.max_order)
-        if args.format == "machine":
-            print(_machine([_counts(r) for r in reports]))
-        else:
-            print("order  cubes  projection_arrays  total_arrays")
-            for r in reports:
-                print(f"{r.order:>5}  {r.cube_classes:>5}  {r.projection_array_classes:>17}  {r.total_array_classes:>12}")
-        return 0
+_TABLE1_COLUMNS = ("cubes", "projection_arrays", "total_arrays")
 
-    rows = table2(args.max_order)
-    if args.format == "machine":
-        print(_machine([
-            {"order": r.order, "g2x3": r.g2x3, "w2w2g2": r.w2w2g2, "g3": r.g3,
-             "g3_variant_i": r.g3_variant_i, "g3_variant_ii": r.g3_variant_ii,
-             "total_known": r.total_known}
-            for r in rows
-        ]))
-    else:
-        print("order  g2x3  w2w2g2  g3  total_known")
+
+def cmd_tables(args) -> int:
+    differs = False
+    if args.table == 1:
+        rows = table1(args.max_order)
+        doc = [_counts(r) for r in rows]
+        lines = ["order  cubes  projection_arrays  total_arrays    published"]
         for r in rows:
-            if r.g2x3 or r.w2w2g2 or r.g3:
-                cells = [str(r.order),
-                         str(r.g2x3) if r.g2x3 else "-",
-                         str(r.w2w2g2) if r.w2w2g2 else "-",
-                         str(r.g3) if r.g3 else "-",
-                         str(r.total_known) if r.total_known is not None else "?"]
-                print(f"{cells[0]:>5}  {cells[1]:>4}  {cells[2]:>6}  {cells[3]:>2}  {cells[4]:>11}")
-    return 0
+            got = (r.cube_classes, r.projection_array_classes, r.total_array_classes)
+            known = TABLE1[r.order]
+            names = [name for name, g, k in zip(_TABLE1_COLUMNS, got, known) if g != k]
+            flag = "  <-- differs from published " + ", ".join(names) if names else ""
+            differs |= bool(flag)
+            published = " ".join(map(str, known))
+            lines.append(f"{r.order:>5}  {got[0]:>5}  {got[1]:>17}  {got[2]:>12}  {published:>11}{flag}")
+    else:
+        rows = table2(args.max_order)
+        doc = [{"order": r.order, "g2x3": r.g2x3, "w2w2g2": r.w2w2g2, "g3": r.g3,
+                "g3_variant_i": r.g3_variant_i, "g3_variant_ii": r.g3_variant_ii,
+                "total_known": r.total_known} for r in rows]
+        lines = ["order  g2x3  w2w2g2  g3 (i/ii)  total_known"]
+        for r in rows:
+            got, published = (r.g2x3, r.w2w2g2, r.g3), TABLE2.get(r.order, (0, 0, 0))
+            flag = "  <-- differs from published " + " ".join(map(str, published)) if got != published else ""
+            differs |= bool(flag)
+            if flag or any(got):
+                g3_cell = f"{r.g3} ({r.g3_variant_i}/{r.g3_variant_ii})" if r.g3 else "-"
+                lines.append(f"{r.order:>5}  {r.g2x3 or '-':>4}  {r.w2w2g2 or '-':>6}  {g3_cell:>9}  "
+                             f"{r.total_known:>11}{flag}")
+    print(_machine(doc) if args.format == "machine" else "\n".join(lines))
+    return 1 if differs else 0
 
 
 # -- sd-set -------------------------------------------------------------

@@ -37,12 +37,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 
 import numpy as np
 
 from .core import CostasCube, Permutation, is_costas_cube
 from .reference import CUBE_CLASS_COUNTS
 from .gf import (
+    PRIMITIVE_ELEMENT_GUARD,
     FieldElement,
     FieldSpec,
     field_new,
@@ -53,12 +55,14 @@ from .gf import (
     is_primitive,
     prime_power,
     primitive_elements,
+    _is_irreducible,
 )
 from .symmetry import canonical_array, first_of_each_class
 
 # One fixed representation per non-prime field order used by sweeps and
-# the catalog; different moduli give isomorphic fields and identical
-# canonical class sets, so ranging over them would only duplicate work.
+# the catalog (default_field picks one for any other order); different
+# moduli give isomorphic fields and identical canonical class sets, so
+# ranging over them would only duplicate work.
 DEFAULT_MODULI: dict[int, tuple[int, ...]] = {
     4: (1, 1, 1),
     8: (1, 0, 1, 1),
@@ -98,7 +102,9 @@ class ConstructionId:
 
 
 def default_field(q: int, moduli: dict[int, tuple[int, ...]] | None = None) -> FieldSpec:
-    """The configured GF(q) for sweeps and the catalog."""
+    """The configured GF(q) for sweeps and the catalog.  A field with no
+    configured modulus takes the least monic irreducible one by encoding,
+    up to the table guard."""
     pm = prime_power(q)
     if pm is None:
         raise ValueError(f"{q} is not a prime power")
@@ -106,9 +112,13 @@ def default_field(q: int, moduli: dict[int, tuple[int, ...]] | None = None) -> F
     if m == 1:
         return field_new(p, 1)
     table = DEFAULT_MODULI if moduli is None else moduli
-    if q not in table:
-        raise ValueError(f"no modulus configured for GF({q})")
-    return field_new(p, m, table[q])
+    if q in table:
+        return field_new(p, m, table[q])
+    if q > PRIMITIVE_ELEMENT_GUARD:
+        raise ValueError(f"no modulus configured for GF({q}), above the table guard {PRIMITIVE_ELEMENT_GUARD}")
+    # product() counts the digits c_(m-1)..c_0 up, which is encoding order.
+    low = next(c[::-1] for c in product(range(p), repeat=m) if _is_irreducible(c[::-1] + (1,), p))
+    return field_new(p, m, low + (1,))
 
 
 # -- array constructions -----------------------------------------------

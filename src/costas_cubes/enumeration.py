@@ -376,7 +376,10 @@ def class_report(n: int, arrays: np.ndarray | Sequence[Permutation]) -> ClassRep
 
 def table1(max_n: int) -> list[ClassReport]:
     """Class reports for orders 2..max_n, each from the Costas arrays
-    enumerated in-process, subject to the order limit."""
+    enumerated in-process; an order above the limit raises before any
+    search starts."""
     if max_n < 2:
         raise ValueError(f"max order {max_n} is below 2, the least order Table 1 lists")
+    if max_n > DEFAULT_ORDER_LIMIT:
+        raise EnumerationLimitError(max_n, DEFAULT_ORDER_LIMIT)
     return [class_report(n, costas_values(n)) for n in range(2, max_n + 1)]

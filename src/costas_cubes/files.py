@@ -108,10 +108,7 @@ def parse_cube_file(text: str) -> CostasCube:
     return CostasCube.from_triples(triples)
 
 
-def emit_cube_file(cube: CostasCube, fmt: str = "text", comments: Sequence[str] = ()) -> str:
-    if fmt == "machine":
-        doc = {"order": cube.order, "triples": [list(t) for t in cube.triples()]}
-        return json.dumps(doc, sort_keys=True) + "\n"
+def emit_cube_file(cube: CostasCube, comments: Sequence[str] = ()) -> str:
     lines = [f"# {c}" for c in comments]
     lines.append(f"# order {cube.order}")
     lines.extend(f"{i} {j} {k}" for i, j, k in cube.triples())

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from costas_cubes import cli
+from costas_cubes import cli, enumeration, reference
 from costas_cubes.cli import main
-from costas_cubes.construct import catalog
+from costas_cubes.construct import catalog, w1
 from costas_cubes.core import CostasCube, Permutation
 from costas_cubes.files import emit_array_file, emit_cube_file, parse_array_file, parse_cube_file
 from costas_cubes.symmetry import PLANAR_SYMMETRIES
@@ -54,6 +54,8 @@ GOLDEN_COMMANDS = {
     "classify-array": ["classify", "array", "arrays.txt"],
     "classify-cube": ["classify", "cube", "cube6.txt"],
     "project": ["project", "cube6.txt"],
+    "tables-1": ["tables", "--table", "1", "--max-order", "8"],
+    "tables-2": ["tables", "--table", "2", "--max-order", "29"],
 }
 GOLDEN_IMPORT = ["import", "order5.txt", "--expect-order", "5", "--output", "order5.normalized"]
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
@@ -238,7 +240,7 @@ def test_enumerate_emit_representatives(capsys):
 def test_tables_1_text(capsys):
     code, out, _ = run(capsys, "tables", "--table", "1", "--max-order", "5")
     assert code == 0
-    assert out.splitlines()[-1].split() == ["5", "13", "6", "6"]
+    assert out.splitlines()[-1].split() == ["5", "13", "6", "6", "13", "6", "6"]
 
 
 def test_tables_2_machine_byte_stable(capsys):
@@ -493,48 +495,55 @@ def test_entry_point_exists():
     assert proc.returncode == 2
 
 
-def test_reproduce_table1_script_exits_1_on_a_differing_row(capsys, monkeypatch):
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_table1.py"
-    spec = importlib.util.spec_from_file_location("reproduce_table1", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.main(["--max-order", "5"]) == 0
-    assert "differs" not in capsys.readouterr().out
-    with pytest.raises(SystemExit) as exit_:
-        script.main(["--max-order", "1"])
-    assert exit_.value.code == 2
-    assert "max order 1 is below 2" in capsys.readouterr().err
+def test_tables_1_exits_1_on_a_differing_row(capsys, monkeypatch):
+    code, out, _ = run(capsys, "tables", "--table", "1", "--max-order", "5")
+    assert code == 0
+    assert "differs" not in out
+    code, _, err = run(capsys, "tables", "--table", "1", "--max-order", "1")
+    assert code == 2
+    assert "max order 1 is below 2" in err
     for published, column in (((12, 6, 6), "cubes"), ((13, 7, 6), "projection_arrays")):
-        monkeypatch.setitem(script.TABLE1, 5, published)
-        assert script.main(["--max-order", "5"]) == 1
-        out = capsys.readouterr().out
+        monkeypatch.setitem(reference.TABLE1, 5, published)
+        code, out, _ = run(capsys, "tables", "--table", "1", "--max-order", "5")
+        assert code == 1
         flagged = [line for line in out.splitlines() if "differs" in line]
         assert len(flagged) == 1
         assert flagged[0].split()[0] == "5"
         assert flagged[0].endswith("differs from published " + column)
+        assert run(capsys, "tables", "--table", "1", "--max-order", "5", "--format", "machine")[0] == 1
 
 
-def test_reproduce_table2_script_exits_1_on_a_differing_row(capsys, monkeypatch):
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_table2.py"
-    spec = importlib.util.spec_from_file_location("reproduce_table2", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.main(["--max-order", "9"]) == 0
-    assert "differs" not in capsys.readouterr().out
-    with pytest.raises(SystemExit) as exit_:
-        script.main(["--max-order", "1"])
-    assert exit_.value.code == 2
-    assert "max order 1 is below 2" in capsys.readouterr().err
+def test_tables_2_exits_1_on_a_differing_row(capsys, monkeypatch):
+    code, out, _ = run(capsys, "tables", "--table", "2", "--max-order", "9")
+    assert code == 0
+    assert "differs" not in out
+    code, _, err = run(capsys, "tables", "--table", "2", "--max-order", "1")
+    assert code == 2
+    assert "max order 1 is below 2" in err
     # one differing column each; order 8 constructs nothing but must still print
     for order, published in ((5, (1, 1, 1)), (6, (4, 1, 0)), (8, (1, 0, 0))):
-        monkeypatch.setitem(script.TABLE2, order, published)
-        assert script.main(["--max-order", "9"]) == 1
-        flagged = [line for line in capsys.readouterr().out.splitlines() if "differs" in line]
+        monkeypatch.setitem(reference.TABLE2, order, published)
+        code, out, _ = run(capsys, "tables", "--table", "2", "--max-order", "9")
+        assert code == 1
+        flagged = [line for line in out.splitlines() if "differs" in line]
         assert [line.split()[0] for line in flagged] == [str(order)]
+        assert run(capsys, "tables", "--table", "2", "--max-order", "9", "--format", "machine")[0] == 1
         monkeypatch.undo()
+
+
+def test_tables_1_refuses_order_14_before_any_search(capsys, monkeypatch):
+    searched = []
+    monkeypatch.setattr(enumeration, "costas_values", lambda *a, **k: searched.append(a))
+    code, out, err = run(capsys, "tables", "--table", "1", "--max-order", "14")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: order 14 exceeds the in-process enumeration limit 13; ")
+    assert searched == []
+
+
+def test_classify_labels_w1_over_a_field_with_no_configured_modulus(capsys, tmp_path):
+    """Order 46 reaches G3 over GF(49), which has no entry in DEFAULT_MODULI."""
+    path = tmp_path / "w1.txt"
+    path.write_text(emit_array_file([w1(47, 5)]))
+    code, out, err = run(capsys, "classify", "array", str(path))
+    assert (code, err) == (0, "")
+    assert out.endswith(" W1\n")

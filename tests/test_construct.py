@@ -512,6 +512,17 @@ def test_catalog_labels():
     assert catalog(33) == {}  # 34, 35, 36 supply no family
 
 
+def test_catalog_labels_g2_over_any_modulus_of_an_unconfigured_field():
+    """GF(49) has no entry in DEFAULT_MODULI; catalog(47) still labels a G2
+    array built over another modulus than the one default_field picks."""
+    assert 49 not in DEFAULT_MODULI
+    other = field_new(7, 2, (3, 1, 1))  # 3 + x + x^2
+    assert other != default_field(49)
+    phi = primitive_elements(other)[0]
+    values = canonical_array(g2(other, phi, phi)).values
+    assert "G2" in catalog(47)[values]
+
+
 def test_catalog_entries_are_canonical_costas():
     for order in (4, 5, 6):
         for values, labels in catalog(order).items():

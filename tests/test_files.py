@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from costas_cubes.cli import main
 from costas_cubes.core import CostasCube, Permutation, value_matrix
 from costas_cubes.files import (
     emit_array_file,
@@ -13,7 +14,7 @@ from costas_cubes.files import (
     parse_cube_file,
 )
 
-from conftest import ORDER6_TRIPLES
+from conftest import GF16_J, GF16_K, ORDER6_TRIPLES, cube_from_jk
 
 
 def test_array_file_round_trip():
@@ -107,15 +108,17 @@ def test_cube_file_text_round_trip():
     assert parse_cube_file(text) == cube
 
 
-def test_cube_file_json_round_trip():
+def test_cube_file_json_round_trip(capsys):
     cube = CostasCube.from_triples(ORDER6_TRIPLES)
-    blob = emit_cube_file(cube, fmt="machine")
-    doc = json.loads(blob)
-    assert doc["order"] == 6
-    assert parse_cube_file(blob) == cube
+    doc = {"order": 6, "triples": [list(t) for t in cube.triples()]}
+    assert parse_cube_file(json.dumps(doc)) == cube
     # extra keys are ignored on the way back in
     doc["projections"] = {"A": [3, 5, 4, 2, 6, 1]}
     assert parse_cube_file(json.dumps(doc)) == cube
+    # so the CLI's machine output of a cube is itself a cube file
+    assert main(["construct", "cube-g2x3", "--field", "2^4:1,0,0,1,1", "--phi", "x",
+                 "--rho", "1+x^2+x^3", "--psi", "x+x^2+x^3", "--format", "machine"]) == 0
+    assert parse_cube_file(capsys.readouterr().out) == cube_from_jk(GF16_J, GF16_K)
 
 
 def test_cube_file_structural_errors():
