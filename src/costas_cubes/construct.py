@@ -24,13 +24,17 @@ field, to its least primitive g, read from the field's one table
 Zech column Z[t] = log(1 - g^t), all mod q-1, the relation
 phi^i + rho^j = 1 reads a*i = Z[b*j], and each row is one Z read.
 
-Each cube family has one row formula, numpy arithmetic over arrays of
-these logs.  A constructor evaluates it at one parameter tuple.  sweep
-evaluates it once per field, at every admissible tuple, into one int16
-row matrix, and counts equivalence classes per order: a row among the 48
-images of a class already found is skipped, so each class is
-canonicalized exactly once.  catalog labels canonical arrays of one
-order by the families able to produce them.
+Each family, array or cube, has one row formula, numpy arithmetic over
+arrays of these logs.  A constructor evaluates it at one parameter
+tuple.  sweep evaluates it once per field, at every admissible tuple,
+into one int16 row matrix, and counts equivalence classes per order: a
+row among the 48 images of a class already found is skipped, so each
+class is canonicalized exactly once.  table2 makes each field once per
+call and hands the same fields to its four sweeps, so each table is
+built once per call; nothing is cached from one call to the next.
+catalog labels canonical arrays of one order by the families able to
+produce them, evaluating each array formula once over the field it
+holds and canonicalizing every array in one pass.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from typing import Mapping
 
 import numpy as np
 
@@ -57,7 +62,7 @@ from .gf import (
     primitive_elements,
     _is_irreducible,
 )
-from .symmetry import canonical_array, first_of_each_class
+from .symmetry import first_of_each_class, least_image, planar_images
 
 # One fixed representation per non-prime field order used by sweeps and
 # the catalog (default_field picks one for any other order); different
@@ -137,6 +142,49 @@ def _logs(field: FieldSpec, **named: FieldElement) -> list[int]:
     return out
 
 
+# The row formulas, for arrays as for cubes: the logs of the parameters
+# broadcast against the column (or row) index on a last axis.  An array
+# formula returns the value sequences, a cube formula the j and k columns.
+
+
+def _unit_inverse(x, n: int) -> np.ndarray:
+    """x^(-1) mod n, elementwise, for units x of the integers mod n."""
+    x = np.asarray(x)
+    return np.array([pow(t, -1, n) for t in x.ravel().tolist()], dtype=np.int64).reshape(x.shape)
+
+
+def _w1_values(field: FieldSpec, a, c) -> np.ndarray:
+    """sigma(j) = exp[a*(j+c)] (mod p-1), j = 1..p-1."""
+    exp = np.array(field.tables()[0])
+    return exp[a * (np.arange(1, field.q) + c) % (field.q - 1)]
+
+
+def _g2_values(field: FieldSpec, a, b) -> np.ndarray:
+    """sigma(j) = Z[b*j] * a^(-1) (mod q-1), j = 1..q-2."""
+    n = field.q - 1
+    zech = np.array(field.tables()[2])
+    return zech[b * np.arange(1, n) % n] * _unit_inverse(a, n) % n
+
+
+def _w2_values(field: FieldSpec, a) -> np.ndarray:
+    """sigma(j) = exp[a*j] - 1 (mod p-1), j = 1..p-2."""
+    n = field.q - 1
+    exp = np.array(field.tables()[0])
+    return exp[a * np.arange(1, n) % n] - 1
+
+
+def _g3_values(field: FieldSpec, a, m) -> np.ndarray:
+    """sigma(j) = Z[m*(j+1)] * a^(-1) - 1 (mod q-1), j = 1..q-3, where
+    m = log(1-phi)."""
+    n = field.q - 1
+    zech = np.array(field.tables()[2])
+    return zech[m * (np.arange(1, n - 1) + 1) % n] * _unit_inverse(a, n) % n - 1
+
+
+def _permutation(values: np.ndarray) -> Permutation:
+    return Permutation(tuple(values.tolist()))
+
+
 def w1(p: int, phi: FieldElement, c: int = 0) -> Permutation:
     """Order p-1 array with sigma(j) = phi^(j+c) over GF(p), p > 2 prime."""
     field = field_new(p, 1)
@@ -145,19 +193,14 @@ def w1(p: int, phi: FieldElement, c: int = 0) -> Permutation:
     (a,) = _logs(field, phi=phi)
     if not 0 <= c < p:
         raise ValueError(f"shift c={c} must lie in GF({p})")
-    exp = field.tables()[0]
-    return Permutation(tuple(exp[a * (j + c) % (p - 1)] for j in range(1, p)))
+    return _permutation(_w1_values(field, a, c))
 
 
 def g2(field: FieldSpec, phi: FieldElement, rho: FieldElement) -> Permutation:
     """Order q-2 array with 1 entries where phi^i + rho^j = 1, q > 3."""
     if field.q <= 3:
         raise ValueError("G2 requires q > 3")
-    a, b = _logs(field, phi=phi, rho=rho)
-    n = field.q - 1
-    a_inv = pow(a, -1, n)
-    zech = field.tables()[2]
-    return Permutation(tuple(zech[b * j % n] * a_inv % n for j in range(1, n)))
+    return _permutation(_g2_values(field, *_logs(field, phi=phi, rho=rho)))
 
 
 def w2(p: int, phi: FieldElement) -> Permutation:
@@ -165,9 +208,7 @@ def w2(p: int, phi: FieldElement) -> Permutation:
     field = field_new(p, 1)
     if p <= 3:
         raise ValueError("W2 requires p > 3")
-    (a,) = _logs(field, phi=phi)
-    exp = field.tables()[0]
-    return Permutation(tuple(exp[a * j % (p - 1)] - 1 for j in range(1, p - 1)))
+    return _permutation(_w2_values(field, *_logs(field, phi=phi)))
 
 
 def g3(field: FieldSpec, phi: FieldElement) -> Permutation:
@@ -178,26 +219,10 @@ def g3(field: FieldSpec, phi: FieldElement) -> Permutation:
     """
     if field.q <= 3:
         raise ValueError("G3 requires q > 3")
-    a, m = _logs(field, phi=phi, **{"1-phi": field.sub(1, phi)})
-    n = field.q - 1
-    a_inv = pow(a, -1, n)
-    zech = field.tables()[2]
-    return Permutation(
-        tuple(zech[m * (j + 1) % n] * a_inv % n - 1 for j in range(1, field.q - 2))
-    )
+    return _permutation(_g3_values(field, *_logs(field, phi=phi, **{"1-phi": field.sub(1, phi)})))
 
 
 # -- cube constructions ------------------------------------------------
-
-
-# The row formulas: the logs of the parameters broadcast against the row
-# index i on a last axis, and each formula returns the j and k columns.
-
-
-def _unit_inverse(x, n: int) -> np.ndarray:
-    """x^(-1) mod n, elementwise, for units x of the integers mod n."""
-    x = np.asarray(x)
-    return np.array([pow(t, -1, n) for t in x.ravel().tolist()], dtype=np.int64).reshape(x.shape)
 
 
 def _g2x3_jk(field: FieldSpec, a, b, c) -> tuple[np.ndarray, np.ndarray]:
@@ -368,10 +393,14 @@ def _field_rows(family: Family, field: FieldSpec):
     rows[..., 1] = k
 
     def witness(t: int) -> ConstructionId:
-        values = tuple(axis[x] for axis, x in zip(axes, np.unravel_index(t, shape)))
+        values = []
+        for axis in reversed(axes):
+            t, x = divmod(t, len(axis))
+            values.append(axis[x])
+        values.reverse()
         if family in _G3_VARIANTS:
-            return ConstructionId(values[1], field, values[:1])
-        return ConstructionId(family, field, values)
+            return ConstructionId(values[1], field, (values[0],))
+        return ConstructionId(family, field, tuple(values))
 
     return rows.reshape(-1, 2 * j.shape[-1]), witness
 
@@ -380,13 +409,16 @@ def sweep(
     family: Family,
     max_order: int = SWEEP_ORDER_GUARD,
     *,
-    moduli: dict[int, tuple[int, ...]] | None = None,
+    fields: Mapping[int, FieldSpec] | None = None,
 ) -> SweepReport:
     """All inequivalent cubes of orders 2..max_order from one family.
 
-    Each configured field makes one row matrix of every admissible
-    parameter tuple, walked in tuple order by first_of_each_class: the
-    witness of a class is the first tuple that produced it.
+    GF(q) is fields[q], or default_field(q) where fields has no q; a
+    field builds its table on first use, so passing the same fields to
+    several sweeps builds each table once.  Each field makes one row
+    matrix of every admissible parameter tuple, walked in tuple order by
+    first_of_each_class: the witness of a class is the first tuple that
+    produced it.
     """
     if max_order > SWEEP_ORDER_GUARD:
         raise ValueError(f"max_order {max_order} exceeds the guard {SWEEP_ORDER_GUARD}")
@@ -402,7 +434,10 @@ def sweep(
             continue
         if family is Family.CUBE_W2W2G2 and not is_prime(q):
             continue
-        rows, witness = _field_rows(family, default_field(q, moduli))
+        field = fields[q] if fields and q in fields else default_field(q)
+        if field.q != q:
+            raise ValueError(f"fields[{q}] is GF({field.q}), not GF({q})")
+        rows, witness = _field_rows(family, field)
         for t, cube in first_of_each_class(rows):
             classes.setdefault(q - shift, {})[cube] = witness(t)
     return SweepReport(family, classes)
@@ -414,34 +449,42 @@ def catalog(
     """Canonical Costas arrays of one order, labelled by the array
     families able to produce them over every parameter choice.
 
+    Each family's arrays over its one field are one value matrix from its
+    row formula, and every matrix is canonicalized in one least_image pass.
     Orders out of reach of every family map to an empty dict.
     """
-    labels: dict[tuple[int, ...], set[str]] = {}
+    blocks: list[tuple[str, np.ndarray]] = []
 
-    def add(perm: Permutation, label: str) -> None:
-        labels.setdefault(canonical_array(perm).values, set()).add(label)
+    def logs(field: FieldSpec, elements: list[FieldElement]) -> np.ndarray:
+        log = field.tables()[1]
+        return np.array([log[e] for e in elements], dtype=np.int64)
 
     p = order + 1
     if p > 2 and is_prime(p):
         field = field_new(p, 1)
-        for phi in primitive_elements(field):
-            for c in range(p):
-                add(w1(p, phi, c), Family.W1.value)
+        a = logs(field, primitive_elements(field))
+        blocks.append((Family.W1.value, _w1_values(field, a[:, None, None], np.arange(p)[:, None])))
     q = order + 2
     if q > 3 and prime_power(q) is not None:
         field = default_field(q, moduli)
-        prims = primitive_elements(field)
-        for phi in prims:
-            for rho in prims:
-                add(g2(field, phi, rho), Family.G2.value)
+        a = logs(field, primitive_elements(field))
+        blocks.append((Family.G2.value, _g2_values(field, a[:, None, None], a[:, None])))
         if field.m == 1:
-            for phi in prims:
-                add(w2(field.p, phi), Family.W2.value)
+            blocks.append((Family.W2.value, _w2_values(field, a[:, None])))
     q = order + 3
     if q > 3 and prime_power(q) is not None:
         field = default_field(q, moduli)
-        for phi in g3_admissible(field):
-            add(g3(field, phi), Family.G3.value)
+        phis = g3_admissible(field)
+        m = logs(field, [field.sub(1, phi) for phi in phis])
+        blocks.append((Family.G3.value, _g3_values(field, logs(field, phis)[:, None], m[:, None])))
+    if not blocks:
+        return {}
+    values = [v.reshape(-1, order) for _, v in blocks]
+    names = [label for (label, _), v in zip(blocks, values) for _ in range(len(v))]
+    least = least_image(planar_images(np.concatenate(values)))
+    labels: dict[tuple[int, ...], set[str]] = {}
+    for key, label in zip(map(tuple, least.tolist()), names):
+        labels.setdefault(key, set()).add(label)
     return labels
 
 
@@ -466,15 +509,20 @@ def table2(
 ) -> list[Table2Row]:
     """Constructed-class counts per order over all four cube families.
 
-    The two G3 variants are pooled into one column (their class sets can
-    overlap) and also reported separately.
+    Each GF(q) is default_field(q, moduli), made once per call and shared
+    by the four sweeps, so each field's table is built once per call; no
+    field is kept from one call to the next.  The two G3 variants are
+    pooled into one column (their class sets can overlap) and also
+    reported separately.
     """
     if max_order < 2:
         raise ValueError(f"max order {max_order} is below 2, the least order Table 2 lists")
-    s_ggg = sweep(Family.CUBE_G2X3, max_order, moduli=moduli)
-    s_www = sweep(Family.CUBE_W2W2G2, max_order, moduli=moduli)
-    s_i = sweep(Family.CUBE_G3_I, max_order, moduli=moduli)
-    s_ii = sweep(Family.CUBE_G3_II, max_order, moduli=moduli)
+    # The G3 sweeps reach the farthest, to q = max_order + 3.
+    fields = {q: default_field(q, moduli) for q in range(4, max_order + 4) if prime_power(q)}
+    s_ggg = sweep(Family.CUBE_G2X3, max_order, fields=fields)
+    s_www = sweep(Family.CUBE_W2W2G2, max_order, fields=fields)
+    s_i = sweep(Family.CUBE_G3_I, max_order, fields=fields)
+    s_ii = sweep(Family.CUBE_G3_II, max_order, fields=fields)
     rows = []
     for order in range(2, max_order + 1):
         pooled = set(s_i.classes.get(order, {})) | set(s_ii.classes.get(order, {}))

@@ -59,11 +59,14 @@ class CostasCube:
         n = len(self.rows)
         if n == 0:
             raise ValueError("cube must have order >= 1")
+        # Any row that is not a pair fails: strict catches mixed lengths, the
+        # unpacking catches the rest.
+        js, ks = zip(*self.rows, strict=True)
         expected = list(range(1, n + 1))
-        if sorted(j for j, _ in self.rows) != expected:
-            raise ValueError(f"j coordinates {[j for j, _ in self.rows]!r} are not a bijection on 1..{n}")
-        if sorted(k for _, k in self.rows) != expected:
-            raise ValueError(f"k coordinates {[k for _, k in self.rows]!r} are not a bijection on 1..{n}")
+        if sorted(js) != expected:
+            raise ValueError(f"j coordinates {list(js)!r} are not a bijection on 1..{n}")
+        if sorted(ks) != expected:
+            raise ValueError(f"k coordinates {list(ks)!r} are not a bijection on 1..{n}")
 
     @property
     def order(self) -> int:

@@ -130,9 +130,10 @@ def _as_cube(flat_rows: Sequence[int]) -> CostasCube:
     return CostasCube(tuple(zip(flat_rows[0::2], flat_rows[1::2])))
 
 
-def canonical_cube(cube: CostasCube, images: np.ndarray | None = None) -> CostasCube:
+def canonical_cube(cube: CostasCube | None, images: np.ndarray | None = None) -> CostasCube:
     """Lexicographically least row list over the 48-element orbit of cube;
-    images, when given, are cube_images(cube) in any integer dtype.
+    images, when given, are cube_images(cube) in any integer dtype, and
+    cube is then not read (the class walk passes None).
 
     The least image is the least of the images' bytes as big-endian
     unsigned 32-bit words, whose byte order is their numeric order."""
@@ -148,8 +149,9 @@ def first_of_each_class(rows: np.ndarray) -> Iterator[tuple[int, CostasCube]]:
 
     The rows are walked in order against a set of the row bytes, in the
     matrix's dtype, of every image of the classes found so far: a row in
-    the set is skipped, and any other row is canonicalized once and its
-    48 images, formed in the matrix's dtype, join the set.
+    the set is skipped, and any other row's 48 images, formed in the
+    matrix's dtype, join the set and are canonicalized once; no cube is
+    built for the row itself.
     """
     rows = np.ascontiguousarray(rows)
     seen: set[bytes] = set()
@@ -158,7 +160,7 @@ def first_of_each_class(rows: np.ndarray) -> Iterator[tuple[int, CostasCube]]:
             continue
         images = _row_images(rows[t])
         seen.update(_row_keys(images))
-        yield t, canonical_cube(_as_cube(rows[t].tolist()), images)
+        yield t, canonical_cube(None, images)
 
 
 def projection_set(cube: CostasCube) -> set[Permutation]:

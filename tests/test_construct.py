@@ -29,7 +29,9 @@ from costas_cubes.core import (
     is_costas_cube,
     projections,
 )
+from costas_cubes import symmetry
 from costas_cubes.gf import (
+    FieldSpec,
     field_new,
     g3_admissible,
     g3_cube_admissible,
@@ -384,6 +386,11 @@ def sweep_tuples_oracle(family, max_order, moduli=None):
                     yield p - 2, family, field, (phi, psi), cube_w2w2g2(p, phi, psi)
 
 
+def fields_for(moduli):
+    """default_field(q, moduli) for every q a sweep to order 29 reads."""
+    return {q: default_field(q, moduli) for q in range(4, 33) if prime_power(q)}
+
+
 def sweep_oracle(family, max_order, moduli=None):
     """The classes of sweep(family, max_order), canonicalizing every tuple."""
     classes = {}
@@ -407,7 +414,7 @@ def test_sweep_matches_per_tuple_oracle(moduli):
         field_new(pm[0], pm[1], modulus)  # irreducible
         assert modulus != DEFAULT_MODULI[q] or q == 4
     for family in CUBE_FAMILIES:
-        report = sweep(family, 29, moduli=moduli)
+        report = sweep(family, 29, fields=fields_for(moduli))
         oracle = sweep_oracle(family, 29, moduli)
         assert _listing(report.classes) == _listing(oracle), family
         assert report.classes == oracle
@@ -461,12 +468,52 @@ def test_sweep_classes_above_order_13_match_the_oracle():
 
 
 def test_sweep_is_modulus_invariant_at_q16():
-    alt = dict(DEFAULT_MODULI)
-    alt[16] = (1, 1, 0, 0, 1)  # 1 + x + x^4, also irreducible
+    alt = field_new(2, 4, (1, 1, 0, 0, 1))  # 1 + x + x^4, also irreducible
+    assert alt != default_field(16)
     default_set = set(sweep(Family.CUBE_G2X3, 14).classes.get(14, {}))
-    alt_set = set(sweep(Family.CUBE_G2X3, 14, moduli=alt).classes.get(14, {}))
+    alt_set = set(sweep(Family.CUBE_G2X3, 14, fields={16: alt}).classes.get(14, {}))
     assert default_set == alt_set
     assert len(default_set) == 5
+
+
+def test_sweep_rejects_a_field_of_another_order():
+    with pytest.raises(ValueError, match=r"fields\[7\] is GF\(13\)"):
+        sweep(Family.CUBE_G2X3, 5, fields={7: GF13})
+
+
+def test_table2_builds_each_field_table_once_per_call(monkeypatch):
+    """The four sweeps of one table2 call share one field per q, and no
+    field outlives the call: each call builds the tables of the 16 prime
+    powers 4..32 once."""
+    built = []
+    tables = FieldSpec.tables
+
+    def counted(self):
+        if self._exp is None:
+            built.append(self.q)
+        return tables(self)
+
+    monkeypatch.setattr(FieldSpec, "tables", counted)
+    table2(29)
+    assert sorted(built) == [q for q in range(4, 33) if prime_power(q)]
+    assert len(built) == 16
+    table2(29)
+    assert len(built) == 32
+
+
+def test_sweep_canonicalises_once_per_class(monkeypatch):
+    """The class walk hands canonical_cube the images alone, once per
+    class found."""
+    calls = []
+
+    def counted(cube, *images):
+        calls.append(cube)
+        return canonical_cube(cube, *images)
+
+    monkeypatch.setattr(symmetry, "canonical_cube", counted)
+    report = sweep(Family.CUBE_G2X3, 29)
+    assert len(calls) == sum(map(len, report.classes.values())) == 193
+    assert set(calls) == {None}
 
 
 def test_sweep_classes_lie_in_the_pair_join_classes():
@@ -530,6 +577,42 @@ def test_catalog_entries_are_canonical_costas():
             assert costas_violation(p) is None
             assert canonical_array(p) == p
             assert labels <= {"W1", "G2", "W2", "G3"}
+
+
+def catalog_oracle(order):
+    """catalog, one constructor call and one canonical_array per array."""
+    labels = {}
+
+    def add(perm, label):
+        labels.setdefault(canonical_array(perm).values, set()).add(label)
+
+    p = order + 1
+    if p > 2 and is_prime(p):
+        for phi in primitive_elements(field_new(p, 1)):
+            for c in range(p):
+                add(w1(p, phi, c), "W1")
+    q = order + 2
+    if q > 3 and prime_power(q) is not None:
+        field = default_field(q)
+        prims = primitive_elements(field)
+        for phi in prims:
+            for rho in prims:
+                add(g2(field, phi, rho), "G2")
+        if field.m == 1:
+            for phi in prims:
+                add(w2(q, phi), "W2")
+    q = order + 3
+    if q > 3 and prime_power(q) is not None:
+        field = default_field(q)
+        for phi in g3_admissible(field):
+            add(g3(field, phi), "G3")
+    return labels
+
+
+def test_catalog_matches_per_array_oracle():
+    """Every order a family reaches up to 47, entries in the same order."""
+    for n in range(1, 48):
+        assert list(catalog(n).items()) == list(catalog_oracle(n).items()), n
 
 
 def test_out_of_range_elements_rejected():

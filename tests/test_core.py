@@ -66,12 +66,19 @@ def test_permutation_rejects_non_bijection():
 
 
 def test_cube_rejects_repeated_coordinates():
-    with pytest.raises(ValueError, match="j coordinates"):
+    with pytest.raises(ValueError, match=r"^j coordinates \[1, 1\] are not a bijection on 1..2$"):
         CostasCube(((1, 1), (1, 2)))
-    with pytest.raises(ValueError, match="k coordinates"):
+    with pytest.raises(ValueError, match=r"^k coordinates \[1, 1\] are not a bijection on 1..2$"):
         CostasCube(((1, 1), (2, 1)))
     with pytest.raises(ValueError, match="i coordinates"):
         CostasCube.from_triples([(1, 1, 1), (1, 2, 2)])
+
+
+@pytest.mark.parametrize("rows", [((1, 2), (2, 1, 3)), ((1, 2, 3), (2, 1)),
+                                  ((1, 2, 3), (2, 1, 3)), ((1,), (2,))])
+def test_cube_rejects_rows_that_are_not_pairs(rows):
+    with pytest.raises(ValueError):
+        CostasCube(rows)
 
 
 def test_autocorrelation_examples():
