@@ -4,9 +4,11 @@ Array families (names follow the classical literature):
 
 * W1(p, phi, c): order p-1, sigma(j) = phi^(j+c) over GF(p).
 * G2(q, phi, rho): order q-2, 1 entries where phi^i + rho^j = 1.
-* W2(p, phi): order p-2, sigma(j) = phi^j - 1.
+* W2(p, phi): order p-2, sigma(j) = phi^j - 1: W1(p, phi, 0) with its
+  corner dot sigma(p-1) = 1 removed.
 * G3(q, phi): order q-3, 1 entries where phi^(i+1) + (1-phi)^(j+1) = 1,
-  requiring 1-phi primitive as well.
+  requiring 1-phi primitive as well: G2(q, phi, 1-phi) with its corner
+  dot sigma(1) = 1 removed.
 
 Cube families, each of whose three projections lands in one of the
 array families above:
@@ -15,8 +17,9 @@ array families above:
   (the third condition rho^j + psi^(-k) = 1 then holds automatically).
 * cube_w2w2g2: order p-2, rows i = phi^j - 1 = -psi^k.
 * cube_g3_variant_i / _ii: order q-3, requiring phi, 1-phi and
-  1-phi^(-1) all primitive; the two variants share Projection A and are
-  exchanged by k_reversal.
+  1-phi^(-1) all primitive.  (i) is cube_g2x3(q, phi, (1-phi)^(-1),
+  1-phi^(-1)) with the three planes through its corner dot (1,1,1)
+  removed, and (ii) is the k-reversal of (i).
 
 Every constructor is integer arithmetic on the discrete logs of one
 field, to its least primitive g, read from the field's one table
@@ -24,12 +27,14 @@ field, to its least primitive g, read from the field's one table
 Zech column Z[t] = log(1 - g^t), all mod q-1, the relation
 phi^i + rho^j = 1 reads a*i = Z[b*j], and each row is one Z read.
 
-Each family, array or cube, has one row formula, numpy arithmetic over
-arrays of these logs.  A constructor evaluates it at one parameter
-tuple.  sweep evaluates it once per field, at every admissible tuple,
-into one int16 row matrix, and counts equivalence classes per order: a
-row among the 48 images of a class already found is skipped, so each
-class is canonicalized exactly once.  table2 makes each field once per
+W1, G2, G2x3 and W2W2G2 each have one row formula, numpy arithmetic
+over arrays of these logs; W2, G3 and the G3 cubes are read from those
+rows by dropping the corner dot's row (the last W1 entry, the first G2
+entry or G2x3 row) and subtracting 1.  A constructor evaluates a family
+at one parameter tuple.  sweep evaluates it once per field, at every
+admissible tuple, into one int16 row matrix, and counts equivalence
+classes per order: a row among the 48 images of a class already found
+is skipped, so each class is canonicalized exactly once.  table2 makes each field once per
 call and hands the same fields to its four sweeps, so each table is
 built once per call; nothing is cached from one call to the next.
 catalog labels canonical arrays of one order by the families able to
@@ -54,13 +59,11 @@ from .gf import (
     FieldSpec,
     field_new,
     format_element,
-    g3_admissible,
-    g3_cube_admissible,
     is_prime,
     is_primitive,
     prime_power,
-    primitive_elements,
     _is_irreducible,
+    _primitive_logs,
 )
 from .symmetry import first_of_each_class, least_image, planar_images
 
@@ -166,21 +169,6 @@ def _g2_values(field: FieldSpec, a, b) -> np.ndarray:
     return zech[b * np.arange(1, n) % n] * _unit_inverse(a, n) % n
 
 
-def _w2_values(field: FieldSpec, a) -> np.ndarray:
-    """sigma(j) = exp[a*j] - 1 (mod p-1), j = 1..p-2."""
-    n = field.q - 1
-    exp = np.array(field.tables()[0])
-    return exp[a * np.arange(1, n) % n] - 1
-
-
-def _g3_values(field: FieldSpec, a, m) -> np.ndarray:
-    """sigma(j) = Z[m*(j+1)] * a^(-1) - 1 (mod q-1), j = 1..q-3, where
-    m = log(1-phi)."""
-    n = field.q - 1
-    zech = np.array(field.tables()[2])
-    return zech[m * (np.arange(1, n - 1) + 1) % n] * _unit_inverse(a, n) % n - 1
-
-
 def _permutation(values: np.ndarray) -> Permutation:
     return Permutation(tuple(values.tolist()))
 
@@ -208,7 +196,8 @@ def w2(p: int, phi: FieldElement) -> Permutation:
     field = field_new(p, 1)
     if p <= 3:
         raise ValueError("W2 requires p > 3")
-    return _permutation(_w2_values(field, *_logs(field, phi=phi)))
+    (a,) = _logs(field, phi=phi)
+    return _permutation(_w1_values(field, a, 0)[:-1] - 1)
 
 
 def g3(field: FieldSpec, phi: FieldElement) -> Permutation:
@@ -219,7 +208,8 @@ def g3(field: FieldSpec, phi: FieldElement) -> Permutation:
     """
     if field.q <= 3:
         raise ValueError("G3 requires q > 3")
-    return _permutation(_g3_values(field, *_logs(field, phi=phi, **{"1-phi": field.sub(1, phi)})))
+    a, m = _logs(field, phi=phi, **{"1-phi": field.sub(1, phi)})
+    return _permutation(_g2_values(field, a, m)[1:] - 1)
 
 
 # -- cube constructions ------------------------------------------------
@@ -241,23 +231,14 @@ def _w2w2g2_jk(field: FieldSpec, a, c) -> tuple[np.ndarray, np.ndarray]:
     return log[i + 1] * _unit_inverse(a, n) % n, log[p - i] * _unit_inverse(c, n) % n
 
 
-def _g3_jk(field: FieldSpec, a, sign, shift) -> tuple[np.ndarray, np.ndarray]:
-    """j = Z[a*(i+1)] * m^(-1) - 1 and k = Z[a*sign*(i+shift)] * r^(-1) - 1
-    (mod q-1), i = 1..q-3, where m = Z[a] = log(1-phi) and
-    r = Z[-a] = log(1-phi^(-1))."""
+def _g3_jk(field: FieldSpec, a) -> tuple[np.ndarray, np.ndarray]:
+    """Variant (i)'s j and k columns: the G2x3 rows at rho = (1-phi)^(-1)
+    and psi = 1-phi^(-1), whose logs are -Z[a] and Z[-a], with the first
+    row dropped, minus 1."""
     n = field.q - 1
     zech = np.array(field.tables()[2])
-    i = np.arange(1, n - 1)
-    m_inv, r_inv = _unit_inverse(zech[a % n], n), _unit_inverse(zech[-a % n], n)
-    return (
-        zech[a * (i + 1) % n] * m_inv % n - 1,
-        zech[a * sign * (i + shift) % n] * r_inv % n - 1,
-    )
-
-
-# The exponent of phi at which row i of a G3 variant reads k is
-# sign * (i + shift).
-_G3_K_EXPONENT = {Family.CUBE_G3_I: (-1, 1), Family.CUBE_G3_II: (1, 0)}
+    j, k = _g2x3_jk(field, a, -zech[a % n] % n, zech[-a % n])
+    return j[..., 1:] - 1, k[..., 1:] - 1
 
 
 def _cube(j: np.ndarray, k: np.ndarray) -> CostasCube:
@@ -290,7 +271,7 @@ def cube_w2w2g2(p: int, phi: FieldElement, psi: FieldElement) -> CostasCube:
     return _cube(*_w2w2g2_jk(field, *_logs(field, phi=phi, psi=psi)))
 
 
-def _cube_g3(field: FieldSpec, phi: FieldElement, variant: Family) -> CostasCube:
+def _cube_g3_jk(field: FieldSpec, phi: FieldElement) -> tuple[np.ndarray, np.ndarray]:
     if field.q <= 3:
         raise ValueError("this construction requires q > 3")
     (a,) = _logs(field, phi=phi)
@@ -299,7 +280,7 @@ def _cube_g3(field: FieldSpec, phi: FieldElement, variant: Family) -> CostasCube
         "1-phi": field.sub(1, phi),
         "1-phi^(-1)": field.sub(1, field.inv(phi)),
     })
-    return _cube(*_g3_jk(field, a, *_G3_K_EXPONENT[variant]))
+    return _g3_jk(field, a)
 
 
 def cube_g3_variant_i(field: FieldSpec, phi: FieldElement) -> CostasCube:
@@ -312,18 +293,19 @@ def cube_g3_variant_i(field: FieldSpec, phi: FieldElement) -> CostasCube:
     Equals cube_g2x3(field, phi, (1-phi)^(-1), 1-phi^(-1)) with the
     three planes through its 1 entry at (1,1,1) removed.
     """
-    return _cube_g3(field, phi, Family.CUBE_G3_I)
+    return _cube(*_cube_g3_jk(field, phi))
 
 
 def cube_g3_variant_ii(field: FieldSpec, phi: FieldElement) -> CostasCube:
-    """Companion of cube_g3_variant_i with the k coordinates re-read.
+    """cube_g3_variant_i with its k column reversed (its k_reversal).
 
     Row i has the same j and k = dlog_(1-phi^(-1))(1 - phi^i) - 1.
     Projection A is unchanged; Projection B is the vertical-axis
     reflection of G3(q, phi^(-1)); Projection C is the 180-degree
     rotation of G3(q, (1-phi)^(-1)).
     """
-    return _cube_g3(field, phi, Family.CUBE_G3_II)
+    j, k = _cube_g3_jk(field, phi)
+    return _cube(j, k[::-1])
 
 
 def k_reversal(cube: CostasCube) -> tuple[CostasCube, bool]:
@@ -369,28 +351,30 @@ def _field_rows(family: Family, field: FieldSpec):
     the function mapping a row index to its ConstructionId.
 
     Tuples run phi-major over the ascending primitive elements; the G3
-    variants alternate for each phi.  int16 holds every coordinate the
+    variants alternate for each phi, (ii) being (i) with k reversed.  int16 holds every coordinate the
     sweep guard admits."""
-    log = field.tables()[1]
     if family is Family.CUBE_G2X3:
-        axes = (primitive_elements(field),) * 3
-        a = np.array([log[e] for e in axes[0]], dtype=np.int64)
+        a = np.array(_primitive_logs(field), dtype=np.int64)
+        axes = (a,) * 3
         j, k = _g2x3_jk(
             field, a[:, None, None, None], a[None, :, None, None], a[None, None, :, None]
         )
     elif family is Family.CUBE_W2W2G2:
-        axes = (primitive_elements(field),) * 2
-        a = np.array([log[e] for e in axes[0]], dtype=np.int64)
+        a = np.array(_primitive_logs(field), dtype=np.int64)
+        axes = (a,) * 2
         j, k = _w2w2g2_jk(field, a[:, None, None], a[None, :, None])
     else:
-        axes = (g3_cube_admissible(field), _G3_VARIANTS[family])
-        a = np.array([log[e] for e in axes[0]], dtype=np.int64)
-        sign, shift = np.array([_G3_K_EXPONENT[v] for v in axes[1]]).T[:, None, :, None]
-        j, k = _g3_jk(field, a[:, None, None], sign, shift)
+        a = np.array(_primitive_logs(field, 1, -1), dtype=np.int64)
+        axes = (a, _G3_VARIANTS[family])
+        j, k = _g3_jk(field, a[:, None])
+        k = np.stack([k[:, ::-1] if v is Family.CUBE_G3_II else k for v in axes[1]], axis=1)
+        j = j[:, None]
     shape = tuple(map(len, axes))
     rows = np.empty(shape + (j.shape[-1], 2), dtype=np.int16)
     rows[..., 0] = j
     rows[..., 1] = k
+
+    exp = field.tables()[0]
 
     def witness(t: int) -> ConstructionId:
         values = []
@@ -399,10 +383,15 @@ def _field_rows(family: Family, field: FieldSpec):
             values.append(axis[x])
         values.reverse()
         if family in _G3_VARIANTS:
-            return ConstructionId(values[1], field, (values[0],))
-        return ConstructionId(family, field, tuple(values))
+            return ConstructionId(values[1], field, (exp[values[0]],))
+        return ConstructionId(family, field, tuple(exp[t] for t in values))
 
     return rows.reshape(-1, 2 * j.shape[-1]), witness
+
+
+def _check_sweep_order(max_order: int) -> None:
+    if max_order > SWEEP_ORDER_GUARD:
+        raise ValueError(f"max_order {max_order} exceeds the guard {SWEEP_ORDER_GUARD}")
 
 
 def sweep(
@@ -420,8 +409,7 @@ def sweep(
     first_of_each_class: the witness of a class is the first tuple that
     produced it.
     """
-    if max_order > SWEEP_ORDER_GUARD:
-        raise ValueError(f"max_order {max_order} exceeds the guard {SWEEP_ORDER_GUARD}")
+    _check_sweep_order(max_order)
     if family in (Family.CUBE_G2X3, Family.CUBE_W2W2G2):
         shift = 2
     elif family in _G3_VARIANTS:
@@ -443,40 +431,34 @@ def sweep(
     return SweepReport(family, classes)
 
 
-def catalog(
-    order: int, moduli: dict[int, tuple[int, ...]] | None = None
-) -> dict[tuple[int, ...], set[str]]:
+def catalog(order: int) -> dict[tuple[int, ...], set[str]]:
     """Canonical Costas arrays of one order, labelled by the array
     families able to produce them over every parameter choice.
 
-    Each family's arrays over its one field are one value matrix from its
-    row formula, and every matrix is canonicalized in one least_image pass.
-    Orders out of reach of every family map to an empty dict.
+    Each family's arrays over its one field, default_field(q), are one
+    value matrix from its row formula, and every matrix is canonicalized
+    in one least_image pass.  Orders out of reach of every family map to
+    an empty dict.
     """
     blocks: list[tuple[str, np.ndarray]] = []
-
-    def logs(field: FieldSpec, elements: list[FieldElement]) -> np.ndarray:
-        log = field.tables()[1]
-        return np.array([log[e] for e in elements], dtype=np.int64)
-
     p = order + 1
     if p > 2 and is_prime(p):
         field = field_new(p, 1)
-        a = logs(field, primitive_elements(field))
+        a = np.array(_primitive_logs(field), dtype=np.int64)
         blocks.append((Family.W1.value, _w1_values(field, a[:, None, None], np.arange(p)[:, None])))
     q = order + 2
     if q > 3 and prime_power(q) is not None:
-        field = default_field(q, moduli)
-        a = logs(field, primitive_elements(field))
+        field = default_field(q)
+        a = np.array(_primitive_logs(field), dtype=np.int64)
         blocks.append((Family.G2.value, _g2_values(field, a[:, None, None], a[:, None])))
         if field.m == 1:
-            blocks.append((Family.W2.value, _w2_values(field, a[:, None])))
+            blocks.append((Family.W2.value, _w1_values(field, a[:, None], 0)[:, :-1] - 1))
     q = order + 3
     if q > 3 and prime_power(q) is not None:
-        field = default_field(q, moduli)
-        phis = g3_admissible(field)
-        m = logs(field, [field.sub(1, phi) for phi in phis])
-        blocks.append((Family.G3.value, _g3_values(field, logs(field, phis)[:, None], m[:, None])))
+        field = default_field(q)
+        a = np.array(_primitive_logs(field, 1), dtype=np.int64)
+        m = np.array(field.tables()[2])[a]
+        blocks.append((Family.G3.value, _g2_values(field, a[:, None], m[:, None])[:, 1:] - 1))
     if not blocks:
         return {}
     values = [v.reshape(-1, order) for _, v in blocks]
@@ -517,6 +499,7 @@ def table2(
     """
     if max_order < 2:
         raise ValueError(f"max order {max_order} is below 2, the least order Table 2 lists")
+    _check_sweep_order(max_order)
     # The G3 sweeps reach the farthest, to q = max_order + 3.
     fields = {q: default_field(q, moduli) for q in range(4, max_order + 4) if prime_power(q)}
     s_ggg = sweep(Family.CUBE_G2X3, max_order, fields=fields)

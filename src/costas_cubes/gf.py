@@ -12,7 +12,9 @@ a - b = a * (1 - b/a) reads Z.  Prime fields use the same code path with
 the implicit modulus x, so the encoding of an element of GF(p) is simply
 its least residue.  The table is also the only source of primitivity:
 e = g^t is primitive iff gcd(t, q-1) = 1, and the log of e to any other
-primitive base rho = g^b is log_g(e) * b^(-1) mod q-1.
+primitive base rho = g^b is log_g(e) * b^(-1) mod q-1.  The admissible
+parameter lists are one pass over log, in element order: 1 - e and
+1 - e^(-1) have the logs Z[t] and Z[-t].
 """
 
 from __future__ import annotations
@@ -231,14 +233,30 @@ def is_primitive(field: FieldSpec, e: FieldElement) -> bool:
     return math.gcd(field.tables()[1][e], field.q - 1) == 1
 
 
+def _primitive_logs(field: FieldSpec, *one_minus: int) -> list[int]:
+    """t = log_g(e) of every primitive e, ascending by e, for which each
+    1 - e^s, s in one_minus, is primitive too: log(1 - g^(s*t)) = Z[s*t].
+    (s*t = 0 mod q-1 only in GF(2), where 1 - 1 = 0.)"""
+    _, log, zech = field.tables()
+    n = field.q - 1
+    return [
+        t
+        for t in log[1:]
+        if math.gcd(t, n) == 1
+        and all(s * t % n and math.gcd(zech[s * t % n], n) == 1 for s in one_minus)
+    ]
+
+
 def primitive_elements(field: FieldSpec) -> list[FieldElement]:
     """All primitive elements, ascending by encoding."""
-    return [e for e in field.nonzero_elements() if is_primitive(field, e)]
+    exp = field.tables()[0]
+    return [exp[t] for t in _primitive_logs(field)]
 
 
 def g3_admissible(field: FieldSpec) -> list[FieldElement]:
     """Primitive phi for which 1 - phi is also primitive."""
-    return [e for e in primitive_elements(field) if is_primitive(field, field.sub(1, e))]
+    exp = field.tables()[0]
+    return [exp[t] for t in _primitive_logs(field, 1)]
 
 
 def g3_cube_admissible(field: FieldSpec) -> list[FieldElement]:
@@ -246,11 +264,8 @@ def g3_cube_admissible(field: FieldSpec) -> list[FieldElement]:
 
     May be empty (it is for GF(16)).
     """
-    return [
-        e
-        for e in g3_admissible(field)
-        if is_primitive(field, field.sub(1, field.inv(e)))
-    ]
+    exp = field.tables()[0]
+    return [exp[t] for t in _primitive_logs(field, 1, -1)]
 
 
 # -- text forms (CLI surface) ------------------------------------------

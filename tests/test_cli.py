@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from costas_cubes import cli, enumeration, reference
+from costas_cubes import cli, construct, enumeration, reference
 from costas_cubes.cli import main
 from costas_cubes.construct import catalog, w1
 from costas_cubes.core import CostasCube, Permutation
@@ -538,6 +538,15 @@ def test_tables_1_refuses_order_14_before_any_search(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err.startswith("error: order 14 exceeds the in-process enumeration limit 13; ")
     assert searched == []
+
+
+def test_tables_2_refuses_an_order_above_the_sweep_guard_before_any_field(capsys, monkeypatch):
+    made = []
+    monkeypatch.setattr(construct, "field_new", lambda *a, **k: made.append(a))
+    code, out, err = run(capsys, "tables", "--table", "2", "--max-order", "1000000")
+    assert (code, out) == (2, "")
+    assert err == "error: max_order 1000000 exceeds the guard 29\n"
+    assert made == []
 
 
 def test_classify_labels_w1_over_a_field_with_no_configured_modulus(capsys, tmp_path):

@@ -3,6 +3,7 @@ import functools
 import numpy as np
 import pytest
 
+from costas_cubes import construct
 from costas_cubes.construct import (
     DEFAULT_MODULI,
     ConstructionId,
@@ -244,6 +245,30 @@ def test_k_reversal_maps_variant_i_to_ii():
             assert still_costas
             twice, _ = k_reversal(e)
             assert twice == d
+
+
+def test_constructors_refuse_exactly_the_inadmissible_parameters():
+    """g3 and the G3 cube constructors check phi element by element with
+    is_primitive, field.sub and field.inv; the admissible lists read the
+    same predicate off the log and Zech columns.  Over every default field
+    with 3 < q <= 32 (the constructors refuse q <= 3 outright), each
+    constructor raises for a nonzero phi exactly when phi is not listed."""
+    for q in range(4, 33):
+        if prime_power(q) is None:
+            continue
+        f = default_field(q)
+        for construction, admissible in (
+            (g3, g3_admissible(f)),
+            (cube_g3_variant_i, g3_cube_admissible(f)),
+            (cube_g3_variant_ii, g3_cube_admissible(f)),
+        ):
+            for phi in f.nonzero_elements():
+                try:
+                    construction(f, phi)
+                    raised = False
+                except ValueError:
+                    raised = True
+                assert raised == (phi not in admissible), (q, construction.__name__, phi)
 
 
 def test_k_reversal_involution_and_order1():
@@ -499,6 +524,21 @@ def test_table2_builds_each_field_table_once_per_call(monkeypatch):
     assert len(built) == 16
     table2(29)
     assert len(built) == 32
+
+
+def test_table2_refuses_an_order_above_the_guard_before_any_field(monkeypatch):
+    """The guard is checked before table2 makes its fields, with sweep's
+    message; 3000000 would otherwise reach a field with no modulus."""
+    made = []
+    monkeypatch.setattr(construct, "field_new", lambda *a, **k: made.append(a))
+    with pytest.raises(ValueError) as swept:
+        sweep(Family.CUBE_G2X3, 1000000)
+    for max_order in (30, 1000000, 3000000):
+        with pytest.raises(ValueError) as refused:
+            table2(max_order)
+        assert str(refused.value) == f"max_order {max_order} exceeds the guard 29"
+    assert str(swept.value) == "max_order 1000000 exceeds the guard 29"
+    assert made == []
 
 
 def test_sweep_canonicalises_once_per_class(monkeypatch):

@@ -189,6 +189,21 @@ def test_is_primitive_matches_order_oracle():
             assert is_primitive(f, e) == _is_primitive_by_order(f, e), (f, e)
 
 
+def test_admissible_lists_match_elementwise_oracle():
+    """The lists read off the log and Zech columns equal the element-wise
+    filters through the order oracle and field.sub/field.inv, in order."""
+    for f in instantiated_fields():
+        if f.q > 1024:
+            continue
+        primitive = {e for e in f.nonzero_elements() if _is_primitive_by_order(f, e)}
+        want = sorted(primitive)
+        assert primitive_elements(f) == want, f
+        want = [e for e in want if f.sub(1, e) in primitive]
+        assert g3_admissible(f) == want, f
+        want = [e for e in want if f.sub(1, f.inv(e)) in primitive]
+        assert g3_cube_admissible(f) == want, f
+
+
 def test_g3_admissible_examples():
     assert parse_element(GF27, "2+2x") in g3_admissible(GF27)
     gf5 = field_new(5, 1)
