@@ -415,7 +415,7 @@ def sweep(
     elif family in _G3_VARIANTS:
         shift = 3
     else:
-        raise ValueError(f"sweep is defined for cube families, not {family}")
+        raise ValueError(f"sweep is defined for cube families, not {family.value}")
     classes: dict[int, dict[CostasCube, ConstructionId]] = {}
     for q in range(4, max_order + shift + 1):
         if q - shift < 2 or prime_power(q) is None:

@@ -2,9 +2,13 @@
 
 Arrays are generated breadth-first: from each two-column prefix, one
 numpy step per column extends every partial array of the frontier,
-pruned by one difference bitmask per column distance.  Only first values
-up to ceil(n/2) are searched; the complement v -> n+1-v supplies the
-rest.
+pruned by one difference bitmask per column distance.  Each step looks
+one column ahead and keeps a partial array only when its next column
+still has a free value, so that no value or mask row is built for a
+partial array with no future.  A value v is bit v - 1 of a word and a
+difference w - u is bit w - u + n - 1; words are int32 up to order 16
+and int64 above, and value rows int8.  Only first values up to ceil(n/2)
+are searched; the complement v -> n+1-v supplies the rest.
 
 Cubes of order n are generated by the pair-join over a complete list of
 order-n Costas arrays: for a pair (A, B), build the unique permutation
@@ -55,42 +59,79 @@ class EnumerationLimitError(ValueError):
         self.limit = limit
 
 
-# The difference masks keep bits 1..2n-1 of one int64 word, below its sign
-# bit, and the free candidates are unpacked from 32 bits.
+# A value v is bit v - 1 of a mask word and a difference w - u is bit
+# w - u + n - 1, so the top bit in use is 2n - 2: below the sign bit of an
+# int32 word up to order 16, and of an int64 word up to MAX_WORD_ORDER.
 MAX_WORD_ORDER = 31
 
 
-def _prefix_search(n: int, a: int, b: int) -> np.ndarray:
-    """The order-n Costas arrays that begin with the values a, b, as the
-    rows of an (m, n) int matrix in lexicographic order.
+def _prefix_search(n: int, prefix: tuple[int, ...]) -> np.ndarray:
+    """The order-n Costas arrays that begin with the values of prefix (at
+    least two), as the rows of an (m, n) int8 matrix in lexicographic
+    order; a prefix that repeats a value or a difference begins none.
 
-    Each step extends the whole frontier by one column.  A row carries its
-    values, its used values (bit n - v for value v) and one difference
-    mask per column distance d (bit values[c - d] - values[c] + n for the
-    columns c - d and c).
+    Each step extends the whole frontier by one column.  The frontier is
+    held by column: one int8 row per value column, one mask row per column
+    distance d, and the free values of each partial array's next column.
+    The mask of distance d has bit w - u + n - 1 for the values u, w of
+    each pair of columns d apart, and bit n - 1, the difference 0: shifted
+    right by n - u, for the value u d columns before the next one, it holds
+    u at bit u - 1 and each candidate w that would repeat a difference at
+    bit w - 1.
+
+    A child is kept only when its own next column still has a free value.
+    That column's blocked set has two parts.  One is per parent: the first
+    two values, which no shift reaches, and the parent's masks of distance
+    2 and up, each shifted by the value one column later.  The other is
+    per child: its new distance-1 mask, shifted by its value, since the
+    bits a child adds to its longer distances, so shifted, are exactly its
+    parent's distance-1 mask shifted by its value.  Only the kept children
+    get value and mask rows, and their free sets carry forward.
     """
-    full = (1 << n) - 1
-    values = np.array([[a, b]], dtype=np.int64)
-    used = np.array([(1 << (n - a)) | (1 << (n - b))], dtype=np.int64)
-    masks = np.array([[1 << (a - b + n)]], dtype=np.int64)
-    for k in range(2, n):
-        # The mask of distance d, shifted right by the value d columns back,
-        # holds the bit of candidate v at n - v: one OR over the distances
-        # blocks every candidate that would repeat a difference.
-        blocked = used | np.bitwise_or.reduce(masks >> values[:, :-k:-1], axis=1)
-        grid = np.unpackbits((~blocked & full).astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)
-        # Row-major (row, candidate) order keeps the frontier lexicographic.
-        rows, cols = np.divmod(np.flatnonzero(grid[:, 32 - n :]), n)
-        v = cols + 1
-        grown = np.empty((len(rows), k + 1), dtype=np.int64)
-        grown[:, :k] = values[rows]
-        grown[:, k] = v
+    k = len(prefix)
+    diffs = [{w - u for u, w in zip(prefix, prefix[d:])} | {0} for d in range(1, k)]
+    if any(len(s) <= k - d for d, s in enumerate(diffs, 1)):
+        return np.empty((0, n), dtype=np.int8)
+    dtype = np.dtype(np.int32 if n <= 16 else np.int64)
+    masks = [sum(1 << (x + n - 1) for x in s) for s in diffs]
+    fixed = (1 << (prefix[0] - 1)) | (1 << (prefix[1] - 1))
+    blocked = fixed
+    for d, mask in enumerate(masks, 1):
+        blocked |= mask >> (n - prefix[k - d])
+    free = np.array([~blocked & ((1 << n) - 1)], dtype=dtype)
+    values = np.array(prefix, dtype=np.int8)[:, None]
+    masks = np.array(masks, dtype=dtype)[:, None]
+    # Every shift operand is of the mask dtype, so that promotion is the
+    # same under every numpy version.
+    one, top, full, fixed = (dtype.type(x) for x in (1, 1 << (n - 1), (1 << n) - 1, fixed))
+    little = dtype.newbyteorder("<")
+    for k in range(len(prefix), n):
+        # Bit v - 1 of a free set is column v - 1 of its row, and row-major
+        # (row, candidate) order keeps the frontier lexicographic.
+        grid = np.unpackbits(
+            free.astype(little, copy=False).view(np.uint8).reshape(-1, dtype.itemsize),
+            axis=1, count=n, bitorder="little",
+        )
+        rows, cols = np.divmod(np.flatnonzero(grid.view(bool)), n)
+        if k == n - 1:
+            return np.vstack((values[:, rows], (cols + 1).astype(np.int8))).T
+        v = (cols + 1).astype(dtype)
+        shifts = (n - values[k - 1 : 1 : -1]).astype(dtype)
+        ahead = fixed | np.bitwise_or.reduce(masks[1:] >> shifts, axis=0)
+        d1 = masks[0, rows] | one << (v - values[k - 1, rows] + (n - 1))
+        free = ~(ahead[rows] | d1 >> (n - v)) & full
+        (keep,) = np.nonzero(free)
+        rows, v, free = rows[keep], v[keep], free[keep]
+        grown = np.empty((k + 1, len(rows)), dtype=np.int8)
+        np.take(values, rows, axis=1, out=grown[:k])
+        grown[k] = v
         values = grown
-        used = used[rows] | (1 << (n - v))
-        bits = 1 << (values[:, k - 1 :: -1] - v[:, None] + n)
-        bits[:, :-1] |= masks[rows]
-        masks = bits
-    return values
+        grown = np.empty((k, len(rows)), dtype=dtype)
+        np.take(masks, rows, axis=1, out=grown[:-1])
+        grown[-1] = top
+        grown |= one << (v - values[k - 1 :: -1] + (n - 1))
+        masks = grown
+    return values.T
 
 
 def costas_values(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> np.ndarray:
@@ -105,15 +146,15 @@ def costas_values(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> np.ndarray:
         raise EnumerationLimitError(n, limit)
     if n > MAX_WORD_ORDER:
         raise ValueError(
-            f"order {n} needs difference-mask bits up to {2 * n - 1}, beyond one "
-            f"64-bit word; the enumerator handles orders up to {MAX_WORD_ORDER}"
+            f"order {n} needs difference-mask bits up to {2 * n - 2}; the enumerator "
+            f"keeps them in one 64-bit word for orders up to {MAX_WORD_ORDER}"
         )
     dtype = np.min_scalar_type(n)
     if n == 1:
         return np.ones((1, 1), dtype=dtype)
     half = (n + 1) // 2
     groups = [
-        np.concatenate([_prefix_search(n, a, b) for b in range(1, n + 1) if b != a])
+        np.concatenate([_prefix_search(n, (a, b)) for b in range(1, n + 1) if b != a])
         for a in range(1, half + 1)
     ]
     # The complement v -> n+1-v maps the arrays that begin with n+1-a onto

@@ -14,7 +14,8 @@ its least residue.  The table is also the only source of primitivity:
 e = g^t is primitive iff gcd(t, q-1) = 1, and the log of e to any other
 primitive base rho = g^b is log_g(e) * b^(-1) mod q-1.  The admissible
 parameter lists are one pass over log, in element order: 1 - e and
-1 - e^(-1) have the logs Z[t] and Z[-t].
+1 - e^(-1) have the logs Z[t] and Z[-t].  The G3 lists are empty for
+q <= 3, where no G3 construction exists.
 """
 
 from __future__ import annotations
@@ -236,14 +237,17 @@ def is_primitive(field: FieldSpec, e: FieldElement) -> bool:
 def _primitive_logs(field: FieldSpec, *one_minus: int) -> list[int]:
     """t = log_g(e) of every primitive e, ascending by e, for which each
     1 - e^s, s in one_minus, is primitive too: log(1 - g^(s*t)) = Z[s*t].
-    (s*t = 0 mod q-1 only in GF(2), where 1 - 1 = 0.)"""
+    A condition on 1 - e^s is one of the G3 constructions, which need
+    q > 3, so such a list is empty for q <= 3; above that, s*t is never
+    0 mod q-1."""
+    if one_minus and field.q <= 3:
+        return []
     _, log, zech = field.tables()
     n = field.q - 1
     return [
         t
         for t in log[1:]
-        if math.gcd(t, n) == 1
-        and all(s * t % n and math.gcd(zech[s * t % n], n) == 1 for s in one_minus)
+        if math.gcd(t, n) == 1 and all(math.gcd(zech[s * t % n], n) == 1 for s in one_minus)
     ]
 
 
@@ -254,15 +258,17 @@ def primitive_elements(field: FieldSpec) -> list[FieldElement]:
 
 
 def g3_admissible(field: FieldSpec) -> list[FieldElement]:
-    """Primitive phi for which 1 - phi is also primitive."""
+    """The parameters of the G3 array construction: primitive phi for
+    which 1 - phi is also primitive; empty for q <= 3."""
     exp = field.tables()[0]
     return [exp[t] for t in _primitive_logs(field, 1)]
 
 
 def g3_cube_admissible(field: FieldSpec) -> list[FieldElement]:
-    """Primitive phi for which both 1 - phi and 1 - phi^{-1} are primitive.
+    """The parameters of both G3 cube constructions: primitive phi for
+    which both 1 - phi and 1 - phi^{-1} are primitive; empty for q <= 3.
 
-    May be empty (it is for GF(16)).
+    May be empty for a larger field too (it is for GF(16)).
     """
     exp = field.tables()[0]
     return [exp[t] for t in _primitive_logs(field, 1, -1)]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from pathlib import Path
 
@@ -5,10 +6,12 @@ import numpy as np
 import pytest
 
 from costas_cubes import enumeration, symmetry
+from costas_cubes.construct import default_field, g2, w1
 from costas_cubes.core import (
     CostasCube,
     Permutation,
     costas_violation,
+    first_non_costas,
     is_costas_cube,
     projections,
 )
@@ -109,12 +112,46 @@ def test_complement_merge_of_an_empty_group(monkeypatch, n):
     expected = [p for p in costas_arrays(n) if p.values[0] not in (2, n - 1)]
     search = enumeration._prefix_search
 
-    def without_first_value_2(order, a, b):
-        found = search(order, a, b)
-        return found[:0] if a == 2 else found
+    def without_first_value_2(order, prefix):
+        found = search(order, prefix)
+        return found[:0] if prefix[0] == 2 else found
 
     monkeypatch.setattr(enumeration, "_prefix_search", without_first_value_2)
     assert enumerate_costas_arrays(n) == expected
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_prefix_search_matches_backtracking_oracle(n):
+    """Every two-value prefix, those that begin no array and those that
+    repeat a value included: n = 2 takes no step, and for n = 3 the first
+    step is the last."""
+    oracle = np.array([p.values for p in backtrack_costas_arrays(n)])
+    for a, b in itertools.product(range(1, n + 1), repeat=2):
+        found = enumeration._prefix_search(n, (a, b))
+        assert found.dtype == np.int8 and found.shape[1] == n
+        np.testing.assert_array_equal(found, oracle[(oracle[:, 0] == a) & (oracle[:, 1] == b)])
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        w1(17, 3),  # order 16, the last with int32 masks
+        g2(default_field(19), 2, 2),  # order 17, the first with int64 masks
+        w1(23, 5),
+        w1(31, 3),  # order 30
+    ],
+    ids=lambda p: f"order{p.order}",
+)
+def test_prefix_search_completes_a_long_prefix(seed):
+    """Seeded with all but the last four values of a constructed array,
+    the search finds that array among Costas arrays of that prefix."""
+    n = seed.order
+    found = enumeration._prefix_search(n, seed.values[: n - 4])
+    assert found.dtype == np.int8 and found.shape[1] == n
+    assert seed.values in set(map(tuple, found.tolist()))
+    assert (found[:, : n - 4] == seed.values[: n - 4]).all()
+    assert (np.sort(found, axis=1) == np.arange(1, n + 1)).all()
+    assert first_non_costas(found) is None
 
 
 def test_word_size_guard_rejects_before_searching(monkeypatch):
@@ -125,6 +162,22 @@ def test_word_size_guard_rejects_before_searching(monkeypatch):
             enumerate_costas_arrays(n, limit=40)
         assert not isinstance(err.value, EnumerationLimitError)
     assert searched == []
+
+
+@pytest.mark.parametrize(
+    "n, count, digest",
+    [
+        (11, 4368, "c977639eb635da476714bdd93f134763fff0eb4c53e044ade06857f332dddf06"),
+        (12, 7852, "2fdab762aa40a869115f284e86a02f024abcc322e903b377549882f12d44ee19"),
+    ],
+)
+def test_costas_values_golden(n, count, digest):
+    """The rows, their order and the dtype, byte for byte.  Every shift
+    operand of the search has the mask dtype, so these hold under numpy's
+    value-based casting (before 2.0) and under NEP 50 alike."""
+    values = costas_values(n)
+    assert values.shape == (count, n) and values.dtype == np.uint8
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 def test_backtracking_matches_brute_force():
@@ -429,7 +482,7 @@ def test_class_report_total_is_representative_count():
 
 @pytest.mark.stretch
 def test_order_14_join_stretch():
-    """The in-process reach: the order-14 search and pair-join, about 25 s."""
+    """The in-process reach: the order-14 search and pair-join, about 12 s."""
     # The same report counts 6 projection classes and 2168 array classes;
     # reference.py holds no published figure for either.
     arrays = enumerate_costas_arrays(14, limit=14)
