@@ -1,14 +1,17 @@
 """Exhaustive generation of Costas arrays and Costas cubes.
 
-Arrays are generated breadth-first: from each two-column prefix, one
-numpy step per column extends every partial array of the frontier,
-pruned by one difference bitmask per column distance.  Each step looks
-one column ahead and keeps a partial array only when its next column
-still has a free value, so that no value or mask row is built for a
-partial array with no future.  A value v is bit v - 1 of a word and a
+Arrays are generated by one depth-first search over blocks of partial
+arrays, from the block of every two-column prefix whose first value is
+at most ceil(n/2); the complement v -> n+1-v supplies the rest.  One
+numpy step extends every partial array of a block by one column, pruned
+by one difference bitmask per column distance, and a grown block of more
+than _BLOCK_ROWS rows is split into slices searched one after another,
+so that the frontier's memory is bounded at every order.  Each step
+looks one column ahead and keeps a partial array only when its next
+column still has a free value, so that no value or mask row is built for
+a partial array with no future.  A value v is bit v - 1 of a word and a
 difference w - u is bit w - u + n - 1; words are int32 up to order 16
-and int64 above, and value rows int8.  Only first values up to ceil(n/2)
-are searched; the complement v -> n+1-v supplies the rest.
+and int64 above, and value rows int8.
 
 Cubes of order n are generated by the pair-join over a complete list of
 order-n Costas arrays: for a pair (A, B), build the unique permutation
@@ -65,73 +68,126 @@ class EnumerationLimitError(ValueError):
 MAX_WORD_ORDER = 31
 
 
-def _prefix_search(n: int, prefix: tuple[int, ...]) -> np.ndarray:
-    """The order-n Costas arrays that begin with the values of prefix (at
-    least two), as the rows of an (m, n) int8 matrix in lexicographic
-    order; a prefix that repeats a value or a difference begins none.
+# A grown block of more rows than this is searched in slices of this many
+# rows, so that the frontier and one step's temporaries stay a few MB at
+# every order.
+_BLOCK_ROWS = 1 << 12
 
-    Each step extends the whole frontier by one column.  The frontier is
+
+def _prefix_search(n: int, prefixes: np.ndarray) -> np.ndarray:
+    """The order-n Costas arrays that begin with a row of prefixes, an
+    (m, k) matrix of first values with 2 <= k <= n, as the rows of an int8
+    matrix: those of each prefix in lexicographic order, the prefixes in
+    row order.  A prefix that repeats a value or a difference begins none.
+
+    The search runs depth-first over blocks of partial arrays.  A block is
     held by column: one int8 row per value column, one mask row per column
-    distance d, and the free values of each partial array's next column.
+    distance d, the free values of each partial array's next column, and
+    its fixed word, the bits of its first two values.  One step (_grow)
+    extends a whole block by one column; a grown block of more than
+    _BLOCK_ROWS rows is split into slices, pushed in reverse order, so
+    that the first is searched to the end first and the output stays in
+    order.
+
     The mask of distance d has bit w - u + n - 1 for the values u, w of
     each pair of columns d apart, and bit n - 1, the difference 0: shifted
     right by n - u, for the value u d columns before the next one, it holds
     u at bit u - 1 and each candidate w that would repeat a difference at
-    bit w - 1.
-
-    A child is kept only when its own next column still has a free value.
-    That column's blocked set has two parts.  One is per parent: the first
-    two values, which no shift reaches, and the parent's masks of distance
-    2 and up, each shifted by the value one column later.  The other is
-    per child: its new distance-1 mask, shifted by its value, since the
-    bits a child adds to its longer distances, so shifted, are exactly its
-    parent's distance-1 mask shifted by its value.  Only the kept children
-    get value and mask rows, and their free sets carry forward.
+    bit w - 1.  The fixed word blocks the first two values, which lie
+    beyond the distances of the parent masks that _grow shifts.
     """
-    k = len(prefix)
-    diffs = [{w - u for u, w in zip(prefix, prefix[d:])} | {0} for d in range(1, k)]
-    if any(len(s) <= k - d for d, s in enumerate(diffs, 1)):
-        return np.empty((0, n), dtype=np.int8)
+    values = np.array(prefixes, dtype=np.int8).T
+    k = len(values)
+    ok = np.ones(values.shape[1], dtype=bool)
+    for d in range(1, k):
+        diffs = np.sort(values[d:] - values[:-d], axis=0)
+        ok &= (diffs != 0).all(axis=0) & (diffs[1:] != diffs[:-1]).all(axis=0)
+    values = values[:, ok]
+    if k == n:
+        return values.T
     dtype = np.dtype(np.int32 if n <= 16 else np.int64)
-    masks = [sum(1 << (x + n - 1) for x in s) for s in diffs]
-    fixed = (1 << (prefix[0] - 1)) | (1 << (prefix[1] - 1))
-    blocked = fixed
-    for d, mask in enumerate(masks, 1):
-        blocked |= mask >> (n - prefix[k - d])
-    free = np.array([~blocked & ((1 << n) - 1)], dtype=dtype)
-    values = np.array(prefix, dtype=np.int8)[:, None]
-    masks = np.array(masks, dtype=dtype)[:, None]
     # Every shift operand is of the mask dtype, so that promotion is the
     # same under every numpy version.
-    one, top, full, fixed = (dtype.type(x) for x in (1, 1 << (n - 1), (1 << n) - 1, fixed))
-    little = dtype.newbyteorder("<")
-    for k in range(len(prefix), n):
-        # Bit v - 1 of a free set is column v - 1 of its row, and row-major
-        # (row, candidate) order keeps the frontier lexicographic.
-        grid = np.unpackbits(
-            free.astype(little, copy=False).view(np.uint8).reshape(-1, dtype.itemsize),
-            axis=1, count=n, bitorder="little",
+    one = dtype.type(1)
+    masks = np.empty((k - 1, values.shape[1]), dtype=dtype)
+    for d in range(1, k):
+        bits = one << (values[d:] - values[:-d]).astype(dtype) + (n - 1)
+        masks[d - 1] = np.bitwise_or.reduce(bits, axis=0) | one << (n - 1)
+    fixed = one << (values[0] - 1).astype(dtype) | one << (values[1] - 1).astype(dtype)
+    blocked = fixed | np.bitwise_or.reduce(masks >> (n - values[:0:-1]).astype(dtype), axis=0)
+    found = []
+    stack = [(values, masks, fixed, ~blocked & ((one << n) - 1))]
+    while stack:
+        values, masks, fixed, free = stack.pop()
+        if len(values) == n - 1:
+            rows, cols = _free_values(n, free)
+            found.append(np.vstack((values[:, rows], cols.astype(np.int8) + 1)).T)
+            continue
+        grown = _grow(n, values, masks, fixed, free)
+        stack.extend(
+            tuple(x[..., s : s + _BLOCK_ROWS] for x in grown)
+            for s in reversed(range(0, len(grown[2]), _BLOCK_ROWS))
         )
-        rows, cols = np.divmod(np.flatnonzero(grid.view(bool)), n)
-        if k == n - 1:
-            return np.vstack((values[:, rows], (cols + 1).astype(np.int8))).T
-        v = (cols + 1).astype(dtype)
-        shifts = (n - values[k - 1 : 1 : -1]).astype(dtype)
-        ahead = fixed | np.bitwise_or.reduce(masks[1:] >> shifts, axis=0)
-        d1 = masks[0, rows] | one << (v - values[k - 1, rows] + (n - 1))
-        free = ~(ahead[rows] | d1 >> (n - v)) & full
-        (keep,) = np.nonzero(free)
-        rows, v, free = rows[keep], v[keep], free[keep]
-        grown = np.empty((k + 1, len(rows)), dtype=np.int8)
-        np.take(values, rows, axis=1, out=grown[:k])
-        grown[k] = v
-        values = grown
-        grown = np.empty((k, len(rows)), dtype=dtype)
-        np.take(masks, rows, axis=1, out=grown[:-1])
-        grown[-1] = top
-        grown |= one << (v - values[k - 1 :: -1] + (n - 1))
-        masks = grown
-    return values.T
+    return np.concatenate(found) if found else np.empty((0, n), dtype=np.int8)
+
+
+def _free_values(n: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, v - 1) for each value v of each row's free set, in row-major
+    order, which keeps a block's children lexicographic."""
+    # Bit v - 1 of a free set is column v - 1 of its row.
+    little = free.dtype.newbyteorder("<")
+    grid = np.unpackbits(
+        free.astype(little, copy=False).view(np.uint8).reshape(-1, free.dtype.itemsize),
+        axis=1, count=n, bitorder="little",
+    )
+    return np.divmod(np.flatnonzero(grid.view(bool)), n)
+
+
+def _grow(
+    n: int, values: np.ndarray, masks: np.ndarray, fixed: np.ndarray, free: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One step of _prefix_search: the block of the children, one column
+    longer, of a block of partial arrays, as (values, masks, fixed, free).
+
+    A child is kept only when its own next column still has a free value.
+    That column's blocked set has two parts.  One is per parent: the fixed
+    word and the parent's masks of distance 2 and up, each shifted by the
+    value one column later.  The other is per child: its new distance-1
+    mask, shifted by its value, since the bits a child adds to its longer
+    distances, so shifted, are exactly its parent's distance-1 mask
+    shifted by its value.  Only the kept children get value and mask rows.
+    The temporaries are formed in place, as they set the search's peak
+    memory.
+    """
+    k = len(values)
+    dtype = masks.dtype
+    one, top, full = (dtype.type(x) for x in (1, 1 << (n - 1), (1 << n) - 1))
+    rows, cols = _free_values(n, free)
+    v = cols.astype(dtype)
+    v += 1
+    shifts = (n - values[k - 1 : 1 : -1]).astype(dtype)
+    ahead = fixed | np.bitwise_or.reduce(masks[1:] >> shifts, axis=0)
+    blocked = np.subtract(v, values[k - 1, rows], dtype=dtype)
+    blocked += n - 1
+    np.left_shift(one, blocked, out=blocked)
+    blocked |= masks[0, rows]
+    blocked >>= n - v
+    blocked |= ahead[rows]
+    free = np.bitwise_and(~blocked, full, out=blocked)
+    (keep,) = np.nonzero(free)
+    rows, v, free = rows[keep], v[keep], free[keep]
+    grown = np.empty((k + 1, len(rows)), dtype=np.int8)
+    np.take(values, rows, axis=1, out=grown[:k])
+    grown[k] = v
+    values = grown
+    grown = np.empty((k, len(rows)), dtype=dtype)
+    np.take(masks, rows, axis=1, out=grown[:-1])
+    grown[-1] = top
+    bits = np.subtract(v, values[k - 1 :: -1], dtype=dtype)
+    bits += n - 1
+    np.left_shift(one, bits, out=bits)
+    grown |= bits
+    return values, grown, fixed[rows], free
 
 
 def costas_values(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> np.ndarray:
@@ -152,15 +208,14 @@ def costas_values(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> np.ndarray:
     dtype = np.min_scalar_type(n)
     if n == 1:
         return np.ones((1, 1), dtype=dtype)
+    # Only first values up to ceil(n/2) are searched.  The complement
+    # v -> n+1-v maps the arrays that begin with n+1-a onto those that begin
+    # with a, in reversed order.
     half = (n + 1) // 2
-    groups = [
-        np.concatenate([_prefix_search(n, (a, b)) for b in range(1, n + 1) if b != a])
-        for a in range(1, half + 1)
-    ]
-    # The complement v -> n+1-v maps the arrays that begin with n+1-a onto
-    # those that begin with a, in reversed order.
-    groups += [n + 1 - groups[n - a][::-1] for a in range(half + 1, n + 1)]
-    return np.concatenate(groups).astype(dtype)
+    prefixes = [(a, b) for a in range(1, half + 1) for b in range(1, n + 1) if b != a]
+    low = _prefix_search(n, np.array(prefixes))
+    cut = np.searchsorted(low[:, 0], n // 2, side="right")
+    return np.concatenate((low, n + 1 - low[:cut][::-1])).astype(dtype)
 
 
 def enumerate_costas_arrays(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> list[Permutation]:

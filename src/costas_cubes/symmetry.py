@@ -8,7 +8,8 @@ symmetries.
 
 Canonical forms and orbits read all images of an object at once.  One
 numpy pass forms the 8 square images of a whole value matrix, and the
-least is found with np.lexsort.  The 48 images of a cube are one gather, through
+least is found one column at a time, among the images still least on
+every column before it.  The 48 images of a cube are one gather, through
 an index table built once per order, from 18 sequences of its
 coordinates: i, j and k and their complements, each listed in the order
 of i, of j and of k; the least is the least of their bytes as big-endian
@@ -68,8 +69,16 @@ def planar_images(values: np.ndarray) -> np.ndarray:
 
 def _least(images: np.ndarray) -> np.ndarray:
     """Index along axis 0 of the lexicographically least row (last axis)
-    of images, for every position of the axes in between."""
-    return np.lexsort(np.swapaxes(images, 0, -1)[::-1])[..., 0]
+    of images, for every position of the axes in between; the first such
+    index where rows tie.
+
+    Columns are read in turn, and an image stays live while each column
+    so far holds the least value of any live image of its position."""
+    live = np.ones(images.shape[:-1], dtype=bool)
+    top = np.iinfo(images.dtype).max
+    for column in np.moveaxis(images, -1, 0):
+        live &= column == column.min(axis=0, initial=top, where=live)
+    return live.argmax(axis=0)
 
 
 def least_image(images: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -112,9 +113,9 @@ def test_complement_merge_of_an_empty_group(monkeypatch, n):
     expected = [p for p in costas_arrays(n) if p.values[0] not in (2, n - 1)]
     search = enumeration._prefix_search
 
-    def without_first_value_2(order, prefix):
-        found = search(order, prefix)
-        return found[:0] if prefix[0] == 2 else found
+    def without_first_value_2(order, prefixes):
+        found = search(order, prefixes)
+        return found[found[:, 0] != 2]
 
     monkeypatch.setattr(enumeration, "_prefix_search", without_first_value_2)
     assert enumerate_costas_arrays(n) == expected
@@ -122,14 +123,34 @@ def test_complement_merge_of_an_empty_group(monkeypatch, n):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_prefix_search_matches_backtracking_oracle(n):
-    """Every two-value prefix, those that begin no array and those that
-    repeat a value included: n = 2 takes no step, and for n = 3 the first
-    step is the last."""
+    """Every two-value prefix as a one-row prefix matrix, those that begin
+    no array and those that repeat a value included: n = 2 takes no step,
+    and for n = 3 the first step is the last.  All of them as one matrix
+    give the same rows, in the order of the prefixes."""
     oracle = np.array([p.values for p in backtrack_costas_arrays(n)])
-    for a, b in itertools.product(range(1, n + 1), repeat=2):
-        found = enumeration._prefix_search(n, (a, b))
+    pairs = list(itertools.product(range(1, n + 1), repeat=2))
+    expected = []
+    for a, b in pairs:
+        found = enumeration._prefix_search(n, np.array([[a, b]]))
         assert found.dtype == np.int8 and found.shape[1] == n
-        np.testing.assert_array_equal(found, oracle[(oracle[:, 0] == a) & (oracle[:, 1] == b)])
+        expected.append(oracle[(oracle[:, 0] == a) & (oracle[:, 1] == b)])
+        np.testing.assert_array_equal(found, expected[-1])
+    np.testing.assert_array_equal(enumeration._prefix_search(n, np.array(pairs)), np.concatenate(expected))
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_block_path_matches_backtracking_oracle(monkeypatch, block):
+    """With grown blocks split into slices of 1, 5 or 64 rows, the search
+    still gives every array in order; prefixes as long as the order are
+    returned as they are, less those that repeat a value or a difference."""
+    monkeypatch.setattr(enumeration, "_BLOCK_ROWS", block)
+    for n in range(1, 11):
+        oracle = [p.values for p in backtrack_costas_arrays(n)]
+        assert [tuple(v) for v in costas_values(n).tolist()] == oracle
+    full = np.array([[1, 2], [2, 2], [2, 1]])
+    np.testing.assert_array_equal(enumeration._prefix_search(2, full), [[1, 2], [2, 1]])
+    full = np.array([[1, 3, 2], [1, 2, 3], [2, 3, 1]])
+    np.testing.assert_array_equal(enumeration._prefix_search(3, full), [[1, 3, 2], [2, 3, 1]])
 
 
 @pytest.mark.parametrize(
@@ -146,7 +167,7 @@ def test_prefix_search_completes_a_long_prefix(seed):
     """Seeded with all but the last four values of a constructed array,
     the search finds that array among Costas arrays of that prefix."""
     n = seed.order
-    found = enumeration._prefix_search(n, seed.values[: n - 4])
+    found = enumeration._prefix_search(n, np.array([seed.values[: n - 4]]))
     assert found.dtype == np.int8 and found.shape[1] == n
     assert seed.values in set(map(tuple, found.tolist()))
     assert (found[:, : n - 4] == seed.values[: n - 4]).all()
@@ -478,6 +499,19 @@ def test_class_report_total_is_representative_count():
         assert report.representatives == costas_cube_classes(n)
     with pytest.raises(ValueError, match="orders 4 and 5 mixed"):
         array_classes(costas_arrays(4) + costas_arrays(5))
+
+
+@pytest.mark.stretch
+def test_search_memory_stays_bounded():
+    """The search's numpy buffers, which numpy reports to tracemalloc,
+    peak below 6 MiB at order 13: the frontier is held in bounded blocks."""
+    tracemalloc.start()
+    try:
+        costas_values(13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
 
 
 @pytest.mark.stretch

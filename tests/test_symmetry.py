@@ -23,9 +23,11 @@ from costas_cubes.symmetry import (
     canonical_cube,
     cube_images,
     first_of_each_class,
+    least_image,
     planar_images,
     projection_set,
 )
+from costas_cubes import symmetry
 
 from test_construct import sweep_tuples_oracle
 from conftest import (
@@ -214,6 +216,29 @@ def test_planar_images_match_apply_planar(rows):
     assert images.shape == (8, len(perms), perms[0].order)
     for s, sym in enumerate(PLANAR_SYMMETRIES):
         assert [tuple(v) for v in images[s].tolist()] == [image(sym, p).values for p in perms]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+def test_least_image_matches_min_over_image_tuples(dtype):
+    """least_image against a Python min over the 8 oracle image tuples, and
+    its index against the first symmetry that gives that min: on arrays of
+    a 4-member class, whose least image occurs twice, on arrays of an
+    8-member class, on an empty batch and at order 300."""
+    batches = [
+        [p for p in costas_arrays(n) if array_class_size_oracle(p) == 4] for n in (5, 6, 7, 8)
+    ] + [list(costas_arrays(6)[:40])]
+    assert all(batches)
+    if np.iinfo(dtype).max >= 300:
+        batches.append([Permutation(tuple(random.Random(300).sample(range(1, 301), 300)))])
+    for perms in batches:
+        images = planar_images(value_matrix(perms).astype(dtype))
+        tuples = [[image(s, p).values for s in PLANAR_SYMMETRIES] for p in perms]
+        least = least_image(images)
+        assert least.dtype == dtype
+        assert [tuple(v) for v in least.tolist()] == [min(t) for t in tuples]
+        assert symmetry._least(images).tolist() == [t.index(min(t)) for t in tuples]
+    empty = least_image(np.empty((8, 0, 5), dtype=dtype))
+    assert empty.shape == (0, 5) and empty.dtype == dtype
 
 
 def test_cube_images_follow_cube_symmetries():
