@@ -5,7 +5,7 @@ Costas cubes of one order (at order 6 every value in {4,8,...,24} occurs)."""
 import argparse
 from collections import Counter
 
-from costas_cubes.enumeration import enumerate_costas_arrays, enumerate_costas_cubes
+from costas_cubes.enumeration import class_report, costas_values
 from costas_cubes.symmetry import projection_set
 
 
@@ -14,8 +14,7 @@ def main() -> None:
     parser.add_argument("--order", type=int, default=6)
     args = parser.parse_args()
 
-    arrays = enumerate_costas_arrays(args.order)
-    cubes = enumerate_costas_cubes(args.order, arrays)
+    cubes = class_report(args.order, costas_values(args.order)).representatives
     sizes = Counter(len(projection_set(cube)) for cube in cubes)
     print(f"order {args.order}: {len(cubes)} cube classes")
     for size in sorted(sizes):

@@ -49,7 +49,6 @@ from .enumeration import (
     array_classes,
     class_report,
     enumerate_costas_arrays,
-    enumerate_costas_cubes,
     table1,
 )
 
@@ -65,5 +64,5 @@ __all__ = (
     "ConstructionId", "Family", "catalog", "cube_g2x3", "cube_g3_variant_i", "cube_g3_variant_ii",
     "cube_w2w2g2", "g2", "g3", "k_reversal", "sweep", "table2", "w1", "w2",
     "ClassReport", "EnumerationLimitError", "array_classes", "class_report",
-    "enumerate_costas_arrays", "enumerate_costas_cubes", "table1",
+    "enumerate_costas_arrays", "table1",
 )

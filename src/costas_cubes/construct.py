@@ -26,6 +26,8 @@ field, to its least primitive g, read from the field's one table
 (gf.FieldSpec.tables): with a = log phi, b = log rho, c = log psi and the
 Zech column Z[t] = log(1 - g^t), all mod q-1, the relation
 phi^i + rho^j = 1 reads a*i = Z[b*j], and each row is one Z read.
+The G3 constructors check phi first, and then 1-phi and 1-phi^(-1) as
+exp[Z[a]] and exp[Z[-a]].
 
 W1, G2, G2x3 and W2W2G2 each have one row formula, numpy arithmetic
 over arrays of these logs; W2, G3 and the G3 cubes are read from those
@@ -208,7 +210,9 @@ def g3(field: FieldSpec, phi: FieldElement) -> Permutation:
     """
     if field.q <= 3:
         raise ValueError("G3 requires q > 3")
-    a, m = _logs(field, phi=phi, **{"1-phi": field.sub(1, phi)})
+    (a,) = _logs(field, phi=phi)
+    exp, _, zech = field.tables()
+    (m,) = _logs(field, **{"1-phi": exp[zech[a]]})
     return _permutation(_g2_values(field, a, m)[1:] - 1)
 
 
@@ -276,10 +280,8 @@ def _cube_g3_jk(field: FieldSpec, phi: FieldElement) -> tuple[np.ndarray, np.nda
         raise ValueError("this construction requires q > 3")
     (a,) = _logs(field, phi=phi)
     # Checked here for the error message; the formula reads their logs off Z.
-    _logs(field, **{
-        "1-phi": field.sub(1, phi),
-        "1-phi^(-1)": field.sub(1, field.inv(phi)),
-    })
+    exp, _, zech = field.tables()
+    _logs(field, **{"1-phi": exp[zech[a]], "1-phi^(-1)": exp[zech[-a % (field.q - 1)]]})
     return _g3_jk(field, a)
 
 

@@ -26,7 +26,11 @@ true.  So A ranges over the first member of each class and B over the
 arrays of no lesser class.  C is looked up by its key, and compared in
 full only when the key occurs.  Class counts come from canonical forms,
 and a hit in the orbit of a class already found is not canonicalised
-again.
+again.  The projection classes are counted from the hits: the classes
+of each hit's rows A and B and of the row its lookup of C finds.  The
+arrays a cube's orbit projects are the square images of its three
+projections, so any one hit of a cube class gives that class's
+projection classes.
 
 The array list reaches the join as one (N, n) value matrix, from
 costas_values or files.parse_array_file; a list of Permutations is turned
@@ -43,7 +47,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import CostasCube, Permutation, first_non_costas, projections, value_matrix
+from .core import CostasCube, Permutation, first_non_costas, value_matrix
 from .reference import COSTAS_ARRAY_TOTALS
 from .symmetry import first_of_each_class, least_image, planar_images
 
@@ -371,11 +375,12 @@ def _check_complete(arrays: np.ndarray | Sequence[Permutation], n: int) -> tuple
 _BLOCK_PAIRS = 1 << 15
 
 
-def _scan(index: _RowIndex, least: np.ndarray) -> list[CostasCube]:
+def _scan(index: _RowIndex, least: np.ndarray) -> tuple[list[CostasCube], int]:
     """Canonical representatives, sorted, of the classes of the Costas
     cubes whose Projection A is the first member of its class and whose
     Projection B is of no lesser class, from _check_complete's index and
-    classes."""
+    classes, and the number of array classes among those cubes'
+    projections."""
     # In class order each class's first member comes first, so the arrays
     # of no lesser class than a first array are the list from it on.
     by_class = np.argsort(least, kind="stable")
@@ -386,8 +391,9 @@ def _scan(index: _RowIndex, least: np.ndarray) -> list[CostasCube]:
     # The key of A^-1 B is z @ weights[b] mod R for the zero-based inverse
     # z of A, and the float product is exact.
     weights = index.weights.astype(float)[inverses]
-    # The hit cubes of every block, as rows j_1, k_1, ..., j_n, k_n.
-    hits = []
+    # The hit cubes of every block, as rows j_1, k_1, ..., j_n, k_n, and
+    # the index positions of their projections A, B and C.
+    hits, projected = [], []
     start = 0
     while start < len(firsts):
         lo = firsts[start]
@@ -408,30 +414,14 @@ def _scan(index: _RowIndex, least: np.ndarray) -> list[CostasCube]:
         keep = second >= block[first]
         first, second, keys = first[keep], second[keep], keys[keep]
         c_rows = z[first[:, None], idx[second]]
-        hit = index.find(c_rows, keys) >= 0
-        a, b = inverses[block[first[hit]]], inverses[second[hit]]
-        hits.append(np.stack((a, b), axis=2).reshape(-1, 2 * n))
+        c_at = index.find(c_rows, keys)
+        hit = c_at >= 0
+        a_at, b_at = block[first[hit]], second[hit]
+        hits.append(np.stack((inverses[a_at], inverses[b_at]), axis=2).reshape(-1, 2 * n))
+        projected.append(np.concatenate((by_class[a_at], by_class[b_at], c_at[hit])))
     cubes = (cube for _, cube in first_of_each_class(np.concatenate(hits) + 1))
-    return sorted(cubes, key=lambda cube: cube.rows)
-
-
-def enumerate_costas_cubes(n: int, arrays: np.ndarray | Sequence[Permutation]) -> list[CostasCube]:
-    """One canonical representative per equivalence class of order-n
-    Costas cubes, from the pair-join over the given complete array list
-    (a value matrix or Permutations).
-
-    The first array of each pair ranges over one member of each array
-    class only, and the second over the arrays of no lesser class; see
-    the module docstring for why this reaches every class.
-    """
-    return _scan(*_check_complete(arrays, n))
-
-
-def _projection_classes(cubes: Sequence[CostasCube]) -> int:
-    """The number of D4 classes of Costas arrays that occur as a
-    projection of the given Costas cubes: the classes of their
-    projections A, B and C, which hold every array their orbits project."""
-    return len(array_classes(p for t in map(projections, cubes) for p in (t.a, t.b, t.c)))
+    classes = len(np.unique(least[np.concatenate(projected)]))
+    return sorted(cubes, key=lambda cube: cube.rows), classes
 
 
 @dataclass(frozen=True)
@@ -454,17 +444,19 @@ class ClassReport:
 
 def class_report(n: int, arrays: np.ndarray | Sequence[Permutation]) -> ClassReport:
     """The class report of order n from a complete list of order-n Costas
-    arrays (a value matrix or Permutations).  A complete list is closed
-    under D4 and has no duplicates, so each array class has exactly one
-    first member, the row whose class is its own index position: the
+    arrays (a value matrix or Permutations), with one canonical
+    representative per cube class, from the pair-join; see the module
+    docstring for why the join reaches every class.  A complete list is
+    closed under D4 and has no duplicates, so each array class has exactly
+    one first member, the row whose class is its own index position: the
     total number of array classes is the number of first arrays of the
     join."""
     index, least = _check_complete(arrays, n)
-    cubes = _scan(index, least)
+    cubes, projection_classes = _scan(index, least)
     return ClassReport(
         order=n,
         cube_classes=len(cubes),
-        projection_array_classes=_projection_classes(cubes),
+        projection_array_classes=projection_classes,
         total_array_classes=int(np.count_nonzero(least == np.arange(len(least)))),
         representatives=tuple(cubes),
     )

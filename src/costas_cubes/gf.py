@@ -7,8 +7,8 @@ after normalization, matching notation such as <1 + x^3 + x^4>.
 
 Each field keeps one table, to its least primitive element g
 (FieldSpec.tables): exp, log and the Zech column Z[t] = log(1 - g^t).
-Every operation is one read of it: inv and neg add logs, and
-a - b = a * (1 - b/a) reads Z.  Prime fields use the same code path with
+The field has no other arithmetic: the constructions work on these logs,
+and 1 - g^t is exp[Z[t]].  Prime fields use the same code path with
 the implicit modulus x, so the encoding of an element of GF(p) is simply
 its least residue.  The table is also the only source of primitivity:
 e = g^t is primitive iff gcd(t, q-1) = 1, and the log of e to any other
@@ -175,30 +175,6 @@ class FieldSpec:
                 zech[t] = log[e - e % p + (e + 1) % p]
             self._exp, self._log, self._zech = exp, log, zech
         return self._exp, self._log, self._zech
-
-    def inv(self, a: FieldElement) -> FieldElement:
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        exp, log, _ = self.tables()
-        return exp[-log[a] % (self.q - 1)]
-
-    def neg(self, a: FieldElement) -> FieldElement:
-        if a == 0:
-            return 0
-        exp, log, _ = self.tables()
-        return exp[(log[a] + log[self.p - 1]) % (self.q - 1)]
-
-    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        """a - b = a * (1 - b/a), read from the Zech column."""
-        if b == 0:
-            return a
-        if a == 0:
-            return self.neg(b)
-        if a == b:
-            return 0
-        exp, log, zech = self.tables()
-        n = self.q - 1
-        return exp[(log[a] + zech[(log[b] - log[a]) % n]) % n]
 
 
 def field_new(p: int, m: int, modulus: Sequence[int] | None = None) -> FieldSpec:

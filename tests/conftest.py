@@ -8,7 +8,7 @@ import functools
 import pytest
 
 from costas_cubes.core import CostasCube, Permutation
-from costas_cubes.enumeration import enumerate_costas_arrays, enumerate_costas_cubes
+from costas_cubes.enumeration import class_report, enumerate_costas_arrays
 from costas_cubes.gf import field_new
 from costas_cubes.symmetry import CUBE_SYMMETRIES, PLANAR_SYMMETRIES, AxisSymmetry
 
@@ -147,6 +147,23 @@ def inverse(perm: Permutation) -> Permutation:
     return Permutation(tuple(inv))
 
 
+def projection_class_count(cubes) -> int:
+    """The number of D4 classes among the projections A, B and C of the
+    cubes, read from their rows as sigma_A(j_i) = i, sigma_B(k_i) = i and
+    sigma_C(k_i) = j_i; a class is its least member, the least image under
+    PLANAR_SYMMETRIES one symmetry at a time."""
+    classes = set()
+    for cube in cubes:
+        n = cube.order
+        a, b, c = [0] * n, [0] * n, [0] * n
+        for i, (j, k) in enumerate(cube.rows, start=1):
+            a[j - 1], b[k - 1], c[k - 1] = i, i, j
+        for values in (a, b, c):
+            perm = Permutation(tuple(values))
+            classes.add(min(image(s, perm).values for s in PLANAR_SYMMETRIES))
+    return len(classes)
+
+
 def cube_from_pair(which: str, x: Permutation, y: Permutation) -> CostasCube:
     """The permutation cube whose projection pair which ("AB", "AC" or
     "BC") is (x, y).  Row i has j_i = A^-1(i) and k_i = B^-1(i), and
@@ -168,6 +185,11 @@ def cube_from_pair(which: str, x: Permutation, y: Permutation) -> CostasCube:
 def field_add(field, a: int, b: int) -> int:
     """a + b, digit by digit mod p."""
     return field.encode([x + y for x, y in zip(field.digits(a), field.digits(b))])
+
+
+def field_sub(field, a: int, b: int) -> int:
+    """a - b, digit by digit mod p."""
+    return field.encode([x - y for x, y in zip(field.digits(a), field.digits(b))])
 
 
 def field_mul(field, a: int, b: int) -> int:
@@ -202,6 +224,16 @@ def field_pow(field, a: int, k: int) -> int:
     return r
 
 
+def field_inverses(field, g: int) -> dict[int, int]:
+    """x -> x^(-1) for each power x = g^t, t in [0, q-1), the powers formed
+    by field_mul one after another: g^(-t) is g^(q-1-t).  Its keys are
+    every nonzero element exactly when g is primitive."""
+    powers = [1]
+    for _ in range(field.q - 2):
+        powers.append(field_mul(field, powers[-1], g))
+    return {x: powers[-t % (field.q - 1)] for t, x in enumerate(powers)}
+
+
 def cube_from_jk(j_row, k_row) -> CostasCube:
     return CostasCube(tuple(zip(j_row, k_row)))
 
@@ -223,7 +255,7 @@ def costas_arrays(n: int) -> tuple[Permutation, ...]:
 
 @functools.lru_cache(maxsize=None)
 def costas_cube_classes(n: int) -> tuple[CostasCube, ...]:
-    return tuple(enumerate_costas_cubes(n, costas_arrays(n)))
+    return class_report(n, costas_arrays(n)).representatives
 
 
 def order7_without_one_class() -> list[Permutation]:

@@ -77,6 +77,7 @@ from conftest import (
     cube_from_pair,
     field_add,
     field_pow,
+    field_sub,
     image,
     inverse,
 )
@@ -116,7 +117,7 @@ def test_w2_is_w1_with_boundary_row_and_column_removed():
 
 def test_g2_examples():
     assert g2(GF13, 11, 6).values == P13_C
-    psi_inv = GF16.inv(parse_element(GF16, "x+x^2+x^3"))
+    psi_inv = field_pow(GF16, parse_element(GF16, "x+x^2+x^3"), -1)
     assert g2(GF16, parse_element(GF16, "1+x^2+x^3"), psi_inv).values == GF16_C
 
 
@@ -133,7 +134,7 @@ def test_g3_examples():
 
 def test_g3_is_shifted_g2():
     for field, phi in ((GF27, PHI27), (field_new(7, 1), 3), (GF8, 3)):
-        one_minus = field.sub(1, phi)
+        one_minus = field_sub(field, 1, phi)
         t = g2(field, phi, one_minus)
         assert t.values[0] == 1  # the pinned 1 entry at position (1, 1)
         s = g3(field, phi)
@@ -154,9 +155,9 @@ def test_cube_g2x3_projection_parameters():
     phi, rho, psi = 2, 13, 14
     cube = cube_g2x3(GF16, phi, rho, psi)
     t = projections(cube)
-    assert t.a == g2(GF16, phi, GF16.inv(rho))
-    assert t.b == g2(GF16, GF16.inv(phi), psi)
-    assert t.c == g2(GF16, rho, GF16.inv(psi))
+    assert t.a == g2(GF16, phi, field_pow(GF16, rho, -1))
+    assert t.b == g2(GF16, field_pow(GF16, phi, -1), psi)
+    assert t.c == g2(GF16, rho, field_pow(GF16, psi, -1))
 
 
 def test_cube_g2x3_all_three_conditions_hold():
@@ -197,16 +198,16 @@ def test_cube_g3_variant_i_example():
     t = projections(cube)
     assert (t.a.values, t.b.values, t.c.values) == (GF27_D_A, GF27_D_B, GF27_D_C)
     assert t.a == g3(GF27, PHI27)
-    assert t.b == g3(GF27, GF27.inv(PHI27))
-    assert t.c == g3(GF27, GF27.inv(GF27.sub(1, PHI27)))
+    assert t.b == g3(GF27, field_pow(GF27, PHI27, -1))
+    assert t.c == g3(GF27, field_pow(GF27, field_sub(GF27, 1, PHI27), -1))
     assert is_costas_cube(cube)
 
 
 def test_cube_g3_variant_i_is_shifted_g2x3():
     for field, phi in ((GF27, PHI27), (field_new(7, 1), 3), (GF8, 2)):
         inner = cube_g3_variant_i(field, phi)
-        rho = field.inv(field.sub(1, phi))
-        psi = field.sub(1, field.inv(phi))
+        rho = field_pow(field, field_sub(field, 1, phi), -1)
+        psi = field_sub(field, 1, field_pow(field, phi, -1))
         outer = cube_g2x3(field, phi, rho, psi)
         assert outer.rows[0] == (1, 1)  # pinned 1 entry at (1,1,1)
         # (d_{i,j,k}) = (f_{i+1,j+1,k+1}); drop the three boundary planes
@@ -220,8 +221,8 @@ def test_cube_g3_variant_ii_example():
     t = projections(cube)
     assert (t.a.values, t.b.values, t.c.values) == (GF27_E_A, GF27_E_B, GF27_E_C)
     assert t.a == projections(cube_g3_variant_i(GF27, PHI27)).a
-    assert t.b == image(VERTICAL_REFLECTION, g3(GF27, GF27.inv(PHI27)))
-    assert t.c == image(ROTATION_180, g3(GF27, GF27.inv(GF27.sub(1, PHI27))))
+    assert t.b == image(VERTICAL_REFLECTION, g3(GF27, field_pow(GF27, PHI27, -1)))
+    assert t.c == image(ROTATION_180, g3(GF27, field_pow(GF27, field_sub(GF27, 1, PHI27), -1)))
     assert is_costas_cube(cube)
 
 
@@ -248,12 +249,12 @@ def test_k_reversal_maps_variant_i_to_ii():
 
 
 def test_constructors_refuse_exactly_the_inadmissible_parameters():
-    """g3 and the G3 cube constructors check phi element by element with
-    is_primitive, field.sub and field.inv; the admissible lists read the
+    """g3 and the G3 cube constructors check phi, 1-phi and 1-phi^(-1)
+    element by element with is_primitive; the admissible lists read the
     same predicate off the log and Zech columns.  Over every default field
     with q <= 32, each constructor raises for a nonzero phi exactly when
-    phi is not listed: for q <= 3 it refuses every phi, and the lists are
-    empty."""
+    phi is not listed, and names the order or the element that is not
+    primitive: for q <= 3 it refuses every phi, and the lists are empty."""
     for q in range(2, 33):
         if prime_power(q) is None:
             continue
@@ -266,10 +267,15 @@ def test_constructors_refuse_exactly_the_inadmissible_parameters():
             for phi in f.nonzero_elements():
                 try:
                     construction(f, phi)
-                    raised = False
-                except ValueError:
-                    raised = True
-                assert raised == (phi not in admissible), (q, construction.__name__, phi)
+                    message = None
+                except ValueError as error:
+                    message = str(error)
+                where = (q, construction.__name__, phi, message)
+                if phi in admissible:
+                    assert message is None, where
+                else:
+                    assert message is not None, where
+                    assert "requires q > 3" in message or f"is not primitive in GF({q})" in message, where
 
 
 def test_k_reversal_involution_and_order1():
@@ -314,9 +320,9 @@ def test_every_cube_tuple_yields_labelled_projections():
             for rho in prims:
                 for psi in prims:
                     t = projections(cube_g2x3(field, phi, rho, psi))
-                    assert t.a == g2(field, phi, field.inv(rho))
-                    assert t.b == g2(field, field.inv(phi), psi)
-                    assert t.c == g2(field, rho, field.inv(psi))
+                    assert t.a == g2(field, phi, field_pow(field, rho, -1))
+                    assert t.b == g2(field, field_pow(field, phi, -1), psi)
+                    assert t.c == g2(field, rho, field_pow(field, psi, -1))
         if field.m == 1:
             for phi in prims:
                 for psi in prims:
@@ -329,8 +335,8 @@ def test_every_cube_tuple_yields_labelled_projections():
             continue
         field = _field_for(q)
         for phi in g3_cube_admissible(field):
-            inv_phi = field.inv(phi)
-            c_base = field.inv(field.sub(1, phi))
+            inv_phi = field_pow(field, phi, -1)
+            c_base = field_pow(field, field_sub(field, 1, phi), -1)
             t = projections(cube_g3_variant_i(field, phi))
             assert t.a == g3(field, phi)
             assert t.b == g3(field, inv_phi)
@@ -665,6 +671,10 @@ def test_out_of_range_elements_rejected():
         lambda: g2(GF13, 13, 6),
         lambda: w2(13, 15),
         lambda: cube_g2x3(GF13, 2, 6, 15),
+        lambda: g3(GF13, 13),
+        lambda: g3(GF13, 30),
+        lambda: cube_g3_variant_i(GF13, 13),
+        lambda: cube_g3_variant_ii(GF13, -2),
     ):
         with pytest.raises(ValueError):
             call()
@@ -672,14 +682,14 @@ def test_out_of_range_elements_rejected():
 
 def test_constructions_satisfy_defining_equations():
     # Each constructor against its defining equation, checked with the
-    # digit-level add and pow oracles and the field's sub and inv, over
-    # every admissible tuple of every default field with q <= 32.
+    # digit-level add, sub and pow oracles, over every admissible tuple of
+    # every default field with q <= 32.
     built = 0
     for q in range(3, 33):
         if prime_power(q) is None:
             continue
         f = default_field(q)
-        add, sub, pw = functools.partial(field_add, f), f.sub, functools.partial(field_pow, f)
+        add, sub, pw = (functools.partial(g, f) for g in (field_add, field_sub, field_pow))
         prims = primitive_elements(f)
         if f.m == 1:
             for phi in prims:
@@ -720,7 +730,7 @@ def test_constructions_satisfy_defining_equations():
             )
             built += 1
         for phi in g3_cube_admissible(f):
-            one_minus, one_minus_inv = sub(1, phi), sub(1, f.inv(phi))
+            one_minus, one_minus_inv = sub(1, phi), sub(1, pw(phi, -1))
             for cube, e in (
                 (cube_g3_variant_i(f, phi), lambda i: -(i + 1)),
                 (cube_g3_variant_ii(f, phi), lambda i: i),

@@ -26,16 +26,11 @@ from costas_cubes.enumeration import (
     class_report,
     costas_values,
     enumerate_costas_arrays,
-    enumerate_costas_cubes,
     table1,
 )
 from costas_cubes.files import parse_array_file
 from costas_cubes.reference import COSTAS_ARRAY_TOTALS, CUBE_CLASS_COUNTS
-from costas_cubes.symmetry import (
-    PLANAR_SYMMETRIES,
-    canonical_cube,
-    projection_set,
-)
+from costas_cubes.symmetry import PLANAR_SYMMETRIES, canonical_cube
 
 from conftest import (
     array_class_size_oracle,
@@ -44,6 +39,7 @@ from conftest import (
     cube_from_pair,
     image,
     order7_without_one_class,
+    projection_class_count,
 )
 
 # The join benchmark's input: the 4368 order-11 Costas arrays.
@@ -270,7 +266,7 @@ def test_one_first_array_per_block(monkeypatch):
     expected = {n: costas_cube_classes(n) for n in range(2, 9)}
     monkeypatch.setattr(enumeration, "_BLOCK_PAIRS", 1)
     for n, cubes in expected.items():
-        assert tuple(enumerate_costas_cubes(n, costas_arrays(n))) == cubes
+        assert class_report(n, costas_arrays(n)).representatives == cubes
 
 
 @pytest.mark.parametrize("n", [5, 16, 22, 29])
@@ -387,7 +383,7 @@ def test_join_canonicalises_once_per_class(monkeypatch):
         return canonical_cube(cube, *images)
 
     monkeypatch.setattr(symmetry, "canonical_cube", counted)
-    assert enumerate_costas_cubes(8, list(costas_arrays(8))) == expected
+    assert list(class_report(8, list(costas_arrays(8))).representatives) == expected
     assert len(calls) == len(expected) == 42
 
 
@@ -399,23 +395,23 @@ def test_array_totals_match_published_table():
 def test_completeness_checks_reject_bad_input():
     arrays = list(costas_arrays(5))
     with pytest.raises(ValueError, match="closed"):
-        enumerate_costas_cubes(5, arrays[:-1])
+        class_report(5, arrays[:-1])
     with pytest.raises(ValueError, match="duplicates"):
-        enumerate_costas_cubes(5, arrays + [arrays[0]])
+        class_report(5, arrays + [arrays[0]])
     with pytest.raises(ValueError, match="not a Costas"):
-        enumerate_costas_cubes(4, [Permutation((1, 2, 3, 4))])
+        class_report(4, [Permutation((1, 2, 3, 4))])
     with pytest.raises(ValueError, match="order"):
-        enumerate_costas_cubes(6, arrays)
+        class_report(6, arrays)
     with pytest.raises(ValueError, match="empty"):
-        enumerate_costas_cubes(5, [])
+        class_report(5, [])
     # An order-70 row needs more weights than a one-row table has key
     # slots (64); the list still reaches the closure check.
     welch70 = Permutation(tuple(pow(7, i, 71) for i in range(70)))
     with pytest.raises(ValueError, match="closed"):
-        enumerate_costas_cubes(70, [welch70])
+        class_report(70, [welch70])
     closed = order7_without_one_class()
     with pytest.raises(ValueError, match=rf"holds {len(closed)} .* there are 200"):
-        enumerate_costas_cubes(7, closed)
+        class_report(7, closed)
 
 
 def test_check_complete_messages_name_the_first_faulty_array():
@@ -448,12 +444,16 @@ def test_projection_class_count_examples():
 
 
 def test_projection_class_count_matches_projection_sets():
-    """class_report's count over canonical projections equals the classes
-    of the union of the cubes' projection sets."""
-    for n in range(1, 9):
-        cubes = costas_cube_classes(n)
-        want = len(array_classes(p for cube in cubes for p in projection_set(cube)))
-        assert class_report(n, costas_arrays(n)).projection_array_classes == want
+    """class_report's count, read off the join's hits, equals the number of
+    classes in the union of its representatives' projection sets: the least
+    square images of their projections A, B and C, counted one image at a
+    time."""
+    reports = [class_report(n, costas_arrays(n)) for n in range(1, 11)]
+    reports.append(class_report(11, parse_array_file(ORDER11_DATABASE.read_text())))
+    for report in reports:
+        want = projection_class_count(report.representatives)
+        assert report.projection_array_classes == want, report.order
+    assert reports[-1].projection_array_classes == 126
 
 
 def test_class_report_validation():
@@ -496,7 +496,6 @@ def test_class_report_total_is_representative_count():
         arrays = costas_arrays(n)
         report = class_report(n, arrays)
         assert report.total_array_classes == len(array_classes(arrays))
-        assert report.representatives == costas_cube_classes(n)
     with pytest.raises(ValueError, match="orders 4 and 5 mixed"):
         array_classes(costas_arrays(4) + costas_arrays(5))
 

@@ -16,7 +16,15 @@ from costas_cubes.gf import (
     primitive_elements,
 )
 
-from conftest import EXTENSION_MODULI, field_add, field_mul, field_pow, instantiated_fields
+from conftest import (
+    EXTENSION_MODULI,
+    field_add,
+    field_inverses,
+    field_mul,
+    field_pow,
+    field_sub,
+    instantiated_fields,
+)
 
 GF13 = field_new(13, 1)
 GF16 = field_new(2, 4, (1, 0, 0, 1, 1))
@@ -40,17 +48,16 @@ def test_field_new_normalizes_leading_coefficient():
 
 
 def test_arithmetic_examples():
-    assert GF13.inv(11) == 6
-    assert GF16.inv(2) == 12  # x * (x^2 + x^3) = 1 modulo 1 + x^3 + x^4
+    """An inverse negates the log, and 1 - e is read from the Zech column."""
+    assert field_pow(GF13, 11, -1) == 6
+    assert field_pow(GF16, 2, -1) == 12  # x * (x^2 + x^3) = 1 modulo 1 + x^3 + x^4
+    for f, a, inverse in ((GF13, 11, 6), (GF16, 2, 12)):
+        exp, log, _ = f.tables()
+        assert exp[-log[a] % (f.q - 1)] == inverse
     for f in (GF13, GF16, GF27):
-        for e in range(f.q):
-            assert f.sub(e, 0) == e
-            assert f.sub(e, e) == 0
-            assert f.sub(0, e) == f.neg(e)
-
-
-def _naive_neg(field, a):
-    return field.encode([-x for x in field.digits(a)])
+        exp, log, zech = f.tables()
+        for e in range(2, f.q):
+            assert exp[zech[log[e]]] == field_sub(f, 1, e), (f, e)
 
 
 def _table_mul(field, a, b):
@@ -61,46 +68,39 @@ def _table_mul(field, a, b):
     return exp[(log[a] + log[b]) % (field.q - 1)]
 
 
-def _table_add(field, a, b):
-    """a + b read from the Zech column, as a - (-b)."""
-    return field.sub(a, field.neg(b))
-
-
 def test_mul_matches_naive_oracle():
-    """Every table-read operation, and the Zech column itself, against the
+    """The table product, and the Zech column itself, against the
     digit-level oracles, over every instantiated field with q <= 64."""
     for f in instantiated_fields():
         if f.q > 64:
             continue
         exp, log, zech = f.tables()
         for t in range(1, f.q - 1):
-            assert zech[t] == log[field_add(f, 1, _naive_neg(f, exp[t]))], (f, t)
+            assert zech[t] == log[field_sub(f, 1, exp[t])], (f, t)
         for a in range(f.q):
-            assert f.neg(a) == _naive_neg(f, a), (f, a)
-            if a:
-                assert f.inv(a) == field_pow(f, a, f.q - 2), (f, a)
             for b in range(f.q):
                 assert _table_mul(f, a, b) == field_mul(f, a, b), (f, a, b)
-                assert f.sub(a, b) == field_add(f, a, _naive_neg(f, b)), (f, a, b)
 
 
 def test_field_axioms_exhaustive_small():
-    """The table product and the Zech-read sum make a field."""
-    mul, add = _table_mul, _table_add
+    """The table product and the digit-level sum make a field; both are
+    tabulated once per field."""
     for f in instantiated_fields():
         if f.q > 64:
             continue
         elems = range(f.q)
+        add = [[field_add(f, a, b) for b in elems] for a in elems]
+        mul = [[_table_mul(f, a, b) for b in elems] for a in elems]
         for a in elems:
             for b in elems:
-                assert add(f, a, b) == add(f, b, a)
-                assert mul(f, a, b) == mul(f, b, a)
+                assert add[a][b] == add[b][a]
+                assert mul[a][b] == mul[b][a]
                 for c in elems:
-                    assert mul(f, a, add(f, b, c)) == add(f, mul(f, a, b), mul(f, a, c))
-                    assert mul(f, a, mul(f, b, c)) == mul(f, mul(f, a, b), c)
+                    assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+                    assert mul[a][mul[b][c]] == mul[mul[a][b]][c]
         for a in f.nonzero_elements():
-            assert mul(f, a, f.inv(a)) == 1
-            assert add(f, a, f.neg(a)) == 0
+            assert mul[a][field_pow(f, a, -1)] == 1
+            assert add[a][field_sub(f, 0, a)] == 0
 
 
 GF2187 = field_new(*EXTENSION_MODULI[2187])
@@ -113,14 +113,12 @@ def test_field_axioms_random_large(data):
     a = data.draw(st.integers(0, f.q - 1))
     b = data.draw(st.integers(0, f.q - 1))
     c = data.draw(st.integers(0, f.q - 1))
-    mul, add = _table_mul, _table_add
+    mul, add = _table_mul, field_add
     assert mul(f, a, add(f, b, c)) == add(f, mul(f, a, b), mul(f, a, c))
     assert mul(f, a, mul(f, b, c)) == mul(f, mul(f, a, b), c)
-    assert add(f, a, b) == field_add(f, a, b)
+    assert mul(f, a, b) == field_mul(f, a, b)
     if a:
-        assert mul(f, a, f.inv(a)) == 1
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
+        assert mul(f, a, field_pow(f, a, -1)) == 1
 
 
 def test_is_primitive_examples():
@@ -191,17 +189,19 @@ def test_is_primitive_matches_order_oracle():
 
 def test_admissible_lists_match_elementwise_oracle():
     """The lists read off the log and Zech columns equal the element-wise
-    filters through the order oracle and field.sub/field.inv, in order.
-    The G3 lists hold the parameters of constructions that need q > 3."""
+    filters through the order oracle and the digit-level difference and
+    inverse, in order.  The G3 lists hold the parameters of constructions
+    that need q > 3."""
     for f in instantiated_fields():
         if f.q > 1024:
             continue
         primitive = {e for e in f.nonzero_elements() if _is_primitive_by_order(f, e)}
         want = sorted(primitive)
         assert primitive_elements(f) == want, f
-        want = [e for e in want if f.q > 3 and f.sub(1, e) in primitive]
+        inverse = field_inverses(f, want[0])
+        want = [e for e in want if f.q > 3 and field_sub(f, 1, e) in primitive]
         assert g3_admissible(f) == want, f
-        want = [e for e in want if f.sub(1, f.inv(e)) in primitive]
+        want = [e for e in want if field_sub(f, 1, inverse[e]) in primitive]
         assert g3_cube_admissible(f) == want, f
 
 
@@ -211,7 +211,7 @@ def test_g3_admissible_examples():
     assert set(g3_admissible(gf5)) <= {2, 3}
     for f in (gf5, GF16, GF27):
         for e in g3_admissible(f):
-            assert is_primitive(f, e) and is_primitive(f, f.sub(1, e))
+            assert is_primitive(f, e) and is_primitive(f, field_sub(f, 1, e))
 
 
 def test_g3_admissible_nonempty_for_every_field():
@@ -227,24 +227,17 @@ def test_g3_cube_admissible_examples():
         assert set(g3_cube_admissible(f)) <= set(g3_admissible(f))
 
 
-def _powers(field, phi):
-    """phi^1, ..., phi^(q-2), each the field_mul product of the last and phi."""
-    acc = phi
-    for _ in range(field.q - 2):
-        yield acc
-        acc = field_mul(field, acc, phi)
-
-
 def test_reciprocal_identity_and_power_coverage():
     # (1-y)^(-1) + (1-y^(-1))^(-1) = 1 for y outside {0, 1}, and the powers
-    # phi^1..phi^(q-2) of a primitive phi cover exactly the same set.
+    # phi^0..phi^(q-2) of a primitive phi cover every nonzero element.
     for f in instantiated_fields():
         if f.q < 4 or f.q > 1024:
             continue
+        inverse = field_inverses(f, primitive_elements(f)[0])
+        assert sorted(inverse) == list(range(1, f.q))
         for y in range(2, f.q):
-            assert field_add(f, f.inv(f.sub(1, y)), f.inv(f.sub(1, f.inv(y)))) == 1
-        phi = primitive_elements(f)[0]
-        assert set(_powers(f, phi)) == set(range(2, f.q))
+            one_minus = field_sub(f, 1, y), field_sub(f, 1, inverse[y])
+            assert field_add(f, *(inverse[x] for x in one_minus)) == 1
 
 
 def test_field_spec_string_round_trip():
