@@ -2,7 +2,8 @@
 
 Commands: verify, construct, enumerate, tables, sd-set, classify,
 project, import.  tables prints Table 1 or Table 2 with the published
-rows (reference.TABLE1/TABLE2) and flags each row that differs.
+rows (reference.TABLE1/TABLE2) and flags each row that differs.  import
+reads its file as enumerate --arrays-file does and drops duplicate lines.
 Exit codes: 0 success / everything verified, 1 verification failure
 (including a tables row that differs from the published one, or an
 import whose arrays fail a check, such as a closed database short of
@@ -18,6 +19,8 @@ import functools
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .construct import (
     Family,
@@ -35,16 +38,16 @@ from .construct import (
 from .core import (
     Permutation,
     costas_violation,
+    distinct_rows,
     first_non_costas,
     is_costas_cube,
     projections,
-    value_matrix,
 )
-from .enumeration import ClassReport, array_classes, class_report, costas_values, table1, total_mismatch
+from .enumeration import ClassReport, class_report, costas_values, table1, total_mismatch
 from .files import emit_array_file, emit_cube_file, numbered_arrays, parse_array_file, parse_cube_file
 from .gf import format_element, parse_element, parse_field_spec
 from .reference import TABLE1, TABLE2
-from .symmetry import canonical_array, planar_images, projection_set
+from .symmetry import canonical_array, least_image, planar_images, projection_set
 
 
 def _machine(doc) -> str:
@@ -122,11 +125,16 @@ def cmd_construct(args) -> int:
     missing = [n for n in needs if getattr(args, n) is None]
     if missing:
         raise ValueError(f"family {args.family} requires --" + " --".join(missing))
+    takes = needs + (("c",) if args.family == "w1" else ())
+    extra = [n for n in ("rho", "psi", "c") if n not in takes and getattr(args, n) is not None]
+    if extra:
+        raise ValueError(f"family {args.family} does not take --" + " --".join(extra))
     elems = [parse_element(field, getattr(args, n)) for n in needs]
     params = {n: format_element(field, e) for n, e in zip(needs, elems)}
     if args.family == "w1":
-        elems.append(args.c)
-        params["c"] = str(args.c)
+        c = args.c or 0
+        elems.append(c)
+        params["c"] = str(c)
     obj = build(field.p if prime_only else field, *elems)
 
     stamp = f"{args.family} over GF({field.q}) " + " ".join(f"{k}={v}" for k, v in params.items())
@@ -318,40 +326,41 @@ def cmd_project(args) -> int:
 
 
 def cmd_import(args) -> int:
-    numbered = numbered_arrays(_read(args.input))
-    orders = {p.order for _, p in numbered}
+    text = _read(args.input)
+    values = parse_array_file(text)
+    orders = np.unique(np.count_nonzero(values, axis=1))
     if len(orders) > 1:
-        print(f"error: mixed orders {sorted(orders)} in one file", file=sys.stderr)
+        print(f"error: mixed orders {orders.tolist()} in one file", file=sys.stderr)
         return 1
-    order = orders.pop()
+    order = values.shape[1]
     if args.expect_order is not None and order != args.expect_order:
         print(f"error: file has order {order}, expected {args.expect_order}", file=sys.stderr)
         return 1
-    matrix = value_matrix([p for _, p in numbered])
-    bad = first_non_costas(matrix)
+    bad = first_non_costas(values)
     if bad is not None:
-        no, p = numbered[bad]
+        no, p = numbered_arrays(text)[bad]
         print(f"error: line {no}: {p} is not a Costas array (repeated vector {costas_violation(p)})",
               file=sys.stderr)
         return 1
 
-    values = {p.values for _, p in numbered}
-    images = set(map(tuple, planar_images(matrix).reshape(-1, order).tolist()))
-    closed = images == values
-    if not closed:
+    values = distinct_rows(values)
+    images = planar_images(values)
+    classes = len(distinct_rows(least_image(images)))
+    orbits = distinct_rows(images.reshape(-1, order))
+    # A list's images include its rows: it is closed when they add none.
+    if len(orbits) > len(values):
         if args.expand:
-            values = images
+            values = orbits
             print(f"note: expanded to full square-symmetry orbits ({len(values)} arrays)")
         else:
             print("warning: file is not closed under the square symmetries; "
                   "it may hold class representatives only (rerun with --expand)")
-    mismatch = total_mismatch(order, len(values)) if closed or args.expand else None
+    mismatch = total_mismatch(order, len(values)) if len(values) == len(orbits) else None
     if mismatch:
         print(f"error: {mismatch}", file=sys.stderr)
         return 1
 
-    normalized = [Permutation(v) for v in sorted(values)]
-    classes = len(array_classes(normalized))
+    normalized = [Permutation(tuple(v)) for v in values.tolist()]
     out_path = Path(args.output) if args.output else Path(args.input).with_suffix(
         Path(args.input).suffix + ".normalized"
     )
@@ -391,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--phi", default=None, help='element as encoding or polynomial, e.g. 11 or "1+2x^2"')
     s.add_argument("--rho", default=None)
     s.add_argument("--psi", default=None)
-    s.add_argument("--c", type=int, default=0, help="column shift for w1")
+    s.add_argument("--c", type=int, default=None, help="column shift for w1 (default 0)")
     _add_format(s)
     s.set_defaults(func=cmd_construct)
 

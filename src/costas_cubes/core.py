@@ -133,6 +133,12 @@ def value_matrix(arrays: Sequence[Permutation]) -> np.ndarray:
     return np.array(rows, dtype=np.min_scalar_type(width)).reshape(len(rows), width)
 
 
+def distinct_rows(values: np.ndarray) -> np.ndarray:
+    """The distinct rows of a value matrix, sorted."""
+    values = values[np.lexsort(values.T[::-1])]
+    return values[np.concatenate(([True], (values[1:] != values[:-1]).any(axis=1)))]
+
+
 def first_non_costas(values: np.ndarray) -> int | None:
     """The index of the first row of an (N, n) matrix of permutation value
     sequences that is not a Costas array, or None if every row is.

@@ -47,7 +47,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import CostasCube, Permutation, first_non_costas, value_matrix
+from .core import CostasCube, Permutation, distinct_rows, first_non_costas, value_matrix
 from .reference import COSTAS_ARRAY_TOTALS
 from .symmetry import first_of_each_class, least_image, planar_images
 
@@ -231,24 +231,18 @@ def enumerate_costas_arrays(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> list[Pe
 def array_classes(arrays: Iterable[Permutation]) -> list[Permutation]:
     """One canonical representative per D4 class of the given arrays (all
     of one order), sorted."""
-    arrays = list(arrays)
-    if not arrays:
+    values = value_matrix(list(arrays))
+    if not len(values):
         return []
-    n = arrays[0].order
-    for p in arrays:
-        if p.order != n:
-            raise ValueError(
-                f"arrays of orders {n} and {p.order} mixed; "
-                "the images of a list are taken within one order"
-            )
-    values = least_image(planar_images(value_matrix(arrays)))
-    return [Permutation(tuple(v)) for v in _distinct_rows(values).tolist()]
-
-
-def _distinct_rows(values: np.ndarray) -> np.ndarray:
-    """The distinct rows of a value matrix, sorted."""
-    values = values[np.lexsort(values.T[::-1])]
-    return values[np.concatenate(([True], (values[1:] != values[:-1]).any(axis=1)))]
+    orders = np.count_nonzero(values, axis=1)
+    odd = orders[orders != orders[0]]
+    if len(odd):
+        raise ValueError(
+            f"arrays of orders {orders[0]} and {odd[0]} mixed; "
+            "the images of a list are taken within one order"
+        )
+    values = least_image(planar_images(values))
+    return [Permutation(tuple(v)) for v in distinct_rows(values).tolist()]
 
 
 def total_mismatch(n: int, count: int) -> str | None:
@@ -340,8 +334,7 @@ def _check_complete(arrays: np.ndarray | Sequence[Permutation], n: int) -> tuple
     values = arrays if isinstance(arrays, np.ndarray) else value_matrix(arrays)
     if not len(values):
         raise ValueError("empty array list")
-    ordered = values[np.lexsort(values.T[::-1])]
-    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+    if len(distinct_rows(values)) < len(values):
         raise ValueError("array list contains duplicates")
     # The Costas check covers the arrays before the first one of the wrong
     # order, so that the first faulty array is the one named.

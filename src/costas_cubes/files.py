@@ -3,9 +3,9 @@
 Array files hold one permutation per line as whitespace-separated
 1-based values; lines starting with '#' and blank lines are ignored.
 Each value is read as int() reads it.  parse_array_file gives the arrays
-of a file as one value matrix, for the pair-join; numbered_arrays gives
-them one validated Permutation per line, for the commands that read
-arrays one by one or of mixed orders, and names the first bad line.
+of a file as one value matrix, for the pair-join and import;
+numbered_arrays gives one validated Permutation per line, for verify
+and classify, and names the first bad line and import's failing line.
 
 Cube files are either a JSON document {"order": n, "triples": [[i, j, k],
 ...]} (extra keys ignored) or plain text with one "i j k" line per row,

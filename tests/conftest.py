@@ -132,6 +132,12 @@ def cube_orbit_oracle(cube: CostasCube) -> list[CostasCube]:
     return sorted({image(s, cube) for s in CUBE_SYMMETRIES}, key=lambda c: c.rows)
 
 
+def least_image_oracle(perm: Permutation) -> tuple[int, ...]:
+    """The least value sequence among the images of perm under
+    PLANAR_SYMMETRIES, one symmetry at a time: the key of its D4 class."""
+    return min(image(s, perm).values for s in PLANAR_SYMMETRIES)
+
+
 def array_class_size_oracle(perm: Permutation) -> int:
     """The size of the D4 orbit of perm."""
     return len({image(s, perm) for s in PLANAR_SYMMETRIES})
@@ -159,8 +165,7 @@ def projection_class_count(cubes) -> int:
         for i, (j, k) in enumerate(cube.rows, start=1):
             a[j - 1], b[k - 1], c[k - 1] = i, i, j
         for values in (a, b, c):
-            perm = Permutation(tuple(values))
-            classes.add(min(image(s, perm).values for s in PLANAR_SYMMETRIES))
+            classes.add(least_image_oracle(Permutation(tuple(values))))
     return len(classes)
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,6 @@ from costas_cubes.cli import main
 from costas_cubes.construct import catalog, w1
 from costas_cubes.core import CostasCube, Permutation
 from costas_cubes.files import emit_array_file, emit_cube_file, parse_array_file, parse_cube_file
-from costas_cubes.symmetry import PLANAR_SYMMETRIES
 
 from conftest import (
     GF16_J,
@@ -20,7 +20,7 @@ from conftest import (
     SMALL_SD_TRIPLES,
     costas_arrays,
     cube_from_jk,
-    image,
+    least_image_oracle,
     order7_without_one_class,
 )
 
@@ -183,6 +183,9 @@ def test_construct_requires_elements(capsys):
     code, _, err = run(capsys, "construct", "g2", "--field", "13", "--phi", "2")
     assert code == 2
     assert "--rho" in err
+    code, _, err = run(capsys, "construct", "g2", "--field", "13", "--phi", "2", "--rho", "6",
+                       "--psi", "3", "--c", "5")
+    assert (code, err) == (2, "error: family g2 does not take --psi --c\n")
 
 
 def test_construct_prime_family_on_extension_field(capsys):
@@ -335,15 +338,30 @@ def test_project_output_reparses_as_array_file(capsys, order6_file):
     ]
 
 
+def _write_shuffled(path, arrays, seed):
+    """Write arrays to an array file in a shuffled order, with one line
+    written twice."""
+    listed = list(arrays)
+    random.Random(seed).shuffle(listed)
+    listed.insert(len(listed) // 2, listed[0])
+    path.write_text(emit_array_file(listed))
+
+
 def test_import_full_database(capsys, tmp_path):
-    path = tmp_path / "db5.txt"
-    path.write_text(emit_array_file(list(costas_arrays(5))))
-    code, out, _ = run(capsys, "import", str(path), "--expect-order", "5")
-    assert code == 0
-    assert "40 arrays, 6 classes" in out
-    normalized = tmp_path / "db5.txt.normalized"
-    assert normalized.exists()
-    assert len(parse_array_file(normalized.read_text())) == 40
+    """Orders 1-9, each written shuffled with one line repeated: the
+    repeat is dropped, the class count is the join's, and the normalized
+    copy lists the distinct arrays sorted."""
+    for n in range(1, 10):
+        arrays = costas_arrays(n)
+        path = tmp_path / f"db{n}.txt"
+        _write_shuffled(path, arrays, n)
+        code, out, _ = run(capsys, "import", str(path), "--expect-order", str(n))
+        classes = enumeration.class_report(n, enumeration.costas_values(n)).total_array_classes
+        normalized = tmp_path / f"db{n}.txt.normalized"
+        assert (code, out) == (
+            0, f"order {n}: {len(arrays)} arrays, {classes} classes; normalized copy: {normalized}\n")
+        assert normalized.read_text() == emit_array_file(
+            arrays, comments=[f"order {n}", f"arrays {len(arrays)}", f"classes {classes}"])
 
 
 def test_import_rejects_non_costas_line(capsys, tmp_path):
@@ -368,23 +386,48 @@ def test_import_order_mismatch(capsys, tmp_path):
 
 
 def test_import_expands_representatives(capsys, tmp_path):
-    reps = [p for p in costas_arrays(5)
-            if all(p.values <= image(s, p).values for s in PLANAR_SYMMETRIES)]
-    path = tmp_path / "reps.txt"
-    out_path = tmp_path / "full.txt"
-    path.write_text(emit_array_file(reps))
-    code, out, _ = run(capsys, "import", str(path))
-    assert code == 0
-    assert "warning" in out or "not closed" in out
-    code, out, _ = run(capsys, "import", str(path), "--expand", "--output", str(out_path))
-    assert code == 0
-    assert len(parse_array_file(out_path.read_text())) == 40
+    """The class representatives of orders 1-9, written shuffled with one
+    line repeated, expand to the normalized file of the full list, byte
+    for byte.  An open list that holds two members of one class counts
+    that class once."""
+    for n in range(1, 10):
+        arrays = costas_arrays(n)
+        classes = enumeration.class_report(n, enumeration.costas_values(n)).total_array_classes
+        full, reps, opened, expanded = (tmp_path / f"{name}{n}.txt"
+                                        for name in ("full", "reps", "open", "expanded"))
+        _write_shuffled(full, arrays, n)
+        assert run(capsys, "import", str(full))[0] == 0
+        representatives = [p for p in arrays if least_image_oracle(p) == p.values]
+        # Only at order 1 are the representatives the whole list.
+        closed = n == 1
+        assert (len(representatives) == len(arrays)) == closed
+        _write_shuffled(reps, representatives, n)
+        code, out, _ = run(capsys, "import", str(reps))
+        assert code == 0
+        assert out.startswith("warning: file is not closed") != closed
+        assert f"{len(representatives)} arrays, {classes} classes" in out
+        code, out, _ = run(capsys, "import", str(reps), "--expand", "--output", str(expanded))
+        assert code == 0
+        note = f"note: expanded to full square-symmetry orbits ({len(arrays)} arrays)\n"
+        assert out.startswith(note) != closed
+        assert f"{len(arrays)} arrays, {classes} classes" in out
+        assert expanded.read_bytes() == (tmp_path / f"full{n}.txt.normalized").read_bytes()
+        # Below order 3, a class with a second member listed is the whole list.
+        if n >= 3:
+            first = representatives[0]
+            listed = representatives + [
+                next(p for p in arrays if p != first and least_image_oracle(p) == first.values)]
+            _write_shuffled(opened, listed, n)
+            code, out, _ = run(capsys, "import", str(opened))
+            assert code == 0
+            assert out.startswith("warning: file is not closed")
+            oracle = len({least_image_oracle(p) for p in listed})
+            assert f"{len(listed)} arrays, {oracle} classes" in out
 
 
 def test_import_rejects_incomplete_closed_database(capsys, tmp_path):
     arrays = order7_without_one_class()
-    reps = [p for p in arrays
-            if all(p.values <= image(s, p).values for s in PLANAR_SYMMETRIES)]
+    reps = [p for p in arrays if least_image_oracle(p) == p.values]
     for name, listed, extra in (("full.txt", arrays, []), ("reps.txt", reps, ["--expand"])):
         path = tmp_path / name
         path.write_text(emit_array_file(listed))
@@ -460,6 +503,10 @@ def test_import_names_bad_line_once(capsys, tmp_path):
     pytest.param(["import", "{db5}", "--output", "{dir}"], 2, id="import-output-directory"),
     pytest.param(["verify", "array", "{empty}"], 2, id="verify-empty-file"),
     pytest.param(["construct", "w2", "--field", "2^4"], 2, id="construct-bad-field-spec"),
+    pytest.param(["construct", "w1", "--field", "13", "--phi", "2", "--rho", "5"], 2,
+                 id="construct-w1-given-rho"),
+    pytest.param(["construct", "g2", "--field", "13", "--phi", "2", "--rho", "6", "--c", "5"], 2,
+                 id="construct-g2-given-c"),
     pytest.param(["import", "{mixed}"], 1, id="import-mixed-orders"),
     pytest.param(["tables", "--table", "1", "--max-order", "1"], 2, id="tables-1-max-order-1"),
     pytest.param(["tables", "--table", "2", "--max-order", "0"], 2, id="tables-2-max-order-0"),

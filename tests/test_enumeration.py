@@ -496,8 +496,12 @@ def test_class_report_total_is_representative_count():
         arrays = costas_arrays(n)
         report = class_report(n, arrays)
         assert report.total_array_classes == len(array_classes(arrays))
-    with pytest.raises(ValueError, match="orders 4 and 5 mixed"):
-        array_classes(costas_arrays(4) + costas_arrays(5))
+    # The first order and the first other order are named.
+    four, five, six = costas_arrays(4), costas_arrays(5), costas_arrays(6)
+    for mixed, named in ((four + five, "orders 4 and 5 mixed"), (five + four, "orders 5 and 4 mixed"),
+                         (five[:2] + six[:1] + five[2:] + four, "orders 5 and 6 mixed")):
+        with pytest.raises(ValueError, match=named):
+            array_classes(mixed)
 
 
 @pytest.mark.stretch
