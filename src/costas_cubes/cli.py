@@ -36,7 +36,6 @@ from .construct import (
     w2,
 )
 from .core import (
-    Permutation,
     costas_violation,
     distinct_rows,
     first_non_costas,
@@ -162,7 +161,7 @@ def cmd_construct(args) -> int:
                 "order": obj.order, "values": list(obj.values), "costas": verified,
             }))
         else:
-            print(emit_array_file([obj], comments=[stamp, f"costas: {'yes' if verified else 'NO'}"]), end="")
+            print(emit_array_file([obj.values], comments=[stamp, f"costas: {'yes' if verified else 'NO'}"]), end="")
     return 0 if verified else 1
 
 
@@ -360,14 +359,13 @@ def cmd_import(args) -> int:
         print(f"error: {mismatch}", file=sys.stderr)
         return 1
 
-    normalized = [Permutation(tuple(v)) for v in values.tolist()]
     out_path = Path(args.output) if args.output else Path(args.input).with_suffix(
         Path(args.input).suffix + ".normalized"
     )
     out_path.write_text(emit_array_file(
-        normalized, comments=[f"order {order}", f"arrays {len(normalized)}", f"classes {classes}"]
+        values.tolist(), comments=[f"order {order}", f"arrays {len(values)}", f"classes {classes}"]
     ))
-    print(f"order {order}: {len(normalized)} arrays, {classes} classes; normalized copy: {out_path}")
+    print(f"order {order}: {len(values)} arrays, {classes} classes; normalized copy: {out_path}")
     return 0
 
 

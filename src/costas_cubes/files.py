@@ -61,9 +61,9 @@ def parse_array_file(text: str) -> np.ndarray:
     return value_matrix([p for _, p in numbered_arrays(text)])
 
 
-def emit_array_file(perms: Iterable[Permutation], comments: Sequence[str] = ()) -> str:
+def emit_array_file(rows: Iterable[Sequence[int]], comments: Sequence[str] = ()) -> str:
     lines = [f"# {c}" for c in comments]
-    lines.extend(" ".join(map(str, p.values)) for p in perms)
+    lines.extend(" ".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -86,7 +86,7 @@ def parse_cube_file(text: str) -> CostasCube:
             clean.append((t[0], t[1], t[2]))
         cube = CostasCube.from_triples(clean)
         order = doc.get("order")
-        if isinstance(order, bool):
+        if order is not None and type(order) is not int:
             raise ValueError(f"bad order {order!r}")
         if order is not None and order != cube.order:
             raise ValueError(f"declared order {order} does not match {cube.order} triples")

@@ -29,14 +29,7 @@ PRIMITIVE_ELEMENT_GUARD = 1 << 20
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return prime_power(n) == (n, 1)
 
 
 def factorize(n: int) -> dict[int, int]:

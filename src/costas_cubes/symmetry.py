@@ -12,10 +12,12 @@ least is found one column at a time, among the images still least on
 every column before it.  The 48 images of a cube are one gather, through
 an index table built once per order, from 18 sequences of its
 coordinates: i, j and k and their complements, each listed in the order
-of i, of j and of k; the least is the least of their bytes as big-endian
-words.  The cube symmetries permute the three projection planes and act
-on each by the square symmetries, so the arrays a cube's orbit projects
-are the square images of its projections A, B and C.
+of i, of j and of k.  A cube's row list is keyed by its bytes as
+big-endian unsigned words of the least width for its order, whose byte
+order is their numeric order, so the least image is the least key.  The
+cube symmetries permute the three projection planes and act on each by
+the square symmetries, so the arrays a cube's orbit projects are the
+square images of its projections A, B and C.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import permutations as _axis_orders, product as _product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -110,8 +112,9 @@ def _cube_gather(n: int) -> np.ndarray:
 
 
 def _row_images(row: np.ndarray) -> np.ndarray:
-    """cube_images of one flattened row list j_1, k_1, ..., j_n, k_n, in
-    the row's dtype: one gather from 18 sequences, coordinate x of i, j, k
+    """Row lists of the images of one flattened row list j_1, k_1, ...,
+    j_n, k_n under CUBE_SYMMETRIES, in that order: shape (48, 2n), in the
+    row's dtype.  One gather from 18 sequences, coordinate x of i, j, k
     (0, 1, 2) or its complement n+1-x (3, 4, 5) listed in the order of
     coordinate y, at (3x + y) * n."""
     n = len(row) // 2
@@ -122,54 +125,38 @@ def _row_images(row: np.ndarray) -> np.ndarray:
     return coords[:, np.argsort(coords[:3], axis=1)].reshape(-1)[_cube_gather(n)]
 
 
-def cube_images(cube: CostasCube) -> np.ndarray:
-    """Row lists of the images of cube under CUBE_SYMMETRIES, in that
-    order, each flattened to j_1, k_1, ..., j_n, k_n: shape (48, 2n), one
-    gather from the coordinate sequences of the cube's rows."""
-    n = cube.order
-    return _row_images(np.array(cube.rows, dtype=np.min_scalar_type(n + 1)).reshape(2 * n))
-
-
 def _row_keys(rows: np.ndarray) -> list[bytes]:
     """The bytes of each row of a C-contiguous 2-d array."""
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
 
 
-def _as_cube(flat_rows: Sequence[int]) -> CostasCube:
-    return CostasCube(tuple(zip(flat_rows[0::2], flat_rows[1::2])))
-
-
-def canonical_cube(cube: CostasCube | None, images: np.ndarray | None = None) -> CostasCube:
-    """Lexicographically least row list over the 48-element orbit of cube;
-    images, when given, are cube_images(cube) in any integer dtype, and
-    cube is then not read (the class walk passes None).
-
-    The least image is the least of the images' bytes as big-endian
-    unsigned 32-bit words, whose byte order is their numeric order."""
-    if images is None:
-        images = cube_images(cube)
-    least = min(_row_keys(np.ascontiguousarray(images, dtype=">u4")))
-    return _as_cube(np.frombuffer(least, dtype=">u4").tolist())
+def canonical_cube(cube: CostasCube) -> CostasCube:
+    """Lexicographically least row list over the 48-element orbit of cube."""
+    ((_, form),) = first_of_each_class(np.array(cube.rows).reshape(1, 2 * cube.order))
+    return form
 
 
 def first_of_each_class(rows: np.ndarray) -> Iterator[tuple[int, CostasCube]]:
     """(t, canonical form) for each row t of a (T, 2n) matrix of flattened
     cube rows whose class no earlier row holds.
 
-    The rows are walked in order against a set of the row bytes, in the
-    matrix's dtype, of every image of the classes found so far: a row in
-    the set is skipped, and any other row's 48 images, formed in the
-    matrix's dtype, join the set and are canonicalized once; no cube is
-    built for the row itself.
+    The rows are converted once to big-endian unsigned words of the least
+    width for order n, and keyed by their bytes.  They are walked in order
+    against a set of the keys of every image of the classes found so far:
+    a row in the set is skipped, and any other row's 48 images join the
+    set, the least of their keys decoding to the class's canonical form;
+    no cube is built for the row itself.
     """
-    rows = np.ascontiguousarray(rows)
+    key_dtype = np.dtype(np.min_scalar_type(rows.shape[1] // 2)).newbyteorder(">")
+    rows = np.ascontiguousarray(rows, dtype=key_dtype)
     seen: set[bytes] = set()
     for t, key in enumerate(_row_keys(rows)):
         if key in seen:
             continue
-        images = _row_images(rows[t])
-        seen.update(_row_keys(images))
-        yield t, canonical_cube(None, images)
+        keys = _row_keys(_row_images(rows[t]))
+        seen.update(keys)
+        flat = np.frombuffer(min(keys), dtype=key_dtype).tolist()
+        yield t, CostasCube(tuple(zip(flat[0::2], flat[1::2])))
 
 
 def projection_set(cube: CostasCube) -> set[Permutation]:

@@ -305,7 +305,7 @@ def test_criterion_6_ingestion_path(tmp_path, capsys):
 
     # CLI round trip: import a database, then reproduce the row from it
     db = tmp_path / "order9.txt"
-    db.write_text(emit_array_file(list(costas_arrays(9))))
+    db.write_text(emit_array_file(p.values for p in costas_arrays(9)))
     assert cli_main(["import", str(db), "--expect-order", "9"]) == 0
     normalized = tmp_path / "order9.txt.normalized"
     arrays = [Permutation(tuple(v)) for v in parse_array_file(normalized.read_text()).tolist()]

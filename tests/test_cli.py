@@ -67,8 +67,8 @@ def golden_inputs() -> dict[str, str]:
         "line.txt": "1 2 3 4\n",
         "cube6.txt": emit_cube_file(CostasCube.from_triples(ORDER6_TRIPLES)),
         "diagonal.txt": "1 1 1\n2 2 2\n3 3 3\n4 4 4\n",
-        "arrays.txt": emit_array_file([Permutation(P13_A), Permutation((1, 2, 3, 4))]),
-        "order5.txt": emit_array_file(list(costas_arrays(5))),
+        "arrays.txt": emit_array_file([P13_A, (1, 2, 3, 4)]),
+        "order5.txt": emit_array_file(p.values for p in costas_arrays(5)),
     }
 
 
@@ -215,7 +215,7 @@ def test_enumerate_respects_limit(capsys):
 
 def test_enumerate_with_arrays_file(capsys, tmp_path):
     path = tmp_path / "order5.txt"
-    path.write_text(emit_array_file(list(costas_arrays(5))))
+    path.write_text(emit_array_file(p.values for p in costas_arrays(5)))
     code, out, _ = run(capsys, "enumerate", "--order", "5", "--arrays-file", str(path),
                        "--format", "machine")
     assert code == 0
@@ -226,7 +226,7 @@ def test_enumerate_with_arrays_file(capsys, tmp_path):
 
 def test_enumerate_rejects_incomplete_arrays_file(capsys, tmp_path):
     path = tmp_path / "order7.txt"
-    path.write_text(emit_array_file(order7_without_one_class()))
+    path.write_text(emit_array_file(p.values for p in order7_without_one_class()))
     code, out, err = run(capsys, "enumerate", "--order", "7", "--arrays-file", str(path))
     assert code == 2
     assert out == ""
@@ -313,7 +313,7 @@ def test_classify_array_builds_one_catalog_per_order(capsys, tmp_path, monkeypat
 
     monkeypatch.setattr(cli, "catalog", counting_catalog)
     path = tmp_path / "a.txt"
-    path.write_text(emit_array_file([*costas_arrays(5)[:3], Permutation(P13_A), *costas_arrays(5)[3:6]]))
+    path.write_text(emit_array_file([p.values for p in costas_arrays(5)[:3]] + [P13_A] + [p.values for p in costas_arrays(5)[3:6]]))
     code, out, _ = run(capsys, "classify", "array", str(path))
     assert code == 0
     assert len(out.splitlines()) == 7
@@ -344,7 +344,7 @@ def _write_shuffled(path, arrays, seed):
     listed = list(arrays)
     random.Random(seed).shuffle(listed)
     listed.insert(len(listed) // 2, listed[0])
-    path.write_text(emit_array_file(listed))
+    path.write_text(emit_array_file(p.values for p in listed))
 
 
 def test_import_full_database(capsys, tmp_path):
@@ -361,7 +361,7 @@ def test_import_full_database(capsys, tmp_path):
         assert (code, out) == (
             0, f"order {n}: {len(arrays)} arrays, {classes} classes; normalized copy: {normalized}\n")
         assert normalized.read_text() == emit_array_file(
-            arrays, comments=[f"order {n}", f"arrays {len(arrays)}", f"classes {classes}"])
+            [p.values for p in arrays], comments=[f"order {n}", f"arrays {len(arrays)}", f"classes {classes}"])
 
 
 def test_import_rejects_non_costas_line(capsys, tmp_path):
@@ -379,7 +379,7 @@ def test_import_rejects_non_costas_line(capsys, tmp_path):
 
 def test_import_order_mismatch(capsys, tmp_path):
     path = tmp_path / "five.txt"
-    path.write_text(emit_array_file(list(costas_arrays(4))))
+    path.write_text(emit_array_file(p.values for p in costas_arrays(4)))
     code, _, err = run(capsys, "import", str(path), "--expect-order", "5")
     assert code == 1
     assert "expected 5" in err
@@ -430,7 +430,7 @@ def test_import_rejects_incomplete_closed_database(capsys, tmp_path):
     reps = [p for p in arrays if least_image_oracle(p) == p.values]
     for name, listed, extra in (("full.txt", arrays, []), ("reps.txt", reps, ["--expand"])):
         path = tmp_path / name
-        path.write_text(emit_array_file(listed))
+        path.write_text(emit_array_file(p.values for p in listed))
         code, _, err = run(capsys, "import", str(path), *extra)
         assert code == 1
         assert f"holds {len(arrays)} Costas arrays of order 7, but there are 200" in err
@@ -471,7 +471,7 @@ def test_join_route_builds_no_permutation_per_line(capsys, tmp_path, monkeypatch
     path = tmp_path / "db7.txt"
     arrays = costas_arrays(7)
     assert len(arrays) == 200
-    path.write_text(emit_array_file(arrays))
+    path.write_text(emit_array_file(p.values for p in arrays))
     built = []
     check = Permutation.__post_init__
 
@@ -516,7 +516,7 @@ def test_exit_code_contract(capsys, tmp_path, argv, expected):
              "db5": tmp_path / "db5.txt", "mixed": tmp_path / "mixed.txt"}
     paths["dir"].mkdir()
     paths["empty"].write_text("")
-    paths["db5"].write_text(emit_array_file(list(costas_arrays(5))))
+    paths["db5"].write_text(emit_array_file(p.values for p in costas_arrays(5)))
     paths["mixed"].write_text("1 2\n1 3 2\n")
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == expected
@@ -599,7 +599,7 @@ def test_tables_2_refuses_an_order_above_the_sweep_guard_before_any_field(capsys
 def test_classify_labels_w1_over_a_field_with_no_configured_modulus(capsys, tmp_path):
     """Order 46 reaches G3 over GF(49), which has no entry in DEFAULT_MODULI."""
     path = tmp_path / "w1.txt"
-    path.write_text(emit_array_file([w1(47, 5)]))
+    path.write_text(emit_array_file([w1(47, 5).values]))
     code, out, err = run(capsys, "classify", "array", str(path))
     assert (code, err) == (0, "")
     assert out.endswith(" W1\n")

@@ -374,15 +374,16 @@ def test_join_output_does_not_depend_on_row_order():
 
 
 def test_join_canonicalises_once_per_class(monkeypatch):
-    """Hits in the orbit of a class already found skip the canonical form."""
+    """Hits in the orbit of a class already found form no images."""
     expected = list(costas_cube_classes(8))
     calls = []
+    row_images = symmetry._row_images
 
-    def counted(cube, *images):
-        calls.append(cube)
-        return canonical_cube(cube, *images)
+    def counted(row):
+        calls.append(row)
+        return row_images(row)
 
-    monkeypatch.setattr(symmetry, "canonical_cube", counted)
+    monkeypatch.setattr(symmetry, "_row_images", counted)
     assert list(class_report(8, list(costas_arrays(8))).representatives) == expected
     assert len(calls) == len(expected) == 42
 

@@ -19,7 +19,7 @@ from conftest import GF16_J, GF16_K, ORDER6_TRIPLES, cube_from_jk
 
 def test_array_file_round_trip():
     perms = [Permutation((2, 4, 5, 1, 6, 3)), Permutation((3, 5, 4, 2, 6, 1))]
-    text = emit_array_file(perms, comments=["two known arrays"])
+    text = emit_array_file([p.values for p in perms], comments=["two known arrays"])
     assert parse_array_file(text).tolist() == [list(p.values) for p in perms]
     assert text.startswith("# two known arrays\n")
 
@@ -130,6 +130,11 @@ def test_cube_file_structural_errors():
         parse_cube_file("1 1\n")
     with pytest.raises(ValueError, match="declared order"):
         parse_cube_file(json.dumps({"order": 3, "triples": [[1, 1, 1]]}))
+    # The order is a JSON integer, not a string or a float of the right value.
+    three = [[1, 1, 1], [2, 2, 3], [3, 3, 2]]
+    for order in ("3", 3.0):
+        with pytest.raises(ValueError, match=f"^bad order {order!r}$"):
+            parse_cube_file(json.dumps({"order": order, "triples": three}))
     with pytest.raises(ValueError, match="bad triple"):
         parse_cube_file(json.dumps({"triples": [[1, 1]]}))
     with pytest.raises(ValueError, match="bad JSON"):

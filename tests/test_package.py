@@ -44,9 +44,11 @@ def test_oracles_are_not_importable_from_the_package():
             assert not hasattr(costas_cubes, name), name
     assert not any(hasattr(costas_cubes.Permutation, m) for m in ("inverse", "cells"))
     assert not callable(costas_cubes.Permutation((1,)))
-    # class_report is the join's one entry point, and the G3 constructors
-    # read 1-phi and 1-phi^(-1) off the Zech column.
+    # class_report is the join's one entry point, the G3 constructors
+    # read 1-phi and 1-phi^(-1) off the Zech column, and the class walk
+    # forms a cube's images from its row list.
     assert not hasattr(costas_cubes.enumeration, "enumerate_costas_cubes")
+    assert not hasattr(costas_cubes.symmetry, "cube_images")
     assert not hasattr(costas_cubes, "enumerate_costas_cubes")
     assert not any(hasattr(costas_cubes.FieldSpec, m)
                    for m in ("mul", "pow", "add", "elements", "inv", "neg", "sub"))

@@ -21,7 +21,6 @@ from costas_cubes.symmetry import (
     AxisSymmetry,
     canonical_array,
     canonical_cube,
-    cube_images,
     first_of_each_class,
     least_image,
     planar_images,
@@ -74,9 +73,16 @@ def _projection_set_oracle(cube):
     return {projections(image(s, cube)).a for s in CUBE_SYMMETRIES}
 
 
+def _images(cube):
+    """symmetry._row_images of cube's row list, in the least unsigned
+    dtype that holds its order."""
+    flat = np.array(cube.rows, dtype=np.min_scalar_type(cube.order)).reshape(2 * cube.order)
+    return symmetry._row_images(flat)
+
+
 def _cube_orbit(cube):
-    """The distinct rows of cube_images, as cubes sorted by rows."""
-    rows = sorted(set(map(tuple, cube_images(cube).tolist())))
+    """The distinct rows of _images, as cubes sorted by rows."""
+    rows = sorted(set(map(tuple, _images(cube).tolist())))
     return [CostasCube(tuple(zip(v[0::2], v[1::2]))) for v in rows]
 
 
@@ -241,14 +247,14 @@ def test_least_image_matches_min_over_image_tuples(dtype):
     assert empty.shape == (0, 5) and empty.dtype == dtype
 
 
-def test_cube_images_follow_cube_symmetries():
-    """Image s of cube_images is the oracle image under CUBE_SYMMETRIES[s],
+def test_row_images_follow_cube_symmetries():
+    """Image s of _row_images is the oracle image under CUBE_SYMMETRIES[s],
     flattened, at every order 1-9 and at order 300."""
     rng = random.Random(9)
     cubes = [_random_cube(n, rng) for n in range(1, 10) for _ in range(5)]
     cubes.append(_random_cube(300, random.Random(300)))
     for cube in cubes:
-        images = cube_images(cube)
+        images = _images(cube)
         assert images.shape == (48, 2 * cube.order)
         assert images.tolist() == [[v for row in image(s, cube).rows for v in row]
                                    for s in CUBE_SYMMETRIES]
