@@ -9,13 +9,18 @@ Exit codes: 0 success / everything verified, 1 verification failure
 import whose arrays fail a check, such as a closed database short of
 the published total), 2 usage or parse error, or a path that cannot be
 read or written.  Commands raise ValueError or OSError for exit 2; only
-main prints those errors.
+main prints those errors, so an exit-2 run prints nothing on stdout.
+
+Each command but import builds its one result, a JSON document and its
+text lines, and prints it once with _emit, the only reader of --format.
+Error lines go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -36,6 +41,8 @@ from .construct import (
     w2,
 )
 from .core import (
+    Permutation,
+    ProjectionTriple,
     costas_violation,
     distinct_rows,
     first_non_costas,
@@ -49,8 +56,14 @@ from .reference import TABLE1, TABLE2
 from .symmetry import canonical_array, least_image, planar_images, projection_set
 
 
-def _machine(doc) -> str:
-    return json.dumps(doc, sort_keys=True)
+def _emit(args, doc, lines) -> None:
+    """Print a command's one result: doc as one JSON line under --format
+    machine, else its text lines, which only text output reads."""
+    print(json.dumps(doc, sort_keys=True) if args.format == "machine" else "\n".join(lines))
+
+
+def _named(t: ProjectionTriple) -> tuple[tuple[str, Permutation], ...]:
+    return (("A", t.a), ("B", t.b), ("C", t.c))
 
 
 def _read(path: str) -> str:
@@ -63,40 +76,27 @@ def _read(path: str) -> str:
 def cmd_verify(args) -> int:
     text = _read(args.input)
     if args.target == "array":
-        perms = [p for _, p in numbered_arrays(text)]
-        failures = 0
-        out = []
-        for idx, p in enumerate(perms, start=1):
+        doc, lines = [], []
+        for idx, (_, p) in enumerate(numbered_arrays(text), start=1):
             bad = costas_violation(p)
-            if args.format == "machine":
-                out.append({"index": idx, "values": list(p.values), "costas": bad is None,
-                            "repeated_vector": list(bad) if bad else None})
-            elif bad is None:
-                print(f"{idx}: {p} costas")
-            else:
-                print(f"{idx}: {p} FAIL repeated vector {bad}")
-            failures += bad is not None
-        if args.format == "machine":
-            print(_machine(out))
-        return 1 if failures else 0
+            doc.append({"index": idx, "values": list(p.values), "costas": bad is None,
+                        "repeated_vector": list(bad) if bad else None})
+            lines.append(f"{idx}: {p} costas" if bad is None else f"{idx}: {p} FAIL repeated vector {bad}")
+        _emit(args, doc, lines)
+        return 0 if all(d["costas"] for d in doc) else 1
 
     cube = parse_cube_file(text)
-    t = projections(cube)
-    verdicts = {name: costas_violation(p) is None
-                for name, p in (("A", t.a), ("B", t.b), ("C", t.c))}
+    named = _named(projections(cube))
+    verdicts = {name: costas_violation(p) is None for name, p in named}
     ok = all(verdicts.values())
-    if args.format == "machine":
-        print(_machine({
-            "order": cube.order,
-            "triples": [list(x) for x in cube.triples()],
-            "projections": {"A": list(t.a.values), "B": list(t.b.values), "C": list(t.c.values)},
-            "projection_costas": verdicts,
-            "costas_cube": ok,
-        }))
-    else:
-        for name, p in (("A", t.a), ("B", t.b), ("C", t.c)):
-            print(f"projection {name}: {p} {'costas' if verdicts[name] else 'NOT costas'}")
-        print(f"costas cube: {'yes' if ok else 'NO'}")
+    _emit(args, {
+        "order": cube.order,
+        "triples": [list(x) for x in cube.triples()],
+        "projections": {name: list(p.values) for name, p in named},
+        "projection_costas": verdicts,
+        "costas_cube": ok,
+    }, [*(f"projection {name}: {p} {'costas' if verdicts[name] else 'NOT costas'}" for name, p in named),
+        f"costas cube: {'yes' if ok else 'NO'}"])
     return 0 if ok else 1
 
 
@@ -136,32 +136,21 @@ def cmd_construct(args) -> int:
         params["c"] = str(c)
     obj = build(field.p if prime_only else field, *elems)
 
+    doc = {"family": args.family, "field": args.field, "parameters": params, "order": obj.order}
     stamp = f"{args.family} over GF({field.q}) " + " ".join(f"{k}={v}" for k, v in params.items())
     if hasattr(obj, "rows"):
-        t = projections(obj)
+        named = _named(projections(obj))
         verified = is_costas_cube(obj)
-        if args.format == "machine":
-            print(_machine({
-                "family": args.family, "field": args.field, "parameters": params,
-                "order": obj.order, "triples": [list(x) for x in obj.triples()],
-                "projections": {"A": list(t.a.values), "B": list(t.b.values), "C": list(t.c.values)},
-                "costas_cube": verified,
-            }))
-        else:
-            comments = [stamp, f"costas cube: {'yes' if verified else 'NO'}",
-                        f"projection A: {' '.join(map(str, t.a.values))}",
-                        f"projection B: {' '.join(map(str, t.b.values))}",
-                        f"projection C: {' '.join(map(str, t.c.values))}"]
-            print(emit_cube_file(obj, comments=comments), end="")
+        doc.update(triples=[list(x) for x in obj.triples()],
+                   projections={name: list(p.values) for name, p in named}, costas_cube=verified)
+        text = emit_cube_file(obj, comments=[
+            stamp, f"costas cube: {'yes' if verified else 'NO'}",
+            *(f"projection {name}: {' '.join(map(str, p.values))}" for name, p in named)])
     else:
         verified = costas_violation(obj) is None
-        if args.format == "machine":
-            print(_machine({
-                "family": args.family, "field": args.field, "parameters": params,
-                "order": obj.order, "values": list(obj.values), "costas": verified,
-            }))
-        else:
-            print(emit_array_file([obj.values], comments=[stamp, f"costas: {'yes' if verified else 'NO'}"]), end="")
+        doc.update(values=list(obj.values), costas=verified)
+        text = emit_array_file([obj.values], comments=[stamp, f"costas: {'yes' if verified else 'NO'}"])
+    _emit(args, doc, text.splitlines())
     return 0 if verified else 1
 
 
@@ -181,19 +170,14 @@ def cmd_enumerate(args) -> int:
         arrays = costas_values(args.order)
     report = class_report(args.order, arrays)
     doc = _counts(report)
-    if args.format == "machine":
-        if args.emit_representatives:
-            doc["representatives"] = [[list(t) for t in c.triples()] for c in report.representatives]
-        print(_machine(doc))
-    else:
-        print(
-            "order {order}: cube classes {cube_classes}, "
-            "projection array classes {projection_array_classes}, "
-            "total array classes {total_array_classes}".format(**doc)
-        )
-        if args.emit_representatives:
-            for c in report.representatives:
-                print(c)
+    summary = ("order {order}: cube classes {cube_classes}, "
+               "projection array classes {projection_array_classes}, "
+               "total array classes {total_array_classes}").format(**doc)
+    reps = report.representatives if args.emit_representatives else ()
+    if args.emit_representatives:
+        doc["representatives"] = [[list(t) for t in c.triples()] for c in reps]
+    # Lazy: machine output never formats a representative as text.
+    _emit(args, doc, itertools.chain([summary], map(str, reps)))
     return 0
 
 
@@ -231,7 +215,7 @@ def cmd_tables(args) -> int:
                 g3_cell = f"{r.g3} ({r.g3_variant_i}/{r.g3_variant_ii})" if r.g3 else "-"
                 lines.append(f"{r.order:>5}  {r.g2x3 or '-':>4}  {r.w2w2g2 or '-':>6}  {g3_cell:>9}  "
                              f"{r.total_known:>11}{flag}")
-    print(_machine(doc) if args.format == "machine" else "\n".join(lines))
+    _emit(args, doc, lines)
     return 1 if differs else 0
 
 
@@ -247,62 +231,47 @@ def cmd_sd_set(args) -> int:
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for p in members:
         groups.setdefault(canonical_array(p).values, []).append(p.values)
-    for vals in groups.values():
-        vals.sort()
-    if args.format == "machine":
-        print(_machine({
-            "order": cube.order,
-            "size": len(members),
-            "degenerate": cube.order <= 2,
-            "classes": {" ".join(map(str, k)): [list(v) for v in vs]
-                        for k, vs in sorted(groups.items())},
-        }))
-    else:
-        note = " (degenerate order <= 2)" if cube.order <= 2 else ""
-        print(f"|S(D)| = {len(members)}{note}")
-        for key in sorted(groups):
-            listed = " ".join("(" + ",".join(map(str, v)) + ")" for v in groups[key])
-            print(f"class ({','.join(map(str, key))}): {listed}")
+    classes = sorted((key, sorted(vals)) for key, vals in groups.items())
+    note = " (degenerate order <= 2)" if cube.order <= 2 else ""
+    _emit(args, {
+        "order": cube.order,
+        "size": len(members),
+        "degenerate": cube.order <= 2,
+        "classes": {" ".join(map(str, k)): [list(v) for v in vs] for k, vs in classes},
+    }, [f"|S(D)| = {len(members)}{note}",
+        *(f"class ({','.join(map(str, k))}): " + " ".join("(" + ",".join(map(str, v)) + ")" for v in vs)
+          for k, vs in classes)])
     return 0
 
 
 # -- classify -----------------------------------------------------------
 
 
-def _labels_for(values: tuple[int, ...], cat) -> list[str]:
-    return sorted(cat.get(values, set()))
+def _labels(p: Permutation, cat) -> list[str]:
+    return sorted(cat.get(canonical_array(p).values, ()))
 
 
 def cmd_classify(args) -> int:
     text = _read(args.input)
     if args.target == "array":
-        perms = [p for _, p in numbered_arrays(text)]
-        cats = {}
-        out = []
-        for idx, p in enumerate(perms, start=1):
+        cats, doc, lines = {}, [], []
+        for idx, (_, p) in enumerate(numbered_arrays(text), start=1):
             if p.order not in cats:
                 cats[p.order] = catalog(p.order)
-            labels = _labels_for(canonical_array(p).values, cats[p.order])
-            out.append({"index": idx, "values": list(p.values),
+            labels = _labels(p, cats[p.order])
+            doc.append({"index": idx, "values": list(p.values),
                         "costas": costas_violation(p) is None, "labels": labels})
-            if args.format != "machine":
-                shown = ",".join(labels) if labels else "unlabeled"
-                print(f"{idx}: {p} {shown}")
-        if args.format == "machine":
-            print(_machine(out))
+            lines.append(f"{idx}: {p} {','.join(labels) or 'unlabeled'}")
+        _emit(args, doc, lines)
         return 0
     cube = parse_cube_file(text)
-    t = projections(cube)
     cat = catalog(cube.order)
-    doc = {}
-    for name, p in (("A", t.a), ("B", t.b), ("C", t.c)):
-        labels = _labels_for(canonical_array(p).values, cat)
+    doc, lines = {}, []
+    for name, p in _named(projections(cube)):
+        labels = _labels(p, cat)
         doc[name] = {"values": list(p.values), "labels": labels}
-        if args.format != "machine":
-            shown = ",".join(labels) if labels else "unlabeled"
-            print(f"projection {name}: {p} {shown}")
-    if args.format == "machine":
-        print(_machine(doc))
+        lines.append(f"projection {name}: {p} {','.join(labels) or 'unlabeled'}")
+    _emit(args, doc, lines)
     return 0
 
 
@@ -310,14 +279,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_project(args) -> int:
-    cube = parse_cube_file(_read(args.input))
-    t = projections(cube)
-    if args.format == "machine":
-        print(_machine({"A": list(t.a.values), "B": list(t.b.values), "C": list(t.c.values)}))
-    else:
-        for name, p in (("A", t.a), ("B", t.b), ("C", t.c)):
-            print(f"# projection {name}")
-            print(" ".join(map(str, p.values)))
+    named = _named(projections(parse_cube_file(_read(args.input))))
+    _emit(args, {name: list(p.values) for name, p in named},
+          [line for name, p in named for line in (f"# projection {name}", " ".join(map(str, p.values)))])
     return 0
 
 

@@ -144,7 +144,9 @@ class FieldSpec:
         g is the least element whose power cycle, exp itself, has length
         q-1.  1 - g^t = 1 + g^(t + log(-1)), and adding 1 changes digit 0
         only.  Built once per field; q above PRIMITIVE_ELEMENT_GUARD is
-        refused before anything is built.
+        refused before anything is built.  A FieldSpec built without
+        field_new may not be a field: a walk that reaches q-1 elements
+        without returning to 1 raises ValueError.
         """
         if self._exp is None:
             if self.q > PRIMITIVE_ELEMENT_GUARD:
@@ -153,6 +155,8 @@ class FieldSpec:
                 exp = [1]
                 acc = g
                 while acc != 1:
+                    if len(exp) == self.q - 1:
+                        raise ValueError(f"{self!r} is not a field: the powers of {g} never reach 1")
                     exp.append(acc)
                     acc = self._mul_raw(g, acc)  # small g has few nonzero digits
                 if len(exp) == self.q - 1:
@@ -173,9 +177,14 @@ class FieldSpec:
 def field_new(p: int, m: int, modulus: Sequence[int] | None = None) -> FieldSpec:
     """Validated GF(p^m); the modulus is implicit (x) for prime fields.
 
-    Raises ValueError for non-prime p, wrong modulus degree, or a
-    reducible modulus.
+    Raises ValueError for p^m above PRIMITIVE_ELEMENT_GUARD, checked
+    first so that no primality or irreducibility test runs on a field
+    too large to tabulate; then for non-prime p, wrong modulus degree, or
+    a reducible modulus.
     """
+    # p^m > 2^20 whenever p >= 2 and m >= 21, so m is capped there.
+    if p ** min(m, PRIMITIVE_ELEMENT_GUARD.bit_length()) > PRIMITIVE_ELEMENT_GUARD:
+        raise ValueError(f"q={p}^{m} exceeds the table guard {PRIMITIVE_ELEMENT_GUARD}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if m < 1:

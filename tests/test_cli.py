@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -23,6 +24,10 @@ from conftest import (
     least_image_oracle,
     order7_without_one_class,
 )
+
+
+# The join benchmark's input: the 4368 order-11 Costas arrays.
+ORDER11_DATABASE = Path(__file__).parents[1] / "perfbench" / "data" / "costas_order11.txt"
 
 
 @pytest.fixture
@@ -238,6 +243,20 @@ def test_enumerate_emit_representatives(capsys):
                        "--format", "machine")
     doc = json.loads(out)
     assert len(doc["representatives"]) == 2
+
+
+def test_enumerate_machine_representatives_never_format_a_cube(capsys, monkeypatch):
+    """Machine output reads no text line, so no cube is formatted; the
+    order-11 representatives keep their pinned bytes."""
+    def refuse(_):
+        raise AssertionError("CostasCube formatted as text for machine output")
+
+    monkeypatch.setattr(CostasCube, "__str__", refuse)
+    code, out, _ = run(capsys, "enumerate", "--order", "11", "--arrays-file", str(ORDER11_DATABASE),
+                       "--format", "machine", "--emit-representatives")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b6e485f964572f8a57869ebe9ed6eab2bd4b558bbcf25c3f2d2ca8db561c452a")
 
 
 def test_tables_1_text(capsys):
@@ -507,6 +526,8 @@ def test_import_names_bad_line_once(capsys, tmp_path):
                  id="construct-w1-given-rho"),
     pytest.param(["construct", "g2", "--field", "13", "--phi", "2", "--rho", "6", "--c", "5"], 2,
                  id="construct-g2-given-c"),
+    pytest.param(["construct", "g2", "--field", "1000000000000000003", "--phi", "2", "--rho", "2"], 2,
+                 id="construct-field-above-the-guard"),
     pytest.param(["import", "{mixed}"], 1, id="import-mixed-orders"),
     pytest.param(["tables", "--table", "1", "--max-order", "1"], 2, id="tables-1-max-order-1"),
     pytest.param(["tables", "--table", "2", "--max-order", "0"], 2, id="tables-2-max-order-0"),

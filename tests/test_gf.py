@@ -3,7 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from costas_cubes import gf
 from costas_cubes.gf import (
+    FieldSpec,
     factorize,
     field_new,
     format_element,
@@ -40,6 +42,34 @@ def test_field_new_examples():
         field_new(6, 1)
     with pytest.raises(ValueError, match="degree"):
         field_new(2, 3, (1, 1, 1))
+
+
+@pytest.mark.parametrize("p, m, modulus", [
+    (2, 2, (1, 0, 1)),  # (1+x)^2: 1+x is nilpotent
+    (2, 2, (0, 1, 1)),  # x(1+x)
+    (3, 2, (2, 0, 1)),  # (x-1)(x+1)
+    (4, 1, (0, 1)),  # the integers mod 4
+])
+def test_tables_of_a_non_field_raise(p, m, modulus):
+    """FieldSpec does not validate; its table walk stops at q-1 elements
+    instead of circling a zero divisor's powers for ever."""
+    with pytest.raises(ValueError, match="not a field"):
+        FieldSpec(p, m, modulus).tables()
+
+
+@pytest.mark.parametrize("p, m, modulus", [
+    (1000000000000000003, 1, None),
+    (2, 41, (1, 0, 0, 1) + (0,) * 37 + (1,)),  # 1+x^3+x^41, irreducible
+    (10**12, 1, None),  # not prime: the guard is reported first
+])
+def test_field_new_refuses_above_the_guard_before_any_test(monkeypatch, p, m, modulus):
+    def never(*_):
+        raise AssertionError("primality or irreducibility tested above the guard")
+
+    monkeypatch.setattr(gf, "is_prime", never)
+    monkeypatch.setattr(gf, "_is_irreducible", never)
+    with pytest.raises(ValueError, match="exceeds the table guard"):
+        field_new(p, m, modulus)
 
 
 def test_field_new_normalizes_leading_coefficient():
