@@ -12,12 +12,9 @@ from .core import (
 from .gf import (
     FieldSpec,
     field_new,
-    g3_admissible,
-    g3_cube_admissible,
     is_primitive,
     parse_element,
     parse_field_spec,
-    primitive_elements,
 )
 from .symmetry import (
     AxisSymmetry,
@@ -57,8 +54,7 @@ __version__ = "0.1.0"
 __all__ = (
     "CostasCube", "Permutation", "ProjectionTriple", "costas_violation", "is_costas_cube",
     "projections",
-    "FieldSpec", "field_new", "g3_admissible", "g3_cube_admissible", "is_primitive",
-    "parse_element", "parse_field_spec", "primitive_elements",
+    "FieldSpec", "field_new", "is_primitive", "parse_element", "parse_field_spec",
     "AxisSymmetry", "CUBE_SYMMETRIES", "PLANAR_SYMMETRIES", "canonical_array", "canonical_cube",
     "projection_set",
     "ConstructionId", "Family", "catalog", "cube_g2x3", "cube_g3_variant_i", "cube_g3_variant_ii",

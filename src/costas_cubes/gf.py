@@ -13,14 +13,16 @@ the implicit modulus x, so the encoding of an element of GF(p) is simply
 its least residue.  The table is also the only source of primitivity:
 e = g^t is primitive iff gcd(t, q-1) = 1, and the log of e to any other
 primitive base rho = g^b is log_g(e) * b^(-1) mod q-1.  The admissible
-parameter lists are one pass over log, in element order: 1 - e and
-1 - e^(-1) have the logs Z[t] and Z[-t].  The G3 lists are empty for
-q <= 3, where no G3 construction exists.
+parameter lists are _primitive_logs, one pass over log in element order:
+1 - e and 1 - e^(-1) have the logs Z[t] and Z[-t].  The G3 lists are
+empty for q <= 3, where no G3 construction exists.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 FieldElement = int
@@ -81,28 +83,17 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     return True
 
 
+@dataclass(frozen=True)
 class FieldSpec:
     """GF(p^m) with a fixed irreducible modulus; elements are int encodings."""
 
-    def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
-        self.p = p
-        self.m = m
-        self.modulus = modulus
-        self.q = p**m
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self._zech: list[int] | None = None
+    p: int
+    m: int
+    modulus: tuple[int, ...]
 
-    def __repr__(self) -> str:
-        return f"FieldSpec(p={self.p}, m={self.m}, modulus={self.modulus})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FieldSpec):
-            return NotImplemented
-        return (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.m, self.modulus))
+    @property
+    def q(self) -> int:
+        return self.p**self.m
 
     # -- encoding ------------------------------------------------------
 
@@ -120,14 +111,11 @@ class FieldSpec:
             e = e * self.p + c % self.p
         return e
 
-    def nonzero_elements(self) -> range:
-        return range(1, self.q)
-
     # -- arithmetic ----------------------------------------------------
 
     def _mul_raw(self, a: FieldElement, b: FieldElement) -> FieldElement:
         """Product of the digit polynomials, reduced by the modulus; only
-        tables() calls it.  Zero digits of a are skipped."""
+        the table walk calls it.  Zero digits of a are skipped."""
         prod = [0] * (2 * self.m - 1)
         db = self.digits(b)
         for s, ca in enumerate(self.digits(a)):
@@ -143,35 +131,39 @@ class FieldSpec:
 
         g is the least element whose power cycle, exp itself, has length
         q-1.  1 - g^t = 1 + g^(t + log(-1)), and adding 1 changes digit 0
-        only.  Built once per field; q above PRIMITIVE_ELEMENT_GUARD is
-        refused before anything is built.  A FieldSpec built without
-        field_new may not be a field: a walk that reaches q-1 elements
-        without returning to 1 raises ValueError.
+        only.  The tables are a cached property of the spec, built on the
+        first call; q outside 2..PRIMITIVE_ELEMENT_GUARD raises ValueError
+        before anything is built.  A FieldSpec built without field_new may
+        not be a field: a walk that reaches q-1 elements without returning
+        to 1 raises ValueError.
         """
-        if self._exp is None:
-            if self.q > PRIMITIVE_ELEMENT_GUARD:
-                raise ValueError(f"q={self.q} exceeds the table guard {PRIMITIVE_ELEMENT_GUARD}")
-            for g in self.nonzero_elements():
-                exp = [1]
-                acc = g
-                while acc != 1:
-                    if len(exp) == self.q - 1:
-                        raise ValueError(f"{self!r} is not a field: the powers of {g} never reach 1")
-                    exp.append(acc)
-                    acc = self._mul_raw(g, acc)  # small g has few nonzero digits
-                if len(exp) == self.q - 1:
-                    break
-            log = [0] * self.q
-            for t, e in enumerate(exp):
-                log[e] = t
-            p, n = self.p, self.q - 1
-            minus_one = log[p - 1]
-            zech = [0] * n
-            for t in range(1, n):
-                e = exp[(t + minus_one) % n]
-                zech[t] = log[e - e % p + (e + 1) % p]
-            self._exp, self._log, self._zech = exp, log, zech
-        return self._exp, self._log, self._zech
+        return self._tables
+
+    @functools.cached_property
+    def _tables(self) -> tuple[list[int], list[int], list[int]]:
+        q = self.q
+        if not 2 <= q <= PRIMITIVE_ELEMENT_GUARD:
+            raise ValueError(f"q={q} is outside the table range 2..{PRIMITIVE_ELEMENT_GUARD}")
+        for g in range(1, q):
+            exp = [1]
+            acc = g
+            while acc != 1:
+                if len(exp) == q - 1:
+                    raise ValueError(f"{self!r} is not a field: the powers of {g} never reach 1")
+                exp.append(acc)
+                acc = self._mul_raw(g, acc)  # small g has few nonzero digits
+            if len(exp) == q - 1:
+                break
+        log = [0] * q
+        for t, e in enumerate(exp):
+            log[e] = t
+        p, n = self.p, q - 1
+        minus_one = log[p - 1]
+        zech = [0] * n
+        for t in range(1, n):
+            e = exp[(t + minus_one) % n]
+            zech[t] = log[e - e % p + (e + 1) % p]
+        return exp, log, zech
 
 
 def field_new(p: int, m: int, modulus: Sequence[int] | None = None) -> FieldSpec:
@@ -227,29 +219,6 @@ def _primitive_logs(field: FieldSpec, *one_minus: int) -> list[int]:
         for t in log[1:]
         if math.gcd(t, n) == 1 and all(math.gcd(zech[s * t % n], n) == 1 for s in one_minus)
     ]
-
-
-def primitive_elements(field: FieldSpec) -> list[FieldElement]:
-    """All primitive elements, ascending by encoding."""
-    exp = field.tables()[0]
-    return [exp[t] for t in _primitive_logs(field)]
-
-
-def g3_admissible(field: FieldSpec) -> list[FieldElement]:
-    """The parameters of the G3 array construction: primitive phi for
-    which 1 - phi is also primitive; empty for q <= 3."""
-    exp = field.tables()[0]
-    return [exp[t] for t in _primitive_logs(field, 1)]
-
-
-def g3_cube_admissible(field: FieldSpec) -> list[FieldElement]:
-    """The parameters of both G3 cube constructions: primitive phi for
-    which both 1 - phi and 1 - phi^{-1} are primitive; empty for q <= 3.
-
-    May be empty for a larger field too (it is for GF(16)).
-    """
-    exp = field.tables()[0]
-    return [exp[t] for t in _primitive_logs(field, 1, -1)]
 
 
 # -- text forms (CLI surface) ------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from costas_cubes.core import CostasCube, Permutation
 from costas_cubes.enumeration import class_report, enumerate_costas_arrays
-from costas_cubes.gf import field_new
+from costas_cubes.gf import _primitive_logs, field_new
 from costas_cubes.symmetry import CUBE_SYMMETRIES, PLANAR_SYMMETRIES, AxisSymmetry
 
 # Every extension field the suite instantiates, keyed by q.
@@ -227,6 +227,14 @@ def field_pow(field, a: int, k: int) -> int:
         a = field_mul(field, a, a)
         k >>= 1
     return r
+
+
+def admissible(field, *one_minus: int) -> list[int]:
+    """The elements whose logs _primitive_logs(field, *one_minus) lists,
+    ascending: every primitive element, and with (1,) or (1, -1) the
+    parameters of the G3 array or of both G3 cubes."""
+    exp = field.tables()[0]
+    return [exp[t] for t in _primitive_logs(field, *one_minus)]
 
 
 def field_inverses(field, g: int) -> dict[int, int]:

@@ -42,10 +42,8 @@ from costas_cubes.files import emit_array_file, parse_array_file
 from costas_cubes.reference import TABLE1, TABLE2
 from costas_cubes.gf import (
     field_new,
-    g3_cube_admissible,
     is_prime,
     prime_power,
-    primitive_elements,
 )
 from costas_cubes.symmetry import (
     CUBE_SYMMETRIES,
@@ -79,6 +77,7 @@ from conftest import (
     P13_K,
     SMALL_SD_MEMBERS,
     SMALL_SD_TRIPLES,
+    admissible,
     costas_arrays,
     costas_cube_classes,
     cube_from_jk,
@@ -178,7 +177,7 @@ def test_criterion_4a_field_identities_exhaustive():
     checked = 0
     for f in instantiated_fields():
         assert f.q <= 1 << 14
-        inverse = field_inverses(f, primitive_elements(f)[0])
+        inverse = field_inverses(f, admissible(f)[0])
         assert sorted(inverse) == list(range(1, f.q))
         for y in range(2, f.q):
             one_minus = field_sub(f, 1, y), field_sub(f, 1, inverse[y])
@@ -212,7 +211,7 @@ def test_criterion_4c_reconstruction_from_any_projection_pair():
 def _all_construction_outputs(max_order=29):
     for p in range(3, max_order + 2):
         if is_prime(p) and 2 <= p - 1 <= max_order:
-            for phi in primitive_elements(field_new(p, 1)):
+            for phi in admissible(field_new(p, 1)):
                 for c in range(p):
                     yield w1(p, phi, c)
     for q in range(5, max_order + 3):
@@ -220,7 +219,7 @@ def _all_construction_outputs(max_order=29):
             continue
         pm = prime_power(q)
         field = field_new(pm[0], pm[1], DEFAULT_MODULI.get(q))
-        prims = primitive_elements(field)
+        prims = admissible(field)
         if 2 <= q - 2 <= max_order:
             for phi in prims:
                 for rho in prims:
@@ -233,7 +232,7 @@ def _all_construction_outputs(max_order=29):
                     for psi in prims:
                         yield cube_w2w2g2(q, phi, psi)
         if 2 <= q - 3 <= max_order:
-            for phi in g3_cube_admissible(field):
+            for phi in admissible(field, 1, -1):
                 yield g3(field, phi)
                 yield cube_g3_variant_i(field, phi)
                 yield cube_g3_variant_ii(field, phi)
@@ -288,7 +287,7 @@ def test_criterion_5_k_reversal_exchanges_g3_variants():
         if pm is None:
             continue
         field = field_new(pm[0], pm[1], DEFAULT_MODULI.get(q))
-        for phi in g3_cube_admissible(field):
+        for phi in admissible(field, 1, -1):
             d = cube_g3_variant_i(field, phi)
             e, e_is_costas = k_reversal(d)
             assert e == cube_g3_variant_ii(field, phi)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import tracemalloc
@@ -55,10 +56,12 @@ def brute_force_costas(n):
     ]
 
 
+@functools.cache
 def backtrack_costas_arrays(n):
     """Oracle: depth-first backtracking, one column per recursion level,
     with the same incremental difference masks as the breadth-first
-    search."""
+    search.  Cached: the breadth-first, prefix and block-path tests all
+    read it for the same orders."""
     out: list[Permutation] = []
     values = [0] * n
     # masks[d] has bit (diff + n) set when value difference diff has been
@@ -92,14 +95,14 @@ def backtrack_costas_arrays(n):
                 masks[d] ^= b
 
     extend(0, (1 << (n + 1)) - 2)
-    return out
+    return tuple(out)
 
 
 def test_breadth_first_matches_backtracking_oracle():
     """Content and order, for even and odd orders: the complement merge
     and, for odd n, the self-complementary middle first value."""
     for n in range(1, 11):
-        assert enumerate_costas_arrays(n) == backtrack_costas_arrays(n)
+        assert tuple(enumerate_costas_arrays(n)) == backtrack_costas_arrays(n)
 
 
 @pytest.mark.parametrize("n", [6, 7])

@@ -6,20 +6,19 @@ from hypothesis import given, settings, strategies as st
 from costas_cubes import gf
 from costas_cubes.gf import (
     FieldSpec,
+    _primitive_logs,
     factorize,
     field_new,
     format_element,
-    g3_admissible,
-    g3_cube_admissible,
     is_primitive,
     parse_element,
     parse_field_spec,
     prime_power,
-    primitive_elements,
 )
 
 from conftest import (
     EXTENSION_MODULI,
+    admissible,
     field_add,
     field_inverses,
     field_mul,
@@ -55,6 +54,28 @@ def test_tables_of_a_non_field_raise(p, m, modulus):
     instead of circling a zero divisor's powers for ever."""
     with pytest.raises(ValueError, match="not a field"):
         FieldSpec(p, m, modulus).tables()
+
+
+@pytest.mark.parametrize("p, m, modulus", [(1, 1, (0, 1)), (0, 1, (0, 1)), (2, 0, (1,))])
+def test_tables_refuse_an_order_below_two(p, m, modulus):
+    """q = p^m < 2 has no multiplicative group; the walk is not started."""
+    with pytest.raises(ValueError, match="outside the table range"):
+        FieldSpec(p, m, modulus).tables()
+
+
+def test_field_spec_is_a_frozen_value():
+    """Equality, hash and repr read (p, m, modulus) only: a built table
+    does not change them, and no attribute can be reassigned."""
+    assert repr(field_new(2, 4, (1, 0, 0, 1, 1))) == "FieldSpec(p=2, m=4, modulus=(1, 0, 0, 1, 1))"
+    fresh = FieldSpec(2, 4, (1, 0, 0, 1, 1))
+    assert fresh == GF16 and hash(fresh) == hash(GF16)
+    GF16.tables()
+    assert fresh == GF16 and hash(fresh) == hash(GF16) and len({fresh, GF16}) == 1
+    assert fresh != FieldSpec(2, 4, (1, 1, 0, 0, 1)) and fresh != (2, 4, (1, 0, 0, 1, 1))
+    for name, value in (("p", 3), ("modulus", (1, 1, 0, 0, 1)), ("q", 8)):
+        with pytest.raises(AttributeError):
+            setattr(fresh, name, value)
+    assert fresh.q == 16
 
 
 @pytest.mark.parametrize("p, m, modulus", [
@@ -128,7 +149,7 @@ def test_field_axioms_exhaustive_small():
                 for c in elems:
                     assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
                     assert mul[a][mul[b][c]] == mul[mul[a][b]][c]
-        for a in f.nonzero_elements():
+        for a in range(1, f.q):
             assert mul[a][field_pow(f, a, -1)] == 1
             assert add[a][field_sub(f, 0, a)] == 0
 
@@ -162,10 +183,10 @@ def test_is_primitive_examples():
 
 
 def test_primitive_elements_examples():
-    assert primitive_elements(field_new(5, 1)) == [2, 3]
-    thirteens = primitive_elements(GF13)
+    assert admissible(field_new(5, 1)) == [2, 3]
+    thirteens = admissible(GF13)
     assert 11 in thirteens and 6 in thirteens
-    assert len(primitive_elements(field_new(2, 2, (1, 1, 1)))) == 2
+    assert len(admissible(field_new(2, 2, (1, 1, 1)))) == 2
 
 
 def test_primitive_element_count_is_totient():
@@ -177,7 +198,7 @@ def test_primitive_element_count_is_totient():
 
     for f in instantiated_fields():
         if f.q <= 128:
-            assert len(primitive_elements(f)) == totient(f.q - 1)
+            assert len(_primitive_logs(f)) == totient(f.q - 1)
 
 
 def test_dlog_examples():
@@ -196,8 +217,8 @@ def test_exp_log_round_trip():
     for f in (GF13, GF16, GF27, field_new(2, 1)):
         exp, log, _ = f.tables()
         g = exp[1 % (f.q - 1)]
-        assert g == primitive_elements(f)[0]
-        assert sorted(exp) == list(f.nonzero_elements())
+        assert g == admissible(f)[0]
+        assert sorted(exp) == list(range(1, f.q))
         for t in range(f.q - 1):
             assert log[exp[t]] == t
             assert exp[t] == field_pow(f, g, t)
@@ -213,48 +234,51 @@ def test_is_primitive_matches_order_oracle():
     for f in instantiated_fields():
         if f.q > 1024:
             continue
-        for e in f.nonzero_elements():
+        for e in range(1, f.q):
             assert is_primitive(f, e) == _is_primitive_by_order(f, e), (f, e)
 
 
 def test_admissible_lists_match_elementwise_oracle():
-    """The lists read off the log and Zech columns equal the element-wise
-    filters through the order oracle and the digit-level difference and
-    inverse, in order.  The G3 lists hold the parameters of constructions
-    that need q > 3."""
+    """The logs that _primitive_logs lists, read through exp, equal the
+    element-wise filters through the order oracle and the digit-level
+    difference and inverse, in order: every primitive phi, then those with
+    1 - phi primitive (the G3 array), then those with 1 - phi^(-1)
+    primitive too (both G3 cubes).  The G3 lists hold the parameters of
+    constructions that need q > 3."""
     for f in instantiated_fields():
         if f.q > 1024:
             continue
-        primitive = {e for e in f.nonzero_elements() if _is_primitive_by_order(f, e)}
+        exp = f.tables()[0]
+        primitive = {e for e in range(1, f.q) if _is_primitive_by_order(f, e)}
         want = sorted(primitive)
-        assert primitive_elements(f) == want, f
+        assert [exp[t] for t in _primitive_logs(f)] == want, f
         inverse = field_inverses(f, want[0])
         want = [e for e in want if f.q > 3 and field_sub(f, 1, e) in primitive]
-        assert g3_admissible(f) == want, f
+        assert [exp[t] for t in _primitive_logs(f, 1)] == want, f
         want = [e for e in want if field_sub(f, 1, inverse[e]) in primitive]
-        assert g3_cube_admissible(f) == want, f
+        assert [exp[t] for t in _primitive_logs(f, 1, -1)] == want, f
 
 
 def test_g3_admissible_examples():
-    assert parse_element(GF27, "2+2x") in g3_admissible(GF27)
+    assert parse_element(GF27, "2+2x") in admissible(GF27, 1)
     gf5 = field_new(5, 1)
-    assert set(g3_admissible(gf5)) <= {2, 3}
+    assert set(admissible(gf5, 1)) <= {2, 3}
     for f in (gf5, GF16, GF27):
-        for e in g3_admissible(f):
+        for e in admissible(f, 1):
             assert is_primitive(f, e) and is_primitive(f, field_sub(f, 1, e))
 
 
 def test_g3_admissible_nonempty_for_every_field():
     for f in instantiated_fields():
         if 3 < f.q <= 256:
-            assert g3_admissible(f), f"no admissible element found in GF({f.q})"
+            assert _primitive_logs(f, 1), f"no admissible element found in GF({f.q})"
 
 
 def test_g3_cube_admissible_examples():
-    assert g3_cube_admissible(GF16) == []
-    assert parse_element(GF27, "2+2x") in g3_cube_admissible(GF27)
+    assert _primitive_logs(GF16, 1, -1) == []
+    assert parse_element(GF27, "2+2x") in admissible(GF27, 1, -1)
     for f in (GF16, GF27, field_new(7, 1)):
-        assert set(g3_cube_admissible(f)) <= set(g3_admissible(f))
+        assert set(_primitive_logs(f, 1, -1)) <= set(_primitive_logs(f, 1))
 
 
 def test_reciprocal_identity_and_power_coverage():
@@ -263,7 +287,7 @@ def test_reciprocal_identity_and_power_coverage():
     for f in instantiated_fields():
         if f.q < 4 or f.q > 1024:
             continue
-        inverse = field_inverses(f, primitive_elements(f)[0])
+        inverse = field_inverses(f, admissible(f)[0])
         assert sorted(inverse) == list(range(1, f.q))
         for y in range(2, f.q):
             one_minus = field_sub(f, 1, y), field_sub(f, 1, inverse[y])
