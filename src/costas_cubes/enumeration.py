@@ -23,7 +23,14 @@ planes and act on each by the square symmetries, so every cube class has
 a member whose Projection A lies in the least class of its three
 projections, and moving A to the first member of its class keeps that
 true.  So A ranges over the first member of each class and B over the
-arrays of no lesser class.  C is looked up by its key, and compared in
+arrays of no lesser class.  The cube symmetry (j_i, k_i) ->
+(j_i, n+1-k_i) keeps Projection A and reverses Projections B and C, so
+with each hit (A, B) the join meets the hit (A, rev B) of the same cube
+class: B and rev B lie in one array class, so both or neither are of no
+lesser class than A.  So B ranges over the arrays that come no later in
+class order than their reversals, which is half of each class for
+n >= 2 (at order 1 the one array is its own reversal), and every cube
+class still has a hit.  C is looked up by its key, and compared in
 full only when the key occurs.  Class counts come from canonical forms,
 and a hit in the orbit of a class already found is not canonicalised
 again.  The projection classes are counted from the hits: the classes
@@ -325,12 +332,14 @@ def _as_permutation(row: np.ndarray) -> Permutation:
     return Permutation(tuple(v for v in row.tolist() if v))
 
 
-def _check_complete(arrays: np.ndarray | Sequence[Permutation], n: int) -> tuple[_RowIndex, np.ndarray]:
+def _check_complete(
+    arrays: np.ndarray | Sequence[Permutation], n: int
+) -> tuple[_RowIndex, np.ndarray, np.ndarray]:
     """Sanity checks for a claimed-complete list of order-n Costas arrays,
     given as a value matrix (a value_matrix, if of mixed orders) or as
-    Permutations; returns the index of the list's zero-based rows and the
-    class of each index row: the least index position of its planar
-    images."""
+    Permutations; returns the index of the list's zero-based rows, the
+    class of each index row (the least index position of its planar
+    images) and the index position of each row's reversal."""
     values = arrays if isinstance(arrays, np.ndarray) else value_matrix(arrays)
     if not len(values):
         raise ValueError("empty array list")
@@ -360,7 +369,8 @@ def _check_complete(arrays: np.ndarray | Sequence[Permutation], n: int) -> tuple
     mismatch = total_mismatch(n, len(values))
     if mismatch:
         raise ValueError(mismatch)
-    return index, found.min(axis=0)
+    # Planar image 1 flips the second axis: the reversal.
+    return index, found.min(axis=0), found[1]
 
 
 # First arrays per block meet about this many second arrays, so that the
@@ -368,11 +378,12 @@ def _check_complete(arrays: np.ndarray | Sequence[Permutation], n: int) -> tuple
 _BLOCK_PAIRS = 1 << 15
 
 
-def _scan(index: _RowIndex, least: np.ndarray) -> tuple[list[CostasCube], int]:
+def _scan(index: _RowIndex, least: np.ndarray, reverse: np.ndarray) -> tuple[list[CostasCube], int]:
     """Canonical representatives, sorted, of the classes of the Costas
     cubes whose Projection A is the first member of its class and whose
-    Projection B is of no lesser class, from _check_complete's index and
-    classes, and the number of array classes among those cubes'
+    Projection B is of no lesser class and comes no later in class order
+    than its reversal, from _check_complete's index, classes and
+    reversals, and the number of array classes among those cubes'
     projections."""
     # In class order each class's first member comes first, so the arrays
     # of no lesser class than a first array are the list from it on.
@@ -381,17 +392,24 @@ def _scan(index: _RowIndex, least: np.ndarray) -> tuple[list[CostasCube], int]:
     idx = index.table[by_class]
     n = idx.shape[1]
     inverses = np.argsort(idx, axis=1).astype(idx.dtype)
+    # An array and its reversal are of one class, within which class order
+    # is index order: the second arrays, in class order, are those that
+    # come no later than their reversals, and those from a first array on
+    # begin at its position among them.
+    (seconds,) = np.nonzero(by_class <= reverse[by_class])
+    starts = np.searchsorted(seconds, firsts)
+    second_rows = idx[seconds]
     # The key of A^-1 B is z @ weights[b] mod R for the zero-based inverse
     # z of A, and the float product is exact.
-    weights = index.weights.astype(float)[inverses]
+    weights = index.weights.astype(float)[inverses[seconds]]
     # The hit cubes of every block, as rows j_1, k_1, ..., j_n, k_n, and
     # the index positions of their projections A, B and C.
     hits, projected = [], []
     start = 0
     while start < len(firsts):
-        lo = firsts[start]
-        step = max(1, _BLOCK_PAIRS // (len(idx) - lo))
-        block = firsts[start : start + step]
+        lo = starts[start]
+        step = max(1, _BLOCK_PAIRS // (len(seconds) - lo))
+        block, block_starts = firsts[start : start + step], starts[start : start + step]
         start += step
         z = inverses[block]
         # Projection C of the cube with projections (A, B) is A^-1 B: its
@@ -404,12 +422,12 @@ def _scan(index: _RowIndex, least: np.ndarray) -> tuple[list[CostasCube], int]:
         second += lo
         # The block's later first arrays keep only the second arrays from
         # their own position on.
-        keep = second >= block[first]
+        keep = second >= block_starts[first]
         first, second, keys = first[keep], second[keep], keys[keep]
-        c_rows = z[first[:, None], idx[second]]
+        c_rows = z[first[:, None], second_rows[second]]
         c_at = index.find(c_rows, keys)
         hit = c_at >= 0
-        a_at, b_at = block[first[hit]], second[hit]
+        a_at, b_at = block[first[hit]], seconds[second[hit]]
         hits.append(np.stack((inverses[a_at], inverses[b_at]), axis=2).reshape(-1, 2 * n))
         projected.append(np.concatenate((by_class[a_at], by_class[b_at], c_at[hit])))
     cubes = (cube for _, cube in first_of_each_class(np.concatenate(hits) + 1))
@@ -444,8 +462,8 @@ def class_report(n: int, arrays: np.ndarray | Sequence[Permutation]) -> ClassRep
     one first member, the row whose class is its own index position: the
     total number of array classes is the number of first arrays of the
     join."""
-    index, least = _check_complete(arrays, n)
-    cubes, projection_classes = _scan(index, least)
+    index, least, reverse = _check_complete(arrays, n)
+    cubes, projection_classes = _scan(index, least, reverse)
     return ClassReport(
         order=n,
         cube_classes=len(cubes),

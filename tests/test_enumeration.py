@@ -362,6 +362,35 @@ def test_class_ordered_join_matches_unrestricted_join():
         assert [c.rows for c in class_report(n, arrays).representatives] == _unrestricted_join(arrays)
 
 
+def test_join_keeps_one_of_each_reversal_pair(monkeypatch):
+    """The k-flip (j_i, k_i) -> (j_i, n+1-k_i) takes the hit (A, B) to the
+    hit (A, rev B) of the same cube class.  The scan that keeps only the
+    one of B and rev B that comes first in class order finds the same
+    representatives and projection classes as the scan that keeps every
+    B (each row its own reversal), from exactly half of its hits for
+    n >= 2."""
+    handed = []
+    walk = enumeration.first_of_each_class
+
+    def counted(rows):
+        handed.append(len(rows))
+        return walk(rows)
+
+    monkeypatch.setattr(enumeration, "first_of_each_class", counted)
+    lists = {n: costas_values(n) for n in range(1, 11)}
+    lists[11] = parse_array_file(ORDER11_DATABASE.read_text())
+    for n, values in lists.items():
+        index, least, reverse = _check_complete(values, n)
+        assert (index.table[reverse] == index.table[:, ::-1]).all()
+        handed.clear()
+        every = enumeration._scan(index, least, np.arange(len(least)))
+        assert enumeration._scan(index, least, reverse) == every, n
+        whole, half = handed
+        assert whole == (half if n == 1 else 2 * half), n
+    assert (whole, half) == (174, 87)
+    assert class_report(1, costas_values(1)).cube_classes == 1
+
+
 def test_join_output_does_not_depend_on_row_order():
     """The list's rows are indexed, and its classes ordered, by a hashed
     key of each row: seeded shuffles of a list give the report of the
