@@ -16,47 +16,48 @@ and int64 above, and value rows int8.
 Cubes of order n are generated by the pair-join over a complete list of
 order-n Costas arrays: for a pair (A, B), build the unique permutation
 cube with those projections and retain it when Projection C = A^-1 B is
-in the list.  The list is indexed by a hashed key of each whole row, its
-rows grouped by key, and array classes are ordered by the index position
-of their first member.  The cube symmetries permute the three projection
-planes and act on each by the square symmetries, so every cube class has
-a member whose Projection A lies in the least class of its three
-projections, and moving A to the first member of its class keeps that
-true.  So A ranges over the first member of each class and B over the
-arrays of no lesser class.  The cube symmetry (j_i, k_i) ->
-(j_i, n+1-k_i) keeps Projection A and reverses Projections B and C, so
-with each hit (A, B) the join meets the hit (A, rev B) of the same cube
-class: B and rev B lie in one array class, so both or neither are of no
-lesser class than A.  So B ranges over the arrays that come no later in
-class order than their reversals, which is half of each class for
-n >= 2 (at order 1 the one array is its own reversal), and every cube
-class still has a hit.  C is looked up by its key, and compared in
-full only when the key occurs.  Class counts come from canonical forms,
-and a hit in the orbit of a class already found is not canonicalised
-again.  The projection classes are counted from the hits: the classes
-of each hit's rows A and B and of the row its lookup of C finds.  The
-arrays a cube's orbit projects are the square images of its three
-projections, so any one hit of a cube class gives that class's
-projection classes.
+in the list.  Array classes are numbered by their least planar images,
+the key by which array_classes counts them, and ordered so.  The cube
+symmetries permute the three projection planes and act on each by the
+square symmetries, so every cube class has a member whose Projection A
+lies in the least class of its three projections, and moving A to the
+first member of its class keeps that true.  So A ranges over the first
+member of each class and B over the arrays of no lesser class.  The cube
+symmetry (j_i, k_i) -> (j_i, n+1-k_i) keeps Projection A and reverses
+Projections B and C, so with each hit (A, B) the join meets the hit
+(A, rev B) of the same cube class: B and rev B lie in one array class, so
+both or neither are of no lesser class than A.  For n >= 2 exactly one
+of B and rev B has a first value less than its last, so B ranges over
+the arrays whose first value is at most their last, which is half of
+each class (at order 1 the one array is kept), and every cube class
+still has a hit.  The scan indexes the list by a hashed key of each
+whole row; C is looked up by its key, and compared in full only when
+the key occurs.  Class counts come from canonical forms, and a hit in
+the orbit of a class already found is not canonicalised again.  The
+projection classes are counted from the hits: the classes of each hit's
+rows A and B and of the row its lookup of C finds.  The arrays a cube's
+orbit projects are the square images of its three projections, so any
+one hit of a cube class gives that class's projection classes.  None of
+this needs the list to be complete, only closed under the square
+symmetries.
 
 The array list reaches the join as one (N, n) value matrix, from
-costas_values or files.parse_array_file; a list of Permutations is turned
-into one by core.value_matrix on entry.  The completeness check reads
-duplicates from one sort of the list, and Permutations are built only to
-name a faulty array.
+costas_values or files.parse_array_file.  The completeness check reads
+duplicates from one sort of the list and classes from one sort of its
+least images, and Permutations are built only to name a faulty array.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .core import CostasCube, Permutation, distinct_rows, first_non_costas, value_matrix
 from .reference import COSTAS_ARRAY_TOTALS
-from .symmetry import first_of_each_class, least_image, planar_images
+from .symmetry import _row_keys, first_of_each_class, least_image, planar_images
 
 DEFAULT_ORDER_LIMIT = 13
 
@@ -310,7 +311,7 @@ class _RowIndex:
         return (rows.astype(np.int64) @ self.weights) & self.mask
 
     def find(self, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """The position in self.table of each row of an (R, n) value
+        """The position in the given table of each row of an (R, n) value
         matrix, or -1 where the row is absent; keys are the rows' keys."""
         loc = np.full(len(rows), -1, dtype=np.intp)
         (live,) = np.nonzero(self.occurs[keys])
@@ -320,7 +321,7 @@ class _RowIndex:
         # range: most ranges hold a single row.
         while len(live):
             same = (self.table[at] == rows[live]).all(axis=1)
-            loc[live[same]] = at[same]
+            loc[live[same]] = self.order[at[same]]
             at += 1
             more = ~same & (at < end)
             live, at, end = live[more], at[more], end[more]
@@ -332,15 +333,11 @@ def _as_permutation(row: np.ndarray) -> Permutation:
     return Permutation(tuple(v for v in row.tolist() if v))
 
 
-def _check_complete(
-    arrays: np.ndarray | Sequence[Permutation], n: int
-) -> tuple[_RowIndex, np.ndarray, np.ndarray]:
+def _check_complete(values: np.ndarray, n: int) -> np.ndarray:
     """Sanity checks for a claimed-complete list of order-n Costas arrays,
-    given as a value matrix (a value_matrix, if of mixed orders) or as
-    Permutations; returns the index of the list's zero-based rows, the
-    class of each index row (the least index position of its planar
-    images) and the index position of each row's reversal."""
-    values = arrays if isinstance(arrays, np.ndarray) else value_matrix(arrays)
+    given as a value matrix (a value_matrix, if of mixed orders); returns
+    each row's class, the classes numbered in the order of their least
+    planar images."""
     if not len(values):
         raise ValueError("empty array list")
     if len(distinct_rows(values)) < len(values):
@@ -355,22 +352,22 @@ def _check_complete(
     if wrong < len(values):
         p = _as_permutation(values[wrong])
         raise ValueError(f"array {p} has order {p.order}, expected {n}")
-    index = _RowIndex(values - 1)
-    # The identity is the first planar image, so each row finds itself.
-    images = planar_images(index.table + 1)
-    images -= 1
-    found = np.array([index.find(image, index.keys(image)) for image in images])
-    closed = (found >= 0).all(axis=0)
-    if not closed.all():
+    images = planar_images(values)
+    _, classes, members = np.unique(
+        _row_keys(least_image(images)), return_inverse=True, return_counts=True
+    )
+    # The rows are distinct, so a row's class is whole when its members
+    # are as many as its orbit: 8 over the number of its images equal to it.
+    short = members[classes] * (images == values).all(axis=2).sum(axis=0) != 8
+    if short.any():
         raise ValueError(
             f"array list is not closed under the square symmetries (image of "
-            f"{_as_permutation(values[index.order[~closed].min()])} missing); it cannot be complete"
+            f"{_as_permutation(values[np.argmax(short)])} missing); it cannot be complete"
         )
     mismatch = total_mismatch(n, len(values))
     if mismatch:
         raise ValueError(mismatch)
-    # Planar image 1 flips the second axis: the reversal.
-    return index, found.min(axis=0), found[1]
+    return classes
 
 
 # First arrays per block meet about this many second arrays, so that the
@@ -378,32 +375,34 @@ def _check_complete(
 _BLOCK_PAIRS = 1 << 15
 
 
-def _scan(index: _RowIndex, least: np.ndarray, reverse: np.ndarray) -> tuple[list[CostasCube], int]:
+def _scan(values: np.ndarray, classes: np.ndarray) -> tuple[list[CostasCube], int]:
     """Canonical representatives, sorted, of the classes of the Costas
     cubes whose Projection A is the first member of its class and whose
-    Projection B is of no lesser class and comes no later in class order
-    than its reversal, from _check_complete's index, classes and
-    reversals, and the number of array classes among those cubes'
-    projections."""
+    Projection B is of no lesser class and has a first value at most its
+    last, from a list closed under the square symmetries (an (N, n) value
+    matrix) and each row's class, and the number of array classes among
+    those cubes' projections."""
+    table = values - 1
+    index = _RowIndex(table)
     # In class order each class's first member comes first, so the arrays
     # of no lesser class than a first array are the list from it on.
-    by_class = np.argsort(least, kind="stable")
-    (firsts,) = np.nonzero(least[by_class] == by_class)
-    idx = index.table[by_class]
+    by_class = np.argsort(classes, kind="stable")
+    ordered = classes[by_class]
+    (firsts,) = np.nonzero(np.diff(ordered, prepend=-1))
+    idx = table[by_class]
     n = idx.shape[1]
     inverses = np.argsort(idx, axis=1).astype(idx.dtype)
-    # An array and its reversal are of one class, within which class order
-    # is index order: the second arrays, in class order, are those that
-    # come no later than their reversals, and those from a first array on
-    # begin at its position among them.
-    (seconds,) = np.nonzero(by_class <= reverse[by_class])
+    # An array and its reversal are of one class: the second arrays, in
+    # class order, are those whose first value is at most their last, and
+    # those from a first array on begin at its position among them.
+    (seconds,) = np.nonzero(idx[:, 0] <= idx[:, -1])
     starts = np.searchsorted(seconds, firsts)
     second_rows = idx[seconds]
     # The key of A^-1 B is z @ weights[b] mod R for the zero-based inverse
     # z of A, and the float product is exact.
     weights = index.weights.astype(float)[inverses[seconds]]
     # The hit cubes of every block, as rows j_1, k_1, ..., j_n, k_n, and
-    # the index positions of their projections A, B and C.
+    # the classes of their projections A, B and C.
     hits, projected = [], []
     start = 0
     while start < len(firsts):
@@ -429,10 +428,9 @@ def _scan(index: _RowIndex, least: np.ndarray, reverse: np.ndarray) -> tuple[lis
         hit = c_at >= 0
         a_at, b_at = block[first[hit]], seconds[second[hit]]
         hits.append(np.stack((inverses[a_at], inverses[b_at]), axis=2).reshape(-1, 2 * n))
-        projected.append(np.concatenate((by_class[a_at], by_class[b_at], c_at[hit])))
+        projected.append(np.concatenate((ordered[a_at], ordered[b_at], classes[c_at[hit]])))
     cubes = (cube for _, cube in first_of_each_class(np.concatenate(hits) + 1))
-    classes = len(np.unique(least[np.concatenate(projected)]))
-    return sorted(cubes, key=lambda cube: cube.rows), classes
+    return sorted(cubes, key=lambda cube: cube.rows), len(np.unique(np.concatenate(projected)))
 
 
 @dataclass(frozen=True)
@@ -453,22 +451,19 @@ class ClassReport:
             raise ValueError("projection classes cannot exceed total classes")
 
 
-def class_report(n: int, arrays: np.ndarray | Sequence[Permutation]) -> ClassReport:
+def class_report(n: int, values: np.ndarray) -> ClassReport:
     """The class report of order n from a complete list of order-n Costas
-    arrays (a value matrix or Permutations), with one canonical
-    representative per cube class, from the pair-join; see the module
-    docstring for why the join reaches every class.  A complete list is
-    closed under D4 and has no duplicates, so each array class has exactly
-    one first member, the row whose class is its own index position: the
-    total number of array classes is the number of first arrays of the
-    join."""
-    index, least, reverse = _check_complete(arrays, n)
-    cubes, projection_classes = _scan(index, least, reverse)
+    arrays, given as a value matrix, with one canonical representative per
+    cube class, from the pair-join; see the module docstring for why the
+    join reaches every class.  The total number of array classes is the
+    number of classes the completeness check numbers."""
+    classes = _check_complete(values, n)
+    cubes, projection_classes = _scan(values, classes)
     return ClassReport(
         order=n,
         cube_classes=len(cubes),
         projection_array_classes=projection_classes,
-        total_array_classes=int(np.count_nonzero(least == np.arange(len(least)))),
+        total_array_classes=int(classes.max()) + 1,
         representatives=tuple(cubes),
     )
 

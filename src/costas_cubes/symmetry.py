@@ -125,9 +125,10 @@ def _row_images(row: np.ndarray) -> np.ndarray:
     return coords[:, np.argsort(coords[:3], axis=1)].reshape(-1)[_cube_gather(n)]
 
 
-def _row_keys(rows: np.ndarray) -> list[bytes]:
-    """The bytes of each row of a C-contiguous 2-d array."""
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """The bytes of each row of a C-contiguous 2-d array, as a 1-d void
+    view of it."""
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
 def canonical_cube(cube: CostasCube) -> CostasCube:
@@ -150,10 +151,10 @@ def first_of_each_class(rows: np.ndarray) -> Iterator[tuple[int, CostasCube]]:
     key_dtype = np.dtype(np.min_scalar_type(rows.shape[1] // 2)).newbyteorder(">")
     rows = np.ascontiguousarray(rows, dtype=key_dtype)
     seen: set[bytes] = set()
-    for t, key in enumerate(_row_keys(rows)):
+    for t, key in enumerate(_row_keys(rows).tolist()):
         if key in seen:
             continue
-        keys = _row_keys(_row_images(rows[t]))
+        keys = _row_keys(_row_images(rows[t])).tolist()
         seen.update(keys)
         flat = np.frombuffer(min(keys), dtype=key_dtype).tolist()
         yield t, CostasCube(tuple(zip(flat[0::2], flat[1::2])))

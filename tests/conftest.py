@@ -8,7 +8,7 @@ import functools
 import pytest
 
 from costas_cubes.core import CostasCube, Permutation
-from costas_cubes.enumeration import class_report, enumerate_costas_arrays
+from costas_cubes.enumeration import class_report, costas_values, enumerate_costas_arrays
 from costas_cubes.gf import _primitive_logs, field_new
 from costas_cubes.symmetry import CUBE_SYMMETRIES, PLANAR_SYMMETRIES, AxisSymmetry
 
@@ -268,7 +268,7 @@ def costas_arrays(n: int) -> tuple[Permutation, ...]:
 
 @functools.lru_cache(maxsize=None)
 def costas_cube_classes(n: int) -> tuple[CostasCube, ...]:
-    return class_report(n, costas_arrays(n)).representatives
+    return class_report(n, costas_values(n)).representatives
 
 
 def order7_without_one_class() -> list[Permutation]:

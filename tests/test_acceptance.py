@@ -31,11 +31,13 @@ from costas_cubes.core import (
     costas_violation,
     is_costas_cube,
     projections,
+    value_matrix,
 )
 from costas_cubes.enumeration import (
     EnumerationLimitError,
     enumerate_costas_arrays,
     class_report,
+    costas_values,
     table1,
 )
 from costas_cubes.files import emit_array_file, parse_array_file
@@ -105,7 +107,7 @@ def test_criterion_1_table1_orders_2_to_10():
 def test_criterion_1_table1_orders_11_and_12():
     start = time.perf_counter()
     for n in (11, 12):
-        r = class_report(n, costas_arrays(n))
+        r = class_report(n, value_matrix(costas_arrays(n)))
         got = (r.cube_classes, r.projection_array_classes, r.total_array_classes)
         assert got == TABLE1[n], f"order {n}: {got} != {TABLE1[n]}"
     elapsed = time.perf_counter() - start
@@ -116,7 +118,7 @@ def test_criterion_1_table1_orders_11_and_12():
 def test_criterion_1_stretch_orders_11_and_12():
     start = time.perf_counter()
     for n in (11, 12):
-        r = class_report(n, enumerate_costas_arrays(n))
+        r = class_report(n, costas_values(n))
         got = (r.cube_classes, r.projection_array_classes, r.total_array_classes)
         assert got == TABLE1[n], f"order {n}: {got} != {TABLE1[n]}"
     elapsed = time.perf_counter() - start
@@ -307,7 +309,7 @@ def test_criterion_6_ingestion_path(tmp_path, capsys):
     db.write_text(emit_array_file(p.values for p in costas_arrays(9)))
     assert cli_main(["import", str(db), "--expect-order", "9"]) == 0
     normalized = tmp_path / "order9.txt.normalized"
-    arrays = [Permutation(tuple(v)) for v in parse_array_file(normalized.read_text()).tolist()]
+    arrays = parse_array_file(normalized.read_text())
     assert len(arrays) == len(costas_arrays(9))
     r = class_report(9, arrays)
     assert (r.cube_classes, r.projection_array_classes, r.total_array_classes) == TABLE1[9]
@@ -318,7 +320,7 @@ def test_criterion_6_ingestion_path(tmp_path, capsys):
 @pytest.mark.stretch
 def test_criterion_6_stretch_order_13_database():
     start = time.perf_counter()
-    arrays = enumerate_costas_arrays(13)
+    arrays = costas_values(13)
     assert len(arrays) == 12828
     r = class_report(13, arrays)
     assert (r.cube_classes, r.projection_array_classes, r.total_array_classes) == TABLE1[13]

@@ -16,6 +16,7 @@ from costas_cubes.core import (
     first_non_costas,
     is_costas_cube,
     projections,
+    value_matrix,
 )
 from costas_cubes.enumeration import (
     MAX_WORD_ORDER,
@@ -39,6 +40,7 @@ from conftest import (
     costas_cube_classes,
     cube_from_pair,
     image,
+    least_image_oracle,
     order7_without_one_class,
     projection_class_count,
 )
@@ -269,7 +271,7 @@ def test_one_first_array_per_block(monkeypatch):
     expected = {n: costas_cube_classes(n) for n in range(2, 9)}
     monkeypatch.setattr(enumeration, "_BLOCK_PAIRS", 1)
     for n, cubes in expected.items():
-        assert class_report(n, costas_arrays(n)).representatives == cubes
+        assert class_report(n, costas_values(n)).representatives == cubes
 
 
 @pytest.mark.parametrize("n", [5, 16, 22, 29])
@@ -306,8 +308,17 @@ def test_row_index_matches_a_dict_oracle(monkeypatch, n):
         assert (np.repeat(index.distinct, widths) == keys).all()
         if spread == 1:
             assert widths.max() > 1
-        loc = index.find(queries, index.keys(queries))
-        assert np.where(loc >= 0, index.order[loc], -1).tolist() == want
+        assert index.find(queries, index.keys(queries)).tolist() == want
+
+
+def test_row_index_takes_more_weights_than_key_slots():
+    """An order-70 row needs more weights than a one-row table has key
+    slots (64): the weights repeat, and the row is still found exactly."""
+    welch70 = np.array([[pow(7, i, 71) - 1 for i in range(70)]], dtype=np.uint8)
+    index = _RowIndex(welch70)
+    assert len(index.weights) == 70 > index.mask + 1 == 64
+    queries = np.concatenate((welch70, welch70[:, ::-1]))
+    assert index.find(queries, index.keys(queries)).tolist() == [0, -1]
 
 
 def test_row_index_rejects_inexact_keys(monkeypatch):
@@ -323,16 +334,23 @@ def test_row_index_rejects_inexact_keys(monkeypatch):
 def test_pair_weights_give_the_keys_of_a_inverse_b(n):
     """The key of A^-1 B is the product of the zero-based inverse of A
     with the weights gathered by the inverse of B, exact in float, masked
-    to the key range."""
+    to the key range; found by that key, A^-1 B is at its position in the
+    given table (the identity, for B = A)."""
     rng = np.random.default_rng(n)
-    values = np.array([rng.permutation(n) for _ in range(300)], dtype=np.uint8)
+    rows = {tuple(rng.permutation(n)) for _ in range(300)} | {tuple(range(n))}
+    values = np.array(sorted(rows), dtype=np.uint8)[rng.permutation(len(rows))]
+    position = {row: at for at, row in enumerate(map(tuple, values.tolist()))}
     index = _RowIndex(values)
     inverses = np.argsort(values, axis=1).astype(np.uint8)
     products = inverses @ index.weights.astype(float)[inverses].T
     keys = products.astype(np.int64) & index.mask
     assert (products == np.rint(products)).all() and products.max() < 2**53
-    for a in range(0, 300, 37):
-        assert keys[a].tolist() == index.keys(inverses[a][values]).tolist()
+    for a in range(0, len(values), 37):
+        c_rows = inverses[a][values]
+        assert keys[a].tolist() == index.keys(c_rows).tolist()
+        want = [position.get(row, -1) for row in map(tuple, c_rows.tolist())]
+        assert want[a] == position[tuple(range(n))]
+        assert index.find(c_rows, keys[a]).tolist() == want
 
 
 def _unrestricted_join(arrays):
@@ -359,36 +377,75 @@ def test_class_ordered_join_matches_unrestricted_join():
     to classes no less than the first's lose no class."""
     for n in range(2, 11):
         arrays = costas_arrays(n)
-        assert [c.rows for c in class_report(n, arrays).representatives] == _unrestricted_join(arrays)
+        assert [c.rows for c in class_report(n, value_matrix(arrays)).representatives] == _unrestricted_join(arrays)
+
+
+def _class_ordered_hits(values, classes):
+    """Oracle: (B's position, hit cube, classes of A, B and C) for every
+    pair (A, B) of a value matrix with A the first row in list order of
+    its class and B of no lesser class, C = A^-1 B looked up in a dict of
+    the row bytes of the list."""
+    values = np.ascontiguousarray(values, dtype=np.uint8)
+    n = values.shape[1]
+    position = {row: at for at, row in enumerate(map(bytes, values))}
+    inverses = np.argsort(values, axis=1).astype(np.uint8) + 1
+    _, firsts = np.unique(classes, return_index=True)
+    hits = []
+    for a in firsts.tolist():
+        (b_at,) = np.nonzero(classes >= classes[a])
+        c_rows = inverses[a][values[b_at] - 1]
+        for b, c in zip(b_at.tolist(), c_rows.view(np.dtype((np.void, n))).ravel().tolist()):
+            if c in position:
+                cube = CostasCube(tuple(zip(inverses[a].tolist(), inverses[b].tolist())))
+                hits.append((b, cube, {classes[a], classes[b], classes[position[c]]}))
+    return hits
 
 
 def test_join_keeps_one_of_each_reversal_pair(monkeypatch):
     """The k-flip (j_i, k_i) -> (j_i, n+1-k_i) takes the hit (A, B) to the
-    hit (A, rev B) of the same cube class.  The scan that keeps only the
-    one of B and rev B that comes first in class order finds the same
-    representatives and projection classes as the scan that keeps every
-    B (each row its own reversal), from exactly half of its hits for
-    n >= 2."""
+    hit (A, rev B) of the same cube class.  The scan keeps only the B
+    whose first value is at most its last: it hands the class walk
+    exactly the hits of the oracle's join over every B that keep this
+    rule, half of them for n >= 2, and finds the same representatives and
+    projection classes as the join over every B."""
     handed = []
     walk = enumeration.first_of_each_class
 
-    def counted(rows):
-        handed.append(len(rows))
+    def recorded(rows):
+        handed.append(rows)
         return walk(rows)
 
-    monkeypatch.setattr(enumeration, "first_of_each_class", counted)
+    monkeypatch.setattr(enumeration, "first_of_each_class", recorded)
     lists = {n: costas_values(n) for n in range(1, 11)}
     lists[11] = parse_array_file(ORDER11_DATABASE.read_text())
     for n, values in lists.items():
-        index, least, reverse = _check_complete(values, n)
-        assert (index.table[reverse] == index.table[:, ::-1]).all()
+        classes = _check_complete(values, n)
+        every = _class_ordered_hits(values, classes)
+        half = [cube for b, cube, _ in every if values[b, 0] <= values[b, -1]]
+        assert len(every) == (len(half) if n == 1 else 2 * len(half)), n
         handed.clear()
-        every = enumeration._scan(index, least, np.arange(len(least)))
-        assert enumeration._scan(index, least, reverse) == every, n
-        whole, half = handed
-        assert whole == (half if n == 1 else 2 * half), n
-    assert (whole, half) == (174, 87)
+        cubes, projection_classes = enumeration._scan(values, classes)
+        (rows,) = handed
+        assert sorted(map(tuple, rows.tolist())) == sorted(sum(cube.rows, ()) for cube in half), n
+        forms = {canonical_cube(cube).rows for _, cube, _ in every}
+        assert [c.rows for c in cubes] == sorted(forms), n
+        assert projection_classes == len(set().union(*(found for _, _, found in every))), n
+    assert (len(every), len(half)) == (164, 82)
     assert class_report(1, costas_values(1)).cube_classes == 1
+
+
+def test_join_over_a_closed_incomplete_list():
+    """The join's argument needs only closure under the square symmetries:
+    over the order-7 arrays without one class, with classes numbered by
+    least images one symmetry at a time, the scan finds the classes of
+    the unrestricted join and their projection classes."""
+    arrays = order7_without_one_class()
+    least = [least_image_oracle(p) for p in arrays]
+    number = {key: at for at, key in enumerate(sorted(set(least)))}
+    classes = np.array([number[key] for key in least])
+    cubes, projection_classes = enumeration._scan(value_matrix(arrays), classes)
+    assert [c.rows for c in cubes] == _unrestricted_join(arrays) != []
+    assert projection_classes == projection_class_count(cubes)
 
 
 def test_join_output_does_not_depend_on_row_order():
@@ -416,7 +473,7 @@ def test_join_canonicalises_once_per_class(monkeypatch):
         return row_images(row)
 
     monkeypatch.setattr(symmetry, "_row_images", counted)
-    assert list(class_report(8, list(costas_arrays(8))).representatives) == expected
+    assert list(class_report(8, costas_values(8)).representatives) == expected
     assert len(calls) == len(expected) == 42
 
 
@@ -428,23 +485,45 @@ def test_array_totals_match_published_table():
 def test_completeness_checks_reject_bad_input():
     arrays = list(costas_arrays(5))
     with pytest.raises(ValueError, match="closed"):
-        class_report(5, arrays[:-1])
+        class_report(5, value_matrix(arrays[:-1]))
     with pytest.raises(ValueError, match="duplicates"):
-        class_report(5, arrays + [arrays[0]])
+        class_report(5, value_matrix(arrays + [arrays[0]]))
     with pytest.raises(ValueError, match="not a Costas"):
-        class_report(4, [Permutation((1, 2, 3, 4))])
+        class_report(4, value_matrix([Permutation((1, 2, 3, 4))]))
     with pytest.raises(ValueError, match="order"):
-        class_report(6, arrays)
+        class_report(6, value_matrix(arrays))
     with pytest.raises(ValueError, match="empty"):
-        class_report(5, [])
-    # An order-70 row needs more weights than a one-row table has key
-    # slots (64); the list still reaches the closure check.
+        class_report(5, value_matrix([]))
+    # An order-70 list reaches the closure check.
     welch70 = Permutation(tuple(pow(7, i, 71) for i in range(70)))
     with pytest.raises(ValueError, match="closed"):
-        class_report(70, [welch70])
+        class_report(70, value_matrix([welch70]))
     closed = order7_without_one_class()
     with pytest.raises(ValueError, match=rf"holds {len(closed)} .* there are 200"):
-        class_report(7, closed)
+        class_report(7, value_matrix(closed))
+
+
+def test_closure_counts_the_images_equal_to_a_row():
+    """A row's class is whole when its members times the images equal to
+    it make 8.  Without one row of a class with a symmetric member (an
+    orbit of 4 for n >= 3, of 2 at order 2), the first row in list order
+    whose orbit is not wholly in the list is named; without the whole
+    class, the list is closed and fails on its total (or is empty)."""
+    for n in range(2, 9):
+        arrays = list(costas_arrays(n))
+        orbit = {p: frozenset(image(s, p) for s in PLANAR_SYMMETRIES) for p in arrays}
+        symmetric = next(o for o in orbit.values() if len(o) < 8)
+        assert len(symmetric) == (2 if n == 2 else 4)
+        for gone in symmetric:
+            rest = [p for p in arrays if p != gone]
+            named = next(p for p in rest if gone in orbit[p])
+            message = rf"image of \({','.join(map(str, named.values))}\) missing"
+            with pytest.raises(ValueError, match=message):
+                _check_complete(value_matrix(rest), n)
+        rest = [p for p in arrays if p not in symmetric]
+        message = rf"holds {len(rest)} Costas arrays" if rest else "empty"
+        with pytest.raises(ValueError, match=message):
+            _check_complete(value_matrix(rest), n)
 
 
 def test_check_complete_messages_name_the_first_faulty_array():
@@ -467,13 +546,13 @@ def test_check_complete_messages_name_the_first_faulty_array():
                         "it cannot be complete"))
     for listed, message in cases:
         with pytest.raises(ValueError, match=rf"^{message}$"):
-            _check_complete(listed, 6)
+            _check_complete(value_matrix(listed), 6)
 
 
 def test_projection_class_count_examples():
-    assert class_report(4, costas_arrays(4)).projection_array_classes == 1
-    assert class_report(6, costas_arrays(6)).projection_array_classes == 17
-    assert class_report(1, costas_arrays(1)).projection_array_classes == 1
+    assert class_report(4, costas_values(4)).projection_array_classes == 1
+    assert class_report(6, costas_values(6)).projection_array_classes == 17
+    assert class_report(1, costas_values(1)).projection_array_classes == 1
 
 
 def test_projection_class_count_matches_projection_sets():
@@ -481,7 +560,7 @@ def test_projection_class_count_matches_projection_sets():
     classes in the union of its representatives' projection sets: the least
     square images of their projections A, B and C, counted one image at a
     time."""
-    reports = [class_report(n, costas_arrays(n)) for n in range(1, 11)]
+    reports = [class_report(n, costas_values(n)) for n in range(1, 11)]
     reports.append(class_report(11, parse_array_file(ORDER11_DATABASE.read_text())))
     for report in reports:
         want = projection_class_count(report.representatives)
@@ -507,12 +586,12 @@ def test_table1_small_rows():
 def test_table1_accepts_supplied_databases():
     """A supplied database reaches class_report, past the enumeration limit;
     an incomplete one is refused."""
-    assert class_report(5, list(costas_arrays(5))) == table1(5)[-1]
-    assert class_report(5, list(costas_arrays(5))).cube_classes == 13
+    assert class_report(5, value_matrix(costas_arrays(5))) == table1(5)[-1]
+    assert class_report(5, value_matrix(costas_arrays(5))).cube_classes == 13
     with pytest.raises(EnumerationLimitError):
         costas_values(5, limit=4)
     with pytest.raises(ValueError, match="cannot be complete"):
-        class_report(7, order7_without_one_class())
+        class_report(7, value_matrix(order7_without_one_class()))
 
 
 def test_table1_representatives_flag():
@@ -523,12 +602,15 @@ def test_table1_representatives_flag():
 
 
 def test_class_report_total_is_representative_count():
-    """The total array classes, counted as the least members the
-    completeness check finds, equal the canonical-form count."""
+    """The completeness check numbers each row's class by the rank of its
+    least image among array_classes' sorted representatives, and the
+    total array classes are their count."""
     for n in range(1, 9):
         arrays = costas_arrays(n)
-        report = class_report(n, arrays)
-        assert report.total_array_classes == len(array_classes(arrays))
+        reps = array_classes(arrays)
+        classes = _check_complete(value_matrix(arrays), n)
+        assert [reps[c].values for c in classes.tolist()] == [least_image_oracle(p) for p in arrays]
+        assert class_report(n, value_matrix(arrays)).total_array_classes == len(reps)
     # The first order and the first other order are named.
     four, five, six = costas_arrays(4), costas_arrays(5), costas_arrays(6)
     for mixed, named in ((four + five, "orders 4 and 5 mixed"), (five + four, "orders 5 and 4 mixed"),
@@ -555,6 +637,6 @@ def test_order_14_join_stretch():
     """The in-process reach: the order-14 search and pair-join, about 12 s."""
     # The same report counts 6 projection classes and 2168 array classes;
     # reference.py holds no published figure for either.
-    arrays = enumerate_costas_arrays(14, limit=14)
+    arrays = costas_values(14, limit=14)
     assert len(arrays) == COSTAS_ARRAY_TOTALS[14] == 17252
     assert class_report(14, arrays).cube_classes == CUBE_CLASS_COUNTS[14] == 6
