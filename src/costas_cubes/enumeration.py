@@ -44,7 +44,10 @@ symmetries.
 The array list reaches the join as one (N, n) value matrix, from
 costas_values or files.parse_array_file.  The completeness check reads
 duplicates from one sort of the list and classes from one sort of its
-least images, and Permutations are built only to name a faulty array.
+least images.  The square symmetries keep the Costas property, so once
+every row is known to be a permutation of 1..n the Costas check runs on
+one least image per class, and over the rows only to name the first
+faulty array.  Permutations are built only to name a faulty array.
 """
 
 from __future__ import annotations
@@ -337,25 +340,38 @@ def _check_complete(values: np.ndarray, n: int) -> np.ndarray:
     """Sanity checks for a claimed-complete list of order-n Costas arrays,
     given as a value matrix (a value_matrix, if of mixed orders); returns
     each row's class, the classes numbered in the order of their least
-    planar images."""
+    planar images.
+
+    The Costas property is kept by the square symmetries, so a
+    permutation is Costas exactly when its least image is: the check runs
+    on one least image per class, and over the rows only to name the
+    first faulty one.  A list with a row of the wrong order is checked
+    row by row up to that row."""
     if not len(values):
         raise ValueError("empty array list")
     if len(distinct_rows(values)) < len(values):
         raise ValueError("array list contains duplicates")
-    # The Costas check covers the arrays before the first one of the wrong
-    # order, so that the first faulty array is the one named.
     wrong_order = np.count_nonzero(values, axis=1) != n
-    wrong = int(np.argmax(wrong_order)) if wrong_order.any() else len(values)
-    bad = first_non_costas(values[:wrong, :n])
-    if bad is not None:
-        raise ValueError(f"array {_as_permutation(values[bad])} is not a Costas array")
-    if wrong < len(values):
+    if wrong_order.any():
+        # The Costas check covers the arrays before the first one of the
+        # wrong order, so that the first faulty array is the one named.
+        wrong = int(np.argmax(wrong_order))
+        _check_costas(values[:wrong, :n])
         p = _as_permutation(values[wrong])
         raise ValueError(f"array {p} has order {p.order}, expected {n}")
+    # Only for permutations is a row Costas exactly when its least image
+    # is.  Every row has n nonzero values, so a wider row is none.
+    bijective = (np.sort(values, axis=1) == np.arange(1, values.shape[1] + 1)).all(axis=1)
+    if not bijective.all():
+        row = values[np.argmin(bijective)].tolist()
+        raise ValueError(f"array ({','.join(map(str, row))}) is not a permutation of 1..{n}")
     images = planar_images(values)
-    _, classes, members = np.unique(
-        _row_keys(least_image(images)), return_inverse=True, return_counts=True
+    least = least_image(images)
+    _, firsts, classes, members = np.unique(
+        _row_keys(least), return_index=True, return_inverse=True, return_counts=True
     )
+    if first_non_costas(least[firsts]) is not None:
+        _check_costas(values)
     # The rows are distinct, so a row's class is whole when its members
     # are as many as its orbit: 8 over the number of its images equal to it.
     short = members[classes] * (images == values).all(axis=2).sum(axis=0) != 8
@@ -368,6 +384,14 @@ def _check_complete(values: np.ndarray, n: int) -> np.ndarray:
     if mismatch:
         raise ValueError(mismatch)
     return classes
+
+
+def _check_costas(values: np.ndarray) -> None:
+    """Raise naming the first row of a value matrix that is not a Costas
+    array, if any."""
+    bad = first_non_costas(values)
+    if bad is not None:
+        raise ValueError(f"array {_as_permutation(values[bad])} is not a Costas array")
 
 
 # First arrays per block meet about this many second arrays, so that the

@@ -3,9 +3,11 @@
 Array files hold one permutation per line as whitespace-separated
 1-based values; lines starting with '#' and blank lines are ignored.
 Each value is read as int() reads it.  parse_array_file gives the arrays
-of a file as one value matrix, for the pair-join and import;
-numbered_arrays gives one validated Permutation per line, for verify
-and classify, and names the first bad line and import's failing line.
+of a file as one value matrix, for the pair-join and import: numpy's C
+reader (np.loadtxt) converts the array lines in one call, and text it
+refuses goes to numbered_arrays.  numbered_arrays gives one validated
+Permutation per line, for verify and classify, and names the first bad
+line and import's failing line.
 
 Cube files are either a JSON document {"order": n, "triples": [[i, j, k],
 ...]} (extra keys ignored) or plain text with one "i j k" line per row,
@@ -15,6 +17,7 @@ with the same comment convention.
 from __future__ import annotations
 
 import json
+import warnings
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,20 +44,25 @@ def numbered_arrays(text: str) -> list[tuple[int, Permutation]]:
 def parse_array_file(text: str) -> np.ndarray:
     """The arrays of an array file as the rows of one (N, n) value matrix.
 
-    One np.array call converts the tokens of all array lines, with the
-    int() reading of numbered_arrays, and fails unless every line holds
-    as many tokens as the first; one sort along the rows checks that each
-    row is a bijection on 1..n.  Any other text is read again by
-    numbered_arrays, which names its first bad line; a file whose arrays
-    are all valid but of more than one order gives their value_matrix,
-    zero-padded.
+    np.loadtxt converts the array lines in one call, and fails unless
+    every line holds as many tokens as the first; one sort along the rows
+    checks that each row is a bijection on 1..n.  The C reader accepts a
+    subset of what int() reads, and its result is taken only when the
+    call raised no warning (older numpy reads 1.0 as an integer, with a
+    DeprecationWarning).  Any other text, and a file with no array
+    lines, is read again by numbered_arrays, which names its first bad
+    line; a file whose arrays are all valid but of more than one order
+    gives their value_matrix, zero-padded.
     """
-    lines = [tokens for tokens in map(str.split, text.splitlines())
-             if tokens and not tokens[0].startswith("#")]
-    try:
-        values = np.array(lines, dtype=np.int64)
-    except (ValueError, OverflowError):
-        values = np.empty(0)
+    lines = [line for line in text.splitlines() if line.strip()[:1] not in ("", "#")]
+    values = np.empty(0)
+    if lines:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                values = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+            except (ValueError, OverflowError, Warning):
+                pass
     n = values.shape[-1]
     if values.ndim == 2 and (np.sort(values, axis=1) == np.arange(1, n + 1)).all():
         return values.astype(np.min_scalar_type(n))

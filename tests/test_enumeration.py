@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from costas_cubes import enumeration, symmetry
 from costas_cubes.construct import default_field, g2, w1
@@ -547,6 +548,77 @@ def test_check_complete_messages_name_the_first_faulty_array():
     for listed, message in cases:
         with pytest.raises(ValueError, match=rf"^{message}$"):
             _check_complete(value_matrix(listed), 6)
+
+
+def test_costas_property_is_a_class_property():
+    """A permutation is Costas exactly when its least planar image is, at
+    every permutation of orders 1-7: the completeness check tests one
+    least image per class."""
+    for n in range(1, 8):
+        values = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.uint8)
+        least = symmetry.least_image(symmetry.planar_images(values))
+        for row, key in zip(values.tolist(), least.tolist()):
+            assert (costas_violation(Permutation(tuple(row))) is None) == (
+                costas_violation(Permutation(tuple(key))) is None), row
+
+
+@st.composite
+def permutation_lists(draw):
+    """An order n <= 7 and distinct permutations of it: some or all of its
+    Costas arrays in a drawn order, with a few other permutations and some
+    of their images put in at drawn places."""
+    n = draw(st.integers(1, 7))
+    arrays = list(costas_arrays(n))
+    listed = draw(st.permutations(arrays)) if draw(st.booleans()) else draw(
+        st.lists(st.sampled_from(arrays), unique=True, max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        p = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+        for sym in draw(st.lists(st.sampled_from(PLANAR_SYMMETRIES), min_size=1, max_size=3)):
+            listed.insert(draw(st.integers(0, len(listed))), image(sym, p))
+    return n, list(dict.fromkeys(listed))
+
+
+@given(permutation_lists())
+def test_class_wise_costas_check_names_the_first_faulty_row(case):
+    """The check on one least image per class fails exactly when
+    first_non_costas over the rows finds a row, and its message names that
+    row, the first faulty one in list order."""
+    n, listed = case
+    values = value_matrix(listed)
+    bad = first_non_costas(values)
+    try:
+        _check_complete(values, n)
+    except ValueError as exc:
+        message = str(exc)
+    else:
+        message = None
+    if bad is None:
+        assert message is None or "not a Costas array" not in message
+    else:
+        assert message == f"array {listed[bad]} is not a Costas array"
+
+
+def test_check_complete_refuses_rows_that_are_not_permutations():
+    """Every list of four distinct rows over 1..3 that a row-wise Costas
+    check passes and that holds a row which is not a permutation is
+    refused, naming the first such row: 14 of them passed every check
+    before this one, and class_report counted them."""
+    rows = [row for row in itertools.product(range(1, 4), repeat=3) if row[1] - row[0] != row[2] - row[1]]
+    checked = 0
+    for listed in itertools.combinations(rows, 4):
+        named = next((row for row in listed if sorted(row) != [1, 2, 3]), None)
+        if named is None:
+            continue
+        message = rf"^array \({','.join(map(str, named))}\) is not a permutation of 1..3$"
+        with pytest.raises(ValueError, match=message):
+            _check_complete(np.array(listed, dtype=np.uint8), 3)
+        checked += 1
+    assert checked == 7314
+    with pytest.raises(ValueError, match=r"^array \(2,1,2\) is not a permutation of 1..3$"):
+        class_report(3, np.array([[1, 3, 2], [2, 1, 2], [2, 1, 3], [2, 3, 1]], dtype=np.uint8))
+    # A row with n nonzero values but wider than n is no permutation of 1..n.
+    with pytest.raises(ValueError, match=r"^array \(0,1\) is not a permutation of 1..1$"):
+        _check_complete(np.array([[0, 1]]), 1)
 
 
 def test_projection_class_count_examples():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,32 @@ def test_parse_array_file_needs_every_line_at_full_width():
     with pytest.raises(ValueError, match=r"^line 2: \(1, 2, 1\) is not a bijection on 1..3$"):
         parse_array_file("1 2\n1 2 1\n2\n")
     assert parse_array_file("2 1\n1\n").tolist() == [[2, 1], [1, 0]]
+
+
+@pytest.mark.filterwarnings("error")
+def test_parse_array_file_takes_no_warned_read(monkeypatch):
+    """A token that numpy's reader takes only with a warning (older numpy
+    reads 1.0 as an integer) is read again by numbered_arrays, and a file
+    with no array lines never reaches the reader."""
+    message = r"^line 1: invalid literal for int\(\) with base 10: '1.0'$"
+    with pytest.raises(ValueError, match=message):
+        parse_array_file("1.0 2\n2 1\n")
+    read = np.loadtxt
+
+    def warned(lines, **kwargs):
+        """The older reading: 1.0 as the integer 1, with a warning."""
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return read([line.replace(".0", "") for line in lines], **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warned)
+    # The warned read is refused under the caller's filters too.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match=message):
+            parse_array_file("1.0 2\n2 1\n")
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: pytest.fail("loadtxt called"))
+    with pytest.raises(ValueError, match="^no permutations found$"):
+        parse_array_file("# only a comment\n\n  \n")
 
 
 def test_cube_file_text_round_trip():
