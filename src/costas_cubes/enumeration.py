@@ -2,16 +2,22 @@
 
 Arrays are generated by one depth-first search over blocks of partial
 arrays, from the block of every two-column prefix whose first value is
-at most ceil(n/2); the complement v -> n+1-v supplies the rest.  One
+at most ceil(n/2).  The search keeps only the corner-least arrays: those
+whose first value is the least of the first values of their eight square
+images, which are the array's four corner distances and n+1 minus each.
+The least image of every class is corner-least, so the square images of
+the arrays found, deduplicated and sorted, are every array.  The
+criterion is one window word per column and first value, the values that
+column may not hold, so the columns are still searched in order.  One
 numpy step extends every partial array of a block by one column, pruned
-by one difference bitmask per column distance, and a grown block of more
-than _BLOCK_ROWS rows is split into slices searched one after another,
-so that the frontier's memory is bounded at every order.  Each step
-looks one column ahead and keeps a partial array only when its next
-column still has a free value, so that no value or mask row is built for
-a partial array with no future.  A value v is bit v - 1 of a word and a
-difference w - u is bit w - u + n - 1; words are int32 up to order 16
-and int64 above, and value rows int8.
+by one difference bitmask per column distance and by the window, and a
+grown block of more than _BLOCK_ROWS rows is split into slices searched
+one after another, so that the frontier's memory is bounded at every
+order.  Each step looks one column ahead and keeps a partial array only
+when its next column still has a free value, so that no value or mask
+row is built for a partial array with no future.  A value v is bit v - 1
+of a word and a difference w - u is bit w - u + n - 1; words are int32
+up to order 16 and int64 above, and value rows int8.
 
 Cubes of order n are generated by the pair-join over a complete list of
 order-n Costas arrays: for a pair (A, B), build the unique permutation
@@ -89,11 +95,35 @@ MAX_WORD_ORDER = 31
 _BLOCK_ROWS = 1 << 12
 
 
+def _corner_window(n: int, dtype: np.dtype) -> np.ndarray:
+    """The corner-least window of order n: entry [j, a], for a column j and
+    a first value a (both from 1; row and column 0 unused), is the word of
+    the values that column j may not hold in a corner-least array that
+    begins with a.
+
+    The first values of an array's eight square images are its corner
+    distances: sigma(1), sigma(n), c(1) and c(n), and n+1 minus each, where c(v)
+    is the column that holds value v.  An array is corner-least when its
+    first value a is the least of the eight: then a <= n+1-a, the values 1
+    and n lie in columns a..n+1-a and the last value lies in a..n+1-a.
+    The least image of every class is corner-least."""
+    window = np.zeros((n + 1, n + 1), dtype=dtype)
+    ends, full = 1 | 1 << (n - 1), (1 << n) - 1
+    for a in range(1, n + 1):
+        lo, hi = a, n + 1 - a
+        window[1:lo, a] = ends
+        window[hi + 1 :, a] = ends
+        window[n, a] |= (1 << (lo - 1)) - 1 | full & ~((1 << hi) - 1)
+    return window
+
+
 def _prefix_search(n: int, prefixes: np.ndarray) -> np.ndarray:
-    """The order-n Costas arrays that begin with a row of prefixes, an
-    (m, k) matrix of first values with 2 <= k <= n, as the rows of an int8
-    matrix: those of each prefix in lexicographic order, the prefixes in
-    row order.  A prefix that repeats a value or a difference begins none.
+    """The corner-least order-n Costas arrays (see _corner_window) that
+    begin with a row of prefixes, an (m, k) matrix of first values with
+    2 <= k <= n, as the rows of an int8 matrix: those of each prefix in
+    lexicographic order, the prefixes in row order.  A prefix that repeats
+    a value or a difference, or that no corner-least array begins with
+    column by column, begins none.
 
     The search runs depth-first over blocks of partial arrays.  A block is
     held by column: one int8 row per value column, one mask row per column
@@ -109,18 +139,23 @@ def _prefix_search(n: int, prefixes: np.ndarray) -> np.ndarray:
     right by n - u, for the value u d columns before the next one, it holds
     u at bit u - 1 and each candidate w that would repeat a difference at
     bit w - 1.  The fixed word blocks the first two values, which lie
-    beyond the distances of the parent masks that _grow shifts.
+    beyond the distances of the parent masks that _grow shifts.  The
+    corner-least window of the next column and the first value blocks the
+    rest.
     """
     values = np.array(prefixes, dtype=np.int8).T
     k = len(values)
+    dtype = np.dtype(np.int32 if n <= 16 else np.int64)
+    window = _corner_window(n, dtype)
     ok = np.ones(values.shape[1], dtype=bool)
     for d in range(1, k):
         diffs = np.sort(values[d:] - values[:-d], axis=0)
         ok &= (diffs != 0).all(axis=0) & (diffs[1:] != diffs[:-1]).all(axis=0)
+    for j in range(k):
+        ok &= (window[j + 1, values[0]] >> (values[j] - 1)) & 1 == 0
     values = values[:, ok]
     if k == n:
         return values.T
-    dtype = np.dtype(np.int32 if n <= 16 else np.int64)
     # Every shift operand is of the mask dtype, so that promotion is the
     # same under every numpy version.
     one = dtype.type(1)
@@ -130,6 +165,7 @@ def _prefix_search(n: int, prefixes: np.ndarray) -> np.ndarray:
         masks[d - 1] = np.bitwise_or.reduce(bits, axis=0) | one << (n - 1)
     fixed = one << (values[0] - 1).astype(dtype) | one << (values[1] - 1).astype(dtype)
     blocked = fixed | np.bitwise_or.reduce(masks >> (n - values[:0:-1]).astype(dtype), axis=0)
+    blocked |= window[k + 1, values[0]]
     found = []
     stack = [(values, masks, fixed, ~blocked & ((one << n) - 1))]
     while stack:
@@ -138,7 +174,7 @@ def _prefix_search(n: int, prefixes: np.ndarray) -> np.ndarray:
             rows, cols = _free_values(n, free)
             found.append(np.vstack((values[:, rows], cols.astype(np.int8) + 1)).T)
             continue
-        grown = _grow(n, values, masks, fixed, free)
+        grown = _grow(n, window, values, masks, fixed, free)
         stack.extend(
             tuple(x[..., s : s + _BLOCK_ROWS] for x in grown)
             for s in reversed(range(0, len(grown[2]), _BLOCK_ROWS))
@@ -159,18 +195,24 @@ def _free_values(n: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grow(
-    n: int, values: np.ndarray, masks: np.ndarray, fixed: np.ndarray, free: np.ndarray
+    n: int,
+    window: np.ndarray,
+    values: np.ndarray,
+    masks: np.ndarray,
+    fixed: np.ndarray,
+    free: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One step of _prefix_search: the block of the children, one column
     longer, of a block of partial arrays, as (values, masks, fixed, free).
 
     A child is kept only when its own next column still has a free value.
     That column's blocked set has two parts.  One is per parent: the fixed
-    word and the parent's masks of distance 2 and up, each shifted by the
-    value one column later.  The other is per child: its new distance-1
-    mask, shifted by its value, since the bits a child adds to its longer
-    distances, so shifted, are exactly its parent's distance-1 mask
-    shifted by its value.  Only the kept children get value and mask rows.
+    word, the corner-least window of that column and the first value, and
+    the parent's masks of distance 2 and up, each shifted by the value one
+    column later.  The other is per child: its new distance-1 mask,
+    shifted by its value, since the bits a child adds to its longer
+    distances, so shifted, are exactly its parent's distance-1 mask shifted
+    by its value.  Only the kept children get value and mask rows.
     The temporaries are formed in place, as they set the search's peak
     memory.
     """
@@ -182,6 +224,7 @@ def _grow(
     v += 1
     shifts = (n - values[k - 1 : 1 : -1]).astype(dtype)
     ahead = fixed | np.bitwise_or.reduce(masks[1:] >> shifts, axis=0)
+    ahead |= window[k + 2, values[0]]
     blocked = np.subtract(v, values[k - 1, rows], dtype=dtype)
     blocked += n - 1
     np.left_shift(one, blocked, out=blocked)
@@ -223,14 +266,13 @@ def costas_values(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> np.ndarray:
     dtype = np.min_scalar_type(n)
     if n == 1:
         return np.ones((1, 1), dtype=dtype)
-    # Only first values up to ceil(n/2) are searched.  The complement
-    # v -> n+1-v maps the arrays that begin with n+1-a onto those that begin
-    # with a, in reversed order.
+    # The search keeps the corner-least arrays, which hold the least image
+    # of every class, so their square images are every array; a corner-least
+    # array begins with at most ceil(n/2).
     half = (n + 1) // 2
     prefixes = [(a, b) for a in range(1, half + 1) for b in range(1, n + 1) if b != a]
-    low = _prefix_search(n, np.array(prefixes))
-    cut = np.searchsorted(low[:, 0], n // 2, side="right")
-    return np.concatenate((low, n + 1 - low[:cut][::-1])).astype(dtype)
+    found = _prefix_search(n, np.array(prefixes)).astype(dtype)
+    return distinct_rows(planar_images(found).reshape(-1, n))
 
 
 def enumerate_costas_arrays(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> list[Permutation]:

@@ -101,35 +101,57 @@ def backtrack_costas_arrays(n):
     return tuple(out)
 
 
+def corner_least(values):
+    """Whether an array's first value is the least of its eight corner
+    distances: sigma(1), sigma(n), c(1) and c(n), and n+1 minus each, for
+    c(v) the column of value v.  These are the first values of its eight
+    square images."""
+    n = len(values)
+    column = {v: j for j, v in enumerate(values, start=1)}
+    corners = (values[0], values[-1], column[1], column[n])
+    return values[0] == min(d for x in corners for d in (x, n + 1 - x))
+
+
 def test_breadth_first_matches_backtracking_oracle():
-    """Content and order, for even and odd orders: the complement merge
-    and, for odd n, the self-complementary middle first value."""
+    """Content and order, for even and odd orders: the square images of
+    the corner-least arrays, deduplicated and sorted."""
     for n in range(1, 11):
         assert tuple(enumerate_costas_arrays(n)) == backtrack_costas_arrays(n)
 
 
-@pytest.mark.parametrize("n", [6, 7])
-def test_complement_merge_of_an_empty_group(monkeypatch, n):
-    """A searched first value with no arrays leaves its complement group
-    empty too; the other groups are unchanged."""
-    expected = [p for p in costas_arrays(n) if p.values[0] not in (2, n - 1)]
-    search = enumeration._prefix_search
+@pytest.mark.parametrize("n", range(2, 11))
+def test_search_keeps_the_least_image_of_every_class(monkeypatch, n):
+    """The rows the search hands costas_values are all corner-least, and
+    the least image of every D4 class is among them."""
+    search, kept = enumeration._prefix_search, []
 
-    def without_first_value_2(order, prefixes):
-        found = search(order, prefixes)
-        return found[found[:, 0] != 2]
+    def recorded(order, prefixes):
+        kept.append(search(order, prefixes))
+        return kept[-1]
 
-    monkeypatch.setattr(enumeration, "_prefix_search", without_first_value_2)
-    assert enumerate_costas_arrays(n) == expected
+    monkeypatch.setattr(enumeration, "_prefix_search", recorded)
+    costas_values(n)
+    rows = set(map(tuple, np.concatenate(kept).tolist()))
+    assert all(corner_least(row) for row in rows)
+    assert {least_image_oracle(p) for p in backtrack_costas_arrays(n)} <= rows
+
+
+def test_corner_least_rows_of_order_11():
+    """823 corner-least arrays at order 11, none with first value 6."""
+    pairs = [(a, b) for a in range(1, 7) for b in range(1, 12) if a != b]
+    found = enumeration._prefix_search(11, np.array(pairs))
+    assert len(found) == 823
+    assert not (found[:, 0] == 6).any()
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_prefix_search_matches_backtracking_oracle(n):
     """Every two-value prefix as a one-row prefix matrix, those that begin
-    no array and those that repeat a value included: n = 2 takes no step,
-    and for n = 3 the first step is the last.  All of them as one matrix
-    give the same rows, in the order of the prefixes."""
-    oracle = np.array([p.values for p in backtrack_costas_arrays(n)])
+    no array and those that repeat a value included, against the oracle's
+    corner-least arrays: n = 2 takes no step, and for n = 3 the first step
+    is the last.  All of them as one matrix give the same rows, in the
+    order of the prefixes."""
+    oracle = np.array([p.values for p in backtrack_costas_arrays(n) if corner_least(p.values)])
     pairs = list(itertools.product(range(1, n + 1), repeat=2))
     expected = []
     for a, b in pairs:
@@ -144,15 +166,17 @@ def test_prefix_search_matches_backtracking_oracle(n):
 def test_block_path_matches_backtracking_oracle(monkeypatch, block):
     """With grown blocks split into slices of 1, 5 or 64 rows, the search
     still gives every array in order; prefixes as long as the order are
-    returned as they are, less those that repeat a value or a difference."""
+    returned as they are, less those that repeat a value or a difference
+    and those that are not corner-least."""
     monkeypatch.setattr(enumeration, "_BLOCK_ROWS", block)
     for n in range(1, 11):
         oracle = [p.values for p in backtrack_costas_arrays(n)]
         assert [tuple(v) for v in costas_values(n).tolist()] == oracle
+    # (2, 1) and (2, 3, 1) are Costas but not corner-least.
     full = np.array([[1, 2], [2, 2], [2, 1]])
-    np.testing.assert_array_equal(enumeration._prefix_search(2, full), [[1, 2], [2, 1]])
+    np.testing.assert_array_equal(enumeration._prefix_search(2, full), [[1, 2]])
     full = np.array([[1, 3, 2], [1, 2, 3], [2, 3, 1]])
-    np.testing.assert_array_equal(enumeration._prefix_search(3, full), [[1, 3, 2], [2, 3, 1]])
+    np.testing.assert_array_equal(enumeration._prefix_search(3, full), [[1, 3, 2]])
 
 
 @pytest.mark.parametrize(
@@ -166,15 +190,18 @@ def test_block_path_matches_backtracking_oracle(monkeypatch, block):
     ids=lambda p: f"order{p.order}",
 )
 def test_prefix_search_completes_a_long_prefix(seed):
-    """Seeded with all but the last four values of a constructed array,
-    the search finds that array among Costas arrays of that prefix."""
+    """Seeded with all but the last four values of the least image of a
+    constructed array, the search finds that image among the corner-least
+    Costas arrays of that prefix."""
     n = seed.order
-    found = enumeration._prefix_search(n, np.array([seed.values[: n - 4]]))
+    least = least_image_oracle(seed)
+    found = enumeration._prefix_search(n, np.array([least[: n - 4]]))
     assert found.dtype == np.int8 and found.shape[1] == n
-    assert seed.values in set(map(tuple, found.tolist()))
-    assert (found[:, : n - 4] == seed.values[: n - 4]).all()
+    assert least in set(map(tuple, found.tolist()))
+    assert (found[:, : n - 4] == least[: n - 4]).all()
     assert (np.sort(found, axis=1) == np.arange(1, n + 1)).all()
     assert first_non_costas(found) is None
+    assert all(corner_least(row) for row in found.tolist())
 
 
 def test_word_size_guard_rejects_before_searching(monkeypatch):
@@ -694,14 +721,17 @@ def test_class_report_total_is_representative_count():
 @pytest.mark.stretch
 def test_search_memory_stays_bounded():
     """The search's numpy buffers, which numpy reports to tracemalloc,
-    peak below 6 MiB at order 13: the frontier is held in bounded blocks."""
+    peak below 6 MiB at order 13: the frontier is held in bounded blocks.
+    The rows are those of commit 794c2aa byte for byte."""
     tracemalloc.start()
     try:
-        costas_values(13)
+        values = costas_values(13)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 6 << 20
+    digest = "1b00d8d252106be4b114dd74c5a90a6d6ce3bc71f442252503f2b56e915b1c2f"
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.stretch
@@ -711,4 +741,6 @@ def test_order_14_join_stretch():
     # reference.py holds no published figure for either.
     arrays = costas_values(14, limit=14)
     assert len(arrays) == COSTAS_ARRAY_TOTALS[14] == 17252
+    digest = "8e914faaa0ca6f1b6b1989416b424793b2d5fed98a8c47b6e6e0a6778b444e47"
+    assert hashlib.sha256(arrays.tobytes()).hexdigest() == digest
     assert class_report(14, arrays).cube_classes == CUBE_CLASS_COUNTS[14] == 6
