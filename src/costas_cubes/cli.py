@@ -2,8 +2,8 @@
 
 Commands: verify, construct, enumerate, tables, sd-set, classify,
 project, import.  tables prints Table 1 or Table 2 with the published
-rows (reference.TABLE1/TABLE2) and flags each row that differs.  import
-reads its file as enumerate --arrays-file does and drops duplicate lines.
+rows (reference.TABLE1/TABLE2) and flags each row that differs.  Array
+files are read as one value matrix; import drops duplicate lines.
 Exit codes: 0 success / everything verified, 1 verification failure
 (including a tables row that differs from the published one, or an
 import whose arrays fail a check, such as a closed database short of
@@ -44,8 +44,8 @@ from .core import (
     Permutation,
     ProjectionTriple,
     costas_violation,
+    costas_violations,
     distinct_rows,
-    first_non_costas,
     is_costas_cube,
     projections,
 )
@@ -53,7 +53,7 @@ from .enumeration import ClassReport, class_report, costas_values, table1, total
 from .files import emit_array_file, emit_cube_file, numbered_arrays, parse_array_file, parse_cube_file
 from .gf import format_element, parse_element, parse_field_spec
 from .reference import TABLE1, TABLE2
-from .symmetry import canonical_array, least_image, planar_images, projection_set
+from .symmetry import least_image, planar_images, projection_set
 
 
 def _emit(args, doc, lines) -> None:
@@ -70,6 +70,29 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
+def _judged(values: np.ndarray, *judges) -> list[tuple]:
+    """(row, violation, *judged) for each row of a zero-padded value matrix,
+    in row order: the row cut to its order n, its costas_violations row and
+    its item of each judge's list, one call each per order's (rows, n) matrix."""
+    orders = np.count_nonzero(values, axis=1)
+    items = []
+    for n in np.unique(orders).tolist():
+        block = values[orders == n, :n]
+        items += zip(block.tolist(), costas_violations(block).tolist(), *(judge(block) for judge in judges))
+    # The items are grouped by order, each group in row order.
+    return [items[i] for i in np.argsort(np.argsort(orders, kind="stable")).tolist()]
+
+
+def _labels(values: np.ndarray) -> list[list[str]]:
+    """The catalog labels of each row of an (N, n) value matrix."""
+    cat = catalog(values.shape[1])
+    return [sorted(cat.get(key, ())) for key in map(tuple, least_image(planar_images(values)).tolist())]
+
+
+def _paren(values) -> str:
+    return "(" + ",".join(map(str, values)) + ")"
+
+
 # -- verify -------------------------------------------------------------
 
 
@@ -77,13 +100,11 @@ def cmd_verify(args) -> int:
     text = _read(args.input)
     if args.target == "array":
         doc, lines = [], []
-        for idx, (_, p) in enumerate(numbered_arrays(text), start=1):
-            bad = costas_violation(p)
-            doc.append({"index": idx, "values": list(p.values), "costas": bad is None,
-                        "repeated_vector": list(bad) if bad else None})
-            lines.append(f"{idx}: {p} costas" if bad is None else f"{idx}: {p} FAIL repeated vector {bad}")
+        for idx, (row, (d, diff)) in enumerate(_judged(parse_array_file(text)), start=1):
+            doc.append({"index": idx, "values": row, "costas": not d, "repeated_vector": [d, diff] if d else None})
+            lines.append(f"{idx}: {_paren(row)} " + (f"FAIL repeated vector {(d, diff)}" if d else "costas"))
         _emit(args, doc, lines)
-        return 0 if all(d["costas"] for d in doc) else 1
+        return 0 if all(entry["costas"] for entry in doc) else 1
 
     cube = parse_cube_file(text)
     named = _named(projections(cube))
@@ -227,10 +248,10 @@ def cmd_sd_set(args) -> int:
     if not is_costas_cube(cube):
         print("error: not a Costas cube", file=sys.stderr)
         return 1
-    members = projection_set(cube)
+    members = np.array([p.values for p in projection_set(cube)])
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for p in members:
-        groups.setdefault(canonical_array(p).values, []).append(p.values)
+    for key, values in zip(least_image(planar_images(members)).tolist(), members.tolist()):
+        groups.setdefault(tuple(key), []).append(tuple(values))
     classes = sorted((key, sorted(vals)) for key, vals in groups.items())
     note = " (degenerate order <= 2)" if cube.order <= 2 else ""
     _emit(args, {
@@ -239,36 +260,25 @@ def cmd_sd_set(args) -> int:
         "degenerate": cube.order <= 2,
         "classes": {" ".join(map(str, k)): [list(v) for v in vs] for k, vs in classes},
     }, [f"|S(D)| = {len(members)}{note}",
-        *(f"class ({','.join(map(str, k))}): " + " ".join("(" + ",".join(map(str, v)) + ")" for v in vs)
-          for k, vs in classes)])
+        *(f"class {_paren(k)}: " + " ".join(map(_paren, vs)) for k, vs in classes)])
     return 0
 
 
 # -- classify -----------------------------------------------------------
 
 
-def _labels(p: Permutation, cat) -> list[str]:
-    return sorted(cat.get(canonical_array(p).values, ()))
-
-
 def cmd_classify(args) -> int:
     text = _read(args.input)
     if args.target == "array":
-        cats, doc, lines = {}, [], []
-        for idx, (_, p) in enumerate(numbered_arrays(text), start=1):
-            if p.order not in cats:
-                cats[p.order] = catalog(p.order)
-            labels = _labels(p, cats[p.order])
-            doc.append({"index": idx, "values": list(p.values),
-                        "costas": costas_violation(p) is None, "labels": labels})
-            lines.append(f"{idx}: {p} {','.join(labels) or 'unlabeled'}")
+        doc, lines = [], []
+        for idx, (row, (d, _), labels) in enumerate(_judged(parse_array_file(text), _labels), start=1):
+            doc.append({"index": idx, "values": row, "costas": not d, "labels": labels})
+            lines.append(f"{idx}: {_paren(row)} {','.join(labels) or 'unlabeled'}")
         _emit(args, doc, lines)
         return 0
-    cube = parse_cube_file(text)
-    cat = catalog(cube.order)
+    t = projections(parse_cube_file(text))
     doc, lines = {}, []
-    for name, p in _named(projections(cube)):
-        labels = _labels(p, cat)
+    for (name, p), labels in zip(_named(t), _labels(np.array([t.a.values, t.b.values, t.c.values]))):
         doc[name] = {"values": list(p.values), "labels": labels}
         lines.append(f"projection {name}: {p} {','.join(labels) or 'unlabeled'}")
     _emit(args, doc, lines)
@@ -299,10 +309,11 @@ def cmd_import(args) -> int:
     if args.expect_order is not None and order != args.expect_order:
         print(f"error: file has order {order}, expected {args.expect_order}", file=sys.stderr)
         return 1
-    bad = first_non_costas(values)
-    if bad is not None:
+    found = costas_violations(values)
+    if found.any():
+        bad = int(np.argmax(found[:, 0] > 0))
         no, p = numbered_arrays(text)[bad]
-        print(f"error: line {no}: {p} is not a Costas array (repeated vector {costas_violation(p)})",
+        print(f"error: line {no}: {p} is not a Costas array (repeated vector {tuple(found[bad].tolist())})",
               file=sys.stderr)
         return 1
 

@@ -106,21 +106,34 @@ class ProjectionTriple:
 
 
 def costas_violation(perm: Permutation) -> tuple[int, int] | None:
-    """A repeated difference vector (column shift, value shift), or None.
+    """A repeated difference vector (column shift, value shift), or None:
+    costas_violations of the permutation's one row."""
+    d, diff = costas_violations(np.array([perm.values])).tolist()[0]
+    return (d, diff) if d else None
 
-    Returns the first repeat found scanning column shifts in increasing
-    order; None exactly when the permutation is Costas.
-    """
-    vals = perm.values
-    n = len(vals)
-    for d in range(1, n):
-        seen = set()
-        for j in range(n - d):
-            diff = vals[j + d] - vals[j]
-            if diff in seen:
-                return (d, diff)
-            seen.add(diff)
-    return None
+
+def costas_violations(values: np.ndarray) -> np.ndarray:
+    """Each row's first repeated difference vector (d, diff), at the least
+    shift d and then the first column repeating one to its left, or (0, 0)
+    for a Costas row: shape (N, 2) for an (N, n) matrix of permutations.
+
+    Per shift, sorted differences show a repeat as equal neighbours; only
+    for rows failing first there, a stable argsort finds the column."""
+    values = np.asarray(values, dtype=np.int32)
+    found = np.zeros((len(values), 2), dtype=np.int64)
+    # Shift n - 1 has a single difference, which cannot repeat.
+    for d in range(1, values.shape[1] - 1):
+        diffs = values[:, d:] - values[:, :-d]
+        ranked = np.sort(diffs, axis=1)
+        fail = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+        if fail.any():
+            fail &= found[:, 0] == 0
+            diffs = diffs[fail]
+            order = np.argsort(diffs, axis=1, kind="stable")
+            ranked = np.take_along_axis(diffs, order, axis=1)
+            column = np.where(ranked[:, 1:] == ranked[:, :-1], order[:, 1:], diffs.shape[1]).min(axis=1)
+            found[fail] = np.stack([np.full(len(diffs), d), diffs[np.arange(len(diffs)), column]], axis=1)
+    return found
 
 
 def value_matrix(arrays: Sequence[Permutation]) -> np.ndarray:
@@ -139,21 +152,6 @@ def distinct_rows(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate(([True], (values[1:] != values[:-1]).any(axis=1)))]
 
 
-def first_non_costas(values: np.ndarray) -> int | None:
-    """The index of the first row of an (N, n) matrix of permutation value
-    sequences that is not a Costas array, or None if every row is.
-
-    One pass per column shift d: the differences at shift d are sorted
-    along each row, and a repeat shows as two equal neighbours."""
-    values = np.asarray(values, dtype=np.int32)
-    bad = np.zeros(len(values), dtype=bool)
-    # Shift n - 1 has a single difference, which cannot repeat.
-    for d in range(1, values.shape[1] - 1):
-        diffs = np.sort(values[:, d:] - values[:, :-d], axis=1)
-        bad |= (diffs[:, 1:] == diffs[:, :-1]).any(axis=1)
-    return int(np.argmax(bad)) if bad.any() else None
-
-
 def projections(cube: CostasCube) -> ProjectionTriple:
     """The projections A, B, C of a permutation cube, as permutations."""
     n = cube.order
@@ -170,4 +168,4 @@ def projections(cube: CostasCube) -> ProjectionTriple:
 def is_costas_cube(cube: CostasCube) -> bool:
     """True iff all three projections of the cube are Costas arrays."""
     t = projections(cube)
-    return all(costas_violation(p) is None for p in (t.a, t.b, t.c))
+    return not costas_violations(value_matrix([t.a, t.b, t.c])).any()

@@ -64,7 +64,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import CostasCube, Permutation, distinct_rows, first_non_costas, value_matrix
+from .core import CostasCube, Permutation, costas_violations, distinct_rows, value_matrix
 from .reference import COSTAS_ARRAY_TOTALS
 from .symmetry import _row_keys, first_of_each_class, least_image, planar_images
 
@@ -412,7 +412,7 @@ def _check_complete(values: np.ndarray, n: int) -> np.ndarray:
     _, firsts, classes, members = np.unique(
         _row_keys(least), return_index=True, return_inverse=True, return_counts=True
     )
-    if first_non_costas(least[firsts]) is not None:
+    if costas_violations(least[firsts]).any():
         _check_costas(values)
     # The rows are distinct, so a row's class is whole when its members
     # are as many as its orbit: 8 over the number of its images equal to it.
@@ -431,9 +431,9 @@ def _check_complete(values: np.ndarray, n: int) -> np.ndarray:
 def _check_costas(values: np.ndarray) -> None:
     """Raise naming the first row of a value matrix that is not a Costas
     array, if any."""
-    bad = first_non_costas(values)
-    if bad is not None:
-        raise ValueError(f"array {_as_permutation(values[bad])} is not a Costas array")
+    bad = np.flatnonzero(costas_violations(values)[:, 0])
+    if len(bad):
+        raise ValueError(f"array {_as_permutation(values[bad[0]])} is not a Costas array")
 
 
 # First arrays per block meet about this many second arrays, so that the

@@ -3,11 +3,11 @@
 Array files hold one permutation per line as whitespace-separated
 1-based values; lines starting with '#' and blank lines are ignored.
 Each value is read as int() reads it.  parse_array_file gives the arrays
-of a file as one value matrix, for the pair-join and import: numpy's C
-reader (np.loadtxt) converts the array lines in one call, and text it
-refuses goes to numbered_arrays.  numbered_arrays gives one validated
-Permutation per line, for verify and classify, and names the first bad
-line and import's failing line.
+of a file as one value matrix, for every command that reads an array
+file: numpy's C reader (np.loadtxt) converts the array lines in one call,
+and text it refuses goes to numbered_arrays.  numbered_arrays gives one
+validated Permutation per line, only to name a bad line: the first line
+that does not parse, and import's first non-Costas line.
 
 Cube files are either a JSON document {"order": n, "triples": [[i, j, k],
 ...]} (extra keys ignored) or plain text with one "i j k" line per row,

@@ -1,7 +1,8 @@
 """Shared fixtures, known worked examples, a session enumeration cache,
-and the reference oracles: the per-element symmetry action, projection-pair
-reconstruction and digit-level field arithmetic that the package's numpy
-kernels and log tables are checked against."""
+and the reference oracles: the difference scan of the Costas check, the
+per-element symmetry action, projection-pair reconstruction and
+digit-level field arithmetic that the package's numpy kernels and log
+tables are checked against."""
 
 import functools
 
@@ -84,6 +85,24 @@ GF27_D_C = (21, 2, 7, 3, 13, 1, 4, 8, 19, 17, 23, 12, 20, 11, 10, 22, 15, 9, 18,
 GF27_E_A = GF27_D_A
 GF27_E_B = (19, 23, 21, 18, 5, 4, 22, 17, 7, 10, 11, 13, 20, 2, 8, 1, 15, 6, 16, 12, 24, 9, 14, 3)
 GF27_E_C = (9, 11, 1, 19, 20, 7, 16, 10, 3, 15, 14, 5, 13, 2, 8, 6, 17, 21, 24, 12, 22, 18, 23, 4)
+
+
+# -- Costas oracle -------------------------------------------------------
+
+
+def costas_violation_oracle(values) -> tuple[int, int]:
+    """The first repeated difference vector (d, diff) of a value sequence,
+    scanning column shifts d in increasing order and, at each, the
+    columns from the left; (0, 0) for a Costas array."""
+    n = len(values)
+    for d in range(1, n):
+        seen = set()
+        for j in range(n - d):
+            diff = values[j + d] - values[j]
+            if diff in seen:
+                return (d, diff)
+            seen.add(diff)
+    return (0, 0)
 
 
 # -- symmetry oracles ----------------------------------------------------

@@ -1,17 +1,21 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from costas_cubes import cli, construct, enumeration, reference
 from costas_cubes.cli import main
 from costas_cubes.construct import catalog, w1
 from costas_cubes.core import CostasCube, Permutation
 from costas_cubes.files import emit_array_file, emit_cube_file, parse_array_file, parse_cube_file
+from costas_cubes.symmetry import least_image
 
 from conftest import (
     GF16_J,
@@ -20,6 +24,7 @@ from conftest import (
     P13_A,
     SMALL_SD_TRIPLES,
     costas_arrays,
+    costas_violation_oracle,
     cube_from_jk,
     least_image_oracle,
     order7_without_one_class,
@@ -337,6 +342,63 @@ def test_classify_array_builds_one_catalog_per_order(capsys, tmp_path, monkeypat
     assert code == 0
     assert len(out.splitlines()) == 7
     assert calls == [5, 11]
+
+
+def test_classify_array_canonicalises_once_per_order(capsys, tmp_path, monkeypatch):
+    """classify array forms the least images of all the arrays of one
+    order in one least_image call, in ascending order."""
+    orders = []
+
+    def counting_least_image(images):
+        orders.append(images.shape[-1])
+        return least_image(images)
+
+    monkeypatch.setattr(cli, "least_image", counting_least_image)
+    path = tmp_path / "a.txt"
+    path.write_text(emit_array_file([p.values for p in costas_arrays(5)[:3]] + [P13_A] + [p.values for p in costas_arrays(5)[3:6]]))
+    code, out, _ = run(capsys, "classify", "array", str(path))
+    assert code == 0
+    assert len(out.splitlines()) == 7
+    assert orders == [5, 11]
+
+
+@st.composite
+def mixed_order_rows(draw):
+    """Value sequences of orders 1-8 in a drawn order, each a Costas array
+    or a drawn permutation, which may or may not be one."""
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        n = draw(st.integers(1, 8))
+        if draw(st.booleans()):
+            rows.append(draw(st.sampled_from(costas_arrays(n))).values)
+        else:
+            rows.append(tuple(draw(st.permutations(range(1, n + 1)))))
+    return rows
+
+
+_catalog = functools.cache(catalog)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_order_rows())
+def test_verify_and_classify_array_over_mixed_orders_match_per_line_oracle(rows):
+    """verify array and classify array judge the arrays of each order in
+    one pass, and report them in file order, line by line as the scan
+    oracle, the catalog and the least-image oracle do."""
+    found = [costas_violation_oracle(v) for v in rows]
+    verify = [{"index": i, "values": list(v), "costas": f == (0, 0),
+               "repeated_vector": None if f == (0, 0) else list(f)}
+              for i, (v, f) in enumerate(zip(rows, found), start=1)]
+    classify = [{"index": i, "values": list(v), "costas": f == (0, 0),
+                 "labels": sorted(_catalog(len(v)).get(least_image_oracle(Permutation(v)), ()))}
+                for i, (v, f) in enumerate(zip(rows, found), start=1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "arrays.txt"
+        path.write_text(emit_array_file(rows))
+        got = {cmd: golden_run([cmd, "array", str(path), "--format", "machine"]) for cmd in ("verify", "classify")}
+    assert (got["verify"]["code"], json.loads(got["verify"]["stdout"])) == (
+        0 if all(f == (0, 0) for f in found) else 1, verify)
+    assert (got["classify"]["code"], json.loads(got["classify"]["stdout"])) == (0, classify)
 
 
 def test_main_builds_one_parser(capsys, order6_file):

@@ -10,7 +10,7 @@ from costas_cubes.core import (
     CostasCube,
     Permutation,
     costas_violation,
-    first_non_costas,
+    costas_violations,
     is_costas_cube,
     projections,
 )
@@ -31,6 +31,7 @@ from conftest import (
     P13_K,
     admissible,
     costas_arrays,
+    costas_violation_oracle,
     cube_from_jk,
     cube_from_pair,
     inverse,
@@ -116,27 +117,23 @@ def test_costas_agrees_with_autocorrelation_random(vals):
         assert sum(p.values[j + d] - p.values[j] == diff for j in range(p.order - d)) >= 2
 
 
-def _first_bad(rows) -> int | None:
-    return next((i for i, v in enumerate(rows) if costas_violation(Permutation(tuple(v)))), None)
-
-
-def test_first_non_costas_exhaustive_orders_1_to_7():
-    """Every permutation of orders 1-7, one row at a time and as one
-    matrix, against the single-array costas_violation."""
+def test_costas_violations_exhaustive_orders_1_to_7():
+    """Every permutation of orders 1-7, as one matrix in its signed and
+    in its least unsigned dtype, and one row at a time through
+    costas_violation: the full (d, diff) of every row is the scan
+    oracle's."""
     for n in range(1, 8):
         values = np.array(list(itertools.permutations(range(1, n + 1)))).reshape(-1, n)
-        assert [first_non_costas(values[i : i + 1]) is None for i in range(len(values))] == [
-            costas_violation(Permutation(tuple(v))) is None for v in values.tolist()
-        ]
-        assert first_non_costas(values) == _first_bad(values.tolist())
-        costas = values[[costas_violation(Permutation(tuple(v))) is None for v in values.tolist()]]
-        assert first_non_costas(costas) is None
+        want = [costas_violation_oracle(v) for v in values.tolist()]
+        assert list(map(tuple, costas_violations(values).tolist())) == want
+        assert list(map(tuple, costas_violations(values.astype(np.uint8)).tolist())) == want
+        assert [costas_violation(Permutation(tuple(v))) or (0, 0) for v in values.tolist()] == want
 
 
-def test_first_non_costas_random_order_29_rows():
+def test_costas_violations_random_order_29_rows():
     """Lempel-Golomb arrays of order 29 and their planar images, with a
-    near miss (two values swapped) or a random permutation at a random
-    place: the first bad row is found by its index."""
+    few near misses (two values swapped) or random permutations at random
+    places: the full (d, diff) of every row is the scan oracle's."""
     from costas_cubes.construct import g2
     from costas_cubes.gf import field_new
     from costas_cubes.core import value_matrix
@@ -147,16 +144,17 @@ def test_first_non_costas_random_order_29_rows():
     rng = random.Random(29)
     arrays = [g2(field, rng.choice(phis), rng.choice(phis)) for _ in range(8)]
     good = planar_images(value_matrix(arrays)).reshape(-1, 29).astype(np.int64)
-    assert first_non_costas(good) is None
+    assert not costas_violations(good).any()
     for trial in range(40):
         rows = good[rng.sample(range(len(good)), 20)].copy()
-        at = rng.randrange(len(rows))
-        if trial % 2:
-            i, j = rng.sample(range(29), 2)
-            rows[at, [i, j]] = rows[at, [j, i]]
-        else:
-            rows[at] = rng.sample(range(1, 30), 29)
-        assert first_non_costas(rows) == _first_bad(rows.tolist())
+        for at in rng.sample(range(len(rows)), rng.randint(1, 4)):
+            if trial % 2:
+                i, j = rng.sample(range(29), 2)
+                rows[at, [i, j]] = rows[at, [j, i]]
+            else:
+                rows[at] = rng.sample(range(1, 30), 29)
+        assert list(map(tuple, costas_violations(rows).tolist())) == [
+            costas_violation_oracle(v) for v in rows.tolist()]
 
 
 def test_projections_order6(order6_cube):
