@@ -37,23 +37,31 @@ of B and rev B has a first value less than its last, so B ranges over
 the arrays whose first value is at most their last, which is half of
 each class (at order 1 the one array is kept), and every cube class
 still has a hit.  The scan indexes the list by a hashed key of each
-whole row; C is looked up by its key, and compared in full only when
-the key occurs.  Class counts come from canonical forms, and a hit in
-the orbit of a class already found is not canonicalised again.  The
-projection classes are counted from the hits: the classes of each hit's
-rows A and B and of the row its lookup of C finds.  The arrays a cube's
-orbit projects are the square images of its three projections, so any
-one hit of a cube class gives that class's projection classes.  None of
-this needs the list to be complete, only closed under the square
-symmetries.
+whole row; C is looked up by its key, and compared in full only when the
+key occurs.  The keys of a block of first arrays are one float matrix
+product, read raveled: one gather from the table of the keys that occur
+and one flatnonzero, whose positions give the pairs (first, second) by
+one divmod by the block's width.  Class counts come from canonical
+forms, and a hit in the orbit of a class already found is not
+canonicalised again.  The projection classes are counted from the hits:
+the classes of each hit's rows A and B and of the row its lookup of C
+finds.  The arrays a cube's orbit projects are the square images of its
+three projections, so any one hit of a cube class gives that class's
+projection classes.  None of this needs the list to be complete, only
+closed under the square symmetries.
 
 The array list reaches the join as one (N, n) value matrix, from
 costas_values or files.parse_array_file.  The completeness check reads
 duplicates from one sort of the list and classes from one sort of its
-least images.  The square symmetries keep the Costas property, so once
-every row is known to be a permutation of 1..n the Costas check runs on
-one least image per class, and over the rows only to name the first
-faulty array.  Permutations are built only to name a faulty array.
+least images.  It tests that each row is a permutation of 1..n by no
+sort: once every value is known to lie in 1..n, one scatter of the rows'
+inverses (symmetry.inverse_rows) writes only each row's own slots, and a
+row is a permutation when it leaves none of them 0.  The planar images
+are formed from those inverses, and the scan's inverses of A and B from
+the same scatter.  The square symmetries keep the Costas property, so
+once every row is known to be a permutation of 1..n the Costas check
+runs on one least image per class, and over the rows only to name the
+first faulty array.  Permutations are built only to name a faulty array.
 """
 
 from __future__ import annotations
@@ -66,7 +74,7 @@ import numpy as np
 
 from .core import CostasCube, Permutation, costas_violations, distinct_rows, value_matrix
 from .reference import COSTAS_ARRAY_TOTALS
-from .symmetry import _row_keys, first_of_each_class, least_image, planar_images
+from .symmetry import _row_keys, first_of_each_class, inverse_rows, least_image, planar_images
 
 DEFAULT_ORDER_LIMIT = 13
 
@@ -399,15 +407,19 @@ def _check_complete(values: np.ndarray, n: int) -> np.ndarray:
         # wrong order, so that the first faulty array is the one named.
         wrong = int(np.argmax(wrong_order))
         _check_costas(values[:wrong, :n])
-        p = _as_permutation(values[wrong])
-        raise ValueError(f"array {p} has order {p.order}, expected {n}")
+        row = [v for v in values[wrong].tolist() if v]
+        raise ValueError(f"array ({','.join(map(str, row))}) has order {len(row)}, expected {n}")
     # Only for permutations is a row Costas exactly when its least image
-    # is.  Every row has n nonzero values, so a wider row is none.
-    bijective = (np.sort(values, axis=1) == np.arange(1, values.shape[1] + 1)).all(axis=1)
+    # is.  Every row has n nonzero values, so a wider row holds a 0.  A row
+    # of values in 1..n writes only its own slots of the inverse scatter,
+    # and is a permutation when it leaves none of them 0.
+    bijective = ((values >= 1) & (values <= n)).all(axis=1)
+    inverse = inverse_rows(values[bijective])
+    bijective[bijective] = inverse.all(axis=1)
     if not bijective.all():
         row = values[np.argmin(bijective)].tolist()
         raise ValueError(f"array ({','.join(map(str, row))}) is not a permutation of 1..{n}")
-    images = planar_images(values)
+    images = planar_images(values, inverse)
     least = least_image(images)
     _, firsts, classes, members = np.unique(
         _row_keys(least), return_index=True, return_inverse=True, return_counts=True
@@ -457,7 +469,7 @@ def _scan(values: np.ndarray, classes: np.ndarray) -> tuple[list[CostasCube], in
     (firsts,) = np.nonzero(np.diff(ordered, prepend=-1))
     idx = table[by_class]
     n = idx.shape[1]
-    inverses = np.argsort(idx, axis=1).astype(idx.dtype)
+    inverses = inverse_rows(values[by_class]) - 1
     # An array and its reversal are of one class: the second arrays, in
     # class order, are those whose first value is at most their last, and
     # those from a first array on begin at its position among them.
@@ -465,30 +477,35 @@ def _scan(values: np.ndarray, classes: np.ndarray) -> tuple[list[CostasCube], in
     starts = np.searchsorted(seconds, firsts)
     second_rows = idx[seconds]
     # The key of A^-1 B is z @ weights[b] mod R for the zero-based inverse
-    # z of A, and the float product is exact.
-    weights = index.weights.astype(float)[inverses[seconds]]
+    # z of A, and the float product is exact.  Column s of the weight
+    # matrix is the weights of second array s, and row t of the float
+    # matrix is the inverse of first array t.
+    weights = np.ascontiguousarray(index.weights.astype(float)[inverses[seconds]].T)
+    first_inverses = inverses[firsts].astype(float)
     # The hit cubes of every block, as rows j_1, k_1, ..., j_n, k_n, and
     # the classes of their projections A, B and C.
     hits, projected = [], []
     start = 0
     while start < len(firsts):
         lo = starts[start]
-        step = max(1, _BLOCK_PAIRS // (len(seconds) - lo))
+        width = len(seconds) - lo
+        step = max(1, _BLOCK_PAIRS // width)
         block, block_starts = firsts[start : start + step], starts[start : start + step]
-        start += step
-        z = inverses[block]
         # Projection C of the cube with projections (A, B) is A^-1 B: its
         # key is linear in A^-1, and only pairs whose key occurs are
-        # compared in full.
-        keys = (z @ weights[lo:].T).astype(np.int64)
+        # compared in full.  The filter reads the block's keys raveled.
+        keys = (first_inverses[start : start + step] @ weights[:, lo:]).astype(np.int64).ravel()
+        start += step
         keys &= index.mask
-        first, second = np.nonzero(index.occurs[keys])
-        keys = keys[first, second]
+        pairs = np.flatnonzero(np.take(index.occurs, keys))
+        keys = keys[pairs]
+        first, second = np.divmod(pairs, width)
         second += lo
         # The block's later first arrays keep only the second arrays from
         # their own position on.
         keep = second >= block_starts[first]
         first, second, keys = first[keep], second[keep], keys[keep]
+        z = inverses[block]
         c_rows = z[first[:, None], second_rows[second]]
         c_at = index.find(c_rows, keys)
         hit = c_at >= 0

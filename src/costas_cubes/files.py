@@ -4,10 +4,11 @@ Array files hold one permutation per line as whitespace-separated
 1-based values; lines starting with '#' and blank lines are ignored.
 Each value is read as int() reads it.  parse_array_file gives the arrays
 of a file as one value matrix, for every command that reads an array
-file: numpy's C reader (np.loadtxt) converts the array lines in one call,
-and text it refuses goes to numbered_arrays.  numbered_arrays gives one
-validated Permutation per line, only to name a bad line: the first line
-that does not parse, and import's first non-Costas line.
+file: numpy's C reader (np.loadtxt) converts the array lines in one
+call, or in one call per array order, and text it refuses goes to
+numbered_arrays.  numbered_arrays gives one validated Permutation per
+line, only to name a bad line: the first line that does not parse, and
+import's first non-Costas line.
 
 Cube files are either a JSON document {"order": n, "triples": [[i, j, k],
 ...]} (extra keys ignored) or plain text with one "i j k" line per row,
@@ -44,29 +45,45 @@ def numbered_arrays(text: str) -> list[tuple[int, Permutation]]:
 def parse_array_file(text: str) -> np.ndarray:
     """The arrays of an array file as the rows of one (N, n) value matrix.
 
-    np.loadtxt converts the array lines in one call, and fails unless
-    every line holds as many tokens as the first; one sort along the rows
-    checks that each row is a bijection on 1..n.  The C reader accepts a
-    subset of what int() reads, and its result is taken only when the
-    call raised no warning (older numpy reads 1.0 as an integer, with a
-    DeprecationWarning).  Any other text, and a file with no array
-    lines, is read again by numbered_arrays, which names its first bad
-    line; a file whose arrays are all valid but of more than one order
-    gives their value_matrix, zero-padded.
+    np.loadtxt converts the array lines in one call when every line holds
+    as many tokens as the first, and otherwise in one call per token
+    count, whose rows are zero-padded back into file order as value_matrix
+    pads them.  One sort along the rows of each call checks that each row
+    is a bijection on 1..n.  The C reader accepts a subset of what int()
+    reads, and its result is taken only when the call raised no warning
+    (older numpy reads 1.0 as an integer, with a DeprecationWarning).  Any
+    other text, and a file with no array lines, is read again by
+    numbered_arrays, which names its first bad line.
     """
     lines = [line for line in text.splitlines() if line.strip()[:1] not in ("", "#")]
-    values = np.empty(0)
-    if lines:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                values = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
-            except (ValueError, OverflowError, Warning):
-                pass
-    n = values.shape[-1]
-    if values.ndim == 2 and (np.sort(values, axis=1) == np.arange(1, n + 1)).all():
-        return values.astype(np.min_scalar_type(n))
-    return value_matrix([p for _, p in numbered_arrays(text)])
+    values = _bijections(lines)
+    if values is None and lines:
+        counts = np.array([len(line.split()) for line in lines])
+        values = np.zeros((len(lines), counts.max()), dtype=np.int64)
+        for k in np.unique(counts).tolist():
+            (at,) = np.nonzero(counts == k)
+            block = _bijections([lines[i] for i in at.tolist()])
+            if block is None or block.shape[1] != k:
+                values = None
+                break
+            values[at, :k] = block
+    if values is None:
+        return value_matrix([p for _, p in numbered_arrays(text)])
+    return values.astype(np.min_scalar_type(values.shape[1]))
+
+
+def _bijections(lines: list[str]) -> np.ndarray | None:
+    """The lines as one int64 matrix read by np.loadtxt, or None when there
+    are none, the read raises or warns, or a row is not a bijection on 1..n."""
+    if not lines:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+        except (ValueError, OverflowError, Warning):
+            return None
+    return values if (np.sort(values, axis=1) == np.arange(1, values.shape[1] + 1)).all() else None
 
 
 def emit_array_file(rows: Iterable[Sequence[int]], comments: Sequence[str] = ()) -> str:

@@ -8,9 +8,10 @@ after normalization, matching notation such as <1 + x^3 + x^4>.
 Each field keeps one table, to its least primitive element g
 (FieldSpec.tables): exp, log and the Zech column Z[t] = log(1 - g^t).
 The field has no other arithmetic: the constructions work on these logs,
-and 1 - g^t is exp[Z[t]].  Prime fields use the same code path with
-the implicit modulus x, so the encoding of an element of GF(p) is simply
-its least residue.  The table is also the only source of primitivity:
+and 1 - g^t is exp[Z[t]].  The table is walked with one multiply,
+digit by digit, and carry-less for p = 2.  Prime fields use the same
+code path with the implicit modulus x, so the encoding of an element of
+GF(p) is simply its least residue.  The table is also the only source of primitivity:
 e = g^t is primitive iff gcd(t, q-1) = 1, and the log of e to any other
 primitive base rho = g^b is log_g(e) * b^(-1) mod q-1.  The admissible
 parameter lists are _primitive_logs, one pass over log in element order:
@@ -115,7 +116,20 @@ class FieldSpec:
 
     def _mul_raw(self, a: FieldElement, b: FieldElement) -> FieldElement:
         """Product of the digit polynomials, reduced by the modulus; only
-        the table walk calls it.  Zero digits of a are skipped."""
+        the table walk calls it.  Zero digits of a are skipped.  For p = 2
+        the digits are bits and the product is carry-less: b times x^s
+        for each bit s of a, reduced by the modulus whenever it reaches
+        degree m."""
+        if self.p == 2:
+            r = 0
+            while a:
+                if a & 1:
+                    r ^= b
+                a >>= 1
+                b <<= 1
+                if b >> self.m:
+                    b ^= self._modulus_bits
+            return r
         prod = [0] * (2 * self.m - 1)
         db = self.digits(b)
         for s, ca in enumerate(self.digits(a)):
@@ -138,6 +152,11 @@ class FieldSpec:
         to 1 raises ValueError.
         """
         return self._tables
+
+    @functools.cached_property
+    def _modulus_bits(self) -> int:
+        """The modulus as an integer, bit t its coefficient of x^t (p = 2)."""
+        return self.encode(self.modulus)
 
     @functools.cached_property
     def _tables(self) -> tuple[list[int], list[int], list[int]]:

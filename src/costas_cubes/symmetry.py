@@ -7,10 +7,12 @@ two axes this gives the 8 square symmetries; with three axes the 48 cube
 symmetries.
 
 Canonical forms and orbits read all images of an object at once.  One
-numpy pass forms the 8 square images of a whole value matrix, and the
-least is found one column at a time, among the images still least on
-every column before it.  The 48 images of a cube are one gather, through
-an index table built once per order, from 18 sequences of its
+numpy pass forms the 8 square images of a whole value matrix, its rows'
+inverses from one scatter, and the least is found column by column,
+among the images still least on every column before it: an array whose
+least image is the only one left stops being read, and the pass ends
+once every array has one.  The 48 images of a cube are one gather,
+through an index table built once per order, from 18 sequences of its
 coordinates: i, j and k and their complements, each listed in the order
 of i, of j and of k.  A cube's row list is keyed by its bytes as
 big-endian unsigned words of the least width for its order, whose byte
@@ -23,6 +25,7 @@ square images of its projections A, B and C.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import permutations as _axis_orders, product as _product
 from typing import Iterator
@@ -52,12 +55,33 @@ PLANAR_SYMMETRIES: tuple[AxisSymmetry, ...] = _group(2)
 CUBE_SYMMETRIES: tuple[AxisSymmetry, ...] = _group(3)
 
 
-def planar_images(values: np.ndarray) -> np.ndarray:
+def inverse_rows(values: np.ndarray) -> np.ndarray:
+    """The inverses of the rows of an (N, n) value matrix, as 1-based value
+    rows in its dtype, from one scatter: value v at position j of a row
+    writes j to slot v of that row's inverse.
+
+    The slots are row-relative, so a value outside 1..n writes into
+    another row's inverse or past the matrix: only rows known to be
+    permutations of 1..n may be given, or rows whose every value is known
+    to lie in 1..n.  Then each row writes only its own slots, a slot that
+    no value names is left 0, and a row is a permutation exactly when its
+    inverse has no 0."""
+    count, n = values.shape
+    inverse = np.zeros(values.shape, values.dtype)
+    if values.size:
+        slots = np.add(values, np.arange(-1, count * n - 1, n)[:, None], dtype=np.intp)
+        np.put(inverse, slots, np.arange(1, n + 1, dtype=values.dtype))
+    return inverse
+
+
+def planar_images(values: np.ndarray, inverse: np.ndarray | None = None) -> np.ndarray:
     """Value matrices of the images of the rows of an (N, n) value matrix
-    under PLANAR_SYMMETRIES, in that order: shape (8, N, n), in the
-    matrix's dtype."""
+    of permutations of 1..n under PLANAR_SYMMETRIES, in that order: shape
+    (8, N, n), in the matrix's dtype.  inverse, if given, is the matrix's
+    inverse_rows."""
     n = values.shape[1]
-    inverse = np.argsort(values, axis=1).astype(values.dtype) + 1
+    if inverse is None:
+        inverse = inverse_rows(values)
     images = np.empty((len(PLANAR_SYMMETRIES),) + values.shape, values.dtype)
     for s, sym in enumerate(PLANAR_SYMMETRIES):
         # Swapping the axes inverts the permutation, flipping the second
@@ -75,12 +99,31 @@ def _least(images: np.ndarray) -> np.ndarray:
     index where rows tie.
 
     Columns are read in turn, and an image stays live while each column
-    so far holds the least value of any live image of its position."""
-    live = np.ones(images.shape[:-1], dtype=bool)
-    top = np.iinfo(images.dtype).max
-    for column in np.moveaxis(images, -1, 0):
-        live &= column == column.min(axis=0, initial=top, where=live)
-    return live.argmax(axis=0)
+    so far holds the least value of any live image of its position.  A
+    position with one live image is settled and no longer read, and the
+    columns stop once every position is settled; positions still tied
+    after the last column take their first live image."""
+    count, width = images.shape[0], images.shape[-1]
+    flat = images.reshape(count, math.prod(images.shape[1:-1]), width)
+    least = np.zeros(flat.shape[1], dtype=np.intp)
+    open_ = np.arange(flat.shape[1])
+    live = np.ones((count, len(open_)), dtype=bool)
+    top = images.dtype.type(np.iinfo(images.dtype).max)
+    for j in range(width):
+        if not len(open_):
+            break
+        # An image no longer live reads the dtype's maximum, so that a plain
+        # min finds the least live value (a where= reduction is far slower).
+        dead = np.multiply(~live, top, dtype=images.dtype)
+        column = np.maximum(np.take(flat[:, :, j], open_, axis=1), dead)
+        live &= column == column.min(axis=0)
+        settled = live.sum(axis=0, dtype=np.min_scalar_type(count)) == 1
+        if settled.any():
+            least[open_[settled]] = live[:, settled].argmax(axis=0)
+            keep = ~settled
+            open_, live = open_[keep], live.compress(keep, axis=1)
+    least[open_] = live.argmax(axis=0)
+    return least.reshape(images.shape[1:-1])
 
 
 def least_image(images: np.ndarray) -> np.ndarray:

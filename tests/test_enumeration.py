@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from costas_cubes import enumeration, symmetry
+from costas_cubes.cli import main
 from costas_cubes.construct import default_field, g2, w1
 from costas_cubes.core import (
     CostasCube,
@@ -462,6 +463,76 @@ def test_join_keeps_one_of_each_reversal_pair(monkeypatch):
     assert class_report(1, costas_values(1)).cube_classes == 1
 
 
+def _scan_hits_2d_oracle(values, classes, block_pairs):
+    """The rows _scan hands the class walk, in order, and its count of
+    projection classes, from its block loop with a 2-D key filter: each
+    block's keys as a (first, second) matrix, kept by a 2-D gather of the
+    occurring keys and np.nonzero, and the inverses from argsort."""
+    table = values - 1
+    index = _RowIndex(table)
+    by_class = np.argsort(classes, kind="stable")
+    ordered = classes[by_class]
+    (firsts,) = np.nonzero(np.diff(ordered, prepend=-1))
+    idx = table[by_class]
+    n = idx.shape[1]
+    inverses = np.argsort(idx, axis=1).astype(idx.dtype)
+    (seconds,) = np.nonzero(idx[:, 0] <= idx[:, -1])
+    starts = np.searchsorted(seconds, firsts)
+    second_rows = idx[seconds]
+    weights = index.weights.astype(float)[inverses[seconds]]
+    hits, projected = [], []
+    start = 0
+    while start < len(firsts):
+        lo = starts[start]
+        step = max(1, block_pairs // (len(seconds) - lo))
+        block, block_starts = firsts[start : start + step], starts[start : start + step]
+        start += step
+        z = inverses[block]
+        keys = (z @ weights[lo:].T).astype(np.int64) & index.mask
+        first, second = np.nonzero(index.occurs[keys])
+        keys = keys[first, second]
+        second += lo
+        keep = second >= block_starts[first]
+        first, second, keys = first[keep], second[keep], keys[keep]
+        c_at = index.find(z[first[:, None], second_rows[second]], keys)
+        hit = c_at >= 0
+        a_at, b_at = block[first[hit]], seconds[second[hit]]
+        hits.append(np.stack((inverses[a_at], inverses[b_at]), axis=2).reshape(-1, 2 * n))
+        projected.append(np.concatenate((ordered[a_at], ordered[b_at], classes[c_at[hit]])))
+    return np.concatenate(hits) + 1, len(np.unique(np.concatenate(projected)))
+
+
+@pytest.mark.parametrize("block_pairs", [enumeration._BLOCK_PAIRS, 97])
+def test_scan_hits_match_the_2d_filter_oracle(monkeypatch, block_pairs):
+    """The flat key filter and the scatter inverses hand the class walk the
+    rows of the 2-D filter, row for row, and count the same projection
+    classes: at orders 1-11, and over the closed but incomplete order-7
+    list; in the default blocks and in blocks of about 97 pairs, where most
+    blocks hold a few first arrays of unequal reach."""
+    handed = []
+    walk = enumeration.first_of_each_class
+
+    def recorded(rows):
+        handed.append(rows)
+        return walk(rows)
+
+    monkeypatch.setattr(enumeration, "first_of_each_class", recorded)
+    monkeypatch.setattr(enumeration, "_BLOCK_PAIRS", block_pairs)
+    cases = [(v, _check_complete(v, n)) for n, v in ((n, costas_values(n)) for n in range(1, 11))]
+    database = parse_array_file(ORDER11_DATABASE.read_text())
+    cases.append((database, _check_complete(database, 11)))
+    closed = order7_without_one_class()
+    least = [least_image_oracle(p) for p in closed]
+    number = {key: at for at, key in enumerate(sorted(set(least)))}
+    cases.append((value_matrix(closed), np.array([number[key] for key in least])))
+    for values, classes in cases:
+        rows, projection_classes = _scan_hits_2d_oracle(values, classes, block_pairs)
+        handed.clear()
+        _, count = enumeration._scan(values, classes)
+        assert handed[0].tolist() == rows.tolist()
+        assert count == projection_classes
+
+
 def test_join_over_a_closed_incomplete_list():
     """The join's argument needs only closure under the square symmetries:
     over the order-7 arrays without one class, with classes numbered by
@@ -646,6 +717,33 @@ def test_check_complete_refuses_rows_that_are_not_permutations():
     # A row with n nonzero values but wider than n is no permutation of 1..n.
     with pytest.raises(ValueError, match=r"^array \(0,1\) is not a permutation of 1..1$"):
         _check_complete(np.array([[0, 1]]), 1)
+
+
+@pytest.mark.parametrize("dtype, n", [(np.uint8, 5), (np.uint16, 5), (np.uint16, 256)])
+def test_class_report_refuses_rows_with_a_value_outside_a_permutation(capsys, tmp_path, dtype, n):
+    """A row of a list of 40 Costas arrays of order n (those of order 5,
+    or the Welch arrays 3^(i+c) mod 257 of order 256, c < 40) holding 0,
+    n+1, 255 or a repeated value, first, in the middle or last, makes
+    class_report raise, naming that row; the same line makes enumerate
+    --arrays-file exit 2.  Values outside 1..n never reach the inverse
+    scatter, whose slots are row-relative."""
+    welch = [[pow(3, i + c, 257) for i in range(256)] for c in range(40)]
+    arrays = (costas_values(5) if n == 5 else np.array(welch)).astype(dtype)
+    assert arrays.shape == (40, n) and not costas_violations(arrays).any()
+    for at in (0, 17, 39):
+        for value in (0, n + 1, 255, None):
+            bad = arrays.copy()
+            bad[at, 2] = bad[at, 1] if value is None else value
+            row = ",".join(str(v) for v in bad[at].tolist() if v)
+            message = (rf"^array \({row}\) has order {n - 1}, expected {n}$" if value == 0
+                       else rf"^array \({row}\) is not a permutation of 1..{n}$")
+            with pytest.raises(ValueError, match=message):
+                class_report(n, bad)
+            path = tmp_path / "db.txt"
+            path.write_text("".join(" ".join(map(str, r)) + "\n" for r in bad.tolist()))
+            assert main(["enumerate", "--order", str(n), "--arrays-file", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: line {at + 1}: "), err
 
 
 def test_projection_class_count_examples():

@@ -1,10 +1,12 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from costas_cubes import files
 from costas_cubes.cli import main
 from costas_cubes.core import CostasCube, Permutation, value_matrix
 from costas_cubes.files import (
@@ -101,6 +103,45 @@ def test_parse_array_file_needs_every_line_at_full_width():
     with pytest.raises(ValueError, match=r"^line 2: \(1, 2, 1\) is not a bijection on 1..3$"):
         parse_array_file("1 2\n1 2 1\n2\n")
     assert parse_array_file("2 1\n1\n").tolist() == [[2, 1], [1, 0]]
+
+
+ORDER11_DATABASE = Path(__file__).parents[1] / "perfbench" / "data" / "costas_order11.txt"
+
+
+def test_mixed_order_file_reads_once_per_order(tmp_path, monkeypatch, capsys):
+    """The order-11 database with lines of orders 6, 1 and 5 put in is read
+    by one np.loadtxt per order, without numbered_arrays, into the value
+    matrix of the per-line route; verify array and classify array print
+    what they print when every line takes the per-line route."""
+    lines = ORDER11_DATABASE.read_text().splitlines(keepends=True)
+    lines[40:40] = ["1 2 4 3 6 5\n", "# a comment\n", "1\n"]
+    lines[3000:3000] = ["\t2 4 5 1 3\n"]
+    text = "".join(lines)
+    path = tmp_path / "mixed.txt"
+    path.write_text(text)
+    expected = value_matrix([p for _, p in numbered_arrays(text)])
+    assert expected.shape == (4371, 11)
+    read = np.loadtxt
+    calls = []
+
+    def counted(lines, **kwargs):
+        calls.append(len(lines))
+        return read(lines, **kwargs)
+
+    def argv():
+        return [[cmd, "array", str(path)] + fmt for cmd in ("verify", "classify") for fmt in ([], ["--format", "machine"])]
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    with monkeypatch.context() as m:
+        m.setattr(files, "numbered_arrays", lambda text: pytest.fail("numbered_arrays called"))
+        values = parse_array_file(text)
+        assert calls == [4371, 1, 1, 1, 4368]
+        fast = [(main(a), capsys.readouterr()) for a in argv()]
+    assert values.dtype == expected.dtype and np.array_equal(values, expected)
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: pytest.fail("loadtxt called"))
+    monkeypatch.setattr(files, "_bijections", lambda lines: None)
+    assert [(main(a), capsys.readouterr()) for a in argv()] == fast
+    assert [code for code, _ in fast] == [1, 1, 0, 0]
 
 
 @pytest.mark.filterwarnings("error")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from costas_cubes import gf
+from costas_cubes.construct import default_field
 from costas_cubes.gf import (
     FieldSpec,
     _primitive_logs,
@@ -222,6 +223,51 @@ def test_exp_log_round_trip():
         for t in range(f.q - 1):
             assert log[exp[t]] == t
             assert exp[t] == field_pow(f, g, t)
+
+
+def _digit_walk_tables(field):
+    """Oracle: (exp, log, zech) by the walk tables() describes, with every
+    product from the digit-level field_mul: g is the least element whose
+    powers reach 1 only after q-1 steps, and zech[t] = log(1 - g^t)."""
+    q = field.q
+    for g in range(1, q):
+        exp, acc = [1], g
+        while acc != 1 and len(exp) < q - 1:
+            exp.append(acc)
+            acc = field_mul(field, g, acc)
+        if acc == 1 and len(exp) == q - 1:
+            break
+    log = [0] * q
+    for t, e in enumerate(exp):
+        log[e] = t
+    zech = [0] + [log[field_sub(field, 1, exp[t])] for t in range(1, q - 1)]
+    return exp, log, zech
+
+
+def _second_modulus(field):
+    """The binary modulus of the field's degree with the largest encoding
+    other than the field's own, or None (degree 2 has one)."""
+    m = field.m
+    for low in range((1 << m) - 1, -1, -1):
+        coeffs = tuple((low >> t) & 1 for t in range(m)) + (1,)
+        if coeffs != field.modulus and gf._is_irreducible(coeffs, 2):
+            return coeffs
+    return None
+
+
+def test_binary_tables_match_the_digit_walk():
+    """The carry-less walk of GF(2^m), m = 1..12, under the default modulus
+    and a second irreducible one (GF(4) has no second), builds the tables
+    of the digit-level walk; so do the sweep fields (q <= 32) of every
+    characteristic."""
+    fields = [default_field(q) for q in range(2, 33) if prime_power(q)]
+    for m in range(1, 13):
+        f = default_field(2**m)
+        second = _second_modulus(f)
+        fields += [f] if second is None else [f, field_new(2, m, second)]
+    assert len({f for f in fields if f.p == 2}) == 23
+    for f in fields:
+        assert f.tables() == _digit_walk_tables(f), f
 
 
 def _is_primitive_by_order(field, e):

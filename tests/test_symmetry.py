@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from costas_cubes.construct import Family
 from costas_cubes.core import (
@@ -245,6 +245,77 @@ def test_least_image_matches_min_over_image_tuples(dtype):
         assert symmetry._least(images).tolist() == [t.index(min(t)) for t in tuples]
     empty = least_image(np.empty((8, 0, 5), dtype=dtype))
     assert empty.shape == (0, 5) and empty.dtype == dtype
+
+
+@example((300, [list(range(300, 0, -1)), list(range(1, 301))]))
+@example((256, [list(range(256, 0, -1))]))
+@given(st.integers(1, 300).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(1, n + 1)), max_size=4))))
+def test_inverse_rows_match_argsort(case):
+    """inverse_rows, one scatter, against np.argsort(v, axis=1) + 1 on
+    permutation rows of orders 1-300: uint8 rows to order 255, uint16
+    rows above."""
+    n, rows = case
+    values = np.array(rows, dtype=np.min_scalar_type(n)).reshape(len(rows), n)
+    inverse = symmetry.inverse_rows(values)
+    assert inverse.dtype == values.dtype
+    assert inverse.tolist() == (np.argsort(values, axis=1) + 1).tolist()
+
+
+@given(st.integers(1, 9).flatmap(
+    lambda n: st.lists(st.lists(st.integers(1, n), min_size=n, max_size=n), max_size=6)))
+def test_inverse_rows_leave_a_zero_in_exactly_the_non_permutations(rows):
+    """Rows whose values all lie in 1..n write only their own slots: the
+    inverse of a permutation is its argsort inverse, and any other row
+    leaves a slot 0."""
+    n = len(rows[0]) if rows else 1
+    values = np.array(rows, dtype=np.uint8).reshape(len(rows), n)
+    inverse = symmetry.inverse_rows(values)
+    for row, inv in zip(rows, inverse.tolist()):
+        if sorted(row) == list(range(1, n + 1)):
+            assert inv == (np.argsort(row) + 1).tolist()
+        else:
+            assert 0 in inv
+
+
+def _least_oracle(images):
+    """_least reading every column: an image stays live while each column
+    so far holds the least value of any live image of its position; the
+    first live image after the last column."""
+    live = np.ones(images.shape[:-1], dtype=bool)
+    top = np.iinfo(images.dtype).max
+    for column in np.moveaxis(images, -1, 0):
+        live &= column == column.min(axis=0, initial=top, where=live)
+    return live.argmax(axis=0)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+def test_least_matches_the_every_column_oracle(dtype):
+    """_least, which stops reading a position once one image is left,
+    against the loop over every column: on the arrays with a nontrivial
+    stabiliser at orders 2 and 5-8, whose least images tie to the last
+    column; on all order-9 arrays; on random rows over 1..3, which tie
+    often, with more axes between; for N = 0, N = 1 and n = 1; and at
+    order 300."""
+    symmetric = [[p for p in costas_arrays(n) if array_class_size_oracle(p) < 8] for n in (2, 5, 6, 7, 8)]
+    assert all(symmetric)
+    batches = [planar_images(value_matrix(perms)) for perms in symmetric]
+    batches.append(planar_images(value_matrix(costas_arrays(9))))
+    rng = np.random.default_rng(3)
+    batches += [rng.integers(1, 4, (8, 300, k)) for k in (1, 2, 6)]
+    batches.append(rng.integers(1, 4, (8, 5, 7, 4)))
+    batches += [np.empty((8, 0, 5), dtype=int), planar_images(value_matrix(costas_arrays(6)[:1])),
+                planar_images(np.ones((3, 1), dtype=int))]
+    if np.iinfo(dtype).max >= 300:
+        batches.append(planar_images(np.array([random.Random(300).sample(range(1, 301), 300)])))
+    for images in batches:
+        images = images.astype(dtype)
+        want = _least_oracle(images)
+        assert symmetry._least(images).tolist() == want.tolist()
+    # The symmetric arrays' least images occur twice: ties reach the last
+    # column and resolve to the first.
+    images = batches[1].astype(dtype)
+    assert (images == least_image(images)).all(axis=2).sum(axis=0).min() == 2
 
 
 def test_row_images_follow_cube_symmetries():
