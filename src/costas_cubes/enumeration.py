@@ -36,19 +36,19 @@ both or neither are of no lesser class than A.  For n >= 2 exactly one
 of B and rev B has a first value less than its last, so B ranges over
 the arrays whose first value is at most their last, which is half of
 each class (at order 1 the one array is kept), and every cube class
-still has a hit.  The scan indexes the list by a hashed key of each
-whole row; C is looked up by its key, and compared in full only when the
-key occurs.  The keys of a block of first arrays are one float matrix
-product, read raveled: one gather from the table of the keys that occur
-and one flatnonzero, whose positions give the pairs (first, second) by
-one divmod by the block's width.  Class counts come from canonical
-forms, and a hit in the orbit of a class already found is not
-canonicalised again.  The projection classes are counted from the hits:
-the classes of each hit's rows A and B and of the row its lookup of C
-finds.  The arrays a cube's orbit projects are the square images of its
-three projections, so any one hit of a cube class gives that class's
-projection classes.  None of this needs the list to be complete, only
-closed under the square symmetries.
+still has a hit.  The scan filters the pairs by a hashed key of each
+whole row, and looks up the C of each pair whose key occurs in a dict of
+the list's row bytes, which alone decides membership.  The keys of a
+block of first arrays are one float matrix product, read raveled: one
+gather from the table of the keys that occur and one flatnonzero, whose
+positions give the pairs (first, second) by one divmod by the block's
+width.  Class counts come from canonical forms, and a hit in the orbit
+of a class already found is not canonicalised again.  The projection
+classes are counted from the hits: the classes of each hit's rows A and
+B and of the row its lookup of C finds.  The arrays a cube's orbit
+projects are the square images of its three projections, so any one hit
+of a cube class gives that class's projection classes.  None of this
+needs the list to be complete, only closed under the square symmetries.
 
 The array list reaches the join as one (N, n) value matrix, from
 costas_values or files.parse_array_file.  The completeness check reads
@@ -327,13 +327,11 @@ class _RowIndex:
     order n.
 
     A row's key is (row . w) mod R for fixed pseudo-random weights w_j < R,
-    with R the least power of two with R >= _KEY_SPREAD * N.  The index
-    holds the table rows grouped by key (a stable sort; row i of the
-    grouped table is row order[i] of the given one), a dense bool table
-    of the keys that occur, the sorted distinct keys and each key's range
-    of grouped rows.
-    A row is in the table when its key occurs and it equals one row of
-    that key's range in full.
+    with R the least power of two with R >= _KEY_SPREAD * N, and occurs is
+    a dense bool table of the keys of the table's rows: a filter, which
+    every table row passes and about one absent row in _KEY_SPREAD does.
+    Membership itself is one dict from each table row's bytes to its
+    position, so rows are looked up in the table's dtype only.
     """
 
     def __init__(self, table: np.ndarray):
@@ -351,34 +349,24 @@ class _RowIndex:
         # would add about 6 MB to a join's peak memory), drawn with
         # repetition since n may exceed R.
         self.weights = np.array(random.Random(0).choices(range(1 << bits), k=n), dtype=np.int64)
-        keys = self.keys(table)
-        self.order = np.argsort(keys, kind="stable")
-        self.table = table[self.order]
-        self.distinct, starts = np.unique(keys[self.order], return_index=True)
-        self.starts = np.append(starts, count)
         self.occurs = np.zeros(1 << bits, dtype=bool)
-        self.occurs[self.distinct] = True
+        self.occurs[self.keys(table)] = True
+        self.dtype = table.dtype
+        # The list may come in any memory layout; row bytes need C order.
+        self.position = dict(zip(_row_keys(np.ascontiguousarray(table)).tolist(), range(count)))
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
         """The keys of the rows of an (R, n) value matrix."""
         return (rows.astype(np.int64) @ self.weights) & self.mask
 
-    def find(self, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    def find(self, rows: np.ndarray) -> np.ndarray:
         """The position in the given table of each row of an (R, n) value
-        matrix, or -1 where the row is absent; keys are the rows' keys."""
-        loc = np.full(len(rows), -1, dtype=np.intp)
-        (live,) = np.nonzero(self.occurs[keys])
-        rank = np.searchsorted(self.distinct, keys[live])
-        at, end = self.starts[rank], self.starts[rank + 1]
-        # Each pass compares every unresolved row with the next row of its
-        # range: most ranges hold a single row.
-        while len(live):
-            same = (self.table[at] == rows[live]).all(axis=1)
-            loc[live[same]] = self.order[at[same]]
-            at += 1
-            more = ~same & (at < end)
-            live, at, end = live[more], at[more], end[more]
-        return loc
+        matrix of the table's dtype, or -1 where the row is absent."""
+        # A row of another width never equals a table row byte for byte.
+        if rows.dtype != self.dtype:
+            raise TypeError(f"rows of dtype {rows.dtype} looked up in a table of dtype {self.dtype}")
+        get = self.position.get
+        return np.array([get(row, -1) for row in _row_keys(rows).tolist()], dtype=np.intp)
 
 
 def _as_permutation(row: np.ndarray) -> Permutation:
@@ -492,22 +480,21 @@ def _scan(values: np.ndarray, classes: np.ndarray) -> tuple[list[CostasCube], in
         step = max(1, _BLOCK_PAIRS // width)
         block, block_starts = firsts[start : start + step], starts[start : start + step]
         # Projection C of the cube with projections (A, B) is A^-1 B: its
-        # key is linear in A^-1, and only pairs whose key occurs are
-        # compared in full.  The filter reads the block's keys raveled.
+        # key is linear in A^-1, and only pairs whose key occurs are looked
+        # up.  The filter reads the block's keys raveled.
         keys = (first_inverses[start : start + step] @ weights[:, lo:]).astype(np.int64).ravel()
         start += step
         keys &= index.mask
         pairs = np.flatnonzero(np.take(index.occurs, keys))
-        keys = keys[pairs]
         first, second = np.divmod(pairs, width)
         second += lo
         # The block's later first arrays keep only the second arrays from
         # their own position on.
         keep = second >= block_starts[first]
-        first, second, keys = first[keep], second[keep], keys[keep]
+        first, second = first[keep], second[keep]
         z = inverses[block]
         c_rows = z[first[:, None], second_rows[second]]
-        c_at = index.find(c_rows, keys)
+        c_at = index.find(c_rows)
         hit = c_at >= 0
         a_at, b_at = block[first[hit]], seconds[second[hit]]
         hits.append(np.stack((inverses[a_at], inverses[b_at]), axis=2).reshape(-1, 2 * n))
@@ -540,6 +527,8 @@ def class_report(n: int, values: np.ndarray) -> ClassReport:
     cube class, from the pair-join; see the module docstring for why the
     join reaches every class.  The total number of array classes is the
     number of classes the completeness check numbers."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
     classes = _check_complete(values, n)
     cubes, projection_classes = _scan(values, classes)
     return ClassReport(

@@ -546,6 +546,17 @@ def test_enumerate_arrays_file_error_contract(capsys, tmp_path, text, order, mes
         2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_enumerate_refuses_an_order_below_one_on_both_routes(capsys, tmp_path, order):
+    """An order below 1 gets one message, with or without an array file:
+    it is refused before the file's rows are checked against it."""
+    path = tmp_path / "db.txt"
+    path.write_text("1 2\n2 1\n")
+    for extra in ([], ["--arrays-file", str(path)]):
+        assert run(capsys, "enumerate", "--order", order, *extra) == (
+            2, "", "error: order must be >= 1\n")
+
+
 def test_join_route_builds_no_permutation_per_line(capsys, tmp_path, monkeypatch):
     """The array file reaches the pair-join as one value matrix: the 200
     order-7 arrays do not become 200 Permutations on the way."""

@@ -308,8 +308,9 @@ def test_row_index_matches_a_dict_oracle(monkeypatch, n):
     """The row index of tables of distinct permutation rows, in groups of
     1 to 4 rows that share all but their last three values; hits, misses
     and near misses (the last two values swapped) against a dict of the
-    table.  At the join's key spread most keys hold one row; at a spread
-    of 1 many keys hold several, and find walks their ranges."""
+    table.  Every table row's key occurs, so the filter keeps every hit.
+    At the join's key spread most absent rows fail the filter; at a
+    spread of 1 many pass it, and the dict alone finds them absent."""
     rng = np.random.default_rng(n)
     rows = set()
     for _ in range(60):
@@ -330,14 +331,11 @@ def test_row_index_matches_a_dict_oracle(monkeypatch, n):
         slots = index.mask + 1
         assert slots >= spread * len(table) > slots // 2
         assert (index.weights < slots).all()
-        assert sorted(index.order.tolist()) == list(range(len(table)))
-        assert (index.table == table[index.order]).all()
-        keys = index.keys(index.table)
-        widths = np.diff(index.starts)
-        assert (np.repeat(index.distinct, widths) == keys).all()
+        assert index.occurs[index.keys(table)].all()
+        passed = index.occurs[index.keys(queries)]
         if spread == 1:
-            assert widths.max() > 1
-        assert index.find(queries, index.keys(queries)).tolist() == want
+            assert any(p and w < 0 for p, w in zip(passed.tolist(), want))
+        assert index.find(queries).tolist() == want
 
 
 def test_row_index_takes_more_weights_than_key_slots():
@@ -347,7 +345,7 @@ def test_row_index_takes_more_weights_than_key_slots():
     index = _RowIndex(welch70)
     assert len(index.weights) == 70 > index.mask + 1 == 64
     queries = np.concatenate((welch70, welch70[:, ::-1]))
-    assert index.find(queries, index.keys(queries)).tolist() == [0, -1]
+    assert index.find(queries).tolist() == [0, -1]
 
 
 def test_row_index_rejects_inexact_keys(monkeypatch):
@@ -359,12 +357,47 @@ def test_row_index_rejects_inexact_keys(monkeypatch):
         _RowIndex(table)
 
 
+def test_row_index_refuses_rows_of_another_dtype():
+    """Rows are looked up by their bytes, so a row of another integer
+    width would never match: find refuses it rather than miss it."""
+    table = np.array([[0, 1, 2], [2, 1, 0]], dtype=np.uint8)
+    index = _RowIndex(table)
+    assert index.find(table[::-1]).tolist() == [1, 0]
+    for dtype in (np.uint16, np.int64, np.int8):
+        with pytest.raises(TypeError, match="dtype"):
+            index.find(table.astype(dtype))
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_class_report_refuses_an_order_below_one(n):
+    """The order is checked before any row is read."""
+    with pytest.raises(ValueError, match=r"^order must be >= 1$"):
+        class_report(n, None)
+
+
+def test_class_report_does_not_depend_on_dtype_or_layout():
+    """One list as uint8, uint16 and int64 rows, Fortran-ordered and with
+    its rows reversed gives one report: the scan looks rows up by their
+    bytes, always in the list's own dtype."""
+    lists = {n: costas_values(n) for n in range(1, 11)}
+    lists[11] = parse_array_file(ORDER11_DATABASE.read_text())
+    for n, values in lists.items():
+        expected = class_report(n, values)
+        assert expected.cube_classes == CUBE_CLASS_COUNTS.get(n, 1)
+        assert expected.representatives == costas_cube_classes(n)
+        for dtype in (np.uint8, np.uint16, np.int64):
+            given = values.astype(dtype)
+            for variant in (given, np.asfortranarray(given), given[::-1]):
+                assert class_report(n, variant) == expected, (n, dtype, variant.flags)
+
+
 @pytest.mark.parametrize("n", [5, 11, 29])
 def test_pair_weights_give_the_keys_of_a_inverse_b(n):
     """The key of A^-1 B is the product of the zero-based inverse of A
     with the weights gathered by the inverse of B, exact in float, masked
-    to the key range; found by that key, A^-1 B is at its position in the
-    given table (the identity, for B = A)."""
+    to the key range; each such key occurs when A^-1 B is in the table,
+    and find gives A^-1 B's position in the given table (the identity, for
+    B = A)."""
     rng = np.random.default_rng(n)
     rows = {tuple(rng.permutation(n)) for _ in range(300)} | {tuple(range(n))}
     values = np.array(sorted(rows), dtype=np.uint8)[rng.permutation(len(rows))]
@@ -379,7 +412,8 @@ def test_pair_weights_give_the_keys_of_a_inverse_b(n):
         assert keys[a].tolist() == index.keys(c_rows).tolist()
         want = [position.get(row, -1) for row in map(tuple, c_rows.tolist())]
         assert want[a] == position[tuple(range(n))]
-        assert index.find(c_rows, keys[a]).tolist() == want
+        assert index.occurs[keys[a]][np.array(want) >= 0].all()
+        assert index.find(c_rows).tolist() == want
 
 
 def _unrestricted_join(arrays):
@@ -490,11 +524,10 @@ def _scan_hits_2d_oracle(values, classes, block_pairs):
         z = inverses[block]
         keys = (z @ weights[lo:].T).astype(np.int64) & index.mask
         first, second = np.nonzero(index.occurs[keys])
-        keys = keys[first, second]
         second += lo
         keep = second >= block_starts[first]
-        first, second, keys = first[keep], second[keep], keys[keep]
-        c_at = index.find(z[first[:, None], second_rows[second]], keys)
+        first, second = first[keep], second[keep]
+        c_at = index.find(z[first[:, None], second_rows[second]])
         hit = c_at >= 0
         a_at, b_at = block[first[hit]], seconds[second[hit]]
         hits.append(np.stack((inverses[a_at], inverses[b_at]), axis=2).reshape(-1, 2 * n))
@@ -548,9 +581,10 @@ def test_join_over_a_closed_incomplete_list():
 
 
 def test_join_output_does_not_depend_on_row_order():
-    """The list's rows are indexed, and its classes ordered, by a hashed
-    key of each row: seeded shuffles of a list give the report of the
-    lexicographic list, representatives included."""
+    """The list's rows are filtered by a hashed key and looked up by
+    their bytes, and its classes ordered by their least images: seeded
+    shuffles of a list give the report of the lexicographic list,
+    representatives included."""
     lists = {n: costas_values(n) for n in (7, 8, 9)}
     lists[11] = parse_array_file(ORDER11_DATABASE.read_text())
     for n, values in lists.items():
