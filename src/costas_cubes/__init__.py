@@ -4,7 +4,6 @@ symmetry classification, and finite-field constructions."""
 from .core import (
     CostasCube,
     Permutation,
-    ProjectionTriple,
     costas_violation,
     is_costas_cube,
     projections,
@@ -52,8 +51,7 @@ from .enumeration import (
 __version__ = "0.1.0"
 
 __all__ = (
-    "CostasCube", "Permutation", "ProjectionTriple", "costas_violation", "is_costas_cube",
-    "projections",
+    "CostasCube", "Permutation", "costas_violation", "is_costas_cube", "projections",
     "FieldSpec", "field_new", "is_primitive", "parse_element", "parse_field_spec",
     "AxisSymmetry", "CUBE_SYMMETRIES", "PLANAR_SYMMETRIES", "canonical_array", "canonical_cube",
     "projection_set",

@@ -40,15 +40,7 @@ from .construct import (
     w1,
     w2,
 )
-from .core import (
-    Permutation,
-    ProjectionTriple,
-    costas_violation,
-    costas_violations,
-    distinct_rows,
-    is_costas_cube,
-    projections,
-)
+from .core import costas_violation, costas_violations, distinct_rows, is_costas_cube, projections
 from .enumeration import ClassReport, class_report, costas_values, table1, total_mismatch
 from .files import emit_array_file, emit_cube_file, numbered_arrays, parse_array_file, parse_cube_file
 from .gf import format_element, parse_element, parse_field_spec
@@ -60,10 +52,6 @@ def _emit(args, doc, lines) -> None:
     """Print a command's one result: doc as one JSON line under --format
     machine, else its text lines, which only text output reads."""
     print(json.dumps(doc, sort_keys=True) if args.format == "machine" else "\n".join(lines))
-
-
-def _named(t: ProjectionTriple) -> tuple[tuple[str, Permutation], ...]:
-    return (("A", t.a), ("B", t.b), ("C", t.c))
 
 
 def _read(path: str) -> str:
@@ -107,16 +95,18 @@ def cmd_verify(args) -> int:
         return 0 if all(entry["costas"] for entry in doc) else 1
 
     cube = parse_cube_file(text)
-    named = _named(projections(cube))
-    verdicts = {name: costas_violation(p) is None for name, p in named}
+    values = projections(cube)
+    named = dict(zip("ABC", values.tolist()))
+    verdicts = {name: not d for name, (d, _) in zip("ABC", costas_violations(values).tolist())}
     ok = all(verdicts.values())
     _emit(args, {
         "order": cube.order,
         "triples": [list(x) for x in cube.triples()],
-        "projections": {name: list(p.values) for name, p in named},
+        "projections": named,
         "projection_costas": verdicts,
         "costas_cube": ok,
-    }, [*(f"projection {name}: {p} {'costas' if verdicts[name] else 'NOT costas'}" for name, p in named),
+    }, [*(f"projection {name}: {_paren(row)} {'costas' if verdicts[name] else 'NOT costas'}"
+          for name, row in named.items()),
         f"costas cube: {'yes' if ok else 'NO'}"])
     return 0 if ok else 1
 
@@ -160,13 +150,13 @@ def cmd_construct(args) -> int:
     doc = {"family": args.family, "field": args.field, "parameters": params, "order": obj.order}
     stamp = f"{args.family} over GF({field.q}) " + " ".join(f"{k}={v}" for k, v in params.items())
     if hasattr(obj, "rows"):
-        named = _named(projections(obj))
-        verified = is_costas_cube(obj)
-        doc.update(triples=[list(x) for x in obj.triples()],
-                   projections={name: list(p.values) for name, p in named}, costas_cube=verified)
+        values = projections(obj)
+        named = dict(zip("ABC", values.tolist()))
+        verified = not costas_violations(values).any()
+        doc.update(triples=[list(x) for x in obj.triples()], projections=named, costas_cube=verified)
         text = emit_cube_file(obj, comments=[
             stamp, f"costas cube: {'yes' if verified else 'NO'}",
-            *(f"projection {name}: {' '.join(map(str, p.values))}" for name, p in named)])
+            *(f"projection {name}: {' '.join(map(str, row))}" for name, row in named.items())])
     else:
         verified = costas_violation(obj) is None
         doc.update(values=list(obj.values), costas=verified)
@@ -248,7 +238,7 @@ def cmd_sd_set(args) -> int:
     if not is_costas_cube(cube):
         print("error: not a Costas cube", file=sys.stderr)
         return 1
-    members = np.array([p.values for p in projection_set(cube)])
+    members = projection_set(cube)
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for key, values in zip(least_image(planar_images(members)).tolist(), members.tolist()):
         groups.setdefault(tuple(key), []).append(tuple(values))
@@ -276,11 +266,11 @@ def cmd_classify(args) -> int:
             lines.append(f"{idx}: {_paren(row)} {','.join(labels) or 'unlabeled'}")
         _emit(args, doc, lines)
         return 0
-    t = projections(parse_cube_file(text))
+    values = projections(parse_cube_file(text))
     doc, lines = {}, []
-    for (name, p), labels in zip(_named(t), _labels(np.array([t.a.values, t.b.values, t.c.values]))):
-        doc[name] = {"values": list(p.values), "labels": labels}
-        lines.append(f"projection {name}: {p} {','.join(labels) or 'unlabeled'}")
+    for name, row, labels in zip("ABC", values.tolist(), _labels(values)):
+        doc[name] = {"values": row, "labels": labels}
+        lines.append(f"projection {name}: {_paren(row)} {','.join(labels) or 'unlabeled'}")
     _emit(args, doc, lines)
     return 0
 
@@ -289,9 +279,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_project(args) -> int:
-    named = _named(projections(parse_cube_file(_read(args.input))))
-    _emit(args, {name: list(p.values) for name, p in named},
-          [line for name, p in named for line in (f"# projection {name}", " ".join(map(str, p.values)))])
+    named = dict(zip("ABC", projections(parse_cube_file(_read(args.input))).tolist()))
+    _emit(args, named,
+          [line for name, row in named.items() for line in (f"# projection {name}", " ".join(map(str, row)))])
     return 0
 
 

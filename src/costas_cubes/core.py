@@ -13,7 +13,9 @@ Index conventions used throughout the package (all 1-based):
 
 * The three projections of a cube collapse one axis by summation:
   A over k, B over j, C over i.  Read as permutations:
-  sigma_A(j_i) = i, sigma_B(k_i) = i, sigma_C(k_i) = j_i.
+  sigma_A(j_i) = i, sigma_B(k_i) = i, sigma_C(k_i) = j_i.  They are
+  the rows A, B and C of one (3, n) value matrix, which the array
+  kernels read as they read any other.
 """
 
 from __future__ import annotations
@@ -92,19 +94,6 @@ class CostasCube:
         return " ".join(f"({i},{j},{k})" for i, j, k in self.triples())
 
 
-@dataclass(frozen=True)
-class ProjectionTriple:
-    """The three projections of a permutation cube, as permutations."""
-
-    a: Permutation
-    b: Permutation
-    c: Permutation
-
-    def __post_init__(self) -> None:
-        if not (self.a.order == self.b.order == self.c.order):
-            raise ValueError("projections must have equal order")
-
-
 def costas_violation(perm: Permutation) -> tuple[int, int] | None:
     """A repeated difference vector (column shift, value shift), or None:
     costas_violations of the permutation's one row."""
@@ -152,20 +141,18 @@ def distinct_rows(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate(([True], (values[1:] != values[:-1]).any(axis=1)))]
 
 
-def projections(cube: CostasCube) -> ProjectionTriple:
-    """The projections A, B, C of a permutation cube, as permutations."""
+def projections(cube: CostasCube) -> np.ndarray:
+    """The projections A, B and C of a permutation cube as the rows of one
+    (3, n) value matrix, in the least unsigned dtype for order n: one
+    scatter of the row list writes A(j_i) = i, B(k_i) = i and C(k_i) = j_i."""
     n = cube.order
-    a = [0] * n
-    b = [0] * n
-    c = [0] * n
-    for i, (j, k) in enumerate(cube.rows, start=1):
-        a[j - 1] = i
-        b[k - 1] = i
-        c[k - 1] = j
-    return ProjectionTriple(Permutation(tuple(a)), Permutation(tuple(b)), Permutation(tuple(c)))
+    i = np.arange(1, n + 1)
+    j, k = np.array(cube.rows).T
+    values = np.empty((3, n), dtype=np.min_scalar_type(n))
+    values[[[0], [1], [2]], [j - 1, k - 1, k - 1]] = [i, i, j]
+    return values
 
 
 def is_costas_cube(cube: CostasCube) -> bool:
     """True iff all three projections of the cube are Costas arrays."""
-    t = projections(cube)
-    return not costas_violations(value_matrix([t.a, t.b, t.c])).any()
+    return not costas_violations(projections(cube)).any()

@@ -61,7 +61,7 @@ are formed from those inverses, and the scan's inverses of A and B from
 the same scatter.  The square symmetries keep the Costas property, so
 once every row is known to be a permutation of 1..n the Costas check
 runs on one least image per class, and over the rows only to name the
-first faulty array.  Permutations are built only to name a faulty array.
+first faulty array.
 """
 
 from __future__ import annotations
@@ -369,9 +369,9 @@ class _RowIndex:
         return np.array([get(row, -1) for row in _row_keys(rows).tolist()], dtype=np.intp)
 
 
-def _as_permutation(row: np.ndarray) -> Permutation:
-    """The array of one row of a value_matrix, for messages."""
-    return Permutation(tuple(v for v in row.tolist() if v))
+def _text(row: np.ndarray) -> str:
+    """One row of a value matrix as messages name it: (v1,...,vn)."""
+    return "(" + ",".join(map(str, row.tolist())) + ")"
 
 
 def _check_complete(values: np.ndarray, n: int) -> np.ndarray:
@@ -383,30 +383,27 @@ def _check_complete(values: np.ndarray, n: int) -> np.ndarray:
     The Costas property is kept by the square symmetries, so a
     permutation is Costas exactly when its least image is: the check runs
     on one least image per class, and over the rows only to name the
-    first faulty one.  A list with a row of the wrong order is checked
-    row by row up to that row."""
+    first faulty one.  A list with a row of the wrong order has the rows
+    before that row checked the same way."""
     if not len(values):
         raise ValueError("empty array list")
     if len(distinct_rows(values)) < len(values):
         raise ValueError("array list contains duplicates")
     wrong_order = np.count_nonzero(values, axis=1) != n
     if wrong_order.any():
-        # The Costas check covers the arrays before the first one of the
-        # wrong order, so that the first faulty array is the one named.
-        wrong = int(np.argmax(wrong_order))
-        _check_costas(values[:wrong, :n])
-        row = [v for v in values[wrong].tolist() if v]
-        raise ValueError(f"array ({','.join(map(str, row))}) has order {len(row)}, expected {n}")
+        # The checks cover the arrays before the first one of the wrong
+        # order, so that the first faulty array is the one named.  Those
+        # rows have n nonzero values, so they are permutations of 1..n
+        # exactly when their first n are.
+        head = values[: int(np.argmax(wrong_order)), :n]
+        _check_permutations(head, n)
+        _check_costas(head)
+        wrong = values[len(head)]
+        row = wrong[wrong != 0]
+        raise ValueError(f"array {_text(row)} has order {len(row)}, expected {n}")
     # Only for permutations is a row Costas exactly when its least image
-    # is.  Every row has n nonzero values, so a wider row holds a 0.  A row
-    # of values in 1..n writes only its own slots of the inverse scatter,
-    # and is a permutation when it leaves none of them 0.
-    bijective = ((values >= 1) & (values <= n)).all(axis=1)
-    inverse = inverse_rows(values[bijective])
-    bijective[bijective] = inverse.all(axis=1)
-    if not bijective.all():
-        row = values[np.argmin(bijective)].tolist()
-        raise ValueError(f"array ({','.join(map(str, row))}) is not a permutation of 1..{n}")
+    # is.  Every row has n nonzero values, so a wider row holds a 0.
+    inverse = _check_permutations(values, n)
     images = planar_images(values, inverse)
     least = least_image(images)
     _, firsts, classes, members = np.unique(
@@ -420,7 +417,7 @@ def _check_complete(values: np.ndarray, n: int) -> np.ndarray:
     if short.any():
         raise ValueError(
             f"array list is not closed under the square symmetries (image of "
-            f"{_as_permutation(values[np.argmax(short)])} missing); it cannot be complete"
+            f"{_text(values[np.argmax(short)])} missing); it cannot be complete"
         )
     mismatch = total_mismatch(n, len(values))
     if mismatch:
@@ -428,12 +425,25 @@ def _check_complete(values: np.ndarray, n: int) -> np.ndarray:
     return classes
 
 
+def _check_permutations(values: np.ndarray, n: int) -> np.ndarray:
+    """The inverse_rows of a value matrix; raise naming its first row that
+    is not a permutation of 1..n, if any.  A row of values in 1..n writes
+    only its own slots of the inverse scatter, and is a permutation when
+    it leaves none of them 0."""
+    bijective = ((values >= 1) & (values <= n)).all(axis=1)
+    inverse = inverse_rows(values[bijective])
+    bijective[bijective] = inverse.all(axis=1)
+    if not bijective.all():
+        raise ValueError(f"array {_text(values[np.argmin(bijective)])} is not a permutation of 1..{n}")
+    return inverse
+
+
 def _check_costas(values: np.ndarray) -> None:
     """Raise naming the first row of a value matrix that is not a Costas
     array, if any."""
     bad = np.flatnonzero(costas_violations(values)[:, 0])
     if len(bad):
-        raise ValueError(f"array {_as_permutation(values[bad[0]])} is not a Costas array")
+        raise ValueError(f"array {_text(values[bad[0]])} is not a Costas array")
 
 
 # First arrays per block meet about this many second arrays, so that the
@@ -526,9 +536,13 @@ def class_report(n: int, values: np.ndarray) -> ClassReport:
     arrays, given as a value matrix, with one canonical representative per
     cube class, from the pair-join; see the module docstring for why the
     join reaches every class.  The total number of array classes is the
-    number of classes the completeness check numbers."""
+    number of classes the completeness check numbers.  A matrix not of
+    integers is refused, by its dtype, before any check."""
     if n < 1:
         raise ValueError("order must be >= 1")
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"array list of dtype {values.dtype}; expected an integer dtype")
     classes = _check_complete(values, n)
     cubes, projection_classes = _scan(values, classes)
     return ClassReport(

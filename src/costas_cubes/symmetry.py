@@ -18,8 +18,9 @@ of i, of j and of k.  A cube's row list is keyed by its bytes as
 big-endian unsigned words of the least width for its order, whose byte
 order is their numeric order, so the least image is the least key.  The
 cube symmetries permute the three projection planes and act on each by
-the square symmetries, so the arrays a cube's orbit projects are the
-square images of its projections A, B and C.
+the square symmetries, so the arrays a cube's orbit projects, its
+projection set S(D), are the rows of the planar images of its (3, n)
+projection matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import CostasCube, Permutation, is_costas_cube, projections, value_matrix
+from .core import CostasCube, Permutation, costas_violations, distinct_rows, projections, value_matrix
 
 
 @dataclass(frozen=True)
@@ -203,16 +204,16 @@ def first_of_each_class(rows: np.ndarray) -> Iterator[tuple[int, CostasCube]]:
         yield t, CostasCube(tuple(zip(flat[0::2], flat[1::2])))
 
 
-def projection_set(cube: CostasCube) -> set[Permutation]:
-    """The distinct Costas arrays occurring as Projection A over the orbit:
-    the square images of the projections A, B and C of cube.
+def projection_set(cube: CostasCube) -> np.ndarray:
+    """S(D), the distinct Costas arrays occurring as Projection A over the
+    orbit of a Costas cube: the square images of its projections A, B and
+    C, as the sorted distinct rows of a value matrix.
 
     For a Costas cube of order > 2 the result is a union of D4 classes,
-    so its size is a multiple of 4 and at most 24.  Reflections never
+    so it has a multiple of 4 rows and at most 24.  Reflections never
     enlarge the set (each is realized by some rotation).
     """
-    if not is_costas_cube(cube):
+    values = projections(cube)
+    if costas_violations(values).any():
         raise ValueError("projection_set requires a Costas cube")
-    t = projections(cube)
-    images = planar_images(value_matrix([t.a, t.b, t.c])).reshape(-1, cube.order)
-    return {Permutation(v) for v in set(map(tuple, images.tolist()))}
+    return distinct_rows(planar_images(values).reshape(-1, cube.order))

@@ -8,7 +8,7 @@ import functools
 
 import pytest
 
-from costas_cubes.core import CostasCube, Permutation
+from costas_cubes.core import CostasCube, Permutation, projections
 from costas_cubes.enumeration import class_report, costas_values, enumerate_costas_arrays
 from costas_cubes.gf import _primitive_logs, field_new
 from costas_cubes.symmetry import CUBE_SYMMETRIES, PLANAR_SYMMETRIES, AxisSymmetry
@@ -172,20 +172,28 @@ def inverse(perm: Permutation) -> Permutation:
     return Permutation(tuple(inv))
 
 
+def projections_oracle(cube: CostasCube) -> tuple[tuple[int, ...], ...]:
+    """The projections A, B and C of a cube as value tuples, read from its
+    rows one at a time: sigma_A(j_i) = i, sigma_B(k_i) = i and
+    sigma_C(k_i) = j_i."""
+    n = cube.order
+    a, b, c = [0] * n, [0] * n, [0] * n
+    for i, (j, k) in enumerate(cube.rows, start=1):
+        a[j - 1], b[k - 1], c[k - 1] = i, i, j
+    return tuple(a), tuple(b), tuple(c)
+
+
+def projection_rows(cube: CostasCube) -> tuple[tuple[int, ...], ...]:
+    """The rows A, B and C of projections(cube), as value tuples."""
+    return tuple(map(tuple, projections(cube).tolist()))
+
+
 def projection_class_count(cubes) -> int:
     """The number of D4 classes among the projections A, B and C of the
-    cubes, read from their rows as sigma_A(j_i) = i, sigma_B(k_i) = i and
-    sigma_C(k_i) = j_i; a class is its least member, the least image under
-    PLANAR_SYMMETRIES one symmetry at a time."""
-    classes = set()
-    for cube in cubes:
-        n = cube.order
-        a, b, c = [0] * n, [0] * n, [0] * n
-        for i, (j, k) in enumerate(cube.rows, start=1):
-            a[j - 1], b[k - 1], c[k - 1] = i, i, j
-        for values in (a, b, c):
-            classes.add(least_image_oracle(Permutation(tuple(values))))
-    return len(classes)
+    cubes, from projections_oracle; a class is its least member, the
+    least image under PLANAR_SYMMETRIES one symmetry at a time."""
+    return len({least_image_oracle(Permutation(values))
+                for cube in cubes for values in projections_oracle(cube)})
 
 
 def cube_from_pair(which: str, x: Permutation, y: Permutation) -> CostasCube:

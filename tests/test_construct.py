@@ -28,7 +28,6 @@ from costas_cubes.core import (
     Permutation,
     costas_violation,
     is_costas_cube,
-    projections,
 )
 from costas_cubes import symmetry
 from costas_cubes.gf import (
@@ -78,6 +77,7 @@ from conftest import (
     field_sub,
     image,
     inverse,
+    projection_rows,
 )
 
 GF8 = field_new(2, 3, (1, 0, 1, 1))
@@ -144,18 +144,18 @@ def test_g3_is_shifted_g2():
 def test_cube_g2x3_gf16_example():
     cube = cube_g2x3(GF16, 2, 13, 14)
     assert cube == cube_from_jk(GF16_J, GF16_K)
-    t = projections(cube)
-    assert (t.a.values, t.b.values, t.c.values) == (GF16_A, GF16_B, GF16_C)
+    a, b, c = projection_rows(cube)
+    assert (a, b, c) == (GF16_A, GF16_B, GF16_C)
     assert is_costas_cube(cube)
 
 
 def test_cube_g2x3_projection_parameters():
     phi, rho, psi = 2, 13, 14
     cube = cube_g2x3(GF16, phi, rho, psi)
-    t = projections(cube)
-    assert t.a == g2(GF16, phi, field_pow(GF16, rho, -1))
-    assert t.b == g2(GF16, field_pow(GF16, phi, -1), psi)
-    assert t.c == g2(GF16, rho, field_pow(GF16, psi, -1))
+    a, b, c = projection_rows(cube)
+    assert a == g2(GF16, phi, field_pow(GF16, rho, -1)).values
+    assert b == g2(GF16, field_pow(GF16, phi, -1), psi).values
+    assert c == g2(GF16, rho, field_pow(GF16, psi, -1)).values
 
 
 def test_cube_g2x3_all_three_conditions_hold():
@@ -182,22 +182,22 @@ def test_cube_g2x3_equal_parameters_small_projection_set():
 def test_cube_w2w2g2_example():
     cube = cube_w2w2g2(13, 11, 6)
     assert cube == cube_from_jk(P13_J, P13_K)
-    t = projections(cube)
-    assert (t.a.values, t.b.values, t.c.values) == (P13_A, P13_B, P13_C)
-    assert t.a == w2(13, 11)
-    assert t.b == image(VERTICAL_REFLECTION, w2(13, 6))
-    assert t.c == g2(GF13, 11, 6)
+    a, b, c = projection_rows(cube)
+    assert (a, b, c) == (P13_A, P13_B, P13_C)
+    assert a == w2(13, 11).values
+    assert b == image(VERTICAL_REFLECTION, w2(13, 6)).values
+    assert c == g2(GF13, 11, 6).values
     assert is_costas_cube(cube)
 
 
 def test_cube_g3_variant_i_example():
     cube = cube_g3_variant_i(GF27, PHI27)
     assert cube == cube_from_jk(GF27_J, GF27_D_K)
-    t = projections(cube)
-    assert (t.a.values, t.b.values, t.c.values) == (GF27_D_A, GF27_D_B, GF27_D_C)
-    assert t.a == g3(GF27, PHI27)
-    assert t.b == g3(GF27, field_pow(GF27, PHI27, -1))
-    assert t.c == g3(GF27, field_pow(GF27, field_sub(GF27, 1, PHI27), -1))
+    a, b, c = projection_rows(cube)
+    assert (a, b, c) == (GF27_D_A, GF27_D_B, GF27_D_C)
+    assert a == g3(GF27, PHI27).values
+    assert b == g3(GF27, field_pow(GF27, PHI27, -1)).values
+    assert c == g3(GF27, field_pow(GF27, field_sub(GF27, 1, PHI27), -1)).values
     assert is_costas_cube(cube)
 
 
@@ -216,11 +216,11 @@ def test_cube_g3_variant_i_is_shifted_g2x3():
 def test_cube_g3_variant_ii_example():
     cube = cube_g3_variant_ii(GF27, PHI27)
     assert cube == cube_from_jk(GF27_J, GF27_E_K)
-    t = projections(cube)
-    assert (t.a.values, t.b.values, t.c.values) == (GF27_E_A, GF27_E_B, GF27_E_C)
-    assert t.a == projections(cube_g3_variant_i(GF27, PHI27)).a
-    assert t.b == image(VERTICAL_REFLECTION, g3(GF27, field_pow(GF27, PHI27, -1)))
-    assert t.c == image(ROTATION_180, g3(GF27, field_pow(GF27, field_sub(GF27, 1, PHI27), -1)))
+    a, b, c = projection_rows(cube)
+    assert (a, b, c) == (GF27_E_A, GF27_E_B, GF27_E_C)
+    assert a == projection_rows(cube_g3_variant_i(GF27, PHI27))[0]
+    assert b == image(VERTICAL_REFLECTION, g3(GF27, field_pow(GF27, PHI27, -1))).values
+    assert c == image(ROTATION_180, g3(GF27, field_pow(GF27, field_sub(GF27, 1, PHI27), -1))).values
     assert is_costas_cube(cube)
 
 
@@ -317,17 +317,17 @@ def test_every_cube_tuple_yields_labelled_projections():
         for phi in prims:
             for rho in prims:
                 for psi in prims:
-                    t = projections(cube_g2x3(field, phi, rho, psi))
-                    assert t.a == g2(field, phi, field_pow(field, rho, -1))
-                    assert t.b == g2(field, field_pow(field, phi, -1), psi)
-                    assert t.c == g2(field, rho, field_pow(field, psi, -1))
+                    a, b, c = projection_rows(cube_g2x3(field, phi, rho, psi))
+                    assert a == g2(field, phi, field_pow(field, rho, -1)).values
+                    assert b == g2(field, field_pow(field, phi, -1), psi).values
+                    assert c == g2(field, rho, field_pow(field, psi, -1)).values
         if field.m == 1:
             for phi in prims:
                 for psi in prims:
-                    t = projections(cube_w2w2g2(q, phi, psi))
-                    assert t.a == w2(q, phi)
-                    assert t.b == image(VERTICAL_REFLECTION, w2(q, psi))
-                    assert t.c == g2(field, phi, psi)
+                    a, b, c = projection_rows(cube_w2w2g2(q, phi, psi))
+                    assert a == w2(q, phi).values
+                    assert b == image(VERTICAL_REFLECTION, w2(q, psi)).values
+                    assert c == g2(field, phi, psi).values
     for q in range(5, 33):
         if prime_power(q) is None:
             continue
@@ -335,14 +335,14 @@ def test_every_cube_tuple_yields_labelled_projections():
         for phi in admissible(field, 1, -1):
             inv_phi = field_pow(field, phi, -1)
             c_base = field_pow(field, field_sub(field, 1, phi), -1)
-            t = projections(cube_g3_variant_i(field, phi))
-            assert t.a == g3(field, phi)
-            assert t.b == g3(field, inv_phi)
-            assert t.c == g3(field, c_base)
-            t = projections(cube_g3_variant_ii(field, phi))
-            assert t.a == g3(field, phi)
-            assert t.b == image(VERTICAL_REFLECTION, g3(field, inv_phi))
-            assert t.c == image(ROTATION_180, g3(field, c_base))
+            a, b, c = projection_rows(cube_g3_variant_i(field, phi))
+            assert a == g3(field, phi).values
+            assert b == g3(field, inv_phi).values
+            assert c == g3(field, c_base).values
+            a, b, c = projection_rows(cube_g3_variant_ii(field, phi))
+            assert a == g3(field, phi).values
+            assert b == image(VERTICAL_REFLECTION, g3(field, inv_phi)).values
+            assert c == image(ROTATION_180, g3(field, c_base)).values
 
 
 def test_sweep_counts_match_published_table():

@@ -35,6 +35,8 @@ from conftest import (
     cube_from_jk,
     cube_from_pair,
     inverse,
+    projection_rows,
+    projections_oracle,
 )
 
 
@@ -158,23 +160,35 @@ def test_costas_violations_random_order_29_rows():
 
 
 def test_projections_order6(order6_cube):
-    t = projections(order6_cube)
-    assert t.a.values == ORDER6_A
-    assert t.b.values == ORDER6_B
-    assert t.c.values == ORDER6_C
+    a, b, c = projection_rows(order6_cube)
+    assert a == ORDER6_A
+    assert b == ORDER6_B
+    assert c == ORDER6_C
 
 
 def test_projections_order1():
-    t = projections(CostasCube(((1, 1),)))
-    assert t.a.values == t.b.values == t.c.values == (1,)
+    a, b, c = projection_rows(CostasCube(((1, 1),)))
+    assert a == b == c == (1,)
 
 
 def test_projections_gf16_cube():
-    t = projections(cube_from_jk((3, 6, 1, 12, 10, 2, 7, 9, 8, 5, 11, 4, 13, 14),
-                                 (7, 14, 2, 13, 10, 4, 12, 11, 1, 5, 6, 8, 3, 9)))
-    assert t.a.values == GF16_A
-    assert t.b.values == GF16_B
-    assert t.c.values == GF16_C
+    a, b, c = projection_rows(cube_from_jk((3, 6, 1, 12, 10, 2, 7, 9, 8, 5, 11, 4, 13, 14),
+                                           (7, 14, 2, 13, 10, 4, 12, 11, 1, 5, 6, 8, 3, 9)))
+    assert a == GF16_A
+    assert b == GF16_B
+    assert c == GF16_C
+
+
+@given(st.integers(1, 300).flatmap(
+    lambda n: st.tuples(st.permutations(range(1, n + 1)), st.permutations(range(1, n + 1)))))
+def test_projections_match_the_row_loop_oracle(jk):
+    """Random permutation cubes of orders 1-300, whose projections take
+    the uint8 dtype up to order 255 and uint16 above it."""
+    cube = CostasCube(tuple(zip(*jk)))
+    values = projections(cube)
+    assert values.shape == (3, cube.order)
+    assert values.dtype == np.min_scalar_type(cube.order)
+    assert projection_rows(cube) == projections_oracle(cube)
 
 
 # Any two projections determine a permutation cube: the tests below rebuild
@@ -185,14 +199,14 @@ def test_projections_gf16_cube():
 def test_cube_from_projections_order6(order6_cube):
     built = cube_from_pair("AB", Permutation(ORDER6_A), Permutation(ORDER6_B))
     assert built == order6_cube
-    assert projections(built).c.values == ORDER6_C
+    assert projection_rows(built)[2] == ORDER6_C
 
 
 def test_cube_from_projections_identity_diagonal():
     ident = Permutation((1, 2, 3, 4, 5))
     cube = cube_from_pair("AB", ident, ident)
     assert cube.rows == tuple((i, i) for i in range(1, 6))
-    assert projections(cube).c == ident
+    assert projection_rows(cube)[2] == ident.values
 
 
 def test_cube_from_projections_order11():
@@ -219,10 +233,10 @@ def test_reconstruction_from_any_pair_small_orders():
         for a_vals in itertools.permutations(range(1, n + 1)):
             for b_vals in itertools.permutations(range(1, n + 1)):
                 cube = cube_from_pair("AB", Permutation(a_vals), Permutation(b_vals))
-                t = projections(cube)
-                assert (t.a.values, t.b.values) == (a_vals, b_vals)
-                assert cube_from_pair("AC", t.a, t.c) == cube
-                assert cube_from_pair("BC", t.b, t.c) == cube
+                a, b, c = map(Permutation, projection_rows(cube))
+                assert (a.values, b.values) == (a_vals, b_vals)
+                assert cube_from_pair("AC", a, c) == cube
+                assert cube_from_pair("BC", b, c) == cube
 
 
 def test_is_costas_cube_examples(order6_cube):
@@ -254,7 +268,7 @@ def test_projection_c_is_composition_dense_oracle():
                 a, b = Permutation(a_vals), Permutation(b_vals)
                 cube = cube_from_pair("AB", a, b)
                 composed = tuple(inverse(a).values[b.values[k - 1] - 1] for k in range(1, n + 1))
-                assert projections(cube).c.values == composed
+                assert projection_rows(cube)[2] == composed
                 if n <= 4:
                     assert _dense_projection_c(cube) == composed
 
@@ -262,7 +276,7 @@ def test_projection_c_is_composition_dense_oracle():
 @given(st.permutations(tuple(range(1, 6))), st.permutations(tuple(range(1, 6))))
 def test_projection_c_dense_oracle_order5(a_vals, b_vals):
     cube = cube_from_pair("AB", Permutation(tuple(a_vals)), Permutation(tuple(b_vals)))
-    assert _dense_projection_c(cube) == projections(cube).c.values
+    assert _dense_projection_c(cube) == projection_rows(cube)[2]
 
 
 @given(st.integers(1, 8).flatmap(
@@ -271,10 +285,10 @@ def test_projection_c_dense_oracle_order5(a_vals, b_vals):
 def test_any_projection_pair_round_trips(pair):
     a, b = (Permutation(tuple(v)) for v in pair)
     cube = cube_from_pair("AB", a, b)
-    t = projections(cube)
-    assert (t.a, t.b) == (a, b)
-    assert cube_from_pair("AC", t.a, t.c) == cube
-    assert cube_from_pair("BC", t.b, t.c) == cube
+    pa, pb, pc = map(Permutation, projection_rows(cube))
+    assert (pa, pb) == (a, b)
+    assert cube_from_pair("AC", pa, pc) == cube
+    assert cube_from_pair("BC", pb, pc) == cube
 
 
 def test_costas_arrays_fixture_counts():

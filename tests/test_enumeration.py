@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -16,7 +17,6 @@ from costas_cubes.core import (
     Permutation,
     costas_violations,
     is_costas_cube,
-    projections,
     value_matrix,
 )
 from costas_cubes.enumeration import (
@@ -45,6 +45,7 @@ from conftest import (
     least_image_oracle,
     order7_without_one_class,
     projection_class_count,
+    projections_oracle,
 )
 
 # The join benchmark's input: the 4368 order-11 Costas arrays.
@@ -284,7 +285,7 @@ def _dense_pair_join(n):
     for a_vals in arrays:
         for b_vals in arrays:
             cube = cube_from_pair("AB", Permutation(a_vals), Permutation(b_vals))
-            if costas_violation_oracle(projections(cube).c.values) == (0, 0):
+            if costas_violation_oracle(projections_oracle(cube)[2]) == (0, 0):
                 found.add(canonical_cube(cube).rows)
     return sorted(found)
 
@@ -751,6 +752,38 @@ def test_check_complete_refuses_rows_that_are_not_permutations():
     # A row with n nonzero values but wider than n is no permutation of 1..n.
     with pytest.raises(ValueError, match=r"^array \(0,1\) is not a permutation of 1..1$"):
         _check_complete(np.array([[0, 1]]), 1)
+
+
+def test_rows_before_a_row_of_the_wrong_order_are_checked_as_on_the_main_route():
+    """Every list of three distinct rows over 1..3 that the main route
+    refuses for a row that is not a permutation or not a Costas array is
+    refused with the same message when a row of order 2 follows it."""
+    checked = 0
+    for listed in itertools.combinations(itertools.product(range(1, 4), repeat=3), 3):
+        message = ""
+        try:
+            _check_complete(np.array(listed, dtype=np.uint8), 3)
+        except ValueError as exc:
+            message = str(exc)
+        if not message.endswith(("is not a permutation of 1..3", "is not a Costas array")):
+            continue
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _check_complete(np.array(listed + ((1, 2, 0),), dtype=np.uint8), 3)
+        checked += 1
+    assert checked == 2921
+    with pytest.raises(ValueError, match=r"^array \(1,1,1\) is not a permutation of 1..3$"):
+        class_report(3, np.array([[1, 1, 1], [1, 2, 0]], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("values", [
+    np.loadtxt(ORDER11_DATABASE), costas_values(5).astype(np.float32), costas_values(5).astype(bool)],
+    ids=["float64-order-11-database", "float32", "bool"])
+def test_class_report_refuses_a_matrix_that_is_not_of_integers(values):
+    """A float matrix holds the right values yet cannot be scattered into
+    inverses; it is refused, by its dtype, before any check."""
+    n = values.shape[1]
+    with pytest.raises(ValueError, match=rf"^array list of dtype {values.dtype}; expected an integer dtype$"):
+        class_report(n, values)
 
 
 @pytest.mark.parametrize("dtype, n", [(np.uint8, 5), (np.uint16, 5), (np.uint16, 256)])

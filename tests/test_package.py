@@ -5,8 +5,7 @@ import costas_cubes
 # The package's public names, one line per module: core, gf, symmetry,
 # construct, enumeration.
 PUBLIC = (
-    "CostasCube", "Permutation", "ProjectionTriple", "costas_violation", "is_costas_cube",
-    "projections",
+    "CostasCube", "Permutation", "costas_violation", "is_costas_cube", "projections",
     "FieldSpec", "field_new", "is_primitive", "parse_element", "parse_field_spec",
     "AxisSymmetry", "CUBE_SYMMETRIES", "PLANAR_SYMMETRIES", "canonical_array", "canonical_cube",
     "projection_set",
@@ -26,9 +25,11 @@ MOVED_TO_TESTS = {
 }
 
 # Wrappers over gf._primitive_logs, the one admissibility list, which the
-# sweeps, the catalog and the tests read directly.
+# sweeps, the catalog and the tests read directly; and the projections'
+# triple of permutations, which are one (3, n) value matrix.
 REMOVED = {
     "gf": ("primitive_elements", "g3_admissible", "g3_cube_admissible"),
+    "core": ("ProjectionTriple",),
 }
 
 
