@@ -21,9 +21,17 @@ Index conventions used throughout the package (all 1-based):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
+
+
+@cache
+def _identity(n: int) -> list[int]:
+    """[1, ..., n], shared by every Permutation check of order n: never
+    handed out, so never changed."""
+    return list(range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -36,7 +44,7 @@ class Permutation:
         n = len(self.values)
         if n == 0:
             raise ValueError("permutation must have order >= 1")
-        if sorted(self.values) != list(range(1, n + 1)):
+        if sorted(self.values) != _identity(n):
             raise ValueError(f"{self.values!r} is not a bijection on 1..{n}")
 
     @property
@@ -130,8 +138,8 @@ def value_matrix(arrays: Sequence[Permutation]) -> np.ndarray:
     least unsigned dtype that holds them: for arrays all of order n, their
     (N, n) value matrix.  Arrays of lesser order are padded with zeros to
     the largest order, so a row's order is its count of nonzero values."""
-    width = max((p.order for p in arrays), default=0)
-    rows = [p.values + (0,) * (width - p.order) for p in arrays]
+    width = max((len(p.values) for p in arrays), default=0)
+    rows = [p.values + (0,) * (width - len(p.values)) for p in arrays]
     return np.array(rows, dtype=np.min_scalar_type(width)).reshape(len(rows), width)
 
 

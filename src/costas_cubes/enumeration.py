@@ -1,23 +1,28 @@
 """Exhaustive generation of Costas arrays and Costas cubes.
 
-Arrays are generated by one depth-first search over blocks of partial
-arrays, from the block of every two-column prefix whose first value is
-at most ceil(n/2).  The search keeps only the corner-least arrays: those
-whose first value is the least of the first values of their eight square
-images, which are the array's four corner distances and n+1 minus each.
-The least image of every class is corner-least, so the square images of
-the arrays found, deduplicated and sorted, are every array.  The
-criterion is one window word per column and first value, the values that
-column may not hold, so the columns are still searched in order.  One
-numpy step extends every partial array of a block by one column, pruned
-by one difference bitmask per column distance and by the window, and a
-grown block of more than _BLOCK_ROWS rows is split into slices searched
-one after another, so that the frontier's memory is bounded at every
-order.  Each step looks one column ahead and keeps a partial array only
-when its next column still has a free value, so that no value or mask
-row is built for a partial array with no future.  A value v is bit v - 1
-of a word and a difference w - u is bit w - u + n - 1; words are int32
-up to order 16 and int64 above, and value rows int8.
+Arrays are generated by one search over blocks of partial arrays, from
+the block of every two-column prefix whose first value is at most
+ceil(n/2).  The search keeps only the corner-least arrays: those whose
+first value is the least of the first values of their eight square
+images, which are the array's four corner distances and n+1 minus each,
+and, when that value is 1, whose second value is at most that of their
+transpose.  The least image of every class is corner-least, so the
+square images of the arrays found, deduplicated and sorted, are every
+array.  The criterion is one window word per column and first two
+values, the values that column may not hold, so the columns are still
+searched in order.  One numpy step extends every partial array of a
+block by one column, pruned by one difference bitmask per column
+distance and by the window.  The partial arrays of each length wait in
+one FIFO of blocks, in lexicographic order; each step takes up to
+_BLOCK_ROWS rows from the deepest FIFO that holds a quarter of that, or
+else from the shallowest that holds any, so that the small blocks deep
+in the search are merged into one step and the frontier's memory is
+bounded at every order.  Each step looks one column ahead and keeps a
+partial array only when its next column still has a free value, so that
+no value or mask row is built for a partial array with no future.  A
+value v is bit v - 1 of a word and a difference w - u is bit
+w - u + n - 1; words are int32 up to order 16 and int64 above, and value
+rows int8.
 
 Cubes of order n are generated by the pair-join over a complete list of
 order-n Costas arrays: for a pair (A, B), build the unique permutation
@@ -67,6 +72,7 @@ first faulty array.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -97,32 +103,72 @@ class EnumerationLimitError(ValueError):
 MAX_WORD_ORDER = 31
 
 
-# A grown block of more rows than this is searched in slices of this many
-# rows, so that the frontier and one step's temporaries stay a few MB at
-# every order.
+# One step of the search takes up to this many rows, so that the frontier
+# and one step's temporaries stay a few MB at every order.
 _BLOCK_ROWS = 1 << 12
 
 
 def _corner_window(n: int, dtype: np.dtype) -> np.ndarray:
-    """The corner-least window of order n: entry [j, a], for a column j and
-    a first value a (both from 1; row and column 0 unused), is the word of
+    """The corner-least window of order n: entry [j, a, b], for a column j
+    and first values a and b (all from 1; index 0 unused), is the word of
     the values that column j may not hold in a corner-least array that
-    begins with a.
+    begins with a, b.
 
     The first values of an array's eight square images are its corner
     distances: sigma(1), sigma(n), c(1) and c(n), and n+1 minus each, where c(v)
     is the column that holds value v.  An array is corner-least when its
     first value a is the least of the eight: then a <= n+1-a, the values 1
-    and n lie in columns a..n+1-a and the last value lies in a..n+1-a.
-    The least image of every class is corner-least."""
-    window = np.zeros((n + 1, n + 1), dtype=dtype)
+    and n lie in columns a..n+1-a and the last value lies in a..n+1-a.  An
+    array that begins with 1 has a transpose (its inverse) that begins
+    with 1, so when a = 1 it is corner-least only if also b = sigma(2) <=
+    c(2), the second value of its transpose: value 2 does not lie in
+    columns 3..b-1.  The least image of every class is corner-least."""
+    window = np.zeros((n + 1, n + 1, n + 1), dtype=dtype)
     ends, full = 1 | 1 << (n - 1), (1 << n) - 1
     for a in range(1, n + 1):
         lo, hi = a, n + 1 - a
         window[1:lo, a] = ends
         window[hi + 1 :, a] = ends
         window[n, a] |= (1 << (lo - 1)) - 1 | full & ~((1 << hi) - 1)
+    for b in range(4, n + 1):
+        window[3:b, 1, b] |= 2
     return window
+
+
+class _Fifo:
+    """The partial arrays of one length in _prefix_search: blocks, each a
+    tuple of arrays whose last axis runs over the partial arrays, kept in
+    the order they were put."""
+
+    def __init__(self) -> None:
+        self.blocks: deque[tuple[np.ndarray, ...]] = deque()
+        self.start = 0  # the rows of the first block already taken
+        self.rows = 0
+
+    def put(self, block: tuple[np.ndarray, ...]) -> None:
+        if len(block[-1]):
+            self.blocks.append(block)
+            self.rows += len(block[-1])
+
+    def take(self, count: int) -> tuple[np.ndarray, ...]:
+        """The first count rows (all, if fewer), as one block."""
+        count = min(count, self.rows)
+        self.rows -= count
+        parts = []
+        while count:
+            block, start = self.blocks[0], self.start
+            size = len(block[-1])
+            stop = min(start + count, size)
+            if stop == size:
+                self.blocks.popleft()
+                self.start = 0
+            else:
+                self.start = stop
+            parts.append(tuple(x[..., start:stop] for x in block))
+            count -= stop - start
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(x, axis=-1) for x in zip(*parts))
 
 
 def _prefix_search(n: int, prefixes: np.ndarray) -> np.ndarray:
@@ -133,14 +179,19 @@ def _prefix_search(n: int, prefixes: np.ndarray) -> np.ndarray:
     a value or a difference, or that no corner-least array begins with
     column by column, begins none.
 
-    The search runs depth-first over blocks of partial arrays.  A block is
-    held by column: one int8 row per value column, one mask row per column
+    The search runs over blocks of partial arrays.  A block is held by
+    column: one int8 row per value column, one mask row per column
     distance d, the free values of each partial array's next column, and
     its fixed word, the bits of its first two values.  One step (_grow)
-    extends a whole block by one column; a grown block of more than
-    _BLOCK_ROWS rows is split into slices, pushed in reverse order, so
-    that the first is searched to the end first and the output stays in
-    order.
+    extends a block by one column.  The partial arrays of each length wait
+    in one FIFO (_Fifo), which receives them in order, so the output stays
+    in order.  Each step takes up to _BLOCK_ROWS rows from the front of
+    the deepest FIFO that holds at least _BLOCK_ROWS // 4, or else of the
+    shallowest that holds any: the search runs depth first once a block is
+    large, and the small blocks that a deep step leaves are merged with
+    the next ones into one step.  A FIFO holds fewer than _BLOCK_ROWS // 4
+    rows whenever a step adds to it, which bounds the frontier's memory.
+    A step at length n - 1 gives arrays found.
 
     The mask of distance d has bit w - u + n - 1 for the values u, w of
     each pair of columns d apart, and bit n - 1, the difference 0: shifted
@@ -148,8 +199,8 @@ def _prefix_search(n: int, prefixes: np.ndarray) -> np.ndarray:
     u at bit u - 1 and each candidate w that would repeat a difference at
     bit w - 1.  The fixed word blocks the first two values, which lie
     beyond the distances of the parent masks that _grow shifts.  The
-    corner-least window of the next column and the first value blocks the
-    rest.
+    corner-least window of the next column and the first two values
+    blocks the rest.
     """
     values = np.array(prefixes, dtype=np.int8).T
     k = len(values)
@@ -160,7 +211,7 @@ def _prefix_search(n: int, prefixes: np.ndarray) -> np.ndarray:
         diffs = np.sort(values[d:] - values[:-d], axis=0)
         ok &= (diffs != 0).all(axis=0) & (diffs[1:] != diffs[:-1]).all(axis=0)
     for j in range(k):
-        ok &= (window[j + 1, values[0]] >> (values[j] - 1)) & 1 == 0
+        ok &= (window[j + 1, values[0], values[1]] >> (values[j] - 1)) & 1 == 0
     values = values[:, ok]
     if k == n:
         return values.T
@@ -173,20 +224,19 @@ def _prefix_search(n: int, prefixes: np.ndarray) -> np.ndarray:
         masks[d - 1] = np.bitwise_or.reduce(bits, axis=0) | one << (n - 1)
     fixed = one << (values[0] - 1).astype(dtype) | one << (values[1] - 1).astype(dtype)
     blocked = fixed | np.bitwise_or.reduce(masks >> (n - values[:0:-1]).astype(dtype), axis=0)
-    blocked |= window[k + 1, values[0]]
+    blocked |= window[k + 1, values[0], values[1]]
+    fifos = [_Fifo() for _ in range(n)]
+    fifos[k].put((values, masks, fixed, ~blocked & ((one << n) - 1)))
+    merge = _BLOCK_ROWS // 4
     found = []
-    stack = [(values, masks, fixed, ~blocked & ((one << n) - 1))]
-    while stack:
-        values, masks, fixed, free = stack.pop()
-        if len(values) == n - 1:
+    while live := [d for d in range(k, n) if fifos[d].rows]:
+        depth = max((d for d in live if fifos[d].rows >= merge), default=live[0])
+        values, masks, fixed, free = fifos[depth].take(_BLOCK_ROWS)
+        if depth == n - 1:
             rows, cols = _free_values(n, free)
             found.append(np.vstack((values[:, rows], cols.astype(np.int8) + 1)).T)
-            continue
-        grown = _grow(n, window, values, masks, fixed, free)
-        stack.extend(
-            tuple(x[..., s : s + _BLOCK_ROWS] for x in grown)
-            for s in reversed(range(0, len(grown[2]), _BLOCK_ROWS))
-        )
+        else:
+            fifos[depth + 1].put(_grow(n, window, values, masks, fixed, free))
     return np.concatenate(found) if found else np.empty((0, n), dtype=np.int8)
 
 
@@ -215,9 +265,9 @@ def _grow(
 
     A child is kept only when its own next column still has a free value.
     That column's blocked set has two parts.  One is per parent: the fixed
-    word, the corner-least window of that column and the first value, and
-    the parent's masks of distance 2 and up, each shifted by the value one
-    column later.  The other is per child: its new distance-1 mask,
+    word, the corner-least window of that column and the first two values,
+    and the parent's masks of distance 2 and up, each shifted by the value
+    one column later.  The other is per child: its new distance-1 mask,
     shifted by its value, since the bits a child adds to its longer
     distances, so shifted, are exactly its parent's distance-1 mask shifted
     by its value.  Only the kept children get value and mask rows.
@@ -232,7 +282,7 @@ def _grow(
     v += 1
     shifts = (n - values[k - 1 : 1 : -1]).astype(dtype)
     ahead = fixed | np.bitwise_or.reduce(masks[1:] >> shifts, axis=0)
-    ahead |= window[k + 2, values[0]]
+    ahead |= window[k + 2, values[0], values[1]]
     blocked = np.subtract(v, values[k - 1, rows], dtype=dtype)
     blocked += n - 1
     np.left_shift(one, blocked, out=blocked)

@@ -107,11 +107,13 @@ def corner_least(values):
     """Whether an array's first value is the least of its eight corner
     distances: sigma(1), sigma(n), c(1) and c(n), and n+1 minus each, for
     c(v) the column of value v.  These are the first values of its eight
-    square images."""
+    square images.  An array that begins with 1 must also have a second
+    value no greater than its transpose's, c(2)."""
     n = len(values)
     column = {v: j for j, v in enumerate(values, start=1)}
     corners = (values[0], values[-1], column[1], column[n])
-    return values[0] == min(d for x in corners for d in (x, n + 1 - x))
+    least = values[0] == min(d for x in corners for d in (x, n + 1 - x))
+    return least and (values[0] > 1 or values[1] <= column[2])
 
 
 def test_breadth_first_matches_backtracking_oracle():
@@ -138,12 +140,25 @@ def test_search_keeps_the_least_image_of_every_class(monkeypatch, n):
     assert {least_image_oracle(p) for p in backtrack_costas_arrays(n)} <= rows
 
 
-def test_corner_least_rows_of_order_11():
-    """823 corner-least arrays at order 11, none with first value 6."""
+def test_corner_least_rows_of_order_11(monkeypatch):
+    """719 corner-least arrays at order 11, none with first value 6 and
+    none with first value 1 whose second value exceeds the column of
+    value 2.  The search takes 84 steps, which pins the merging of small
+    deep blocks (121 steps without it)."""
+    grow, steps = enumeration._grow, []
+
+    def counted(*args):
+        steps.append(None)
+        return grow(*args)
+
+    monkeypatch.setattr(enumeration, "_grow", counted)
     pairs = [(a, b) for a in range(1, 7) for b in range(1, 12) if a != b]
     found = enumeration._prefix_search(11, np.array(pairs))
-    assert len(found) == 823
+    assert len(found) == 719
     assert not (found[:, 0] == 6).any()
+    ones = found[found[:, 0] == 1]
+    assert len(ones) and (ones[:, 1] <= np.argmax(ones == 2, axis=1) + 1).all()
+    assert len(steps) == 84
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -164,21 +179,30 @@ def test_prefix_search_matches_backtracking_oracle(n):
     np.testing.assert_array_equal(enumeration._prefix_search(n, np.array(pairs)), np.concatenate(expected))
 
 
-@pytest.mark.parametrize("block", [1, 5, 64])
+@pytest.mark.parametrize("block", [1, 5, 64, 1 << 20])
 def test_block_path_matches_backtracking_oracle(monkeypatch, block):
-    """With grown blocks split into slices of 1, 5 or 64 rows, the search
-    still gives every array in order; prefixes as long as the order are
-    returned as they are, less those that repeat a value or a difference
-    and those that are not corner-least."""
+    """With steps of up to 1, 5, 64 or 2^20 rows, the search still gives
+    every array in order.  Blocks of 1 and 5 rows merge from 0 and 1 rows,
+    so every step takes the deepest rows; 2^20 rows merge from more than
+    any frontier up to order 10, so every step takes the shallowest.
+    Prefixes as long as the order are returned as they are, less those
+    that repeat a value or a difference and those that are not
+    corner-least."""
     monkeypatch.setattr(enumeration, "_BLOCK_ROWS", block)
     for n in range(1, 11):
         oracle = [p.values for p in backtrack_costas_arrays(n)]
         assert [tuple(v) for v in costas_values(n).tolist()] == oracle
-    # (2, 1) and (2, 3, 1) are Costas but not corner-least.
-    full = np.array([[1, 2], [2, 2], [2, 1]])
-    np.testing.assert_array_equal(enumeration._prefix_search(2, full), [[1, 2]])
-    full = np.array([[1, 3, 2], [1, 2, 3], [2, 3, 1]])
-    np.testing.assert_array_equal(enumeration._prefix_search(3, full), [[1, 3, 2]])
+    # (2, 1) and (2, 3, 1) are Costas but not corner-least, and (1, 4, 2, 3)
+    # is Costas but its transpose (1, 3, 4, 2) is less.
+    for full, kept in (
+        ([[1, 2], [2, 2], [2, 1]], [[1, 2]]),
+        ([[1, 3, 2], [1, 2, 3], [2, 3, 1]], [[1, 3, 2]]),
+        ([[1, 4, 2, 3], [1, 3, 4, 2], [1, 2, 3, 4]], [[1, 3, 4, 2]]),
+    ):
+        permutations = [row for row in full if sorted(row) == list(range(1, len(row) + 1))]
+        oracle = [row for row in permutations if costas_violation_oracle(row) == (0, 0) and corner_least(row)]
+        assert oracle == kept
+        np.testing.assert_array_equal(enumeration._prefix_search(len(kept[0]), np.array(full)), kept)
 
 
 @pytest.mark.parametrize(
