@@ -4,7 +4,6 @@ symmetry classification, and finite-field constructions."""
 from .core import (
     CostasCube,
     Permutation,
-    costas_violation,
     is_costas_cube,
     projections,
 )
@@ -19,7 +18,6 @@ from .symmetry import (
     AxisSymmetry,
     CUBE_SYMMETRIES,
     PLANAR_SYMMETRIES,
-    canonical_array,
     canonical_cube,
     projection_set,
 )
@@ -51,10 +49,9 @@ from .enumeration import (
 __version__ = "0.1.0"
 
 __all__ = (
-    "CostasCube", "Permutation", "costas_violation", "is_costas_cube", "projections",
+    "CostasCube", "Permutation", "is_costas_cube", "projections",
     "FieldSpec", "field_new", "is_primitive", "parse_element", "parse_field_spec",
-    "AxisSymmetry", "CUBE_SYMMETRIES", "PLANAR_SYMMETRIES", "canonical_array", "canonical_cube",
-    "projection_set",
+    "AxisSymmetry", "CUBE_SYMMETRIES", "PLANAR_SYMMETRIES", "canonical_cube", "projection_set",
     "ConstructionId", "Family", "catalog", "cube_g2x3", "cube_g3_variant_i", "cube_g3_variant_ii",
     "cube_w2w2g2", "g2", "g3", "k_reversal", "sweep", "table2", "w1", "w2",
     "ClassReport", "EnumerationLimitError", "array_classes", "class_report",

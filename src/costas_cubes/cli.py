@@ -40,9 +40,9 @@ from .construct import (
     w1,
     w2,
 )
-from .core import costas_violation, costas_violations, distinct_rows, is_costas_cube, projections
+from .core import CostasCube, costas_violations, distinct_rows, is_costas_cube, projections
 from .enumeration import ClassReport, class_report, costas_values, table1, total_mismatch
-from .files import emit_array_file, emit_cube_file, numbered_arrays, parse_array_file, parse_cube_file
+from .files import array_line_numbers, emit_array_file, emit_cube_file, parse_array_file, parse_cube_file
 from .gf import format_element, parse_element, parse_field_spec
 from .reference import TABLE1, TABLE2
 from .symmetry import least_image, planar_images, projection_set
@@ -146,21 +146,21 @@ def cmd_construct(args) -> int:
         elems.append(c)
         params["c"] = str(c)
     obj = build(field.p if prime_only else field, *elems)
+    # A cube is judged by its projections, an array by its one value row.
+    values = projections(obj) if isinstance(obj, CostasCube) else np.array([obj])
+    verified = not costas_violations(values).any()
 
-    doc = {"family": args.family, "field": args.field, "parameters": params, "order": obj.order}
+    doc = {"family": args.family, "field": args.field, "parameters": params, "order": values.shape[1]}
     stamp = f"{args.family} over GF({field.q}) " + " ".join(f"{k}={v}" for k, v in params.items())
-    if hasattr(obj, "rows"):
-        values = projections(obj)
+    if isinstance(obj, CostasCube):
         named = dict(zip("ABC", values.tolist()))
-        verified = not costas_violations(values).any()
         doc.update(triples=[list(x) for x in obj.triples()], projections=named, costas_cube=verified)
         text = emit_cube_file(obj, comments=[
             stamp, f"costas cube: {'yes' if verified else 'NO'}",
             *(f"projection {name}: {' '.join(map(str, row))}" for name, row in named.items())])
     else:
-        verified = costas_violation(obj) is None
-        doc.update(values=list(obj.values), costas=verified)
-        text = emit_array_file([obj.values], comments=[stamp, f"costas: {'yes' if verified else 'NO'}"])
+        doc.update(values=list(obj), costas=verified)
+        text = emit_array_file([obj], comments=[stamp, f"costas: {'yes' if verified else 'NO'}"])
     _emit(args, doc, text.splitlines())
     return 0 if verified else 1
 
@@ -302,9 +302,9 @@ def cmd_import(args) -> int:
     found = costas_violations(values)
     if found.any():
         bad = int(np.argmax(found[:, 0] > 0))
-        no, p = numbered_arrays(text)[bad]
-        print(f"error: line {no}: {p} is not a Costas array (repeated vector {tuple(found[bad].tolist())})",
-              file=sys.stderr)
+        no = array_line_numbers(text)[bad]
+        print(f"error: line {no}: {_paren(values[bad].tolist())} is not a Costas array "
+              f"(repeated vector {tuple(found[bad].tolist())})", file=sys.stderr)
         return 1
 
     values = distinct_rows(values)

@@ -33,12 +33,14 @@ W1, G2, G2x3 and W2W2G2 each have one row formula, numpy arithmetic
 over arrays of these logs; W2, G3 and the G3 cubes are read from those
 rows by dropping the corner dot's row (the last W1 entry, the first G2
 entry or G2x3 row) and subtracting 1.  A constructor evaluates a family
-at one parameter tuple.  sweep evaluates it once per field, at every
-admissible tuple, into one int16 row matrix, and counts equivalence
-classes per order: a row among the 48 images of a class already found
-is skipped, so each class is canonicalized exactly once.  table2 makes each field once per
-call and hands the same fields to its four sweeps, so each table is
-built once per call; nothing is cached from one call to the next.
+at one parameter tuple: an array constructor returns its value row, a
+tuple of ints, and a cube constructor a CostasCube.  sweep evaluates a
+cube family once per field, at every admissible tuple, into one int16
+row matrix, and counts equivalence classes per order: a row among the
+48 images of a class already found is skipped, so each class is
+canonicalized exactly once.  table2 makes each field once per call and
+hands the same fields to its four sweeps, so each table is built once
+per call; nothing is cached from one call to the next.
 catalog labels canonical arrays of one order by the families able to
 produce them, evaluating each array formula once over the field it
 holds and canonicalizing every array in one pass.
@@ -53,7 +55,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import CostasCube, Permutation, is_costas_cube
+from .core import CostasCube, is_costas_cube
 from .reference import CUBE_CLASS_COUNTS
 from .gf import (
     PRIMITIVE_ELEMENT_GUARD,
@@ -171,11 +173,7 @@ def _g2_values(field: FieldSpec, a, b) -> np.ndarray:
     return zech[b * np.arange(1, n) % n] * _unit_inverse(a, n) % n
 
 
-def _permutation(values: np.ndarray) -> Permutation:
-    return Permutation(tuple(values.tolist()))
-
-
-def w1(p: int, phi: FieldElement, c: int = 0) -> Permutation:
+def w1(p: int, phi: FieldElement, c: int = 0) -> tuple[int, ...]:
     """Order p-1 array with sigma(j) = phi^(j+c) over GF(p), p > 2 prime."""
     field = field_new(p, 1)
     if p <= 2:
@@ -183,26 +181,26 @@ def w1(p: int, phi: FieldElement, c: int = 0) -> Permutation:
     (a,) = _logs(field, phi=phi)
     if not 0 <= c < p:
         raise ValueError(f"shift c={c} must lie in GF({p})")
-    return _permutation(_w1_values(field, a, c))
+    return tuple(_w1_values(field, a, c).tolist())
 
 
-def g2(field: FieldSpec, phi: FieldElement, rho: FieldElement) -> Permutation:
+def g2(field: FieldSpec, phi: FieldElement, rho: FieldElement) -> tuple[int, ...]:
     """Order q-2 array with 1 entries where phi^i + rho^j = 1, q > 3."""
     if field.q <= 3:
         raise ValueError("G2 requires q > 3")
-    return _permutation(_g2_values(field, *_logs(field, phi=phi, rho=rho)))
+    return tuple(_g2_values(field, *_logs(field, phi=phi, rho=rho)).tolist())
 
 
-def w2(p: int, phi: FieldElement) -> Permutation:
+def w2(p: int, phi: FieldElement) -> tuple[int, ...]:
     """Order p-2 array with sigma(j) = phi^j - 1 over GF(p), p > 3 prime."""
     field = field_new(p, 1)
     if p <= 3:
         raise ValueError("W2 requires p > 3")
     (a,) = _logs(field, phi=phi)
-    return _permutation(_w1_values(field, a, 0)[:-1] - 1)
+    return tuple((_w1_values(field, a, 0)[:-1] - 1).tolist())
 
 
-def g3(field: FieldSpec, phi: FieldElement) -> Permutation:
+def g3(field: FieldSpec, phi: FieldElement) -> tuple[int, ...]:
     """Order q-3 array with 1 entries where phi^(i+1) + (1-phi)^(j+1) = 1.
 
     Requires phi and 1-phi both primitive.  Equals the G2(q, phi, 1-phi)
@@ -213,7 +211,7 @@ def g3(field: FieldSpec, phi: FieldElement) -> Permutation:
     (a,) = _logs(field, phi=phi)
     exp, _, zech = field.tables()
     (m,) = _logs(field, **{"1-phi": exp[zech[a]]})
-    return _permutation(_g2_values(field, a, m)[1:] - 1)
+    return tuple((_g2_values(field, a, m)[1:] - 1).tolist())
 
 
 # -- cube constructions ------------------------------------------------

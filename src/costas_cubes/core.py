@@ -2,9 +2,13 @@
 
 Index conventions used throughout the package (all 1-based):
 
-* A permutation sigma on {1..n} is stored as its value sequence
-  (sigma(1), ..., sigma(n)) and encodes the n x n 0/1 array with a 1 in
-  row i, column j exactly when sigma(j) = i.
+* A permutation sigma on {1..n} is stored as its value row
+  (sigma(1), ..., sigma(n)), a tuple or a row of a value matrix, and
+  encodes the n x n 0/1 array with a 1 in row i, column j exactly when
+  sigma(j) = i.  Arrays of several orders share one matrix zero-padded
+  to the largest order, so a row's order is its count of nonzero values.
+  Permutation, a validated value tuple, is returned only by
+  enumeration.enumerate_costas_arrays and array_classes.
 
 * A permutation cube is an n x n x n 0/1 array with exactly one 1 in
   every axis-aligned plane.  It is stored sparsely: for each i there is
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -50,9 +54,6 @@ class Permutation:
     @property
     def order(self) -> int:
         return len(self.values)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(map(str, self.values)) + ")"
 
 
 @dataclass(frozen=True)
@@ -102,13 +103,6 @@ class CostasCube:
         return " ".join(f"({i},{j},{k})" for i, j, k in self.triples())
 
 
-def costas_violation(perm: Permutation) -> tuple[int, int] | None:
-    """A repeated difference vector (column shift, value shift), or None:
-    costas_violations of the permutation's one row."""
-    d, diff = costas_violations(np.array([perm.values])).tolist()[0]
-    return (d, diff) if d else None
-
-
 def costas_violations(values: np.ndarray) -> np.ndarray:
     """Each row's first repeated difference vector (d, diff), at the least
     shift d and then the first column repeating one to its left, or (0, 0)
@@ -131,16 +125,6 @@ def costas_violations(values: np.ndarray) -> np.ndarray:
             column = np.where(ranked[:, 1:] == ranked[:, :-1], order[:, 1:], diffs.shape[1]).min(axis=1)
             found[fail] = np.stack([np.full(len(diffs), d), diffs[np.arange(len(diffs)), column]], axis=1)
     return found
-
-
-def value_matrix(arrays: Sequence[Permutation]) -> np.ndarray:
-    """The value sequences of arrays as the rows of one matrix, in the
-    least unsigned dtype that holds them: for arrays all of order n, their
-    (N, n) value matrix.  Arrays of lesser order are padded with zeros to
-    the largest order, so a row's order is its count of nonzero values."""
-    width = max((len(p.values) for p in arrays), default=0)
-    rows = [p.values + (0,) * (width - len(p.values)) for p in arrays]
-    return np.array(rows, dtype=np.min_scalar_type(width)).reshape(len(rows), width)
 
 
 def distinct_rows(values: np.ndarray) -> np.ndarray:

@@ -78,7 +78,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import CostasCube, Permutation, costas_violations, distinct_rows, value_matrix
+from .core import CostasCube, Permutation, costas_violations, distinct_rows
 from .reference import COSTAS_ARRAY_TOTALS
 from .symmetry import _row_keys, first_of_each_class, inverse_rows, least_image, planar_images
 
@@ -334,25 +334,27 @@ def costas_values(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> np.ndarray:
 
 
 def enumerate_costas_arrays(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> list[Permutation]:
-    """All Costas permutations of order n, in lexicographic order; see
-    costas_values."""
+    """All Costas permutations of order n, in lexicographic order: the
+    rows of costas_values as Permutations.  This and array_classes are
+    the package's only Permutation results, read by perfbench's
+    arrays_o11 workload."""
     return [Permutation(tuple(v)) for v in costas_values(n, limit).tolist()]
 
 
 def array_classes(arrays: Iterable[Permutation]) -> list[Permutation]:
     """One canonical representative per D4 class of the given arrays (all
     of one order), sorted."""
-    values = value_matrix(list(arrays))
-    if not len(values):
+    rows = [p.values for p in arrays]
+    if not rows:
         return []
-    orders = np.count_nonzero(values, axis=1)
-    odd = orders[orders != orders[0]]
-    if len(odd):
+    n = len(rows[0])
+    if len(set(map(len, rows))) > 1:
+        odd = next(len(row) for row in rows if len(row) != n)
         raise ValueError(
-            f"arrays of orders {orders[0]} and {odd[0]} mixed; "
+            f"arrays of orders {n} and {odd} mixed; "
             "the images of a list are taken within one order"
         )
-    values = least_image(planar_images(values))
+    values = least_image(planar_images(np.array(rows, dtype=np.min_scalar_type(n))))
     return [Permutation(tuple(v)) for v in distinct_rows(values).tolist()]
 
 
@@ -426,7 +428,7 @@ def _text(row: np.ndarray) -> str:
 
 def _check_complete(values: np.ndarray, n: int) -> np.ndarray:
     """Sanity checks for a claimed-complete list of order-n Costas arrays,
-    given as a value matrix (a value_matrix, if of mixed orders); returns
+    given as a value matrix (zero-padded, if of mixed orders); returns
     each row's class, the classes numbered in the order of their least
     planar images.
 

@@ -2,13 +2,12 @@
 
 Array files hold one permutation per line as whitespace-separated
 1-based values; lines starting with '#' and blank lines are ignored.
+array_lines lists the others, and array_line_numbers their line numbers.
 Each value is read as int() reads it.  parse_array_file gives the arrays
 of a file as one value matrix, for every command that reads an array
 file: numpy's C reader (np.loadtxt) converts the array lines in one
-call, or in one call per array order, and text it refuses goes to
-numbered_arrays.  numbered_arrays gives one validated Permutation per
-line, only to name a bad line: the first line that does not parse, and
-import's first non-Costas line.
+call, or in one call per array order, and text it refuses is read again
+line by line, only to name its first bad line.
 
 Cube files are either a JSON document {"order": n, "triples": [[i, j, k],
 ...]} (extra keys ignored) or plain text with one "i j k" line per row,
@@ -23,39 +22,38 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import CostasCube, Permutation, value_matrix
+from .core import CostasCube
 
 
-def numbered_arrays(text: str) -> list[tuple[int, Permutation]]:
-    """(line number, permutation) for every array line of an array file."""
-    numbered = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            numbered.append((lineno, Permutation(tuple(map(int, line.split())))))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    if not numbered:
-        raise ValueError("no permutations found")
-    return numbered
+def array_lines(text: str) -> list[str]:
+    """The array lines of an array file: every line that is neither blank
+    nor a '#' comment."""
+    return [line for line in text.splitlines() if line.strip()[:1] not in ("", "#")]
+
+
+def array_line_numbers(text: str) -> list[int]:
+    """The 1-based line number in text of each of its array_lines."""
+    # A line splits into itself alone, so array_lines(line) is [line]
+    # exactly when line is an array line, and [] otherwise.
+    return [no for no, line in enumerate(text.splitlines(), start=1) if array_lines(line)]
 
 
 def parse_array_file(text: str) -> np.ndarray:
-    """The arrays of an array file as the rows of one (N, n) value matrix.
+    """The arrays of an array file as the rows of one (N, n) value matrix,
+    in the least unsigned dtype for n; a row of lesser order is
+    zero-padded.
 
     np.loadtxt converts the array lines in one call when every line holds
     as many tokens as the first, and otherwise in one call per token
-    count, whose rows are zero-padded back into file order as value_matrix
-    pads them.  One sort along the rows of each call checks that each row
-    is a bijection on 1..n.  The C reader accepts a subset of what int()
-    reads, and its result is taken only when the call raised no warning
-    (older numpy reads 1.0 as an integer, with a DeprecationWarning).  Any
-    other text, and a file with no array lines, is read again by
-    numbered_arrays, which names its first bad line.
+    count, whose rows are zero-padded back into file order.  One sort
+    along the rows of each call checks that each row is a bijection on
+    1..n.  The C reader accepts a subset of what int() reads, and its
+    result is taken only when the call raised no warning (older numpy
+    reads 1.0 as an integer, with a DeprecationWarning).  Any other text,
+    and a file with no array lines, is read again line by line, which
+    names its first bad line.
     """
-    lines = [line for line in text.splitlines() if line.strip()[:1] not in ("", "#")]
+    lines = array_lines(text)
     values = _bijections(lines)
     if values is None and lines:
         counts = np.array([len(line.split()) for line in lines])
@@ -68,8 +66,28 @@ def parse_array_file(text: str) -> np.ndarray:
                 break
             values[at, :k] = block
     if values is None:
-        return value_matrix([p for _, p in numbered_arrays(text)])
+        values = _read_lines(array_line_numbers(text), lines)
     return values.astype(np.min_scalar_type(values.shape[1]))
+
+
+def _read_lines(numbers: list[int], lines: list[str]) -> np.ndarray:
+    """The array lines, numbered as in their file, read one at a time by
+    int(), as one zero-padded int64 matrix.  Raises ValueError naming the
+    first line that does not parse or is not a bijection on 1..n, or when
+    there is no line."""
+    if not lines:
+        raise ValueError("no permutations found")
+    rows = []
+    for no, line in zip(numbers, lines):
+        try:
+            row = tuple(map(int, line.split()))
+        except ValueError as exc:
+            raise ValueError(f"line {no}: {exc}") from None
+        if sorted(row) != list(range(1, len(row) + 1)):
+            raise ValueError(f"line {no}: {row!r} is not a bijection on 1..{len(row)}")
+        rows.append(row)
+    width = max(map(len, rows))
+    return np.array([row + (0,) * (width - len(row)) for row in rows], dtype=np.int64)
 
 
 def _bijections(lines: list[str]) -> np.ndarray | None:

@@ -3,9 +3,11 @@ Table 1 and Table 2 columns, and the totals they are checked against.
 
 The cube totals come from the published exhaustive determination of Costas
 cubes for orders up to 29 (itself built on the complete Costas array
-databases for those orders).  Orders 2-12 are recomputed from scratch by
-the enumeration module and the test suite; the larger orders cannot be
-recomputed at desk scale without an externally supplied array database.
+databases for those orders).  Orders 2-13 are recomputed from scratch in
+process by the enumeration module (tables --table 1 --max-order 13, as CI
+runs it), and order 14 by the stretch test, which searches
+costas_values(14, limit=14) and pins its bytes' sha256.  Above 14 the
+package needs a supplied array database (enumerate --arrays-file).
 """
 
 # order -> number of equivalence classes of Costas cubes

@@ -33,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import CostasCube, Permutation, costas_violations, distinct_rows, projections, value_matrix
+from .core import CostasCube, costas_violations, distinct_rows, projections
 
 
 @dataclass(frozen=True)
@@ -128,14 +128,10 @@ def _least(images: np.ndarray) -> np.ndarray:
 
 
 def least_image(images: np.ndarray) -> np.ndarray:
-    """The lexicographically least of each array's images: (N, n) from the
-    (8, N, n) planar_images."""
+    """The lexicographically least of each array's images, its canonical
+    form and the key of its D4 class: (N, n) from the (8, N, n)
+    planar_images."""
     return images[_least(images), np.arange(images.shape[1])]
-
-
-def canonical_array(perm: Permutation) -> Permutation:
-    """Lexicographically least value sequence over the D4 orbit of perm."""
-    return Permutation(tuple(least_image(planar_images(value_matrix([perm])))[0].tolist()))
 
 
 @functools.cache

@@ -1,11 +1,14 @@
 """Shared fixtures, known worked examples, a session enumeration cache,
 and the reference oracles: the difference scan of the Costas check, the
-per-element symmetry action, projection-pair reconstruction and
-digit-level field arithmetic that the package's numpy kernels and log
-tables are checked against."""
+per-element symmetry action, projection-pair reconstruction, the
+one-array forms (a Permutation per array, a value matrix built from
+them, an array file read one Permutation per line) and digit-level
+field arithmetic that the package's numpy kernels and log tables are
+checked against."""
 
 import functools
 
+import numpy as np
 import pytest
 
 from costas_cubes.core import CostasCube, Permutation, projections
@@ -103,6 +106,36 @@ def costas_violation_oracle(values) -> tuple[int, int]:
                 return (d, diff)
             seen.add(diff)
     return (0, 0)
+
+
+# -- one-array oracles ---------------------------------------------------
+
+
+def value_matrix(arrays) -> np.ndarray:
+    """The value sequences of Permutations as the rows of one matrix, in
+    the least unsigned dtype that holds them; arrays of lesser order are
+    padded with zeros to the largest order."""
+    width = max((len(p.values) for p in arrays), default=0)
+    rows = [p.values + (0,) * (width - len(p.values)) for p in arrays]
+    return np.array(rows, dtype=np.min_scalar_type(width)).reshape(len(rows), width)
+
+
+def numbered_arrays(text: str) -> list[tuple[int, Permutation]]:
+    """(line number, Permutation) for every array line of an array file,
+    one line at a time; raises ValueError naming the first bad line, or
+    when there is no array line."""
+    numbered = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            numbered.append((lineno, Permutation(tuple(map(int, line.split())))))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    if not numbered:
+        raise ValueError("no permutations found")
+    return numbered
 
 
 # -- symmetry oracles ----------------------------------------------------

@@ -161,6 +161,39 @@ def test_construct_w2(capsys):
     assert "costas: yes" in out
 
 
+# construct runs of the array families, in both formats, and a refused
+# G3 parameter: (argv, exit code, text stdout, machine stdout, stderr).
+# Taken from the CLI while the array constructors still returned a
+# Permutation.  The w1 run is also one of cli_golden.json's cases.
+CONSTRUCT_ARRAY_RUNS = {
+    "g2": (["construct", "g2", "--field", "13", "--phi", "2", "--rho", "6"], 0,
+           "# g2 over GF(13) phi=2 rho=6\n# costas: yes\n3 2 5 9 6 1 11 7 8 10 4\n",
+           '{"costas": true, "family": "g2", "field": "13", "order": 11, "parameters": {"phi": "2", "rho": "6"}, '
+           '"values": [3, 2, 5, 9, 6, 1, 11, 7, 8, 10, 4]}\n', ""),
+    "w2": (["construct", "w2", "--field", "13", "--phi", "2"], 0,
+           "# w2 over GF(13) phi=2\n# costas: yes\n1 3 7 2 5 11 10 8 4 9 6\n",
+           '{"costas": true, "family": "w2", "field": "13", "order": 11, "parameters": {"phi": "2"}, '
+           '"values": [1, 3, 7, 2, 5, 11, 10, 8, 4, 9, 6]}\n', ""),
+    "g3": (["construct", "g3", "--field", "2^4:1,0,0,1,1", "--phi", "x+x^2"], 0,
+           "# g3 over GF(16) phi=x+x^2\n# costas: yes\n1 10 3 9 6 5 7 12 4 2 13 8 11\n",
+           '{"costas": true, "family": "g3", "field": "2^4:1,0,0,1,1", "order": 13, "parameters": {"phi": "x+x^2"}, '
+           '"values": [1, 10, 3, 9, 6, 5, 7, 12, 4, 2, 13, 8, 11]}\n', ""),
+    "w1": (["construct", "w1", "--field", "13", "--phi", "2", "--c", "3"], 0,
+           "# w1 over GF(13) phi=2 c=3\n# costas: yes\n3 6 12 11 9 5 10 7 1 2 4 8\n",
+           '{"costas": true, "family": "w1", "field": "13", "order": 12, "parameters": {"c": "3", "phi": "2"}, '
+           '"values": [3, 6, 12, 11, 9, 5, 10, 7, 1, 2, 4, 8]}\n', ""),
+    "g3-refused": (["construct", "g3", "--field", "2^4:1,0,0,1,1", "--phi", "x"], 2, "", "",
+                   "error: 1-phi=1+x is not primitive in GF(16)\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCT_ARRAY_RUNS))
+def test_construct_array_runs_keep_their_bytes(capsys, name):
+    argv, code, text, machine, err = CONSTRUCT_ARRAY_RUNS[name]
+    assert run(capsys, *argv, "--format", "text") == (code, text, err)
+    assert run(capsys, *argv, "--format", "machine") == (code, machine, err)
+
+
 def test_construct_cube_g2x3_machine(capsys):
     code, out, _ = run(
         capsys, "construct", "cube-g2x3", "--field", "2^4:1,0,0,1,1",
@@ -557,24 +590,40 @@ def test_enumerate_refuses_an_order_below_one_on_both_routes(capsys, tmp_path, o
             2, "", "error: order must be >= 1\n")
 
 
+# Array files that import refuses, each naming its fault once: (exit
+# code, stderr).
+_IMPORT_REFUSALS = {
+    "2 4 3 1\n1 1\n": (2, "error: line 2: (1, 1) is not a bijection on 1..2\n"),
+    "1.0 2\n2 1\n": (2, "error: line 1: invalid literal for int() with base 10: '1.0'\n"),
+    "# only a comment\n\n": (2, "error: no permutations found\n"),
+    "# db\n2 4 3 1\n\n1 3 4 2\n1 2 3 4\n4 3 2 1\n":
+        (1, "error: line 5: (1,2,3,4) is not a Costas array (repeated vector (1, 1))\n"),
+}
+
+
 def test_join_route_builds_no_permutation_per_line(capsys, tmp_path, monkeypatch):
-    """The array file reaches the pair-join as one value matrix: the 200
-    order-7 arrays do not become 200 Permutations on the way."""
-    path = tmp_path / "db7.txt"
-    arrays = costas_arrays(7)
-    assert len(arrays) == 200
-    path.write_text(emit_array_file(p.values for p in arrays))
-    built = []
-    check = Permutation.__post_init__
+    """No command builds a Permutation: the order-7 array file reaches the
+    pair-join as one value matrix, and every golden run, every refusal of
+    import and every construct run of an array family keeps its output
+    with Permutation's check made to fail the test."""
+    monkeypatch.chdir(tmp_path)
+    inputs = {**golden_inputs(), "db7.txt": emit_array_file(p.values for p in costas_arrays(7))}
+    inputs.update((f"refused{i}.txt", text) for i, text in enumerate(_IMPORT_REFUSALS))
+    for name, text in inputs.items():
+        Path(name).write_text(text)
 
-    def counted(self):
-        built.append(self.values)
-        check(self)
+    def refuse(self):
+        pytest.fail(f"Permutation {self.values} built")
 
-    monkeypatch.setattr(Permutation, "__post_init__", counted)
-    code, out, _ = run(capsys, "enumerate", "--order", "7", "--arrays-file", str(path))
+    monkeypatch.setattr(Permutation, "__post_init__", refuse)
+    code, out, _ = run(capsys, "enumerate", "--order", "7", "--arrays-file", "db7.txt")
     assert (code, out) == (0, "order 7: cube classes 30, projection array classes 26, total array classes 30\n")
-    assert len(built) < 200
+    for case, argv in golden_cases().items():
+        assert golden_run(argv) == GOLDEN[case], case
+    for i, (code, err) in enumerate(_IMPORT_REFUSALS.values()):
+        assert run(capsys, "import", f"refused{i}.txt") == (code, "", err)
+    for argv, code, text, machine, err in CONSTRUCT_ARRAY_RUNS.values():
+        assert run(capsys, *argv) == (code, text, err)
 
 
 def test_import_names_bad_line_once(capsys, tmp_path):
@@ -693,7 +742,7 @@ def test_tables_2_refuses_an_order_above_the_sweep_guard_before_any_field(capsys
 def test_classify_labels_w1_over_a_field_with_no_configured_modulus(capsys, tmp_path):
     """Order 46 reaches G3 over GF(49), which has no entry in DEFAULT_MODULI."""
     path = tmp_path / "w1.txt"
-    path.write_text(emit_array_file([w1(47, 5).values]))
+    path.write_text(emit_array_file([w1(47, 5)]))
     code, out, err = run(capsys, "classify", "array", str(path))
     assert (code, err) == (0, "")
     assert out.endswith(" W1\n")

@@ -26,7 +26,6 @@ from costas_cubes.construct import (
 from costas_cubes.core import (
     CostasCube,
     Permutation,
-    costas_violation,
     is_costas_cube,
 )
 from costas_cubes import symmetry
@@ -39,7 +38,6 @@ from costas_cubes.gf import (
     prime_power,
 )
 from costas_cubes.symmetry import (
-    canonical_array,
     canonical_cube,
     projection_set,
 )
@@ -70,6 +68,7 @@ from conftest import (
     admissible,
     canonical_cube_oracle,
     costas_cube_classes,
+    costas_violation_oracle,
     cube_from_jk,
     cube_from_pair,
     field_add,
@@ -77,6 +76,7 @@ from conftest import (
     field_sub,
     image,
     inverse,
+    least_image_oracle,
     projection_rows,
 )
 
@@ -88,18 +88,25 @@ PHI27 = parse_element(GF27, "2+2x")
 
 
 def test_w1_examples():
-    assert w1(3, 2, 0).values == (2, 1)
-    assert w1(5, 2, 0).values == (2, 4, 3, 1)
-    base = w1(5, 2, 0).values
-    shifted = w1(5, 2, 1).values
+    assert w1(3, 2, 0) == (2, 1)
+    assert w1(5, 2, 0) == (2, 4, 3, 1)
+    base = w1(5, 2, 0)
+    shifted = w1(5, 2, 1)
     assert shifted == base[1:] + base[:1]
     with pytest.raises(ValueError, match="not primitive"):
         w1(5, 4, 0)
 
 
+def test_array_constructors_return_value_rows():
+    """Each array constructor returns its value row as a tuple of ints."""
+    for row in (w1(13, 2, 3), g2(GF13, 2, 6), w2(13, 2), g3(GF16, parse_element(GF16, "x+x^2"))):
+        assert type(row) is tuple and all(type(v) is int for v in row), row
+        assert sorted(row) == list(range(1, len(row) + 1))
+
+
 def test_w2_examples():
-    assert w2(13, 11).values == P13_A
-    assert w2(5, 2).values == (1, 3, 2)
+    assert w2(13, 11) == P13_A
+    assert w2(5, 2) == (1, 3, 2)
     with pytest.raises(ValueError, match="not primitive"):
         w2(13, 3)
 
@@ -108,24 +115,24 @@ def test_w2_is_w1_with_boundary_row_and_column_removed():
     # remove the row holding value 1 (the cell (1, p-1)) and its column,
     # then close up the numbering
     for p, phi in ((5, 2), (7, 3), (13, 11)):
-        full = w1(p, phi, 0).values
+        full = w1(p, phi, 0)
         trimmed = tuple(v - 1 for v in full[: p - 2])
-        assert trimmed == w2(p, phi).values
+        assert trimmed == w2(p, phi)
 
 
 def test_g2_examples():
-    assert g2(GF13, 11, 6).values == P13_C
+    assert g2(GF13, 11, 6) == P13_C
     psi_inv = field_pow(GF16, parse_element(GF16, "x+x^2+x^3"), -1)
-    assert g2(GF16, parse_element(GF16, "1+x^2+x^3"), psi_inv).values == GF16_C
+    assert g2(GF16, parse_element(GF16, "1+x^2+x^3"), psi_inv) == GF16_C
 
 
 def test_g2_transpose_swaps_parameters():
     for phi, rho in ((11, 6), (6, 11), (2, 7)):
-        assert inverse(g2(GF13, phi, rho)) == g2(GF13, rho, phi)
+        assert inverse(Permutation(g2(GF13, phi, rho))).values == g2(GF13, rho, phi)
 
 
 def test_g3_examples():
-    assert g3(GF27, PHI27).values == GF27_D_A
+    assert g3(GF27, PHI27) == GF27_D_A
     with pytest.raises(ValueError, match="not primitive"):
         g3(GF13, 2)  # 1-2 = 12 has order 2 in GF(13)
 
@@ -134,11 +141,10 @@ def test_g3_is_shifted_g2():
     for field, phi in ((GF27, PHI27), (field_new(7, 1), 3), (GF8, 3)):
         one_minus = field_sub(field, 1, phi)
         t = g2(field, phi, one_minus)
-        assert t.values[0] == 1  # the pinned 1 entry at position (1, 1)
+        assert t[0] == 1  # the pinned 1 entry at position (1, 1)
         s = g3(field, phi)
-        n = s.order
         # (s_{i,j}) = (t_{i+1,j+1}): deleting the first row and column
-        assert s.values == tuple(v - 1 for v in t.values[1 : n + 1])
+        assert s == tuple(v - 1 for v in t[1:])
 
 
 def test_cube_g2x3_gf16_example():
@@ -153,9 +159,9 @@ def test_cube_g2x3_projection_parameters():
     phi, rho, psi = 2, 13, 14
     cube = cube_g2x3(GF16, phi, rho, psi)
     a, b, c = projection_rows(cube)
-    assert a == g2(GF16, phi, field_pow(GF16, rho, -1)).values
-    assert b == g2(GF16, field_pow(GF16, phi, -1), psi).values
-    assert c == g2(GF16, rho, field_pow(GF16, psi, -1)).values
+    assert a == g2(GF16, phi, field_pow(GF16, rho, -1))
+    assert b == g2(GF16, field_pow(GF16, phi, -1), psi)
+    assert c == g2(GF16, rho, field_pow(GF16, psi, -1))
 
 
 def test_cube_g2x3_all_three_conditions_hold():
@@ -184,9 +190,9 @@ def test_cube_w2w2g2_example():
     assert cube == cube_from_jk(P13_J, P13_K)
     a, b, c = projection_rows(cube)
     assert (a, b, c) == (P13_A, P13_B, P13_C)
-    assert a == w2(13, 11).values
-    assert b == image(VERTICAL_REFLECTION, w2(13, 6)).values
-    assert c == g2(GF13, 11, 6).values
+    assert a == w2(13, 11)
+    assert b == image(VERTICAL_REFLECTION, Permutation(w2(13, 6))).values
+    assert c == g2(GF13, 11, 6)
     assert is_costas_cube(cube)
 
 
@@ -195,9 +201,9 @@ def test_cube_g3_variant_i_example():
     assert cube == cube_from_jk(GF27_J, GF27_D_K)
     a, b, c = projection_rows(cube)
     assert (a, b, c) == (GF27_D_A, GF27_D_B, GF27_D_C)
-    assert a == g3(GF27, PHI27).values
-    assert b == g3(GF27, field_pow(GF27, PHI27, -1)).values
-    assert c == g3(GF27, field_pow(GF27, field_sub(GF27, 1, PHI27), -1)).values
+    assert a == g3(GF27, PHI27)
+    assert b == g3(GF27, field_pow(GF27, PHI27, -1))
+    assert c == g3(GF27, field_pow(GF27, field_sub(GF27, 1, PHI27), -1))
     assert is_costas_cube(cube)
 
 
@@ -219,8 +225,8 @@ def test_cube_g3_variant_ii_example():
     a, b, c = projection_rows(cube)
     assert (a, b, c) == (GF27_E_A, GF27_E_B, GF27_E_C)
     assert a == projection_rows(cube_g3_variant_i(GF27, PHI27))[0]
-    assert b == image(VERTICAL_REFLECTION, g3(GF27, field_pow(GF27, PHI27, -1))).values
-    assert c == image(ROTATION_180, g3(GF27, field_pow(GF27, field_sub(GF27, 1, PHI27), -1))).values
+    assert b == image(VERTICAL_REFLECTION, Permutation(g3(GF27, field_pow(GF27, PHI27, -1)))).values
+    assert c == image(ROTATION_180, Permutation(g3(GF27, field_pow(GF27, field_sub(GF27, 1, PHI27), -1)))).values
     assert is_costas_cube(cube)
 
 
@@ -318,16 +324,16 @@ def test_every_cube_tuple_yields_labelled_projections():
             for rho in prims:
                 for psi in prims:
                     a, b, c = projection_rows(cube_g2x3(field, phi, rho, psi))
-                    assert a == g2(field, phi, field_pow(field, rho, -1)).values
-                    assert b == g2(field, field_pow(field, phi, -1), psi).values
-                    assert c == g2(field, rho, field_pow(field, psi, -1)).values
+                    assert a == g2(field, phi, field_pow(field, rho, -1))
+                    assert b == g2(field, field_pow(field, phi, -1), psi)
+                    assert c == g2(field, rho, field_pow(field, psi, -1))
         if field.m == 1:
             for phi in prims:
                 for psi in prims:
                     a, b, c = projection_rows(cube_w2w2g2(q, phi, psi))
-                    assert a == w2(q, phi).values
-                    assert b == image(VERTICAL_REFLECTION, w2(q, psi)).values
-                    assert c == g2(field, phi, psi).values
+                    assert a == w2(q, phi)
+                    assert b == image(VERTICAL_REFLECTION, Permutation(w2(q, psi))).values
+                    assert c == g2(field, phi, psi)
     for q in range(5, 33):
         if prime_power(q) is None:
             continue
@@ -336,13 +342,13 @@ def test_every_cube_tuple_yields_labelled_projections():
             inv_phi = field_pow(field, phi, -1)
             c_base = field_pow(field, field_sub(field, 1, phi), -1)
             a, b, c = projection_rows(cube_g3_variant_i(field, phi))
-            assert a == g3(field, phi).values
-            assert b == g3(field, inv_phi).values
-            assert c == g3(field, c_base).values
+            assert a == g3(field, phi)
+            assert b == g3(field, inv_phi)
+            assert c == g3(field, c_base)
             a, b, c = projection_rows(cube_g3_variant_ii(field, phi))
-            assert a == g3(field, phi).values
-            assert b == image(VERTICAL_REFLECTION, g3(field, inv_phi)).values
-            assert c == image(ROTATION_180, g3(field, c_base)).values
+            assert a == g3(field, phi)
+            assert b == image(VERTICAL_REFLECTION, Permutation(g3(field, inv_phi))).values
+            assert c == image(ROTATION_180, Permutation(g3(field, c_base))).values
 
 
 def test_sweep_counts_match_published_table():
@@ -597,9 +603,9 @@ def test_default_field_errors():
 
 def test_catalog_labels():
     order11 = catalog(11)
-    assert "W2" in order11[canonical_array(Permutation(P13_A)).values]
+    assert "W2" in order11[least_image_oracle(Permutation(P13_A))]
     order24 = catalog(24)
-    assert "G3" in order24[canonical_array(Permutation(GF27_D_A)).values]
+    assert "G3" in order24[least_image_oracle(Permutation(GF27_D_A))]
     order4 = catalog(4)
     assert any("G3" in labels for labels in order4.values())
     assert catalog(33) == {}  # 34, 35, 36 supply no family
@@ -612,25 +618,24 @@ def test_catalog_labels_g2_over_any_modulus_of_an_unconfigured_field():
     other = field_new(7, 2, (3, 1, 1))  # 3 + x + x^2
     assert other != default_field(49)
     phi = admissible(other)[0]
-    values = canonical_array(g2(other, phi, phi)).values
+    values = least_image_oracle(Permutation(g2(other, phi, phi)))
     assert "G2" in catalog(47)[values]
 
 
 def test_catalog_entries_are_canonical_costas():
     for order in (4, 5, 6):
         for values, labels in catalog(order).items():
-            p = Permutation(values)
-            assert costas_violation(p) is None
-            assert canonical_array(p) == p
+            assert costas_violation_oracle(values) == (0, 0)
+            assert least_image_oracle(Permutation(values)) == values
             assert labels <= {"W1", "G2", "W2", "G3"}
 
 
 def catalog_oracle(order):
-    """catalog, one constructor call and one canonical_array per array."""
+    """catalog, one constructor call and one least_image_oracle per array."""
     labels = {}
 
-    def add(perm, label):
-        labels.setdefault(canonical_array(perm).values, set()).add(label)
+    def add(values, label):
+        labels.setdefault(least_image_oracle(Permutation(values)), set()).add(label)
 
     p = order + 1
     if p > 2 and is_prime(p):
@@ -692,14 +697,14 @@ def test_constructions_satisfy_defining_equations():
             for phi in prims:
                 for c in range(q):
                     s = w1(q, phi, c)
-                    assert all(s.values[j - 1] == pw(phi, j + c) for j in range(1, q))
+                    assert all(s[j - 1] == pw(phi, j + c) for j in range(1, q))
                     built += 1
         if q <= 3:
             continue
         for phi in prims:
             for rho in prims:
                 s = g2(f, phi, rho)
-                assert all(add(pw(phi, s.values[j - 1]), pw(rho, j)) == 1 for j in range(1, q - 1))
+                assert all(add(pw(phi, s[j - 1]), pw(rho, j)) == 1 for j in range(1, q - 1))
                 built += 1
                 for psi in prims[:2]:
                     cube = cube_g2x3(f, phi, rho, psi)
@@ -711,7 +716,7 @@ def test_constructions_satisfy_defining_equations():
         if f.m == 1:
             for phi in prims:
                 s = w2(q, phi)
-                assert all(s.values[j - 1] == sub(pw(phi, j), 1) for j in range(1, q - 1))
+                assert all(s[j - 1] == sub(pw(phi, j), 1) for j in range(1, q - 1))
                 built += 1
                 for psi in prims:
                     cube = cube_w2w2g2(q, phi, psi)
@@ -722,7 +727,7 @@ def test_constructions_satisfy_defining_equations():
             s = g3(f, phi)
             one_minus = sub(1, phi)
             assert all(
-                add(pw(phi, s.values[j - 1] + 1), pw(one_minus, j + 1)) == 1
+                add(pw(phi, s[j - 1] + 1), pw(one_minus, j + 1)) == 1
                 for j in range(1, q - 2)
             )
             built += 1

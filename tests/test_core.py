@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from costas_cubes.core import (
     CostasCube,
     Permutation,
-    costas_violation,
     costas_violations,
     is_costas_cube,
     projections,
@@ -42,7 +41,7 @@ from conftest import (
 
 def max_offphase_autocorrelation(perm: Permutation) -> int:
     """Largest out-of-phase aperiodic autocorrelation of the array form:
-    the oracle for costas_violation.
+    the oracle for costas_violations.
 
     This is the maximum, over nonzero shifts (u, v), of the number of
     coincidences between the array and its translate; equivalently the
@@ -55,6 +54,11 @@ def max_offphase_autocorrelation(perm: Permutation) -> int:
         (p2[0] - p1[0], p2[1] - p1[1]) for p1 in pts for p2 in pts if p1 != p2
     )
     return max(counts.values(), default=0)
+
+
+def violation(values) -> tuple[int, int]:
+    """costas_violations of one value row: (d, diff), or (0, 0)."""
+    return tuple(costas_violations(np.array([values])).tolist()[0])
 
 
 perms_up_to_8 = st.integers(1, 8).flatmap(
@@ -92,44 +96,41 @@ def test_autocorrelation_examples():
 
 
 def test_is_costas_examples():
-    assert costas_violation(Permutation((2, 1))) is None
-    assert costas_violation(Permutation((2, 4, 5, 1, 6, 3))) is None
-    assert costas_violation(Permutation((1, 2, 3, 4))) is not None
+    assert violation((2, 1)) == (0, 0)
+    assert violation((2, 4, 5, 1, 6, 3)) == (0, 0)
+    assert violation((1, 2, 3, 4)) != (0, 0)
 
 
 def test_costas_violation_reports_repeated_vector():
-    assert costas_violation(Permutation((1, 2, 3, 4))) == (1, 1)
-    assert costas_violation(Permutation((2, 4, 5, 1, 6, 3))) is None
+    assert violation((1, 2, 3, 4)) == (1, 1)
+    assert violation((2, 4, 5, 1, 6, 3)) == (0, 0)
 
 
 def test_costas_agrees_with_autocorrelation_exhaustive():
     for n in range(1, 7):
-        for vals in itertools.permutations(range(1, n + 1)):
-            p = Permutation(vals)
-            assert (costas_violation(p) is None) == (max_offphase_autocorrelation(p) <= 1)
+        rows = list(itertools.permutations(range(1, n + 1)))
+        found = costas_violations(np.array(rows).reshape(-1, n))[:, 0].tolist()
+        assert [d == 0 for d in found] == [max_offphase_autocorrelation(Permutation(v)) <= 1 for v in rows]
 
 
 @given(perms_up_to_8)
 def test_costas_agrees_with_autocorrelation_random(vals):
-    p = Permutation(tuple(vals))
-    bad = costas_violation(p)
-    assert (bad is None) == (max_offphase_autocorrelation(p) <= 1)
-    if bad is not None:
-        d, diff = bad
-        assert sum(p.values[j + d] - p.values[j] == diff for j in range(p.order - d)) >= 2
+    d, diff = violation(vals)
+    assert (d == 0) == (max_offphase_autocorrelation(Permutation(tuple(vals))) <= 1)
+    if d:
+        assert sum(vals[j + d] - vals[j] == diff for j in range(len(vals) - d)) >= 2
 
 
 def test_costas_violations_exhaustive_orders_1_to_7():
     """Every permutation of orders 1-7, as one matrix in its signed and
-    in its least unsigned dtype, and one row at a time through
-    costas_violation: the full (d, diff) of every row is the scan
-    oracle's."""
+    in its least unsigned dtype, and one row at a time: the full
+    (d, diff) of every row is the scan oracle's."""
     for n in range(1, 8):
         values = np.array(list(itertools.permutations(range(1, n + 1)))).reshape(-1, n)
         want = [costas_violation_oracle(v) for v in values.tolist()]
         assert list(map(tuple, costas_violations(values).tolist())) == want
         assert list(map(tuple, costas_violations(values.astype(np.uint8)).tolist())) == want
-        assert [costas_violation(Permutation(tuple(v))) or (0, 0) for v in values.tolist()] == want
+        assert [violation(v) for v in values.tolist()] == want
 
 
 def test_costas_violations_random_order_29_rows():
@@ -138,14 +139,13 @@ def test_costas_violations_random_order_29_rows():
     places: the full (d, diff) of every row is the scan oracle's."""
     from costas_cubes.construct import g2
     from costas_cubes.gf import field_new
-    from costas_cubes.core import value_matrix
     from costas_cubes.symmetry import planar_images
 
     field = field_new(31, 1)
     phis = admissible(field)
     rng = random.Random(29)
     arrays = [g2(field, rng.choice(phis), rng.choice(phis)) for _ in range(8)]
-    good = planar_images(value_matrix(arrays)).reshape(-1, 29).astype(np.int64)
+    good = planar_images(np.array(arrays, dtype=np.uint8)).reshape(-1, 29).astype(np.int64)
     assert not costas_violations(good).any()
     for trial in range(40):
         rows = good[rng.sample(range(len(good)), 20)].copy()
@@ -293,4 +293,4 @@ def test_any_projection_pair_round_trips(pair):
 
 def test_costas_arrays_fixture_counts():
     assert len(costas_arrays(5)) == 40
-    assert all(costas_violation(p) is None for p in costas_arrays(5))
+    assert not costas_violations(np.array([p.values for p in costas_arrays(5)])).any()

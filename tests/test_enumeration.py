@@ -17,7 +17,6 @@ from costas_cubes.core import (
     Permutation,
     costas_violations,
     is_costas_cube,
-    value_matrix,
 )
 from costas_cubes.enumeration import (
     MAX_WORD_ORDER,
@@ -46,6 +45,7 @@ from conftest import (
     order7_without_one_class,
     projection_class_count,
     projections_oracle,
+    value_matrix,
 )
 
 # The join benchmark's input: the 4368 order-11 Costas arrays.
@@ -213,14 +213,14 @@ def test_block_path_matches_backtracking_oracle(monkeypatch, block):
         w1(23, 5),
         w1(31, 3),  # order 30
     ],
-    ids=lambda p: f"order{p.order}",
+    ids=lambda seed: f"order{len(seed)}",
 )
 def test_prefix_search_completes_a_long_prefix(seed):
     """Seeded with all but the last four values of the least image of a
     constructed array, the search finds that image among the corner-least
     Costas arrays of that prefix."""
-    n = seed.order
-    least = least_image_oracle(seed)
+    n = len(seed)
+    least = least_image_oracle(Permutation(seed))
     found = enumeration._prefix_search(n, np.array([least[: n - 4]]))
     assert found.dtype == np.int8 and found.shape[1] == n
     assert least in set(map(tuple, found.tolist()))
@@ -752,7 +752,7 @@ def test_class_wise_costas_check_names_the_first_faulty_row(case):
     if bad is None:
         assert message is None or "not a Costas array" not in message
     else:
-        assert message == f"array {listed[bad]} is not a Costas array"
+        assert message == f"array ({','.join(map(str, listed[bad].values))}) is not a Costas array"
 
 
 def test_check_complete_refuses_rows_that_are_not_permutations():

@@ -8,22 +8,23 @@ from hypothesis import given, strategies as st
 
 from costas_cubes import files
 from costas_cubes.cli import main
-from costas_cubes.core import CostasCube, Permutation, value_matrix
+from costas_cubes.core import CostasCube
 from costas_cubes.files import (
+    array_line_numbers,
+    array_lines,
     emit_array_file,
     emit_cube_file,
-    numbered_arrays,
     parse_array_file,
     parse_cube_file,
 )
 
-from conftest import GF16_J, GF16_K, ORDER6_TRIPLES, cube_from_jk
+from conftest import GF16_J, GF16_K, ORDER6_TRIPLES, cube_from_jk, numbered_arrays, value_matrix
 
 
 def test_array_file_round_trip():
-    perms = [Permutation((2, 4, 5, 1, 6, 3)), Permutation((3, 5, 4, 2, 6, 1))]
-    text = emit_array_file([p.values for p in perms], comments=["two known arrays"])
-    assert parse_array_file(text).tolist() == [list(p.values) for p in perms]
+    rows = [(2, 4, 5, 1, 6, 3), (3, 5, 4, 2, 6, 1)]
+    text = emit_array_file(rows, comments=["two known arrays"])
+    assert parse_array_file(text).tolist() == [list(row) for row in rows]
     assert text.startswith("# two known arrays\n")
 
 
@@ -83,8 +84,13 @@ def array_texts(draw) -> str:
 
 @given(array_texts())
 def test_parse_array_file_matches_numbered_arrays(text):
-    """parse_array_file reads what numbered_arrays reads, and fails with
-    its message where it fails; it never raises OverflowError."""
+    """parse_array_file reads what the per-line oracle numbered_arrays
+    reads, and fails with its message where it fails; it never raises
+    OverflowError.  array_lines and array_line_numbers give the lines the
+    oracle reads, and their numbers."""
+    numbered = [(no, raw) for no, raw in enumerate(text.splitlines(), start=1)
+                if raw.strip() and not raw.strip().startswith("#")]
+    assert list(zip(array_line_numbers(text), array_lines(text), strict=True)) == numbered
     try:
         expected = value_matrix([p for _, p in numbered_arrays(text)])
     except ValueError as exc:
@@ -110,8 +116,8 @@ ORDER11_DATABASE = Path(__file__).parents[1] / "perfbench" / "data" / "costas_or
 
 def test_mixed_order_file_reads_once_per_order(tmp_path, monkeypatch, capsys):
     """The order-11 database with lines of orders 6, 1 and 5 put in is read
-    by one np.loadtxt per order, without numbered_arrays, into the value
-    matrix of the per-line route; verify array and classify array print
+    by one np.loadtxt per order, without the per-line reader, into the
+    value matrix of the per-line oracle; verify array and classify array print
     what they print when every line takes the per-line route."""
     lines = ORDER11_DATABASE.read_text().splitlines(keepends=True)
     lines[40:40] = ["1 2 4 3 6 5\n", "# a comment\n", "1\n"]
@@ -133,7 +139,7 @@ def test_mixed_order_file_reads_once_per_order(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(np, "loadtxt", counted)
     with monkeypatch.context() as m:
-        m.setattr(files, "numbered_arrays", lambda text: pytest.fail("numbered_arrays called"))
+        m.setattr(files, "_read_lines", lambda numbers, lines: pytest.fail("_read_lines called"))
         values = parse_array_file(text)
         assert calls == [4371, 1, 1, 1, 4368]
         fast = [(main(a), capsys.readouterr()) for a in argv()]
@@ -147,7 +153,7 @@ def test_mixed_order_file_reads_once_per_order(tmp_path, monkeypatch, capsys):
 @pytest.mark.filterwarnings("error")
 def test_parse_array_file_takes_no_warned_read(monkeypatch):
     """A token that numpy's reader takes only with a warning (older numpy
-    reads 1.0 as an integer) is read again by numbered_arrays, and a file
+    reads 1.0 as an integer) is read again line by line, and a file
     with no array lines never reaches the reader."""
     message = r"^line 1: invalid literal for int\(\) with base 10: '1.0'$"
     with pytest.raises(ValueError, match=message):

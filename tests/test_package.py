@@ -5,10 +5,9 @@ import costas_cubes
 # The package's public names, one line per module: core, gf, symmetry,
 # construct, enumeration.
 PUBLIC = (
-    "CostasCube", "Permutation", "costas_violation", "is_costas_cube", "projections",
+    "CostasCube", "Permutation", "is_costas_cube", "projections",
     "FieldSpec", "field_new", "is_primitive", "parse_element", "parse_field_spec",
-    "AxisSymmetry", "CUBE_SYMMETRIES", "PLANAR_SYMMETRIES", "canonical_array", "canonical_cube",
-    "projection_set",
+    "AxisSymmetry", "CUBE_SYMMETRIES", "PLANAR_SYMMETRIES", "canonical_cube", "projection_set",
     "ConstructionId", "Family", "catalog", "cube_g2x3", "cube_g3_variant_i", "cube_g3_variant_ii",
     "cube_w2w2g2", "g2", "g3", "k_reversal", "sweep", "table2", "w1", "w2",
     "ClassReport", "EnumerationLimitError", "array_classes", "class_report",
@@ -25,11 +24,15 @@ MOVED_TO_TESTS = {
 }
 
 # Wrappers over gf._primitive_logs, the one admissibility list, which the
-# sweeps, the catalog and the tests read directly; and the projections'
-# triple of permutations, which are one (3, n) value matrix.
+# sweeps, the catalog and the tests read directly; the projections'
+# triple of permutations, which are one (3, n) value matrix; and the
+# one-array forms, as a value row is the one array form (value_matrix and
+# numbered_arrays live on in conftest.py as oracles).
 REMOVED = {
     "gf": ("primitive_elements", "g3_admissible", "g3_cube_admissible"),
-    "core": ("ProjectionTriple",),
+    "core": ("ProjectionTriple", "costas_violation", "value_matrix"),
+    "symmetry": ("canonical_array",),
+    "files": ("numbered_arrays",),
 }
 
 

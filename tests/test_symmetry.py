@@ -10,16 +10,13 @@ from costas_cubes.construct import Family
 from costas_cubes.core import (
     CostasCube,
     Permutation,
-    costas_violation,
     is_costas_cube,
     projections,
-    value_matrix,
 )
 from costas_cubes.symmetry import (
     CUBE_SYMMETRIES,
     PLANAR_SYMMETRIES,
     AxisSymmetry,
-    canonical_array,
     canonical_cube,
     first_of_each_class,
     least_image,
@@ -40,12 +37,15 @@ from conftest import (
     canonical_cube_oracle,
     costas_arrays,
     costas_cube_classes,
+    costas_violation_oracle,
     cube_orbit_oracle,
     image,
     inverse,
     is_rotation,
+    least_image_oracle,
     projection_rows,
     projections_oracle,
+    value_matrix,
 )
 
 perms_up_to_7 = st.integers(1, 7).flatmap(
@@ -67,10 +67,6 @@ def _flat_rows(cubes, dtype):
 # Oracles: the symmetry functions as loops over one image at a time.
 
 
-def _canonical_array_oracle(perm):
-    return Permutation(min(image(s, perm).values for s in PLANAR_SYMMETRIES))
-
-
 def _projection_set_oracle(cube):
     return {projections_oracle(image(s, cube))[0] for s in CUBE_SYMMETRIES}
 
@@ -86,6 +82,12 @@ def _cube_orbit(cube):
     """The distinct rows of _images, as cubes sorted by rows."""
     rows = sorted(set(map(tuple, _images(cube).tolist())))
     return [CostasCube(tuple(zip(v[0::2], v[1::2]))) for v in rows]
+
+
+def _canonical_array(perm):
+    """The canonical array of perm, the least_image of its planar_images,
+    as a value tuple."""
+    return tuple(least_image(planar_images(value_matrix([perm])))[0].tolist())
 
 
 def _array_class_size(perm):
@@ -212,11 +214,11 @@ def test_apply_cube_matches_dense_oracle(order6_cube, small_sd_cube):
 @given(perms_up_to_7)
 def test_canonical_array_orbit_constant_and_idempotent(vals):
     p = Permutation(tuple(vals))
-    rep = canonical_array(p)
-    assert canonical_array(rep) == rep
+    rep = _canonical_array(p)
+    assert _canonical_array(Permutation(rep)) == rep
     for s in PLANAR_SYMMETRIES:
-        assert canonical_array(image(s, p)) == rep
-    assert rep == _canonical_array_oracle(p)
+        assert _canonical_array(image(s, p)) == rep
+    assert rep == least_image_oracle(p)
     assert _array_class_size(p) == array_class_size_oracle(p)
 
 
@@ -353,8 +355,9 @@ def test_orbit_projections_are_square_images_of_projections_property(cube):
 
 
 def test_canonical_array_examples():
-    assert canonical_array(Permutation((2, 1))).values == (1, 2)
-    order5_classes = {canonical_array(p).values for p in costas_arrays(5)}
+    assert _canonical_array(Permutation((2, 1))) == (1, 2)
+    order5_classes = set(map(tuple, least_image(planar_images(value_matrix(costas_arrays(5)))).tolist()))
+    assert order5_classes == {least_image_oracle(p) for p in costas_arrays(5)}
     assert len(order5_classes) == 6
 
 
@@ -462,7 +465,7 @@ def test_images_pass_matches_oracles_on_join_classes():
             members = _rows(projection_set(cube))
             assert members == sorted(_projection_set_oracle(cube))
             for p in map(Permutation, members):
-                assert canonical_array(p) == _canonical_array_oracle(p)
+                assert _canonical_array(p) == least_image_oracle(p)
                 assert _array_class_size(p) == array_class_size_oracle(p)
 
 
@@ -473,7 +476,7 @@ def test_images_pass_matches_oracles_at_order_300():
     assert _cube_orbit(cube) == cube_orbit_oracle(cube)
     assert _square_images_of_projections(cube) == _projection_set_oracle(cube)
     perm = Permutation(projection_rows(cube)[0])
-    assert canonical_array(perm) == _canonical_array_oracle(perm)
+    assert _canonical_array(perm) == least_image_oracle(perm)
     assert _array_class_size(perm) == array_class_size_oracle(perm)
 
 
@@ -487,6 +490,6 @@ def test_projection_set_rotations_match_full_group():
 def test_costas_invariance_under_symmetries():
     for n in (5, 6):
         for p in costas_arrays(n):
-            assert all(costas_violation(image(s, p)) is None for s in PLANAR_SYMMETRIES)
+            assert all(costas_violation_oracle(image(s, p).values) == (0, 0) for s in PLANAR_SYMMETRIES)
     for cube in costas_cube_classes(5):
         assert all(is_costas_cube(image(s, cube)) for s in CUBE_SYMMETRIES)
