@@ -11,18 +11,19 @@ square images of the arrays found, deduplicated and sorted, are every
 array.  The criterion is one window word per column and first two
 values, the values that column may not hold, so the columns are still
 searched in order.  One numpy step extends every partial array of a
-block by one column, pruned by one difference bitmask per column
-distance and by the window.  The partial arrays of each length wait in
-one FIFO of blocks, in lexicographic order; each step takes up to
-_BLOCK_ROWS rows from the deepest FIFO that holds a quarter of that, or
-else from the shallowest that holds any, so that the small blocks deep
-in the search are merged into one step and the frontier's memory is
-bounded at every order.  Each step looks one column ahead and keeps a
-partial array only when its next column still has a free value, so that
-no value or mask row is built for a partial array with no future.  A
-value v is bit v - 1 of a word and a difference w - u is bit
-w - u + n - 1; words are int32 up to order 16 and int64 above, and value
-rows int8.
+block by one column, pruned by the values it holds, by one difference
+bitmask per column distance up to floor((n-1)/2), which catches every
+repeated difference (see _prefix_search), and by the window.  The
+partial arrays of each length wait in one FIFO of blocks, in
+lexicographic order; each step takes up to _BLOCK_ROWS rows from the
+deepest FIFO that holds a quarter of that, or else from the shallowest
+that holds any, so that the small blocks deep in the search are merged
+into one step and the frontier's memory is bounded at every order.  Each
+step looks one column ahead and keeps a partial array only when its
+next column still has a free value, so that no value or mask row is
+built for a partial array with no future.  A value v is bit v - 1 of a
+word and a difference w - u is bit w - u + n - 1; words are int32 up to
+order 16 and int64 above, and value rows int8.
 
 Cubes of order n are generated by the pair-join over a complete list of
 order-n Costas arrays: for a pair (A, B), build the unique permutation
@@ -46,7 +47,7 @@ whole row, and looks up the C of each pair whose key occurs in a dict of
 the list's row bytes, which alone decides membership.  The keys of a
 block of first arrays are one float matrix product, read raveled: one
 gather from the table of the keys that occur and one flatnonzero, whose
-positions give the pairs (first, second) by one divmod by the block's
+positions give the pairs (first, second) by one division by the block's
 width.  Class counts come from canonical forms, and a hit in the orbit
 of a class already found is not canonicalised again.  The projection
 classes are counted from the hits: the classes of each hit's rows A and
@@ -71,6 +72,7 @@ first faulty array.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -171,6 +173,12 @@ class _Fifo:
         return tuple(np.concatenate(x, axis=-1) for x in zip(*parts))
 
 
+def _mask_reach(n: int) -> int:
+    """H, the longest column distance whose difference mask _prefix_search
+    keeps at order n: max(1, floor((n - 1) / 2))."""
+    return max(1, (n - 1) // 2)
+
+
 def _prefix_search(n: int, prefixes: np.ndarray) -> np.ndarray:
     """The corner-least order-n Costas arrays (see _corner_window) that
     begin with a row of prefixes, an (m, k) matrix of first values with
@@ -181,26 +189,36 @@ def _prefix_search(n: int, prefixes: np.ndarray) -> np.ndarray:
 
     The search runs over blocks of partial arrays.  A block is held by
     column: one int8 row per value column, one mask row per column
-    distance d, the free values of each partial array's next column, and
-    its fixed word, the bits of its first two values.  One step (_grow)
-    extends a block by one column.  The partial arrays of each length wait
-    in one FIFO (_Fifo), which receives them in order, so the output stays
-    in order.  Each step takes up to _BLOCK_ROWS rows from the front of
-    the deepest FIFO that holds at least _BLOCK_ROWS // 4, or else of the
-    shallowest that holds any: the search runs depth first once a block is
-    large, and the small blocks that a deep step leaves are merged with
-    the next ones into one step.  A FIFO holds fewer than _BLOCK_ROWS // 4
-    rows whenever a step adds to it, which bounds the frontier's memory.
-    A step at length n - 1 gives arrays found.
+    distance d up to H = _mask_reach(n), the free values of each partial
+    array's next column, and its used word, the bits of every value it
+    holds.  One step (_grow) extends a block by one column.  The partial
+    arrays of each length wait in one FIFO (_Fifo), which receives them in
+    order, so the output stays in order.  Each step takes up to
+    _BLOCK_ROWS rows from the front of the deepest FIFO that holds at
+    least _BLOCK_ROWS // 4, or else of the shallowest that holds any: the
+    search runs depth first once a block is large, and the small blocks
+    that a deep step leaves are merged with the next ones into one step.
+    A FIFO holds fewer than _BLOCK_ROWS // 4 rows whenever a step adds to
+    it, which bounds the frontier's memory.  A step at length n - 1 gives
+    arrays found.
 
     The mask of distance d has bit w - u + n - 1 for the values u, w of
     each pair of columns d apart, and bit n - 1, the difference 0: shifted
     right by n - u, for the value u d columns before the next one, it holds
     u at bit u - 1 and each candidate w that would repeat a difference at
-    bit w - 1.  The fixed word blocks the first two values, which lie
-    beyond the distances of the parent masks that _grow shifts.  The
+    bit w - 1.  The used word blocks every value already placed, and the
     corner-least window of the next column and the first two values
     blocks the rest.
+
+    Masks beyond distance H are not needed.  A repeat at distance d
+    between the column pairs (j, j+d) and (j', j'+d), j < j', is also a
+    repeat at distance e = j' - j between (j, j') and (j+d, j'+d), since
+    v(j') - v(j) = v(j'+d) - v(j+d).  Both use the same four columns, so
+    the search meets both when it places column j'+d, and e <= n-1-d, so
+    every d > H has a partner e <= H.  So the free set of every partial
+    array, and with it every step, is that of a search with a mask for
+    every distance; at order 17 a deep partial array holds 8 masks in
+    place of up to 15.
     """
     values = np.array(prefixes, dtype=np.int8).T
     k = len(values)
@@ -218,25 +236,30 @@ def _prefix_search(n: int, prefixes: np.ndarray) -> np.ndarray:
     # Every shift operand is of the mask dtype, so that promotion is the
     # same under every numpy version.
     one = dtype.type(1)
-    masks = np.empty((k - 1, values.shape[1]), dtype=dtype)
-    for d in range(1, k):
+    reach = min(k - 1, _mask_reach(n))
+    masks = np.empty((reach, values.shape[1]), dtype=dtype)
+    for d in range(1, reach + 1):
         bits = one << (values[d:] - values[:-d]).astype(dtype) + (n - 1)
         masks[d - 1] = np.bitwise_or.reduce(bits, axis=0) | one << (n - 1)
-    fixed = one << (values[0] - 1).astype(dtype) | one << (values[1] - 1).astype(dtype)
-    blocked = fixed | np.bitwise_or.reduce(masks >> (n - values[:0:-1]).astype(dtype), axis=0)
+    used = np.bitwise_or.reduce(one << (values - 1).astype(dtype), axis=0)
+    shifts = (n - values[k - 1 : k - 1 - reach : -1]).astype(dtype)
+    blocked = used | np.bitwise_or.reduce(masks >> shifts, axis=0)
     blocked |= window[k + 1, values[0], values[1]]
     fifos = [_Fifo() for _ in range(n)]
-    fifos[k].put((values, masks, fixed, ~blocked & ((one << n) - 1)))
+    fifos[k].put((values, masks, used, ~blocked & ((one << n) - 1)))
+    # _grow reads the window of a column through one flat index of the
+    # first two values.
+    window = window.reshape(n + 1, -1)
     merge = _BLOCK_ROWS // 4
     found = []
     while live := [d for d in range(k, n) if fifos[d].rows]:
         depth = max((d for d in live if fifos[d].rows >= merge), default=live[0])
-        values, masks, fixed, free = fifos[depth].take(_BLOCK_ROWS)
+        values, masks, used, free = fifos[depth].take(_BLOCK_ROWS)
         if depth == n - 1:
             rows, cols = _free_values(n, free)
-            found.append(np.vstack((values[:, rows], cols.astype(np.int8) + 1)).T)
+            found.append(np.vstack((values.take(rows, axis=1), cols.astype(np.int8) + 1)).T)
         else:
-            fifos[depth + 1].put(_grow(n, window, values, masks, fixed, free))
+            fifos[depth + 1].put(_grow(n, window, values, masks, used, free))
     return np.concatenate(found) if found else np.empty((0, n), dtype=np.int8)
 
 
@@ -249,7 +272,10 @@ def _free_values(n: int, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         free.astype(little, copy=False).view(np.uint8).reshape(-1, free.dtype.itemsize),
         axis=1, count=n, bitorder="little",
     )
-    return np.divmod(np.flatnonzero(grid.view(bool)), n)
+    at = np.flatnonzero(grid.view(bool))
+    rows = at // n
+    at -= rows * n
+    return rows, at
 
 
 def _grow(
@@ -257,53 +283,62 @@ def _grow(
     window: np.ndarray,
     values: np.ndarray,
     masks: np.ndarray,
-    fixed: np.ndarray,
+    used: np.ndarray,
     free: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One step of _prefix_search: the block of the children, one column
-    longer, of a block of partial arrays, as (values, masks, fixed, free).
+    longer, of a block of partial arrays, as (values, masks, used, free).
+    The window is _corner_window's, indexed [column, (n + 1) a + b].
 
     A child is kept only when its own next column still has a free value.
-    That column's blocked set has two parts.  One is per parent: the fixed
+    That column's blocked set has two parts.  One is per parent: the used
     word, the corner-least window of that column and the first two values,
     and the parent's masks of distance 2 and up, each shifted by the value
     one column later.  The other is per child: its new distance-1 mask,
     shifted by its value, since the bits a child adds to its longer
-    distances, so shifted, are exactly its parent's distance-1 mask shifted
-    by its value.  Only the kept children get value and mask rows.
-    The temporaries are formed in place, as they set the search's peak
-    memory.
+    distances, so shifted, are among its parent's distance-1 mask shifted
+    by its value.  Only the kept children get value and mask rows; a child
+    gains a mask while its length is at most _mask_reach(n).  The
+    temporaries are formed in place, as they set the search's peak memory.
     """
-    k = len(values)
+    k, reach = len(values), len(masks)
     dtype = masks.dtype
     one, top, full = (dtype.type(x) for x in (1, 1 << (n - 1), (1 << n) - 1))
     rows, cols = _free_values(n, free)
     v = cols.astype(dtype)
     v += 1
-    shifts = (n - values[k - 1 : 1 : -1]).astype(dtype)
-    ahead = fixed | np.bitwise_or.reduce(masks[1:] >> shifts, axis=0)
-    ahead |= window[k + 2, values[0], values[1]]
-    blocked = np.subtract(v, values[k - 1, rows], dtype=dtype)
+    shifts = (n - values[k - 1 : k - reach : -1]).astype(dtype)
+    ahead = used | np.bitwise_or.reduce(masks[1:] >> shifts, axis=0)
+    corner = values[0].astype(np.intp)
+    corner *= n + 1
+    corner += values[1]
+    ahead |= window[k + 2].take(corner)
+    blocked = np.subtract(v, values[k - 1].take(rows), dtype=dtype)
     blocked += n - 1
     np.left_shift(one, blocked, out=blocked)
-    blocked |= masks[0, rows]
+    blocked |= masks[0].take(rows)
     blocked >>= n - v
-    blocked |= ahead[rows]
-    free = np.bitwise_and(~blocked, full, out=blocked)
+    blocked |= ahead.take(rows)
+    free = np.invert(blocked, out=blocked)
+    free &= full
     (keep,) = np.nonzero(free)
-    rows, v, free = rows[keep], v[keep], free[keep]
+    rows, v, free = rows.take(keep), v.take(keep), free.take(keep)
     grown = np.empty((k + 1, len(rows)), dtype=np.int8)
     np.take(values, rows, axis=1, out=grown[:k])
     grown[k] = v
     values = grown
-    grown = np.empty((k, len(rows)), dtype=dtype)
-    np.take(masks, rows, axis=1, out=grown[:-1])
-    grown[-1] = top
-    bits = np.subtract(v, values[k - 1 :: -1], dtype=dtype)
+    longer = min(k, _mask_reach(n))
+    grown = np.empty((longer, len(rows)), dtype=dtype)
+    np.take(masks, rows, axis=1, out=grown[:reach])
+    grown[reach:] = top
+    bits = np.subtract(v, values[k - longer : k][::-1], dtype=dtype)
     bits += n - 1
     np.left_shift(one, bits, out=bits)
     grown |= bits
-    return values, grown, fixed[rows], free
+    used = used.take(rows)
+    v -= one
+    used |= np.left_shift(one, v, out=v)
+    return values, grown, used, free
 
 
 def costas_values(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> np.ndarray:
@@ -354,7 +389,8 @@ def array_classes(arrays: Iterable[Permutation]) -> list[Permutation]:
             f"arrays of orders {n} and {odd} mixed; "
             "the images of a list are taken within one order"
         )
-    values = least_image(planar_images(np.array(rows, dtype=np.min_scalar_type(n))))
+    values = np.fromiter(itertools.chain.from_iterable(rows), np.min_scalar_type(n), count=len(rows) * n)
+    values = least_image(planar_images(values.reshape(-1, n)))
     return [Permutation(tuple(v)) for v in distinct_rows(values).tolist()]
 
 
@@ -547,8 +583,9 @@ def _scan(values: np.ndarray, classes: np.ndarray) -> tuple[list[CostasCube], in
         keys = (first_inverses[start : start + step] @ weights[:, lo:]).astype(np.int64).ravel()
         start += step
         keys &= index.mask
-        pairs = np.flatnonzero(np.take(index.occurs, keys))
-        first, second = np.divmod(pairs, width)
+        second = np.flatnonzero(np.take(index.occurs, keys))
+        first = second // width
+        second -= first * width
         second += lo
         # The block's later first arrays keep only the second arrays from
         # their own position on.

@@ -144,12 +144,13 @@ def test_corner_least_rows_of_order_11(monkeypatch):
     """719 corner-least arrays at order 11, none with first value 6 and
     none with first value 1 whose second value exceeds the column of
     value 2.  The search takes 84 steps, which pins the merging of small
-    deep blocks (121 steps without it)."""
+    deep blocks (121 steps without it), and keeps as many partial arrays
+    of each length 3..10 as a search with a mask for every distance."""
     grow, steps = enumeration._grow, []
 
     def counted(*args):
-        steps.append(None)
-        return grow(*args)
+        steps.append(grow(*args))
+        return steps[-1]
 
     monkeypatch.setattr(enumeration, "_grow", counted)
     pairs = [(a, b) for a in range(1, 7) for b in range(1, 12) if a != b]
@@ -159,6 +160,29 @@ def test_corner_least_rows_of_order_11(monkeypatch):
     ones = found[found[:, 0] == 1]
     assert len(ones) and (ones[:, 1] <= np.argmax(ones == 2, axis=1) + 1).all()
     assert len(steps) == 84
+    kept = dict.fromkeys(range(3, 11), 0)
+    for values, *_, free in steps:
+        kept[len(values)] += len(free)
+    assert list(kept.values()) == [387, 2463, 12441, 45737, 90951, 73439, 18305, 719]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_repeats_show_within_half_the_order(n):
+    """The search keeps difference masks only to distance
+    H = max(1, floor((n - 1) / 2)): over every permutation of order n, a
+    row is flagged by costas_violations exactly when some difference
+    repeats at a distance at most H, found here by comparing every pair of
+    differences, and the rows left are the published total."""
+    rows = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
+    reach = max(1, (n - 1) // 2)
+    assert enumeration._mask_reach(n) == reach
+    near = np.zeros(len(rows), dtype=bool)
+    for d in range(1, reach + 1):
+        diffs = rows[:, d:] - rows[:, :-d]
+        equal = diffs[:, :, None] == diffs[:, None, :]
+        near |= equal.sum(axis=(1, 2)) > diffs.shape[1]
+    assert np.array_equal(costas_violations(rows).any(axis=1), near)
+    assert np.count_nonzero(~near) == COSTAS_ARRAY_TOTALS[n]
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -933,3 +957,13 @@ def test_order_14_join_stretch():
     digest = "8e914faaa0ca6f1b6b1989416b424793b2d5fed98a8c47b6e6e0a6778b444e47"
     assert hashlib.sha256(arrays.tobytes()).hexdigest() == digest
     assert class_report(14, arrays).cube_classes == CUBE_CLASS_COUNTS[14] == 6
+
+
+@pytest.mark.stretch
+def test_order_15_search_stretch():
+    """The search at order 15, about 20 s: the rows of the order-15 prefix
+    jobs run one (a, b) prefix at a time, byte for byte."""
+    values = costas_values(15, limit=15)
+    assert len(values) == COSTAS_ARRAY_TOTALS[15] == 19612
+    digest = "435271c156e4af77a02d64252d527bd0a556049917461fd96e3e086cc5426826"
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
