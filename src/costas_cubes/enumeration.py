@@ -298,7 +298,7 @@ def _grow(
     shifted by its value, since the bits a child adds to its longer
     distances, so shifted, are among its parent's distance-1 mask shifted
     by its value.  Only the kept children get value and mask rows; a child
-    gains a mask while its length is at most _mask_reach(n).  The
+    gains a mask while its parent's length is at most _mask_reach(n).  The
     temporaries are formed in place, as they set the search's peak memory.
     """
     k, reach = len(values), len(masks)

@@ -44,8 +44,7 @@ def parse_array_file(text: str) -> np.ndarray:
     zero-padded.
 
     np.loadtxt converts the array lines in one call when every line holds
-    as many tokens as the first (the whole text, when it holds no '#', as
-    the reader skips blank lines itself), and otherwise in one call per token
+    as many tokens as the first, and otherwise in one call per token
     count, whose rows are zero-padded back into file order.  One sort
     along the rows of each call checks that each row is a bijection on
     1..n.  The C reader accepts a subset of what int() reads, and its
@@ -54,11 +53,6 @@ def parse_array_file(text: str) -> np.ndarray:
     and a file with no array lines, is read again line by line, which
     names its first bad line.
     """
-    if "#" not in text:
-        # A text with no comment line: np.loadtxt skips the blank lines.
-        values = _bijections(text.splitlines())
-        if values is not None:
-            return values.astype(np.min_scalar_type(values.shape[1]))
     lines = array_lines(text)
     values = _bijections(lines)
     if values is None and lines:

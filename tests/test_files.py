@@ -150,33 +150,6 @@ def test_mixed_order_file_reads_once_per_order(tmp_path, monkeypatch, capsys):
     assert [code for code, _ in fast] == [1, 1, 0, 0]
 
 
-def test_text_without_a_comment_is_read_whole(monkeypatch):
-    """A text that holds no '#' goes to np.loadtxt whole, CRLF endings,
-    blank and whitespace-only lines included, in one call, into the matrix
-    of the per-line oracle.  Mixed orders and an inline '#' are refused or
-    read as before, with the oracle's messages."""
-    read = np.loadtxt
-    calls = []
-
-    def counted(lines, **kwargs):
-        calls.append(len(lines))
-        return read(lines, **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", counted)
-    text = "\r\n2 4 1 3\r\n  \r\n\t\r\n3 1 4 2\r\n \t \r\n"
-    values = parse_array_file(text)
-    assert calls == [6]
-    expected = value_matrix([p for _, p in numbered_arrays(text)])
-    assert values.dtype == expected.dtype and np.array_equal(values, expected)
-    assert parse_array_file("2 1\n\n1\n").tolist() == [[2, 1], [1, 0]]
-    for bad in ("1 2 3 # x\n", "2 1\n1 3 2 # x\n", "\n  \n", "2 1\n1 1\n"):
-        with pytest.raises(ValueError) as oracle:
-            numbered_arrays(bad)
-        with pytest.raises(ValueError) as raised:
-            parse_array_file(bad)
-        assert str(raised.value) == str(oracle.value)
-
-
 @pytest.mark.filterwarnings("error")
 def test_parse_array_file_takes_no_warned_read(monkeypatch):
     """A token that numpy's reader takes only with a warning (older numpy
