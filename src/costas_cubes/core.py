@@ -33,8 +33,8 @@ import numpy as np
 
 @cache
 def _identity(n: int) -> list[int]:
-    """[1, ..., n], shared by every Permutation check of order n: never
-    handed out, so never changed."""
+    """[1, ..., n], shared by every Permutation and CostasCube check of
+    order n: never handed out, so never changed."""
     return list(range(1, n + 1))
 
 
@@ -73,10 +73,9 @@ class CostasCube:
         # Any row that is not a pair fails: strict catches mixed lengths, the
         # unpacking catches the rest.
         js, ks = zip(*self.rows, strict=True)
-        expected = list(range(1, n + 1))
-        if sorted(js) != expected:
+        if sorted(js) != _identity(n):
             raise ValueError(f"j coordinates {list(js)!r} are not a bijection on 1..{n}")
-        if sorted(ks) != expected:
+        if sorted(ks) != _identity(n):
             raise ValueError(f"k coordinates {list(ks)!r} are not a bijection on 1..{n}")
 
     @property

@@ -11,16 +11,19 @@ numpy pass forms the 8 square images of a whole value matrix, its rows'
 inverses from one scatter, and the least is found column by column,
 among the images still least on every column before it: an array whose
 least image is the only one left stops being read, and the pass ends
-once every array has one.  The 48 images of a cube are one gather,
-through an index table built once per order, from 18 sequences of its
-coordinates: i, j and k and their complements, each listed in the order
-of i, of j and of k.  A cube's row list is keyed by its bytes as
-big-endian unsigned words of the least width for its order, whose byte
-order is their numeric order, so the least image is the least key.  The
-cube symmetries permute the three projection planes and act on each by
-the square symmetries, so the arrays a cube's orbit projects, its
-projection set S(D), are the rows of the planar images of its (3, n)
-projection matrix.
+once every array has one.  The 48 images of a cube take a fixed number
+of numpy calls whatever its order: a copy of a read-only template kept
+per order and dtype, which already holds i and its complement, takes j
+and k and their complements, written n - x + 1 so that no operand leaves
+the dtype; one argsort gives the orders of i, j and k, one take lists
+the six coordinate rows in each, 18 sequences, and one take through an
+index table built once per order reads the images from them.  A cube's
+row list is keyed by its bytes as big-endian unsigned words of the least
+width for its order, whose byte order is their numeric order, so the
+least image is the least key.  The cube symmetries permute the three
+projection planes and act on each by the square symmetries, so the
+arrays a cube's orbit projects, its projection set S(D), are the rows
+of the planar images of its (3, n) projection matrix.
 """
 
 from __future__ import annotations
@@ -151,18 +154,40 @@ def _cube_gather(n: int) -> np.ndarray:
     return table.reshape(len(CUBE_SYMMETRIES), 2 * n)
 
 
+@functools.cache
+def _coordinate_template(n: int, dtype: np.dtype) -> np.ndarray:
+    """The rows of _row_images's six coordinate sequences that do not
+    depend on the cube, as a read-only (6, n) array in dtype: i = 1..n in
+    row 0 and its complement n+1-i in row 3; the j and k rows 1, 2, 4 and
+    5 are 0, for each call to fill in its own copy."""
+    template = np.zeros((6, n), dtype=dtype)
+    template[0] = np.arange(1, n + 1)
+    template[3] = template[0][::-1]
+    template.setflags(write=False)
+    return template
+
+
 def _row_images(row: np.ndarray) -> np.ndarray:
     """Row lists of the images of one flattened row list j_1, k_1, ...,
     j_n, k_n under CUBE_SYMMETRIES, in that order: shape (48, 2n), in the
-    row's dtype.  One gather from 18 sequences, coordinate x of i, j, k
-    (0, 1, 2) or its complement n+1-x (3, 4, 5) listed in the order of
-    coordinate y, at (3x + y) * n."""
+    row's dtype.
+
+    A copy of _coordinate_template takes j and k into rows 1 and 2 and
+    their complements into rows 4 and 5, so that row x of it is
+    coordinate x of i, j, k (0, 1, 2) or its complement (3, 4, 5).  One
+    argsort of rows 0-2 gives the order of each coordinate, one take
+    lists every row in each of those orders, 18 sequences with sequence
+    (3x + y) at (3x + y) * n, and one take through _cube_gather reads the
+    48 images from them.  The complement is n - x + 1, never (n + 1) - x:
+    n fits any dtype that holds the coordinates 1..n, but n + 1 need not
+    (256 at order 255 in uint8), and numpy 2 refuses a Python integer out
+    of the array's range."""
     n = len(row) // 2
-    coords = np.empty((6, n), dtype=row.dtype)
-    coords[0] = np.arange(1, n + 1)
+    coords = _coordinate_template(n, row.dtype).copy()
     coords[1:3] = row.reshape(n, 2).T
-    coords[3:] = n - coords[:3] + 1
-    return coords[:, np.argsort(coords[:3], axis=1)].reshape(-1)[_cube_gather(n)]
+    np.subtract(n, coords[1:3], out=coords[4:])
+    coords[4:] += 1
+    return coords.take(coords[:3].argsort(axis=1), axis=1).take(_cube_gather(n))
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -190,11 +215,12 @@ def first_of_each_class(rows: np.ndarray) -> Iterator[tuple[int, CostasCube]]:
     """
     key_dtype = np.dtype(np.min_scalar_type(rows.shape[1] // 2)).newbyteorder(">")
     rows = np.ascontiguousarray(rows, dtype=key_dtype)
+    key = np.dtype((np.void, rows.shape[1] * key_dtype.itemsize))
     seen: set[bytes] = set()
-    for t, key in enumerate(_row_keys(rows).tolist()):
-        if key in seen:
+    for t, row_key in enumerate(rows.view(key).ravel().tolist()):
+        if row_key in seen:
             continue
-        keys = _row_keys(_row_images(rows[t])).tolist()
+        keys = _row_images(rows[t]).view(key).ravel().tolist()
         seen.update(keys)
         flat = np.frombuffer(min(keys), dtype=key_dtype).tolist()
         yield t, CostasCube(tuple(zip(flat[0::2], flat[1::2])))

@@ -328,15 +328,23 @@ def test_least_matches_the_every_column_oracle(dtype):
 
 def test_row_images_follow_cube_symmetries():
     """Image s of _row_images is the oracle image under CUBE_SYMMETRIES[s],
-    flattened, at every order 1-9 and at order 300."""
+    flattened, in the row's dtype, both native and big-endian: at every
+    order 1-9, at 255 and 256 (the last order of uint8 and the first of
+    uint16, where n + 1 and n leave the dtype's range) and at 300.  Each
+    order takes two or more cubes in turn, so a kernel whose per-order
+    state kept one cube's coordinates would fail on the next."""
     rng = random.Random(9)
     cubes = [_random_cube(n, rng) for n in range(1, 10) for _ in range(5)]
+    cubes += [_random_cube(n, rng) for n in (255, 256) for _ in range(2)]
     cubes.append(_random_cube(300, random.Random(300)))
     for cube in cubes:
-        images = _images(cube)
-        assert images.shape == (48, 2 * cube.order)
-        assert images.tolist() == [[v for row in image(s, cube).rows for v in row]
-                                   for s in CUBE_SYMMETRIES]
+        expected = [[v for row in image(s, cube).rows for v in row] for s in CUBE_SYMMETRIES]
+        native = np.dtype(np.min_scalar_type(cube.order))
+        for dtype in (native, native.newbyteorder(">")):
+            images = symmetry._row_images(np.array(cube.rows, dtype=dtype).reshape(-1))
+            assert images.dtype == dtype
+            assert images.shape == (48, 2 * cube.order)
+            assert images.tolist() == expected
 
 
 @given(cubes_up_to_9)
@@ -470,14 +478,17 @@ def test_images_pass_matches_oracles_on_join_classes():
 
 
 def test_images_pass_matches_oracles_at_order_300():
-    """Coordinates above 255 must not wrap in either images pass."""
-    cube = _random_cube(300, random.Random(300))
-    assert canonical_cube(cube) == canonical_cube_oracle(cube)
-    assert _cube_orbit(cube) == cube_orbit_oracle(cube)
-    assert _square_images_of_projections(cube) == _projection_set_oracle(cube)
-    perm = Permutation(projection_rows(cube)[0])
-    assert _canonical_array(perm) == least_image_oracle(perm)
-    assert _array_class_size(perm) == array_class_size_oracle(perm)
+    """Coordinates above 255 must not wrap in either images pass, and at
+    order 255, the last one keyed in uint8, the complement must not leave
+    the dtype's range."""
+    for n in (255, 300):
+        cube = _random_cube(n, random.Random(n))
+        assert canonical_cube(cube) == canonical_cube_oracle(cube)
+        assert _cube_orbit(cube) == cube_orbit_oracle(cube)
+        assert _square_images_of_projections(cube) == _projection_set_oracle(cube)
+        perm = Permutation(projection_rows(cube)[0])
+        assert _canonical_array(perm) == least_image_oracle(perm)
+        assert _array_class_size(perm) == array_class_size_oracle(perm)
 
 
 def test_projection_set_rotations_match_full_group():
