@@ -353,19 +353,19 @@ def _field_rows(family: Family, field: FieldSpec):
     Tuples run phi-major over the ascending primitive elements; the G3
     variants alternate for each phi, (ii) being (i) with k reversed.  int16 holds every coordinate the
     sweep guard admits."""
+    # The axes are lists, so that witness reads Python ints.
+    logs = _primitive_logs(field, 1, -1) if family in _G3_VARIANTS else _primitive_logs(field)
+    a = np.array(logs, dtype=np.int64)
     if family is Family.CUBE_G2X3:
-        a = np.array(_primitive_logs(field), dtype=np.int64)
-        axes = (a,) * 3
+        axes = (logs,) * 3
         j, k = _g2x3_jk(
             field, a[:, None, None, None], a[None, :, None, None], a[None, None, :, None]
         )
     elif family is Family.CUBE_W2W2G2:
-        a = np.array(_primitive_logs(field), dtype=np.int64)
-        axes = (a,) * 2
+        axes = (logs,) * 2
         j, k = _w2w2g2_jk(field, a[:, None, None], a[None, :, None])
     else:
-        a = np.array(_primitive_logs(field, 1, -1), dtype=np.int64)
-        axes = (a, _G3_VARIANTS[family])
+        axes = (logs, _G3_VARIANTS[family])
         j, k = _g3_jk(field, a[:, None])
         k = np.stack([k[:, ::-1] if v is Family.CUBE_G3_II else k for v in axes[1]], axis=1)
         j = j[:, None]

@@ -256,8 +256,9 @@ def _prefix_search(n: int, prefixes: np.ndarray) -> np.ndarray:
         depth = max((d for d in live if fifos[d].rows >= merge), default=live[0])
         values, masks, used, free = fifos[depth].take(_BLOCK_ROWS)
         if depth == n - 1:
+            # The rows lie in the block, as in _grow.
             rows, cols = _free_values(n, free)
-            found.append(np.vstack((values.take(rows, axis=1), cols.astype(np.int8) + 1)).T)
+            found.append(np.vstack((values.take(rows, axis=1, mode="wrap"), cols.astype(np.int8) + 1)).T)
         else:
             fifos[depth + 1].put(_grow(n, window, values, masks, used, free))
     return np.concatenate(found) if found else np.empty((0, n), dtype=np.int8)
@@ -300,6 +301,15 @@ def _grow(
     by its value.  Only the kept children get value and mask rows; a child
     gains a mask while its parent's length is at most _mask_reach(n).  The
     temporaries are formed in place, as they set the search's peak memory.
+
+    Every gather takes mode="wrap", which numpy runs without the bounds
+    check and, for a 2-D take into out=, without the buffered copy of the
+    default mode="raise"; so every index must lie in its array, and does.
+    The rows index the block's own columns, since each position at of
+    _free_values' grid of len(free) rows by n has at // n < len(free).
+    The kept positions index the (row, value) pairs that they were found
+    among, and the corner index (n + 1) a + b of the first two values
+    1 <= a, b <= n is below (n + 1)^2, the length of a window row.
     """
     k, reach = len(values), len(masks)
     dtype = masks.dtype
@@ -312,30 +322,30 @@ def _grow(
     corner = values[0].astype(np.intp)
     corner *= n + 1
     corner += values[1]
-    ahead |= window[k + 2].take(corner)
-    blocked = np.subtract(v, values[k - 1].take(rows), dtype=dtype)
+    ahead |= window[k + 2].take(corner, mode="wrap")
+    blocked = np.subtract(v, values[k - 1].take(rows, mode="wrap"), dtype=dtype)
     blocked += n - 1
     np.left_shift(one, blocked, out=blocked)
-    blocked |= masks[0].take(rows)
+    blocked |= masks[0].take(rows, mode="wrap")
     blocked >>= n - v
-    blocked |= ahead.take(rows)
+    blocked |= ahead.take(rows, mode="wrap")
     free = np.invert(blocked, out=blocked)
     free &= full
-    (keep,) = np.nonzero(free)
-    rows, v, free = rows.take(keep), v.take(keep), free.take(keep)
+    (keep,) = np.nonzero(free.astype(bool))
+    rows, v, free = (x.take(keep, mode="wrap") for x in (rows, v, free))
     grown = np.empty((k + 1, len(rows)), dtype=np.int8)
-    np.take(values, rows, axis=1, out=grown[:k])
+    np.take(values, rows, axis=1, out=grown[:k], mode="wrap")
     grown[k] = v
     values = grown
     longer = min(k, _mask_reach(n))
     grown = np.empty((longer, len(rows)), dtype=dtype)
-    np.take(masks, rows, axis=1, out=grown[:reach])
+    np.take(masks, rows, axis=1, out=grown[:reach], mode="wrap")
     grown[reach:] = top
     bits = np.subtract(v, values[k - longer : k][::-1], dtype=dtype)
     bits += n - 1
     np.left_shift(one, bits, out=bits)
     grown |= bits
-    used = used.take(rows)
+    used = used.take(rows, mode="wrap")
     v -= one
     used |= np.left_shift(one, v, out=v)
     return values, grown, used, free

@@ -254,6 +254,94 @@ def test_prefix_search_completes_a_long_prefix(seed):
     assert all(corner_least(row) for row in found.tolist())
 
 
+def grow_oracle(n, values, free):
+    """One step of the search, child by child: for each partial array (a
+    column of values) and each value v of its free word in ascending
+    order, the child that appends v, kept when its own next column has a
+    free value, as (values, masks, used, free) lists.  The free sets are
+    read from the definitions, every value not yet placed that repeats no
+    difference at any distance, and from the corner-least window."""
+    window = enumeration._corner_window(n, np.int64).tolist()
+    kept = ([], [], [], [])
+
+    def free_word(row):
+        diffs = [{row[i + d] - row[i] for i in range(len(row) - d)} for d in range(len(row) + 1)]
+        blocked = window[len(row) + 1][row[0]][row[1]]
+        return sum(
+            1 << (w - 1)
+            for w in range(1, n + 1)
+            if w not in row
+            and not blocked >> (w - 1) & 1
+            and all(w - row[-d] not in diffs[d] for d in range(1, len(row) + 1))
+        )
+
+    for parent, word in zip(values.T.tolist(), free.tolist()):
+        assert word == free_word(parent)
+        for v in range(1, n + 1):
+            child = parent + [v]
+            if not word >> (v - 1) & 1 or not (child_free := free_word(child)):
+                continue
+            masks = [
+                1 << (n - 1) | functools.reduce(int.__or__, (1 << (w - u + n - 1) for u, w in zip(child, child[d:])))
+                for d in range(1, min(len(parent), enumeration._mask_reach(n)) + 1)
+            ]
+            for part, x in zip(kept, (child, masks, sum(1 << (u - 1) for u in child), child_free)):
+                part.append(x)
+    return kept
+
+
+def grow_inputs(monkeypatch, n, prefixes):
+    """The arguments of every _grow call of one _prefix_search."""
+    grow, calls = enumeration._grow, []
+
+    def recorded(*args):
+        calls.append(args)
+        return grow(*args)
+
+    monkeypatch.setattr(enumeration, "_grow", recorded)
+    enumeration._prefix_search(n, np.array(prefixes))
+    monkeypatch.setattr(enumeration, "_grow", grow)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "n, depth, part",
+    [
+        (11, 2, slice(None)),  # the first step: each child gains a mask
+        (11, 3, slice(None)),
+        (11, 6, slice(1000, 1400)),  # a column slice, as _Fifo.take hands one over
+        (11, 9, slice(None)),  # the last step before the arrays are read out
+        (17, 7, slice(None)),  # int64 words from here on
+        (17, 10, slice(None)),  # past H = 8: no child gains a mask
+        (17, 11, slice(100, 700)),
+    ],
+)
+def test_grow_matches_a_per_child_oracle(monkeypatch, n, depth, part):
+    """One _grow call on a real block (the first at its depth) gives the
+    children that grow_oracle builds one by one, word for word and in the
+    same order.  Every gather of _grow skips numpy's bounds check, so this
+    is what shows that no index strays.  Order 11 runs from every
+    two-value prefix; order 17 from the first six values of the least
+    image of a constructed array."""
+    if n == 11:
+        prefixes = [(a, b) for a in range(1, 7) for b in range(1, 12) if a != b]
+    else:
+        prefixes = [least_image_oracle(Permutation(g2(default_field(19), 2, 2)))[:6]]
+    window, values, masks, used, free = next(
+        args[1:] for args in grow_inputs(monkeypatch, n, prefixes) if len(args[2]) == depth
+    )
+    values, masks, used, free = (x[..., part] for x in (values, masks, used, free))
+    if part != slice(None):
+        assert not values.flags.c_contiguous and len(free) == part.stop - part.start
+    grown = enumeration._grow(n, window, values, masks, used, free)
+    expected = grow_oracle(n, values, free)
+    assert expected[0]
+    dtype = np.dtype(np.int32 if n <= 16 else np.int64)
+    for got, want, kind in zip(grown, expected, (np.int8, dtype, dtype, dtype)):
+        assert got.dtype == kind
+        np.testing.assert_array_equal(got, np.array(want, dtype=kind).T)
+
+
 def test_word_size_guard_rejects_before_searching(monkeypatch):
     searched = []
     monkeypatch.setattr(enumeration, "_prefix_search", lambda *args: searched.append(args))
