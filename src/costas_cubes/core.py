@@ -8,7 +8,9 @@ Index conventions used throughout the package (all 1-based):
   sigma(j) = i.  Arrays of several orders share one matrix zero-padded
   to the largest order, so a row's order is its count of nonzero values.
   Permutation, a validated value tuple, is returned only by
-  enumeration.enumerate_costas_arrays and array_classes.
+  enumeration.enumerate_costas_arrays and array_classes.  These build
+  their lists from one value matrix checked once (_permutations), while
+  Permutation(...) checks each object it builds.
 
 * A permutation cube is an n x n x n 0/1 array with exactly one 1 in
   every axis-aligned plane.  It is stored sparsely: for each i there is
@@ -54,6 +56,27 @@ class Permutation:
     @property
     def order(self) -> int:
         return len(self.values)
+
+
+def _permutations(values: np.ndarray) -> list[Permutation]:
+    """The rows of an (N, n) value matrix as Permutations, checked once as
+    a matrix: one row-wise sort against 1..n refuses the first row that is
+    not a bijection, with Permutation's own message.  Each object is then
+    built as the frozen dataclass __init__ builds it, without its sort."""
+    n = values.shape[1]
+    if n == 0:
+        raise ValueError("permutation must have order >= 1")
+    rows = values.tolist()
+    bad = (np.sort(values, axis=1) != np.arange(1, n + 1)).any(axis=1)
+    if bad.any():
+        raise ValueError(f"{tuple(rows[np.argmax(bad)])!r} is not a bijection on 1..{n}")
+    new, set_values = object.__new__, object.__setattr__
+    out = []
+    for row in rows:
+        p = new(Permutation)
+        set_values(p, "values", tuple(row))
+        out.append(p)
+    return out
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import CostasCube, Permutation, costas_violations, distinct_rows
+from .core import CostasCube, Permutation, _permutations, costas_violations, distinct_rows
 from .reference import COSTAS_ARRAY_TOTALS
 from .symmetry import _row_keys, first_of_each_class, inverse_rows, least_image, planar_images
 
@@ -380,15 +380,17 @@ def costas_values(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> np.ndarray:
 
 def enumerate_costas_arrays(n: int, limit: int = DEFAULT_ORDER_LIMIT) -> list[Permutation]:
     """All Costas permutations of order n, in lexicographic order: the
-    rows of costas_values as Permutations.  This and array_classes are
-    the package's only Permutation results, read by perfbench's
+    rows of costas_values as Permutations, built from that one matrix,
+    which is checked once, not object by object.  This and array_classes
+    are the package's only Permutation results, read by perfbench's
     arrays_o11 workload."""
-    return [Permutation(tuple(v)) for v in costas_values(n, limit).tolist()]
+    return _permutations(costas_values(n, limit))
 
 
 def array_classes(arrays: Iterable[Permutation]) -> list[Permutation]:
     """One canonical representative per D4 class of the given arrays (all
-    of one order), sorted."""
+    of one order), sorted: Permutations built from the one matrix of
+    least images, which is checked once, not object by object."""
     rows = [p.values for p in arrays]
     if not rows:
         return []
@@ -401,7 +403,7 @@ def array_classes(arrays: Iterable[Permutation]) -> list[Permutation]:
         )
     values = np.fromiter(itertools.chain.from_iterable(rows), np.min_scalar_type(n), count=len(rows) * n)
     values = least_image(planar_images(values.reshape(-1, n)))
-    return [Permutation(tuple(v)) for v in distinct_rows(values).tolist()]
+    return _permutations(distinct_rows(values))
 
 
 def total_mismatch(n: int, count: int) -> str | None:

@@ -15,6 +15,7 @@ from costas_cubes.construct import default_field, g2, w1
 from costas_cubes.core import (
     CostasCube,
     Permutation,
+    _permutations,
     costas_violations,
     is_costas_cube,
 )
@@ -366,6 +367,40 @@ def test_costas_values_golden(n, count, digest):
     values = costas_values(n)
     assert values.shape == (count, n) and values.dtype == np.uint8
     assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+
+def assert_same_permutations(got, want):
+    """Element for element: equal, equally hashed, of type Permutation,
+    with a tuple of Python ints as values."""
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert type(p) is Permutation and p == q and hash(p) == hash(q)
+        assert type(p.values) is tuple and all(type(x) is int for x in p.values)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_permutations_match_per_object_construction(n):
+    values = costas_values(n)
+    assert_same_permutations(_permutations(values), [Permutation(tuple(r)) for r in values.tolist()])
+
+
+def test_array_classes_match_per_object_construction():
+    want = sorted({least_image_oracle(p) for p in costas_arrays(9)})
+    assert_same_permutations(array_classes(costas_arrays(9)), [Permutation(r) for r in want])
+
+
+@pytest.mark.parametrize("bad", [(1, 1, 3), (0, 1, 2), (1, 2, 4)])
+def test_permutations_refuse_as_permutation_does(bad):
+    """The first row that is not a bijection on 1..n is named, in
+    Permutation's own words."""
+    with pytest.raises(ValueError) as refusal:
+        Permutation(bad)
+    values = np.array([[1, 2, 3], bad, [3, 3, 1]], dtype=np.uint8)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(refusal.value))}$"):
+        _permutations(values)
+    with pytest.raises(ValueError, match="^permutation must have order >= 1$"):
+        _permutations(np.zeros((2, 0), dtype=np.uint8))
+    assert _permutations(np.zeros((0, 3), dtype=np.uint8)) == []
 
 
 def test_backtracking_matches_brute_force():

@@ -52,6 +52,11 @@ def test_oracles_are_not_importable_from_the_package():
             assert not hasattr(mod, name), f"{module}.{name}"
             assert not hasattr(costas_cubes, name), name
     assert not any(hasattr(costas_cubes.Permutation, m) for m in ("inverse", "cells"))
+    # The matrix builder behind enumerate_costas_arrays and array_classes
+    # stays private, and Permutation keeps its two public attributes.
+    assert "_permutations" not in costas_cubes.__all__
+    assert not hasattr(costas_cubes, "_permutations")
+    assert {a for a in dir(costas_cubes.Permutation((1,))) if not a.startswith("_")} == {"order", "values"}
     assert not callable(costas_cubes.Permutation((1,)))
     # class_report is the join's one entry point, the G3 constructors
     # read 1-phi and 1-phi^(-1) off the Zech column, and the class walk
