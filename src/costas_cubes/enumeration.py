@@ -45,29 +45,34 @@ each class (at order 1 the one array is kept), and every cube class
 still has a hit.  The scan filters the pairs by a hashed key of each
 whole row, and looks up the C of each pair whose key occurs in a dict of
 the list's row bytes, which alone decides membership.  The keys of a
-block of first arrays are one float matrix product, read raveled: one
-gather from the table of the keys that occur and one flatnonzero, whose
-positions give the pairs (first, second) by one division by the block's
-width.  Class counts come from canonical forms, and a hit in the orbit
-of a class already found is not canonicalised again.  The projection
-classes are counted from the hits: the classes of each hit's rows A and
-B and of the row its lookup of C finds.  The arrays a cube's orbit
-projects are the square images of its three projections, so any one hit
-of a cube class gives that class's projection classes.  None of this
-needs the list to be complete, only closed under the square symmetries.
+block of first arrays are one float matrix product, cast to int32 (exact
+while every key sum stays below 2^31, which _RowIndex checks) and read
+raveled: one gather from the table of the keys that occur and one
+flatnonzero, whose positions give the pairs (first, second) by one
+division by the block's width.  Class counts come from canonical forms,
+and a hit in the orbit of a class already found is not canonicalised
+again.  The projection classes are counted from the hits: the classes of
+each hit's rows A and B and of the row its lookup of C finds.  The
+arrays a cube's orbit projects are the square images of its three
+projections, so any one hit of a cube class gives that class's
+projection classes.  None of this needs the list to be complete, only
+closed under the square symmetries.
 
 The array list reaches the join as one (N, n) value matrix, from
 costas_values or files.parse_array_file.  The completeness check reads
-duplicates from one sort of the list and classes from one sort of its
-least images.  It tests that each row is a permutation of 1..n by no
-sort: once every value is known to lie in 1..n, one scatter of the rows'
-inverses (symmetry.inverse_rows) writes only each row's own slots, and a
-row is a permutation when it leaves none of them 0.  The planar images
-are formed from those inverses, and the scan's inverses of A and B from
-the same scatter.  The square symmetries keep the Costas property, so
-once every row is known to be a permutation of 1..n the Costas check
-runs on one least image per class, and over the rows only to name the
-first faulty array.
+duplicates from one sort of the list and classes from one stable lexsort
+of its least images, which numbers the classes in the order of their
+least images and gives each class's size and its first row in list
+order.  Closure is tested once per class, on that first row: the members
+of one class have stabilizers of one size.  It tests that each row is a
+permutation of 1..n by no sort: once every value is known to lie in
+1..n, one scatter of the rows' inverses (symmetry.inverse_rows) writes
+only each row's own slots, and a row is a permutation when it leaves
+none of them 0.  The planar images are formed from those inverses, and
+the scan's inverses of A and B from the same scatter.  The square
+symmetries keep the Costas property, so once every row is known to be a
+permutation of 1..n the Costas check runs on one least image per class,
+and over the rows only to name the first faulty array.
 """
 
 from __future__ import annotations
@@ -430,19 +435,24 @@ class _RowIndex:
     with R the least power of two with R >= _KEY_SPREAD * N, and occurs is
     a dense bool table of the keys of the table's rows: a filter, which
     every table row passes and about one absent row in _KEY_SPREAD does.
-    Membership itself is one dict from each table row's bytes to its
-    position, so rows are looked up in the table's dtype only.
+    The scan forms the sums row . w as float products cast to int32, so
+    an index whose sums could reach 2^31 (n (n-1) R >= 2^31) is refused;
+    no complete list of order <= 29 comes near, the largest being order
+    17's at 272 * 2^21, about 5.7e8.  Membership itself is one dict from
+    each table row's bytes to its position, so rows are looked up in the
+    table's dtype only.
     """
 
     def __init__(self, table: np.ndarray):
         count, n = table.shape
         bits = (_KEY_SPREAD * count - 1).bit_length()
-        # Float products of value rows and weights are exact while every
-        # sum row . w, below n (n-1) R, stays below 2^53.
-        if n * (n - 1) << bits >= 1 << 53:
+        # The scan's float products of value rows and weights, cast to
+        # int32, are exact while every sum row . w, below n (n-1) R, stays
+        # below 2^31.
+        if n * (n - 1) << bits >= 1 << 31:
             raise ValueError(
-                f"row keys of order {n} over {1 << bits} slots reach 2^53; "
-                "float row products would not be exact"
+                f"row keys of order {n} over {1 << bits} slots reach 2^31; "
+                "the scan's int32 row keys would not be exact"
             )
         self.mask = (1 << bits) - 1
         # Seeded weights from the random module (importing numpy.random
@@ -478,13 +488,16 @@ def _check_complete(values: np.ndarray, n: int) -> np.ndarray:
     """Sanity checks for a claimed-complete list of order-n Costas arrays,
     given as a value matrix (zero-padded, if of mixed orders); returns
     each row's class, the classes numbered in the order of their least
-    planar images.
+    planar images, from one stable lexsort of those images.
 
     The Costas property is kept by the square symmetries, so a
     permutation is Costas exactly when its least image is: the check runs
     on one least image per class, and over the rows only to name the
-    first faulty one.  A list with a row of the wrong order has the rows
-    before that row checked the same way."""
+    first faulty one.  So does the closure test: a class is whole when its
+    members times its stabilizer (the images of its first row in list
+    order equal to that row) make 8, and the first row in list order of a
+    class that is not whole is named.  A list with a row of the wrong
+    order has the rows before that row checked the same way."""
     if not len(values):
         raise ValueError("empty array list")
     if len(distinct_rows(values)) < len(values):
@@ -506,14 +519,22 @@ def _check_complete(values: np.ndarray, n: int) -> np.ndarray:
     inverse = _check_permutations(values, n)
     images = planar_images(values, inverse)
     least = least_image(images)
-    _, firsts, classes, members = np.unique(
-        _row_keys(least), return_index=True, return_inverse=True, return_counts=True
-    )
+    # One stable sort of the least images orders the classes by them and
+    # each class's rows by list order.
+    by_class = np.lexsort(least.T[::-1])
+    ranked = least[by_class]
+    starts = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
+    firsts = by_class[starts]
+    classes = np.empty(len(values), dtype=np.intp)
+    classes[by_class] = np.cumsum(starts) - 1
+    members = np.diff(np.flatnonzero(np.append(starts, True)))
     if costas_violations(least[firsts]).any():
         _check_costas(values)
-    # The rows are distinct, so a row's class is whole when its members
-    # are as many as its orbit: 8 over the number of its images equal to it.
-    short = members[classes] * (images == values).all(axis=2).sum(axis=0) != 8
+    # The rows are distinct, so a class is whole when its members are as
+    # many as its orbit: 8 over its stabilizer, the images of a member
+    # equal to it, which has one size for every member of the class.
+    stabilizer = (images[:, firsts] == values[firsts]).all(axis=2).sum(axis=0)
+    short = (members * stabilizer != 8)[classes]
     if short.any():
         raise ValueError(
             f"array list is not closed under the square symmetries (image of "
@@ -592,7 +613,7 @@ def _scan(values: np.ndarray, classes: np.ndarray) -> tuple[list[CostasCube], in
         # Projection C of the cube with projections (A, B) is A^-1 B: its
         # key is linear in A^-1, and only pairs whose key occurs are looked
         # up.  The filter reads the block's keys raveled.
-        keys = (first_inverses[start : start + step] @ weights[:, lo:]).astype(np.int64).ravel()
+        keys = (first_inverses[start : start + step] @ weights[:, lo:]).astype(np.int32).ravel()
         start += step
         keys &= index.mask
         second = np.flatnonzero(np.take(index.occurs, keys))
@@ -638,13 +659,18 @@ def class_report(n: int, values: np.ndarray) -> ClassReport:
     cube class, from the pair-join; see the module docstring for why the
     join reaches every class.  The total number of array classes is the
     number of classes the completeness check numbers.  A matrix not of
-    integers is refused, by its dtype, before any check."""
+    integers is refused, by its dtype, before any check, and an order
+    with no published total (COSTAS_ARRAY_TOTALS) after the completeness
+    check, as no list of that order can be shown complete."""
     if n < 1:
         raise ValueError("order must be >= 1")
     values = np.asarray(values)
     if values.dtype.kind not in "iu":
         raise ValueError(f"array list of dtype {values.dtype}; expected an integer dtype")
     classes = _check_complete(values, n)
+    if n not in COSTAS_ARRAY_TOTALS:
+        raise ValueError(f"no published total of Costas arrays of order {n}; "
+                         "an array list of that order cannot be shown complete")
     cubes, projection_classes = _scan(values, classes)
     return ClassReport(
         order=n,

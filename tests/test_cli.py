@@ -7,6 +7,7 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,7 @@ from costas_cubes.cli import main
 from costas_cubes.construct import catalog, w1
 from costas_cubes.core import CostasCube, Permutation
 from costas_cubes.files import emit_array_file, emit_cube_file, parse_array_file, parse_cube_file
-from costas_cubes.symmetry import least_image
+from costas_cubes.symmetry import least_image, planar_images
 
 from conftest import (
     GF16_J,
@@ -274,6 +275,24 @@ def test_enumerate_rejects_incomplete_arrays_file(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "there are 200" in err
+
+
+def test_enumerate_refuses_an_order_with_no_published_total(capsys, tmp_path):
+    """The 8 planar images of w1(31, 3) are a closed list of order 30,
+    which has no published total, so nothing shows it complete: enumerate
+    exits 2 (it printed a row of 0 cube classes and 1 array class), while
+    import still normalizes the file."""
+    rows = planar_images(np.array([w1(31, 3)], dtype=np.uint8)).reshape(-1, 30)
+    assert len({tuple(row) for row in rows.tolist()}) == 8
+    path = tmp_path / "order30.txt"
+    path.write_text(emit_array_file(rows.tolist()))
+    assert run(capsys, "enumerate", "--order", "30", "--arrays-file", str(path)) == (
+        2, "", "error: no published total of Costas arrays of order 30; "
+               "an array list of that order cannot be shown complete\n")
+    code, out, _ = run(capsys, "import", str(path), "--expect-order", "30")
+    assert code == 0
+    assert out.startswith("order 30: 8 arrays, 1 classes; normalized copy: ")
+    assert parse_array_file((tmp_path / "order30.txt.normalized").read_text()).tolist() == sorted(rows.tolist())
 
 
 def test_enumerate_emit_representatives(capsys):

@@ -521,12 +521,17 @@ def test_row_index_takes_more_weights_than_key_slots():
 
 
 def test_row_index_rejects_inexact_keys(monkeypatch):
-    """Row products reaching 2^53 would be rounded in float: the index
-    refuses them before it allocates its key table."""
+    """Row keys reaching 2^31 would overflow the scan's int32 keys: the
+    index refuses them before it allocates its key table.  One order-29
+    row over R slots has keys below 29 * 28 * R: R = 2^21 is accepted and
+    R = 2^22 refused."""
     table = np.array([np.arange(29)], dtype=np.uint8)
-    monkeypatch.setattr(enumeration, "_KEY_SPREAD", 1 << 44)
-    with pytest.raises(ValueError, match=r"2\^53"):
-        _RowIndex(table)
+    monkeypatch.setattr(enumeration, "_KEY_SPREAD", 1 << 21)
+    assert _RowIndex(table).mask + 1 == 1 << 21
+    for spread in (1 << 22, 1 << 44):
+        monkeypatch.setattr(enumeration, "_KEY_SPREAD", spread)
+        with pytest.raises(ValueError, match=r"2\^31"):
+            _RowIndex(table)
 
 
 def test_row_index_refuses_rows_of_another_dtype():
@@ -566,10 +571,10 @@ def test_class_report_does_not_depend_on_dtype_or_layout():
 @pytest.mark.parametrize("n", [5, 11, 29])
 def test_pair_weights_give_the_keys_of_a_inverse_b(n):
     """The key of A^-1 B is the product of the zero-based inverse of A
-    with the weights gathered by the inverse of B, exact in float, masked
-    to the key range; each such key occurs when A^-1 B is in the table,
-    and find gives A^-1 B's position in the given table (the identity, for
-    B = A)."""
+    with the weights gathered by the inverse of B, exact in float and
+    below 2^31 as the scan's int32 keys need, masked to the key range;
+    each such key occurs when A^-1 B is in the table, and find gives
+    A^-1 B's position in the given table (the identity, for B = A)."""
     rng = np.random.default_rng(n)
     rows = {tuple(rng.permutation(n)) for _ in range(300)} | {tuple(range(n))}
     values = np.array(sorted(rows), dtype=np.uint8)[rng.permutation(len(rows))]
@@ -577,8 +582,8 @@ def test_pair_weights_give_the_keys_of_a_inverse_b(n):
     index = _RowIndex(values)
     inverses = np.argsort(values, axis=1).astype(np.uint8)
     products = inverses @ index.weights.astype(float)[inverses].T
-    keys = products.astype(np.int64) & index.mask
-    assert (products == np.rint(products)).all() and products.max() < 2**53
+    keys = products.astype(np.int32) & index.mask
+    assert (products == np.rint(products)).all() and products.max() < 2**31
     for a in range(0, len(values), 37):
         c_rows = inverses[a][values]
         assert keys[a].tolist() == index.keys(c_rows).tolist()
@@ -1036,6 +1041,27 @@ def test_table1_representatives_flag():
     assert all(isinstance(c, CostasCube) for c in report.representatives)
 
 
+def test_check_complete_numbers_classes_by_their_least_images():
+    """Each row's class is the rank of its least image among the sorted
+    distinct least images (least_image_oracle), whatever the row order:
+    seeded shuffles of the lists of orders 1-10 and of the order-11
+    database, and a uint16 list of order 256, the planar images of the
+    Welch arrays w1(257, g) of the first six primitive g, whose values
+    reach past one byte."""
+    lists = {n: costas_values(n) for n in range(1, 11)}
+    lists[11] = parse_array_file(ORDER11_DATABASE.read_text())
+    primitive = [g for g in range(2, 257) if pow(g, 128, 257) != 1][:6]
+    welch = np.array([w1(257, g) for g in primitive], dtype=np.uint16)
+    lists[256] = symmetry.planar_images(welch).reshape(-1, 256)
+    rng = np.random.default_rng(41)
+    for n, values in lists.items():
+        values = values[rng.permutation(len(values))]
+        keys = [least_image_oracle(Permutation(tuple(row))) for row in values.tolist()]
+        rank = {key: c for c, key in enumerate(sorted(set(keys)))}
+        assert _check_complete(values, n).tolist() == [rank[key] for key in keys]
+    assert len(lists[256]) == 48 and len(rank) == 6
+
+
 def test_class_report_total_is_representative_count():
     """The completeness check numbers each row's class by the rank of its
     least image among array_classes' sorted representatives, and the
@@ -1072,14 +1098,21 @@ def test_search_memory_stays_bounded():
 
 @pytest.mark.stretch
 def test_order_14_join_stretch():
-    """The in-process reach: the order-14 search and pair-join, about 12 s."""
-    # The same report counts 6 projection classes and 2168 array classes;
-    # reference.py holds no published figure for either.
+    """The in-process reach: the order-14 search and pair-join, a few seconds.
+    The whole report is pinned: its counts, and the bytes of its
+    representatives' rows as of commit 8a972b0."""
     arrays = costas_values(14, limit=14)
     assert len(arrays) == COSTAS_ARRAY_TOTALS[14] == 17252
     digest = "8e914faaa0ca6f1b6b1989416b424793b2d5fed98a8c47b6e6e0a6778b444e47"
     assert hashlib.sha256(arrays.tobytes()).hexdigest() == digest
-    assert class_report(14, arrays).cube_classes == CUBE_CLASS_COUNTS[14] == 6
+    report = class_report(14, arrays)
+    # reference.py holds no published figure for the projection and
+    # total array classes, 6 and 2168.
+    counts = (report.cube_classes, report.projection_array_classes, report.total_array_classes)
+    assert counts == (CUBE_CLASS_COUNTS[14], 6, 2168) == (6, 6, 2168)
+    rows = np.array([cube.rows for cube in report.representatives], dtype=np.uint8)
+    digest = "bad6f576f2a618444388ddda58ae240d875e8c0a4908bde97cb0082c90a600b3"
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.stretch
