@@ -186,7 +186,7 @@ def cmd_enumerate(args) -> int:
                "total array classes {total_array_classes}").format(**doc)
     reps = report.representatives if args.emit_representatives else ()
     if args.emit_representatives:
-        doc["representatives"] = [[list(t) for t in c.triples()] for c in reps]
+        doc["representatives"] = [[[i, j, k] for i, (j, k) in enumerate(c.rows, 1)] for c in reps]
     # Lazy: machine output never formats a representative as text.
     _emit(args, doc, itertools.chain([summary], map(str, reps)))
     return 0

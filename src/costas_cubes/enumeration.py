@@ -59,20 +59,24 @@ projection classes.  None of this needs the list to be complete, only
 closed under the square symmetries.
 
 The array list reaches the join as one (N, n) value matrix, from
-costas_values or files.parse_array_file.  The completeness check reads
-duplicates from one sort of the list and classes from one stable lexsort
-of its least images, which numbers the classes in the order of their
-least images and gives each class's size and its first row in list
-order.  Closure is tested once per class, on that first row: the members
-of one class have stabilizers of one size.  It tests that each row is a
+costas_values or files.parse_array_file, and is prepared once for the
+scan (_prepare), which checks it and records what the scan reads.
+Duplicates are found by the dict from each row's bytes to its position,
+which is smaller than the list exactly when two rows are equal, and in
+which the scan looks up each C.  Classes come from one stable lexsort of
+the least images, which numbers the classes in the order of their least
+images and gives the class order, each class's size and its first row
+in list order; the scan takes its class order and first arrays from it.
+Closure is tested once per class, on that first row: the members of one
+class have stabilizers of one size.  Each row is tested to be a
 permutation of 1..n by no sort: once every value is known to lie in
 1..n, one scatter of the rows' inverses (symmetry.inverse_rows) writes
 only each row's own slots, and a row is a permutation when it leaves
 none of them 0.  The planar images are formed from those inverses, and
-the scan's inverses of A and B from the same scatter.  The square
-symmetries keep the Costas property, so once every row is known to be a
-permutation of 1..n the Costas check runs on one least image per class,
-and over the rows only to name the first faulty array.
+the scan reads the inverses of A and B from the same scatter.  The
+square symmetries keep the Costas property, so once every row is known
+to be a permutation of 1..n the Costas check runs on one least image per
+class, and over the rows only to name the first faulty array.
 """
 
 from __future__ import annotations
@@ -428,26 +432,25 @@ _KEY_SPREAD = 64
 
 
 class _RowIndex:
-    """Exact membership in a table of distinct zero-based value rows of
-    order n.
+    """Exact membership in a list of distinct value rows of order n.
 
-    A row's key is (row . w) mod R for fixed pseudo-random weights w_j < R,
-    with R the least power of two with R >= _KEY_SPREAD * N, and occurs is
-    a dense bool table of the keys of the table's rows: a filter, which
-    every table row passes and about one absent row in _KEY_SPREAD does.
-    The scan forms the sums row . w as float products cast to int32, so
-    an index whose sums could reach 2^31 (n (n-1) R >= 2^31) is refused;
-    no complete list of order <= 29 comes near, the largest being order
-    17's at 272 * 2^21, about 5.7e8.  Membership itself is one dict from
-    each table row's bytes to its position, so rows are looked up in the
-    table's dtype only.
+    A row's key is ((row - 1) . w) mod R for fixed pseudo-random weights
+    w_j < R, with R the least power of two with R >= _KEY_SPREAD * N, and
+    occurs is a dense bool table of the keys of the list's rows: a filter,
+    which every list row passes and about one absent row in _KEY_SPREAD
+    does.  The scan forms the sums (row - 1) . w as float products cast to
+    int32, so an index whose sums could reach 2^31 (n (n-1) R >= 2^31) is
+    refused; no complete list of order <= 29 comes near, the largest being
+    order 17's at 272 * 2^21, about 5.7e8.  Membership itself is position,
+    the dict from each list row's bytes to its position that _prepare
+    builds, so rows are looked up in the list's dtype only.
     """
 
-    def __init__(self, table: np.ndarray):
-        count, n = table.shape
+    def __init__(self, values: np.ndarray, position: dict[bytes, int]):
+        count, n = values.shape
         bits = (_KEY_SPREAD * count - 1).bit_length()
-        # The scan's float products of value rows and weights, cast to
-        # int32, are exact while every sum row . w, below n (n-1) R, stays
+        # The scan's float products of zero-based value rows and weights,
+        # cast to int32, are exact while every sum, below n (n-1) R, stays
         # below 2^31.
         if n * (n - 1) << bits >= 1 << 31:
             raise ValueError(
@@ -460,19 +463,22 @@ class _RowIndex:
         # repetition since n may exceed R.
         self.weights = np.array(random.Random(0).choices(range(1 << bits), k=n), dtype=np.int64)
         self.occurs = np.zeros(1 << bits, dtype=bool)
-        self.occurs[self.keys(table)] = True
-        self.dtype = table.dtype
-        # The list may come in any memory layout; row bytes need C order.
-        self.position = dict(zip(_row_keys(np.ascontiguousarray(table)).tolist(), range(count)))
+        self.occurs[self.keys(values)] = True
+        self.dtype = values.dtype
+        self.position = position
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
         """The keys of the rows of an (R, n) value matrix."""
-        return (rows.astype(np.int64) @ self.weights) & self.mask
+        # In place: the int64 copy of a whole list is the join's largest
+        # temporary outside the scan's blocks.
+        zero_based = rows.astype(np.int64)
+        zero_based -= 1
+        return (zero_based @ self.weights) & self.mask
 
     def find(self, rows: np.ndarray) -> np.ndarray:
-        """The position in the given table of each row of an (R, n) value
-        matrix of the table's dtype, or -1 where the row is absent."""
-        # A row of another width never equals a table row byte for byte.
+        """The position in the list of each row of an (R, n) value matrix
+        of the list's dtype, or -1 where the row is absent."""
+        # A row of another width never equals a list row byte for byte.
         if rows.dtype != self.dtype:
             raise TypeError(f"rows of dtype {rows.dtype} looked up in a table of dtype {self.dtype}")
         get = self.position.get
@@ -484,23 +490,51 @@ def _text(row: np.ndarray) -> str:
     return "(" + ",".join(map(str, row.tolist())) + ")"
 
 
-def _check_complete(values: np.ndarray, n: int) -> np.ndarray:
-    """Sanity checks for a claimed-complete list of order-n Costas arrays,
-    given as a value matrix (zero-padded, if of mixed orders); returns
-    each row's class, the classes numbered in the order of their least
-    planar images, from one stable lexsort of those images.
+@dataclass(frozen=True)
+class _Prepared:
+    """What _prepare finds out about a list of N arrays, for _scan: each
+    row's class, the classes numbered in the order of their least planar
+    images; the rows in class order, each class's rows in list order
+    (order), and the position in that order of each class's first member
+    (firsts); each row's inverse_rows (inverse); and the dict from each
+    row's bytes to its position in the list (position)."""
 
-    The Costas property is kept by the square symmetries, so a
-    permutation is Costas exactly when its least image is: the check runs
-    on one least image per class, and over the rows only to name the
-    first faulty one.  So does the closure test: a class is whole when its
-    members times its stabilizer (the images of its first row in list
-    order equal to that row) make 8, and the first row in list order of a
-    class that is not whole is named.  A list with a row of the wrong
-    order has the rows before that row checked the same way."""
+    classes: np.ndarray
+    order: np.ndarray
+    firsts: np.ndarray
+    inverse: np.ndarray
+    position: dict[bytes, int]
+
+
+def _prepare(values: np.ndarray, n: int) -> _Prepared:
+    """Sanity checks for a claimed-complete list of order-n Costas arrays,
+    given as an integer value matrix (zero-padded, if of mixed orders),
+    and the _Prepared record of the list, for _scan.  The checks run in
+    this order: the matrix's shape, an empty list, duplicates, the wrong
+    order, a row that is not a permutation of 1..n, a row that is not a
+    Costas array, closure under the square symmetries.  The list's total
+    is not checked here (class_report checks it), so a list that passes
+    is closed but may be incomplete.
+
+    Duplicates are found by the dict of the rows' bytes, which is smaller
+    than the list exactly when two rows are equal; the scan looks rows up
+    in the same dict.  One stable lexsort of the least planar images
+    orders the classes by them and each class's rows by list order.  The
+    Costas property is kept by the square symmetries, so a permutation is
+    Costas exactly when its least image is: the check runs on one least
+    image per class, and over the rows only to name the first faulty one.
+    So does the closure test: a class is whole when its members times its
+    stabilizer (the images of its first row in list order equal to that
+    row) make 8, and the first row in list order of a class that is not
+    whole is named.  A list with a row of the wrong order has the rows
+    before that row checked the same way."""
+    if values.ndim != 2 or len(values) and not values.shape[1]:
+        raise ValueError(f"array list of shape {values.shape}; expected an (N, n) value matrix with n >= 1")
     if not len(values):
         raise ValueError("empty array list")
-    if len(distinct_rows(values)) < len(values):
+    # The list may come in any memory layout; row bytes need C order.
+    position = dict(zip(_row_keys(np.ascontiguousarray(values)).tolist(), range(len(values))))
+    if len(position) < len(values):
         raise ValueError("array list contains duplicates")
     wrong_order = np.count_nonzero(values, axis=1) != n
     if wrong_order.any():
@@ -519,31 +553,27 @@ def _check_complete(values: np.ndarray, n: int) -> np.ndarray:
     inverse = _check_permutations(values, n)
     images = planar_images(values, inverse)
     least = least_image(images)
-    # One stable sort of the least images orders the classes by them and
-    # each class's rows by list order.
-    by_class = np.lexsort(least.T[::-1])
-    ranked = least[by_class]
+    order = np.lexsort(least.T[::-1])
+    ranked = least[order]
     starts = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
-    firsts = by_class[starts]
     classes = np.empty(len(values), dtype=np.intp)
-    classes[by_class] = np.cumsum(starts) - 1
-    members = np.diff(np.flatnonzero(np.append(starts, True)))
-    if costas_violations(least[firsts]).any():
+    classes[order] = np.cumsum(starts) - 1
+    (firsts,) = np.nonzero(starts)
+    members = np.diff(firsts, append=len(values))
+    first_rows = order[firsts]
+    if costas_violations(least[first_rows]).any():
         _check_costas(values)
     # The rows are distinct, so a class is whole when its members are as
     # many as its orbit: 8 over its stabilizer, the images of a member
     # equal to it, which has one size for every member of the class.
-    stabilizer = (images[:, firsts] == values[firsts]).all(axis=2).sum(axis=0)
+    stabilizer = (images[:, first_rows] == values[first_rows]).all(axis=2).sum(axis=0)
     short = (members * stabilizer != 8)[classes]
     if short.any():
         raise ValueError(
             f"array list is not closed under the square symmetries (image of "
             f"{_text(values[np.argmax(short)])} missing); it cannot be complete"
         )
-    mismatch = total_mismatch(n, len(values))
-    if mismatch:
-        raise ValueError(mismatch)
-    return classes
+    return _Prepared(classes, order, firsts, inverse, position)
 
 
 def _check_permutations(values: np.ndarray, n: int) -> np.ndarray:
@@ -572,35 +602,35 @@ def _check_costas(values: np.ndarray) -> None:
 _BLOCK_PAIRS = 1 << 15
 
 
-def _scan(values: np.ndarray, classes: np.ndarray) -> tuple[list[CostasCube], int]:
+def _scan(values: np.ndarray, prepared: _Prepared) -> tuple[list[CostasCube], int]:
     """Canonical representatives, sorted, of the classes of the Costas
     cubes whose Projection A is the first member of its class and whose
     Projection B is of no lesser class and has a first value at most its
     last, from a list closed under the square symmetries (an (N, n) value
-    matrix) and each row's class, and the number of array classes among
-    those cubes' projections."""
-    table = values - 1
-    index = _RowIndex(table)
+    matrix) and its _Prepared record, and the number of array classes
+    among those cubes' projections.  The record gives the rows' classes,
+    the class order and its first members, the inverses and the dict that
+    _RowIndex looks rows up in."""
+    classes, order, firsts = prepared.classes, prepared.order, prepared.firsts
+    index = _RowIndex(values, prepared.position)
     # In class order each class's first member comes first, so the arrays
     # of no lesser class than a first array are the list from it on.
-    by_class = np.argsort(classes, kind="stable")
-    ordered = classes[by_class]
-    (firsts,) = np.nonzero(np.diff(ordered, prepend=-1))
-    idx = table[by_class]
+    ordered = classes[order]
+    idx = values[order]
     n = idx.shape[1]
-    inverses = inverse_rows(values[by_class]) - 1
+    inverses = prepared.inverse[order]
     # An array and its reversal are of one class: the second arrays, in
     # class order, are those whose first value is at most their last, and
     # those from a first array on begin at its position among them.
     (seconds,) = np.nonzero(idx[:, 0] <= idx[:, -1])
     starts = np.searchsorted(seconds, firsts)
-    second_rows = idx[seconds]
+    second_rows = idx[seconds] - 1
     # The key of A^-1 B is z @ weights[b] mod R for the zero-based inverse
     # z of A, and the float product is exact.  Column s of the weight
     # matrix is the weights of second array s, and row t of the float
     # matrix is the inverse of first array t.
-    weights = np.ascontiguousarray(index.weights.astype(float)[inverses[seconds]].T)
-    first_inverses = inverses[firsts].astype(float)
+    weights = np.ascontiguousarray(index.weights.astype(float)[inverses[seconds] - 1].T)
+    first_inverses = inverses[firsts].astype(float) - 1
     # The hit cubes of every block, as rows j_1, k_1, ..., j_n, k_n, and
     # the classes of their projections A, B and C.
     hits, projected = [], []
@@ -631,7 +661,7 @@ def _scan(values: np.ndarray, classes: np.ndarray) -> tuple[list[CostasCube], in
         a_at, b_at = block[first[hit]], seconds[second[hit]]
         hits.append(np.stack((inverses[a_at], inverses[b_at]), axis=2).reshape(-1, 2 * n))
         projected.append(np.concatenate((ordered[a_at], ordered[b_at], classes[c_at[hit]])))
-    cubes = (cube for _, cube in first_of_each_class(np.concatenate(hits) + 1))
+    cubes = (cube for _, cube in first_of_each_class(np.concatenate(hits)))
     return sorted(cubes, key=lambda cube: cube.rows), len(np.unique(np.concatenate(projected)))
 
 
@@ -657,26 +687,33 @@ def class_report(n: int, values: np.ndarray) -> ClassReport:
     """The class report of order n from a complete list of order-n Costas
     arrays, given as a value matrix, with one canonical representative per
     cube class, from the pair-join; see the module docstring for why the
-    join reaches every class.  The total number of array classes is the
-    number of classes the completeness check numbers.  A matrix not of
-    integers is refused, by its dtype, before any check, and an order
-    with no published total (COSTAS_ARRAY_TOTALS) after the completeness
-    check, as no list of that order can be shown complete."""
+    join reaches every class.  The list is prepared once (_prepare), which
+    checks that it is a closed list of distinct order-n Costas arrays;
+    then its count is checked against the published total, and an order
+    with no published total (COSTAS_ARRAY_TOTALS) is refused, as no list
+    of that order can be shown complete; then the scan reads the
+    preparation's record.  The total number of array classes is the
+    number of classes the preparation numbers.  A matrix not of integers
+    is refused, by its dtype, before any check, and one that is not 2-D or
+    has no columns by the preparation's first check."""
     if n < 1:
         raise ValueError("order must be >= 1")
     values = np.asarray(values)
     if values.dtype.kind not in "iu":
         raise ValueError(f"array list of dtype {values.dtype}; expected an integer dtype")
-    classes = _check_complete(values, n)
+    prepared = _prepare(values, n)
+    mismatch = total_mismatch(n, len(values))
+    if mismatch:
+        raise ValueError(mismatch)
     if n not in COSTAS_ARRAY_TOTALS:
         raise ValueError(f"no published total of Costas arrays of order {n}; "
                          "an array list of that order cannot be shown complete")
-    cubes, projection_classes = _scan(values, classes)
+    cubes, projection_classes = _scan(values, prepared)
     return ClassReport(
         order=n,
         cube_classes=len(cubes),
         projection_array_classes=projection_classes,
-        total_array_classes=int(classes.max()) + 1,
+        total_array_classes=len(prepared.firsts),
         representatives=tuple(cubes),
     )
 

@@ -24,7 +24,7 @@ from costas_cubes.enumeration import (
     ClassReport,
     EnumerationLimitError,
     _RowIndex,
-    _check_complete,
+    _prepare,
     array_classes,
     class_report,
     costas_values,
@@ -475,6 +475,13 @@ def test_one_first_array_per_block(monkeypatch):
         assert class_report(n, costas_values(n)).representatives == cubes
 
 
+def _row_index(values):
+    """The _RowIndex of a list of distinct value rows, with the dict of
+    its rows' bytes built here, one row at a time."""
+    values = np.ascontiguousarray(values)
+    return _RowIndex(values, {row.tobytes(): at for at, row in enumerate(values)})
+
+
 @pytest.mark.parametrize("n", [5, 16, 22, 29])
 def test_row_index_matches_a_dict_oracle(monkeypatch, n):
     """The row index of tables of distinct permutation rows, in groups of
@@ -489,17 +496,17 @@ def test_row_index_matches_a_dict_oracle(monkeypatch, n):
         head = rng.permutation(n)
         for _ in range(rng.integers(1, 5)):
             rows.add(tuple(head[: n - 3]) + tuple(rng.permutation(head[n - 3 :])))
-    table = np.array(sorted(rows), dtype=np.uint8)[rng.permutation(len(rows))]
+    table = np.array(sorted(rows), dtype=np.uint8)[rng.permutation(len(rows))] + 1
     near = table.copy()
     near[:, [-2, -1]] = near[:, [-1, -2]]
-    misses = np.array([rng.permutation(n) for _ in range(200)], dtype=np.uint8)
+    misses = np.array([rng.permutation(n) for _ in range(200)], dtype=np.uint8) + 1
     queries = np.concatenate((table[rng.permutation(len(table))], near, misses))
     position = {row: at for at, row in enumerate(map(tuple, table.tolist()))}
     want = [position.get(tuple(q), -1) for q in queries.tolist()]
     assert any(w < 0 for w in want) and any(w >= 0 for w in want[len(table) :])
     for spread in (enumeration._KEY_SPREAD, 1):
         monkeypatch.setattr(enumeration, "_KEY_SPREAD", spread)
-        index = _RowIndex(table)
+        index = _row_index(table)
         slots = index.mask + 1
         assert slots >= spread * len(table) > slots // 2
         assert (index.weights < slots).all()
@@ -513,8 +520,8 @@ def test_row_index_matches_a_dict_oracle(monkeypatch, n):
 def test_row_index_takes_more_weights_than_key_slots():
     """An order-70 row needs more weights than a one-row table has key
     slots (64): the weights repeat, and the row is still found exactly."""
-    welch70 = np.array([[pow(7, i, 71) - 1 for i in range(70)]], dtype=np.uint8)
-    index = _RowIndex(welch70)
+    welch70 = np.array([[pow(7, i, 71) for i in range(70)]], dtype=np.uint8)
+    index = _row_index(welch70)
     assert len(index.weights) == 70 > index.mask + 1 == 64
     queries = np.concatenate((welch70, welch70[:, ::-1]))
     assert index.find(queries).tolist() == [0, -1]
@@ -525,20 +532,20 @@ def test_row_index_rejects_inexact_keys(monkeypatch):
     index refuses them before it allocates its key table.  One order-29
     row over R slots has keys below 29 * 28 * R: R = 2^21 is accepted and
     R = 2^22 refused."""
-    table = np.array([np.arange(29)], dtype=np.uint8)
+    table = np.array([np.arange(1, 30)], dtype=np.uint8)
     monkeypatch.setattr(enumeration, "_KEY_SPREAD", 1 << 21)
-    assert _RowIndex(table).mask + 1 == 1 << 21
+    assert _row_index(table).mask + 1 == 1 << 21
     for spread in (1 << 22, 1 << 44):
         monkeypatch.setattr(enumeration, "_KEY_SPREAD", spread)
         with pytest.raises(ValueError, match=r"2\^31"):
-            _RowIndex(table)
+            _row_index(table)
 
 
 def test_row_index_refuses_rows_of_another_dtype():
     """Rows are looked up by their bytes, so a row of another integer
     width would never match: find refuses it rather than miss it."""
-    table = np.array([[0, 1, 2], [2, 1, 0]], dtype=np.uint8)
-    index = _RowIndex(table)
+    table = np.array([[1, 2, 3], [3, 2, 1]], dtype=np.uint8)
+    index = _row_index(table)
     assert index.find(table[::-1]).tolist() == [1, 0]
     for dtype in (np.uint16, np.int64, np.int8):
         with pytest.raises(TypeError, match="dtype"):
@@ -579,18 +586,18 @@ def test_pair_weights_give_the_keys_of_a_inverse_b(n):
     rows = {tuple(rng.permutation(n)) for _ in range(300)} | {tuple(range(n))}
     values = np.array(sorted(rows), dtype=np.uint8)[rng.permutation(len(rows))]
     position = {row: at for at, row in enumerate(map(tuple, values.tolist()))}
-    index = _RowIndex(values)
+    index = _row_index(values + 1)
     inverses = np.argsort(values, axis=1).astype(np.uint8)
     products = inverses @ index.weights.astype(float)[inverses].T
     keys = products.astype(np.int32) & index.mask
     assert (products == np.rint(products)).all() and products.max() < 2**31
     for a in range(0, len(values), 37):
         c_rows = inverses[a][values]
-        assert keys[a].tolist() == index.keys(c_rows).tolist()
+        assert keys[a].tolist() == index.keys(c_rows + 1).tolist()
         want = [position.get(row, -1) for row in map(tuple, c_rows.tolist())]
         assert want[a] == position[tuple(range(n))]
         assert index.occurs[keys[a]][np.array(want) >= 0].all()
-        assert index.find(c_rows).tolist() == want
+        assert index.find(c_rows + 1).tolist() == want
 
 
 def _unrestricted_join(arrays):
@@ -659,12 +666,12 @@ def test_join_keeps_one_of_each_reversal_pair(monkeypatch):
     lists = {n: costas_values(n) for n in range(1, 11)}
     lists[11] = parse_array_file(ORDER11_DATABASE.read_text())
     for n, values in lists.items():
-        classes = _check_complete(values, n)
-        every = _class_ordered_hits(values, classes)
+        prepared = _prepare(values, n)
+        every = _class_ordered_hits(values, prepared.classes)
         half = [cube for b, cube, _ in every if values[b, 0] <= values[b, -1]]
         assert len(every) == (len(half) if n == 1 else 2 * len(half)), n
         handed.clear()
-        cubes, projection_classes = enumeration._scan(values, classes)
+        cubes, projection_classes = enumeration._scan(values, prepared)
         (rows,) = handed
         assert sorted(map(tuple, rows.tolist())) == sorted(sum(cube.rows, ()) for cube in half), n
         forms = {canonical_cube(cube).rows for _, cube, _ in every}
@@ -674,13 +681,21 @@ def test_join_keeps_one_of_each_reversal_pair(monkeypatch):
     assert class_report(1, costas_values(1)).cube_classes == 1
 
 
+def _least_image_numbering(arrays):
+    """Oracle: each array's class, the rank of its least image (formed one
+    symmetry at a time) among the list's distinct least images."""
+    least = [least_image_oracle(p) for p in arrays]
+    number = {key: at for at, key in enumerate(sorted(set(least)))}
+    return [number[key] for key in least]
+
+
 def _scan_hits_2d_oracle(values, classes, block_pairs):
     """The rows _scan hands the class walk, in order, and its count of
     projection classes, from its block loop with a 2-D key filter: each
     block's keys as a (first, second) matrix, kept by a 2-D gather of the
     occurring keys and np.nonzero, and the inverses from argsort."""
     table = values - 1
-    index = _RowIndex(table)
+    index = _row_index(values)
     by_class = np.argsort(classes, kind="stable")
     ordered = classes[by_class]
     (firsts,) = np.nonzero(np.diff(ordered, prepend=-1))
@@ -704,7 +719,7 @@ def _scan_hits_2d_oracle(values, classes, block_pairs):
         second += lo
         keep = second >= block_starts[first]
         first, second = first[keep], second[keep]
-        c_at = index.find(z[first[:, None], second_rows[second]])
+        c_at = index.find(z[first[:, None], second_rows[second]] + 1)
         hit = c_at >= 0
         a_at, b_at = block[first[hit]], seconds[second[hit]]
         hits.append(np.stack((inverses[a_at], inverses[b_at]), axis=2).reshape(-1, 2 * n))
@@ -717,8 +732,9 @@ def test_scan_hits_match_the_2d_filter_oracle(monkeypatch, block_pairs):
     """The flat key filter and the scatter inverses hand the class walk the
     rows of the 2-D filter, row for row, and count the same projection
     classes: at orders 1-11, and over the closed but incomplete order-7
-    list; in the default blocks and in blocks of about 97 pairs, where most
-    blocks hold a few first arrays of unequal reach."""
+    list, whose classes the preparation numbers as the least-image oracle
+    does; in the default blocks and in blocks of about 97 pairs, where
+    most blocks hold a few first arrays of unequal reach."""
     handed = []
     walk = enumeration.first_of_each_class
 
@@ -728,33 +744,35 @@ def test_scan_hits_match_the_2d_filter_oracle(monkeypatch, block_pairs):
 
     monkeypatch.setattr(enumeration, "first_of_each_class", recorded)
     monkeypatch.setattr(enumeration, "_BLOCK_PAIRS", block_pairs)
-    cases = [(v, _check_complete(v, n)) for n, v in ((n, costas_values(n)) for n in range(1, 11))]
-    database = parse_array_file(ORDER11_DATABASE.read_text())
-    cases.append((database, _check_complete(database, 11)))
+    cases = [(n, costas_values(n)) for n in range(1, 11)]
+    cases.append((11, parse_array_file(ORDER11_DATABASE.read_text())))
     closed = order7_without_one_class()
-    least = [least_image_oracle(p) for p in closed]
-    number = {key: at for at, key in enumerate(sorted(set(least)))}
-    cases.append((value_matrix(closed), np.array([number[key] for key in least])))
-    for values, classes in cases:
-        rows, projection_classes = _scan_hits_2d_oracle(values, classes, block_pairs)
+    cases.append((7, value_matrix(closed)))
+    for n, values in cases:
+        prepared = _prepare(values, n)
+        rows, projection_classes = _scan_hits_2d_oracle(values, prepared.classes, block_pairs)
         handed.clear()
-        _, count = enumeration._scan(values, classes)
+        _, count = enumeration._scan(values, prepared)
         assert handed[0].tolist() == rows.tolist()
         assert count == projection_classes
+    assert prepared.classes.tolist() == _least_image_numbering(closed)
 
 
 def test_join_over_a_closed_incomplete_list():
     """The join's argument needs only closure under the square symmetries:
-    over the order-7 arrays without one class, with classes numbered by
-    least images one symmetry at a time, the scan finds the classes of
-    the unrestricted join and their projection classes."""
+    the order-7 arrays without one class pass the preparation, which
+    numbers their classes as the least-image oracle does, and the scan
+    finds the classes of the unrestricted join and their projection
+    classes.  class_report refuses the list on its total."""
     arrays = order7_without_one_class()
-    least = [least_image_oracle(p) for p in arrays]
-    number = {key: at for at, key in enumerate(sorted(set(least)))}
-    classes = np.array([number[key] for key in least])
-    cubes, projection_classes = enumeration._scan(value_matrix(arrays), classes)
+    values = value_matrix(arrays)
+    prepared = _prepare(values, 7)
+    assert prepared.classes.tolist() == _least_image_numbering(arrays)
+    cubes, projection_classes = enumeration._scan(values, prepared)
     assert [c.rows for c in cubes] == _unrestricted_join(arrays) != []
     assert projection_classes == projection_class_count(cubes)
+    with pytest.raises(ValueError, match=r"holds 196 Costas arrays of order 7, but there are 200"):
+        class_report(7, values)
 
 
 def test_join_output_does_not_depend_on_row_order():
@@ -829,11 +847,11 @@ def test_closure_counts_the_images_equal_to_a_row():
             named = next(p for p in rest if gone in orbit[p])
             message = rf"image of \({','.join(map(str, named.values))}\) missing"
             with pytest.raises(ValueError, match=message):
-                _check_complete(value_matrix(rest), n)
+                _prepare(value_matrix(rest), n)
         rest = [p for p in arrays if p not in symmetric]
         message = rf"holds {len(rest)} Costas arrays" if rest else "empty"
         with pytest.raises(ValueError, match=message):
-            _check_complete(value_matrix(rest), n)
+            class_report(n, value_matrix(rest))
 
 
 def test_check_complete_messages_name_the_first_faulty_array():
@@ -856,7 +874,7 @@ def test_check_complete_messages_name_the_first_faulty_array():
                         "it cannot be complete"))
     for listed, message in cases:
         with pytest.raises(ValueError, match=rf"^{message}$"):
-            _check_complete(value_matrix(listed), 6)
+            _prepare(value_matrix(listed), 6)
 
 
 def test_costas_property_is_a_class_property():
@@ -896,7 +914,7 @@ def test_class_wise_costas_check_names_the_first_faulty_row(case):
     faulty = np.flatnonzero(costas_violations(values)[:, 0])
     bad = faulty[0] if len(faulty) else None
     try:
-        _check_complete(values, n)
+        _prepare(values, n)
     except ValueError as exc:
         message = str(exc)
     else:
@@ -920,14 +938,14 @@ def test_check_complete_refuses_rows_that_are_not_permutations():
             continue
         message = rf"^array \({','.join(map(str, named))}\) is not a permutation of 1..3$"
         with pytest.raises(ValueError, match=message):
-            _check_complete(np.array(listed, dtype=np.uint8), 3)
+            _prepare(np.array(listed, dtype=np.uint8), 3)
         checked += 1
     assert checked == 7314
     with pytest.raises(ValueError, match=r"^array \(2,1,2\) is not a permutation of 1..3$"):
         class_report(3, np.array([[1, 3, 2], [2, 1, 2], [2, 1, 3], [2, 3, 1]], dtype=np.uint8))
     # A row with n nonzero values but wider than n is no permutation of 1..n.
     with pytest.raises(ValueError, match=r"^array \(0,1\) is not a permutation of 1..1$"):
-        _check_complete(np.array([[0, 1]]), 1)
+        _prepare(np.array([[0, 1]]), 1)
 
 
 def test_rows_before_a_row_of_the_wrong_order_are_checked_as_on_the_main_route():
@@ -938,13 +956,13 @@ def test_rows_before_a_row_of_the_wrong_order_are_checked_as_on_the_main_route()
     for listed in itertools.combinations(itertools.product(range(1, 4), repeat=3), 3):
         message = ""
         try:
-            _check_complete(np.array(listed, dtype=np.uint8), 3)
+            _prepare(np.array(listed, dtype=np.uint8), 3)
         except ValueError as exc:
             message = str(exc)
         if not message.endswith(("is not a permutation of 1..3", "is not a Costas array")):
             continue
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            _check_complete(np.array(listed + ((1, 2, 0),), dtype=np.uint8), 3)
+            _prepare(np.array(listed + ((1, 2, 0),), dtype=np.uint8), 3)
         checked += 1
     assert checked == 2921
     with pytest.raises(ValueError, match=r"^array \(1,1,1\) is not a permutation of 1..3$"):
@@ -960,6 +978,67 @@ def test_class_report_refuses_a_matrix_that_is_not_of_integers(values):
     n = values.shape[1]
     with pytest.raises(ValueError, match=rf"^array list of dtype {values.dtype}; expected an integer dtype$"):
         class_report(n, values)
+
+
+@pytest.mark.parametrize("values", [
+    costas_values(5)[0], np.int64(3), np.empty((4, 0), dtype=np.uint8), costas_values(5).reshape(2, 20, 5)],
+    ids=["1-d-row", "0-d", "width-0", "3-d"])
+def test_class_report_refuses_a_matrix_that_is_not_2d_or_has_width_0(values):
+    """Only an (N, n) matrix with n >= 1 is a list of arrays: a single
+    row, a scalar, a matrix of empty rows and a stack of matrices are
+    refused, naming their shape, before any other check."""
+    message = rf"^array list of shape {re.escape(str(values.shape))}; expected an \(N, n\) value matrix with n >= 1$"
+    with pytest.raises(ValueError, match=message):
+        class_report(5, values)
+
+
+def _two_fault_lists():
+    """(order, value matrix, message) for lists with two faults each, as
+    uint8, uint16 and int64 matrices: the message names the fault that the
+    completeness checks meet first, in the order empty, duplicates, wrong
+    order, not a permutation, not Costas, not closed, wrong total."""
+    six = costas_values(6)
+    line, twice, five = np.arange(1, 7), np.array([1, 1, 2, 3, 4, 5]), np.array([2, 4, 1, 5, 3, 0])
+    # Without (2,3,5,4,1,6), one row short of the total 116.
+    unclosed = np.delete(six, 20, axis=0)
+    cases = [
+        # A duplicate, then a row of order 5, zero-padded.
+        (6, np.vstack((six, six[3], five)), "array list contains duplicates"),
+        # A row that is not a permutation, and a later duplicate.
+        (6, np.vstack((twice, six, six[-1])), "array list contains duplicates"),
+        # Two equal rows that are not permutations.
+        (6, np.vstack((six, twice, twice)), "array list contains duplicates"),
+        # A row of order 5, then a row that is not Costas.
+        (6, np.vstack((six[:9], five, line)), "array (2,4,1,5,3) has order 5, expected 6"),
+        # A row that is not Costas, then a row of order 5.
+        (6, np.vstack((six[:9], line, five)), "array (1,2,3,4,5,6) is not a Costas array"),
+        # A row that is not Costas, then one that is not a permutation.
+        (6, np.vstack((line, six, twice)), "array (1,1,2,3,4,5) is not a permutation of 1..6"),
+        # A row that is not Costas, in a list that is not closed either.
+        (6, np.vstack((unclosed, line)), "array (1,2,3,4,5,6) is not a Costas array"),
+        # Not closed, and short of the total.
+        (6, unclosed, "array list is not closed under the square symmetries "
+                      "(image of (1,4,3,5,6,2) missing); it cannot be complete"),
+        # Closed, but a whole class short of the total.
+        (7, value_matrix(order7_without_one_class()),
+         "array list holds 196 Costas arrays of order 7, but there are 200; it cannot be complete"),
+    ]
+    for n, values, message in cases:
+        for dtype in (np.uint8, np.uint16, np.int64):
+            yield n, values.astype(dtype), message
+
+
+def test_the_first_of_two_faults_is_named(monkeypatch):
+    """Each list with two faults is refused with the message of the fault
+    checked first, in every dtype; the 2^31 guard of the scan's row keys
+    fires only for a list that passes every check."""
+    for spread in (enumeration._KEY_SPREAD, 1 << 40):
+        monkeypatch.setattr(enumeration, "_KEY_SPREAD", spread)
+        for n, values, message in _two_fault_lists():
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                class_report(n, values)
+    with pytest.raises(ValueError, match=r"2\^31"):
+        class_report(6, costas_values(6))
 
 
 @pytest.mark.parametrize("dtype, n", [(np.uint8, 5), (np.uint16, 5), (np.uint16, 256)])
@@ -1058,8 +1137,33 @@ def test_check_complete_numbers_classes_by_their_least_images():
         values = values[rng.permutation(len(values))]
         keys = [least_image_oracle(Permutation(tuple(row))) for row in values.tolist()]
         rank = {key: c for c, key in enumerate(sorted(set(keys)))}
-        assert _check_complete(values, n).tolist() == [rank[key] for key in keys]
+        assert _prepare(values, n).classes.tolist() == [rank[key] for key in keys]
     assert len(lists[256]) == 48 and len(rank) == 6
+
+
+def test_prepared_record_matches_oracles():
+    """The preparation's record of a list, at orders 1-10, of the order-11
+    database and of the closed but incomplete order-7 list, each shuffled:
+    the inverses are argsort + 1, the class order is a stable argsort of
+    the classes, the first members are each class's first row in list
+    order, and the dict maps each row, read back from its bytes, to its
+    position."""
+    lists = [(n, costas_values(n)) for n in range(1, 11)]
+    lists.append((11, parse_array_file(ORDER11_DATABASE.read_text())))
+    lists.append((7, value_matrix(order7_without_one_class())))
+    rng = np.random.default_rng(42)
+    for n, values in lists:
+        values = values[rng.permutation(len(values))]
+        prepared = _prepare(values, n)
+        assert prepared.inverse.dtype == values.dtype
+        assert prepared.inverse.tolist() == (np.argsort(values, axis=1) + 1).tolist()
+        assert prepared.order.tolist() == np.argsort(prepared.classes, kind="stable").tolist()
+        first = {}
+        for at, c in enumerate(prepared.classes.tolist()):
+            first.setdefault(c, at)
+        assert prepared.order[prepared.firsts].tolist() == [first[c] for c in range(len(first))]
+        rows = {tuple(np.frombuffer(key, values.dtype).tolist()): at for key, at in prepared.position.items()}
+        assert rows == {tuple(row): at for at, row in enumerate(values.tolist())}
 
 
 def test_class_report_total_is_representative_count():
@@ -1069,7 +1173,7 @@ def test_class_report_total_is_representative_count():
     for n in range(1, 9):
         arrays = costas_arrays(n)
         reps = array_classes(arrays)
-        classes = _check_complete(value_matrix(arrays), n)
+        classes = _prepare(value_matrix(arrays), n).classes
         assert [reps[c].values for c in classes.tolist()] == [least_image_oracle(p) for p in arrays]
         assert class_report(n, value_matrix(arrays)).total_array_classes == len(reps)
     # The first order and the first other order are named.
