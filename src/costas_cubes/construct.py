@@ -40,7 +40,9 @@ row matrix, and counts equivalence classes per order: a row among the
 48 images of a class already found is skipped, so each class is
 canonicalized exactly once.  table2 makes each field once per call and
 hands the same fields to its four sweeps, so each table is built once
-per call; nothing is cached from one call to the next.
+per call; nothing is cached from one call to the next.  A field with no
+admissible tuple (10 of the 15 G3 fields to order 29) makes no row
+matrix and starts no walk.
 catalog labels canonical arrays of one order by the families able to
 produce them, evaluating each array formula once over the field it
 holds and canonicalizing every array in one pass.
@@ -345,16 +347,21 @@ _G3_VARIANTS = {
 }
 
 
-def _field_rows(family: Family, field: FieldSpec):
-    """Every admissible tuple of family over field, as one (T, 2n) int16
-    matrix of flattened rows j_1, k_1, ..., j_n, k_n in sweep order, and
-    the function mapping a row index to its ConstructionId.
+def _admissible_logs(family: Family, field: FieldSpec) -> list[int]:
+    """The logs of the phi that family admits over field (_primitive_logs)."""
+    return _primitive_logs(field, 1, -1) if family in _G3_VARIANTS else _primitive_logs(field)
+
+
+def _field_rows(family: Family, field: FieldSpec, logs: list[int]):
+    """Every admissible tuple of family over field, from its
+    _admissible_logs, as one (T, 2n) int16 matrix of flattened rows
+    j_1, k_1, ..., j_n, k_n in sweep order, and the function mapping a
+    row index to its ConstructionId.
 
     Tuples run phi-major over the ascending primitive elements; the G3
     variants alternate for each phi, (ii) being (i) with k reversed.  int16 holds every coordinate the
     sweep guard admits."""
     # The axes are lists, so that witness reads Python ints.
-    logs = _primitive_logs(field, 1, -1) if family in _G3_VARIANTS else _primitive_logs(field)
     a = np.array(logs, dtype=np.int64)
     if family is Family.CUBE_G2X3:
         axes = (logs,) * 3
@@ -407,7 +414,7 @@ def sweep(
     several sweeps builds each table once.  Each field makes one row
     matrix of every admissible parameter tuple, walked in tuple order by
     first_of_each_class: the witness of a class is the first tuple that
-    produced it.
+    produced it.  A field that admits no tuple makes no matrix.
     """
     _check_sweep_order(max_order)
     if family in (Family.CUBE_G2X3, Family.CUBE_W2W2G2):
@@ -425,7 +432,10 @@ def sweep(
         field = fields[q] if fields and q in fields else default_field(q)
         if field.q != q:
             raise ValueError(f"fields[{q}] is GF({field.q}), not GF({q})")
-        rows, witness = _field_rows(family, field)
+        logs = _admissible_logs(family, field)
+        if not logs:
+            continue
+        rows, witness = _field_rows(family, field, logs)
         for t, cube in first_of_each_class(rows):
             classes.setdefault(q - shift, {})[cube] = witness(t)
     return SweepReport(family, classes)

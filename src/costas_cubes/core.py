@@ -15,7 +15,8 @@ Index conventions used throughout the package (all 1-based):
 * A permutation cube is an n x n x n 0/1 array with exactly one 1 in
   every axis-aligned plane.  It is stored sparsely: for each i there is
   a unique pair (j_i, k_i) carrying the 1, and the cube is the row list
-  ((j_1, k_1), ..., (j_n, k_n)).
+  ((j_1, k_1), ..., (j_n, k_n)).  The cube class walk builds its
+  canonical forms the same way, from one matrix checked once (_cubes).
 
 * The three projections of a cube collapse one axis by summation:
   A over k, B over j, C over i.  Read as permutations:
@@ -123,6 +124,30 @@ class CostasCube:
 
     def __str__(self) -> str:
         return " ".join(f"({i},{j},{k})" for i, j, k in self.triples())
+
+
+def _cubes(rows: np.ndarray) -> list[CostasCube]:
+    """The rows of a (C, 2n) matrix of flattened row lists j_1, k_1, ...,
+    j_n, k_n as CostasCubes, checked once as a matrix: one sort of every
+    row's j and k coordinates against 1..n refuses the first row that is
+    not a permutation cube, with CostasCube's own message.  Each object
+    is then built as the frozen dataclass __init__ builds it, without its
+    sorts."""
+    count, width = rows.shape
+    n = width // 2
+    lists = rows.tolist()
+    identity = np.arange(1, n + 1, dtype=rows.dtype)[:, None]
+    bad = (np.sort(rows.reshape(count, n, 2), axis=1) != identity).any(axis=(1, 2))
+    if bad.any():
+        row = lists[np.argmax(bad)]
+        CostasCube(tuple(zip(row[0::2], row[1::2])))  # raises
+    new, set_rows = object.__new__, object.__setattr__
+    out = []
+    for row in lists:
+        cube = new(CostasCube)
+        set_rows(cube, "rows", tuple(zip(row[0::2], row[1::2])))
+        out.append(cube)
+    return out
 
 
 def costas_violations(values: np.ndarray) -> np.ndarray:

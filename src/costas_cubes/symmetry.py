@@ -14,16 +14,19 @@ least image is the only one left stops being read, and the pass ends
 once every array has one.  The 48 images of a cube take a fixed number
 of numpy calls whatever its order: a copy of a read-only template kept
 per order and dtype, which already holds i and its complement, takes j
-and k and their complements, written n - x + 1 so that no operand leaves
-the dtype; one argsort gives the orders of i, j and k, one take lists
-the six coordinate rows in each, 18 sequences, and one take through an
-index table built once per order reads the images from them.  A cube's
-row list is keyed by its bytes as big-endian unsigned words of the least
-width for its order, whose byte order is their numeric order, so the
-least image is the least key.  The cube symmetries permute the three
-projection planes and act on each by the square symmetries, so the
-arrays a cube's orbit projects, its projection set S(D), are the rows
-of the planar images of its (3, n) projection matrix.
+and k, and their complements from one take through a complement table
+kept beside it; one argsort gives the orders of i, j and k, one take
+lists the six coordinate rows in each, 18 sequences, and one take
+through an index table built once per order reads the images from them.
+A cube's row list is keyed by its bytes as big-endian unsigned words of
+the least width for its order, whose byte order is their numeric order,
+so the least image is the least key.  The class walk keeps each class's
+least key and returns a list: the forms one call finds are decoded and
+checked as permutation cubes once, after the walk.  The cube
+symmetries permute the three projection planes and act on each by the
+square symmetries, so the arrays a cube's orbit projects, its projection
+set S(D), are the rows of the planar images of its (3, n) projection
+matrix.
 """
 
 from __future__ import annotations
@@ -32,11 +35,10 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations as _axis_orders, product as _product
-from typing import Iterator
 
 import numpy as np
 
-from .core import CostasCube, costas_violations, distinct_rows, projections
+from .core import CostasCube, _cubes, costas_violations, distinct_rows, projections
 
 
 @dataclass(frozen=True)
@@ -167,26 +169,34 @@ def _coordinate_template(n: int, dtype: np.dtype) -> np.ndarray:
     return template
 
 
+@functools.cache
+def _flip(n: int, dtype: np.dtype) -> np.ndarray:
+    """The complements n+1-x of x = 0..n, 0 for x = 0, as a read-only table
+    in dtype: it never holds n + 1, which need not fit (256 in uint8)."""
+    table = np.zeros(n + 1, dtype=dtype)
+    table[1:] = np.arange(n, 0, -1)
+    table.setflags(write=False)
+    return table
+
+
 def _row_images(row: np.ndarray) -> np.ndarray:
     """Row lists of the images of one flattened row list j_1, k_1, ...,
     j_n, k_n under CUBE_SYMMETRIES, in that order: shape (48, 2n), in the
     row's dtype.
 
     A copy of _coordinate_template takes j and k into rows 1 and 2 and
-    their complements into rows 4 and 5, so that row x of it is
-    coordinate x of i, j, k (0, 1, 2) or its complement (3, 4, 5).  One
-    argsort of rows 0-2 gives the order of each coordinate, one take
-    lists every row in each of those orders, 18 sequences with sequence
-    (3x + y) at (3x + y) * n, and one take through _cube_gather reads the
-    48 images from them.  The complement is n - x + 1, never (n + 1) - x:
-    n fits any dtype that holds the coordinates 1..n, but n + 1 need not
-    (256 at order 255 in uint8), and numpy 2 refuses a Python integer out
-    of the array's range."""
+    their complements into rows 4 and 5, one take through _flip, so that
+    row x of it is coordinate x of i, j, k (0, 1, 2) or its complement
+    (3, 4, 5).  One argsort of rows 0-2 gives the order of each
+    coordinate, one take lists every row in each of those orders, 18
+    sequences with sequence (3x + y) at (3x + y) * n, and one take
+    through _cube_gather reads the 48 images from them.  The flip take
+    wraps, so that a row that is no permutation cube still forms images,
+    for first_of_each_class to refuse by its canonical form."""
     n = len(row) // 2
     coords = _coordinate_template(n, row.dtype).copy()
     coords[1:3] = row.reshape(n, 2).T
-    np.subtract(n, coords[1:3], out=coords[4:])
-    coords[4:] += 1
+    _flip(n, row.dtype).take(coords[1:3], out=coords[4:], mode="wrap")
     return coords.take(coords[:3].argsort(axis=1), axis=1).take(_cube_gather(n))
 
 
@@ -202,28 +212,34 @@ def canonical_cube(cube: CostasCube) -> CostasCube:
     return form
 
 
-def first_of_each_class(rows: np.ndarray) -> Iterator[tuple[int, CostasCube]]:
+def first_of_each_class(rows: np.ndarray) -> list[tuple[int, CostasCube]]:
     """(t, canonical form) for each row t of a (T, 2n) matrix of flattened
-    cube rows whose class no earlier row holds.
+    cube rows whose class no earlier row holds, in row order.
 
     The rows are converted once to big-endian unsigned words of the least
     width for order n, and keyed by their bytes.  They are walked in order
     against a set of the keys of every image of the classes found so far:
     a row in the set is skipped, and any other row's 48 images join the
-    set, the least of their keys decoding to the class's canonical form;
-    no cube is built for the row itself.
+    set, the least of their keys being the class's canonical form; no
+    cube is built for the row itself.  The forms are decoded and checked
+    once, after the walk (_cubes).
     """
     key_dtype = np.dtype(np.min_scalar_type(rows.shape[1] // 2)).newbyteorder(">")
     rows = np.ascontiguousarray(rows, dtype=key_dtype)
     key = np.dtype((np.void, rows.shape[1] * key_dtype.itemsize))
     seen: set[bytes] = set()
+    firsts, forms = [], []
     for t, row_key in enumerate(rows.view(key).ravel().tolist()):
         if row_key in seen:
             continue
         keys = _row_images(rows[t]).view(key).ravel().tolist()
         seen.update(keys)
-        flat = np.frombuffer(min(keys), dtype=key_dtype).tolist()
-        yield t, CostasCube(tuple(zip(flat[0::2], flat[1::2])))
+        firsts.append(t)
+        forms.append(min(keys))
+    if not forms:
+        return []
+    least = np.frombuffer(b"".join(forms), dtype=key_dtype).reshape(len(forms), -1)
+    return list(zip(firsts, _cubes(least)))
 
 
 def projection_set(cube: CostasCube) -> np.ndarray:

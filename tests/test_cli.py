@@ -704,6 +704,27 @@ def test_entry_point_exists():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("order", [0, 14])
+def test_survey_script_exits_2_on_an_order_it_cannot_survey(order):
+    """The S(D) survey refuses an order below 1 or above the enumeration
+    limit as the CLI refuses bad input: one error line, exit 2."""
+    import os
+    import subprocess
+    import sys
+
+    message = {
+        0: "order must be >= 1",
+        14: str(enumeration.EnumerationLimitError(14, enumeration.DEFAULT_ORDER_LIMIT)),
+    }[order]
+    root = Path(__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "survey_sd_sizes.py"), "--order", str(order)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_tables_1_exits_1_on_a_differing_row(capsys, monkeypatch):
     code, out, _ = run(capsys, "tables", "--table", "1", "--max-order", "5")
     assert code == 0

@@ -8,6 +8,7 @@ from costas_cubes.construct import (
     DEFAULT_MODULI,
     ConstructionId,
     Family,
+    _admissible_logs,
     _field_rows,
     catalog,
     cube_g2x3,
@@ -468,7 +469,7 @@ def test_field_rows_match_constructors_tuple_by_tuple():
         for _, witness_family, field, elements, cube in sweep_tuples_oracle(family, 29, OTHER_MODULI):
             by_field.setdefault(field, []).append((ConstructionId(witness_family, field, elements), cube))
         for field, tuples in by_field.items():
-            rows, witness = _field_rows(family, field)
+            rows, witness = _field_rows(family, field, _admissible_logs(family, field))
             assert rows.dtype == np.int16
             assert rows.shape == (len(tuples), 2 * tuples[0][1].order)
             for t, (construction, cube) in enumerate(tuples):
@@ -566,6 +567,24 @@ def test_sweep_canonicalises_once_per_class(monkeypatch):
     monkeypatch.setattr(symmetry, "_row_images", counted)
     report = sweep(Family.CUBE_G2X3, 29)
     assert len(calls) == sum(map(len, report.classes.values())) == 193
+
+
+def test_sweep_builds_rows_only_for_fields_with_admissible_tuples(monkeypatch):
+    """A G3 field where no phi has 1-phi and 1-phi^(-1) primitive too
+    makes no row matrix: 5 of the 15 fields to order 29 have one."""
+    fields = []
+    field_rows = construct._field_rows
+
+    def counted(family, field, logs):
+        fields.append(field.q)
+        return field_rows(family, field, logs)
+
+    monkeypatch.setattr(construct, "_field_rows", counted)
+    for family in (Family.CUBE_G3_I, Family.CUBE_G3):
+        fields.clear()
+        report = sweep(family, 29)
+        assert fields == [7, 8, 23, 27, 32], family
+        assert {order + 3 for order in report.classes} == set(fields), family
 
 
 def test_sweep_classes_lie_in_the_pair_join_classes():

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -432,6 +433,23 @@ def test_first_of_each_class_above_order_255(dtype):
     assert x_form != y_form
     cubes = [image(CUBE_SYMMETRIES[5], x), y, last]
     assert list(first_of_each_class(_flat_rows(cubes, dtype))) == [(0, x_form), (1, y_form)]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint16])
+def test_first_of_each_class_refuses_the_first_bad_form(dtype):
+    """Row lists that are no permutation cubes, after a valid class: the
+    walk refuses the first whose canonical form is no permutation cube,
+    in walk order, with CostasCube's message for that form."""
+    x = costas_cube_classes(5)[0]
+    j_repeated = (1, 1, 1, 2, 3, 3, 4, 4, 5, 5)
+    k_repeated = (1, 2, 2, 2, 3, 3, 4, 4, 5, 1)
+    j_message = "j coordinates [1, 1, 3, 4, 5] are not a bijection on 1..5"
+    k_message = "k coordinates [1, 4, 3, 2, 2] are not a bijection on 1..5"
+    for bad, message in (((j_repeated, k_repeated), j_message), ((k_repeated, j_repeated), k_message)):
+        rows = np.concatenate([_flat_rows([x], dtype), np.array(bad, dtype=dtype)])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            list(first_of_each_class(rows))
+    assert list(first_of_each_class(rows[:1])) == [(0, x)]
 
 
 def _rotation_projection_set(cube):
