@@ -41,7 +41,7 @@ from .construct import (
     w2,
 )
 from .core import CostasCube, costas_violations, distinct_rows, is_costas_cube, projections
-from .enumeration import ClassReport, class_report, costas_values, table1, total_mismatch
+from .enumeration import ClassReport, _text, class_report, costas_values, table1, total_mismatch
 from .files import array_line_numbers, emit_array_file, emit_cube_file, parse_array_file, parse_cube_file
 from .gf import format_element, parse_element, parse_field_spec
 from .reference import TABLE1, TABLE2
@@ -77,10 +77,6 @@ def _labels(values: np.ndarray) -> list[list[str]]:
     return [sorted(cat.get(key, ())) for key in map(tuple, least_image(planar_images(values)).tolist())]
 
 
-def _paren(values) -> str:
-    return "(" + ",".join(map(str, values)) + ")"
-
-
 # -- verify -------------------------------------------------------------
 
 
@@ -90,7 +86,7 @@ def cmd_verify(args) -> int:
         doc, lines = [], []
         for idx, (row, (d, diff)) in enumerate(_judged(parse_array_file(text)), start=1):
             doc.append({"index": idx, "values": row, "costas": not d, "repeated_vector": [d, diff] if d else None})
-            lines.append(f"{idx}: {_paren(row)} " + (f"FAIL repeated vector {(d, diff)}" if d else "costas"))
+            lines.append(f"{idx}: {_text(row)} " + (f"FAIL repeated vector {(d, diff)}" if d else "costas"))
         _emit(args, doc, lines)
         return 0 if all(entry["costas"] for entry in doc) else 1
 
@@ -105,7 +101,7 @@ def cmd_verify(args) -> int:
         "projections": named,
         "projection_costas": verdicts,
         "costas_cube": ok,
-    }, [*(f"projection {name}: {_paren(row)} {'costas' if verdicts[name] else 'NOT costas'}"
+    }, [*(f"projection {name}: {_text(row)} {'costas' if verdicts[name] else 'NOT costas'}"
           for name, row in named.items()),
         f"costas cube: {'yes' if ok else 'NO'}"])
     return 0 if ok else 1
@@ -250,7 +246,7 @@ def cmd_sd_set(args) -> int:
         "degenerate": cube.order <= 2,
         "classes": {" ".join(map(str, k)): [list(v) for v in vs] for k, vs in classes},
     }, [f"|S(D)| = {len(members)}{note}",
-        *(f"class {_paren(k)}: " + " ".join(map(_paren, vs)) for k, vs in classes)])
+        *(f"class {_text(k)}: " + " ".join(map(_text, vs)) for k, vs in classes)])
     return 0
 
 
@@ -263,14 +259,14 @@ def cmd_classify(args) -> int:
         doc, lines = [], []
         for idx, (row, (d, _), labels) in enumerate(_judged(parse_array_file(text), _labels), start=1):
             doc.append({"index": idx, "values": row, "costas": not d, "labels": labels})
-            lines.append(f"{idx}: {_paren(row)} {','.join(labels) or 'unlabeled'}")
+            lines.append(f"{idx}: {_text(row)} {','.join(labels) or 'unlabeled'}")
         _emit(args, doc, lines)
         return 0
     values = projections(parse_cube_file(text))
     doc, lines = {}, []
     for name, row, labels in zip("ABC", values.tolist(), _labels(values)):
         doc[name] = {"values": row, "labels": labels}
-        lines.append(f"projection {name}: {_paren(row)} {','.join(labels) or 'unlabeled'}")
+        lines.append(f"projection {name}: {_text(row)} {','.join(labels) or 'unlabeled'}")
     _emit(args, doc, lines)
     return 0
 
@@ -303,7 +299,7 @@ def cmd_import(args) -> int:
     if found.any():
         bad = int(np.argmax(found[:, 0] > 0))
         no = array_line_numbers(text)[bad]
-        print(f"error: line {no}: {_paren(values[bad].tolist())} is not a Costas array "
+        print(f"error: line {no}: {_text(values[bad])} is not a Costas array "
               f"(repeated vector {tuple(found[bad].tolist())})", file=sys.stderr)
         return 1
 

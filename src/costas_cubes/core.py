@@ -15,8 +15,10 @@ Index conventions used throughout the package (all 1-based):
 * A permutation cube is an n x n x n 0/1 array with exactly one 1 in
   every axis-aligned plane.  It is stored sparsely: for each i there is
   a unique pair (j_i, k_i) carrying the 1, and the cube is the row list
-  ((j_1, k_1), ..., (j_n, k_n)).  The cube class walk builds its
-  canonical forms the same way, from one matrix checked once (_cubes).
+  ((j_1, k_1), ..., (j_n, k_n)).  The cube class walk checks the rows
+  it is given once, as a matrix, and builds the canonical forms of their
+  classes without CostasCube's sorts (_cubes): the images of a
+  permutation cube are permutation cubes.
 
 * The three projections of a cube collapse one axis by summation:
   A over k, B over j, C over i.  Read as permutations:
@@ -128,22 +130,13 @@ class CostasCube:
 
 def _cubes(rows: np.ndarray) -> list[CostasCube]:
     """The rows of a (C, 2n) matrix of flattened row lists j_1, k_1, ...,
-    j_n, k_n as CostasCubes, checked once as a matrix: one sort of every
-    row's j and k coordinates against 1..n refuses the first row that is
-    not a permutation cube, with CostasCube's own message.  Each object
-    is then built as the frozen dataclass __init__ builds it, without its
-    sorts."""
-    count, width = rows.shape
-    n = width // 2
-    lists = rows.tolist()
-    identity = np.arange(1, n + 1, dtype=rows.dtype)[:, None]
-    bad = (np.sort(rows.reshape(count, n, 2), axis=1) != identity).any(axis=(1, 2))
-    if bad.any():
-        row = lists[np.argmax(bad)]
-        CostasCube(tuple(zip(row[0::2], row[1::2])))  # raises
+    j_n, k_n, each known to be a permutation cube, as CostasCubes, each
+    built as the frozen dataclass __init__ builds it, without its sorts.
+    The cube class walk (symmetry.first_of_each_class) gives it only the
+    canonical forms of rows it has checked."""
     new, set_rows = object.__new__, object.__setattr__
     out = []
-    for row in lists:
+    for row in rows.tolist():
         cube = new(CostasCube)
         set_rows(cube, "rows", tuple(zip(row[0::2], row[1::2])))
         out.append(cube)
@@ -153,7 +146,8 @@ def _cubes(rows: np.ndarray) -> list[CostasCube]:
 def costas_violations(values: np.ndarray) -> np.ndarray:
     """Each row's first repeated difference vector (d, diff), at the least
     shift d and then the first column repeating one to its left, or (0, 0)
-    for a Costas row: shape (N, 2) for an (N, n) matrix of permutations.
+    for a Costas row: shape (N, 2) for an (N, n) integer matrix, of
+    permutations or of the search's prefixes.
 
     Per shift, sorted differences show a repeat as equal neighbours; only
     for rows failing first there, a stable argsort finds the column."""

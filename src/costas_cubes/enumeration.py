@@ -194,7 +194,8 @@ def _prefix_search(n: int, prefixes: np.ndarray) -> np.ndarray:
     2 <= k <= n, as the rows of an int8 matrix: those of each prefix in
     lexicographic order, the prefixes in row order.  A prefix that repeats
     a value or a difference, or that no corner-least array begins with
-    column by column, begins none.
+    column by column, begins none: one sort of each prefix finds a
+    repeated value, and core.costas_violations a repeated difference.
 
     The search runs over blocks of partial arrays.  A block is held by
     column: one int8 row per value column, one mask row per column
@@ -229,14 +230,13 @@ def _prefix_search(n: int, prefixes: np.ndarray) -> np.ndarray:
     every distance; at order 17 a deep partial array holds 8 masks in
     place of up to 15.
     """
-    values = np.array(prefixes, dtype=np.int8).T
+    rows = np.array(prefixes, dtype=np.int8)
+    ranked = np.sort(rows, axis=1)
+    ok = (ranked[:, 1:] != ranked[:, :-1]).all(axis=1) & ~costas_violations(rows).any(axis=1)
+    values = rows.T
     k = len(values)
     dtype = np.dtype(np.int32 if n <= 16 else np.int64)
     window = _corner_window(n, dtype)
-    ok = np.ones(values.shape[1], dtype=bool)
-    for d in range(1, k):
-        diffs = np.sort(values[d:] - values[:-d], axis=0)
-        ok &= (diffs != 0).all(axis=0) & (diffs[1:] != diffs[:-1]).all(axis=0)
     for j in range(k):
         ok &= (window[j + 1, values[0], values[1]] >> (values[j] - 1)) & 1 == 0
     values = values[:, ok]
@@ -485,9 +485,10 @@ class _RowIndex:
         return np.array([get(row, -1) for row in _row_keys(rows).tolist()], dtype=np.intp)
 
 
-def _text(row: np.ndarray) -> str:
-    """One row of a value matrix as messages name it: (v1,...,vn)."""
-    return "(" + ",".join(map(str, row.tolist())) + ")"
+def _text(row: Iterable[int]) -> str:
+    """A value row, of a matrix or a list, as messages and the CLI name
+    it: (v1,...,vn)."""
+    return "(" + ",".join(map(str, row)) + ")"
 
 
 @dataclass(frozen=True)

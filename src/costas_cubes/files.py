@@ -6,8 +6,8 @@ array_lines lists the others, and array_line_numbers their line numbers.
 Each value is read as int() reads it.  parse_array_file gives the arrays
 of a file as one value matrix, for every command that reads an array
 file: numpy's C reader (np.loadtxt) converts the array lines in one
-call, or in one call per array order, and text it refuses is read again
-line by line, only to name its first bad line.
+call, and text it refuses, a file of mixed orders among it, is read line
+by line, which zero-pads the lesser orders and names the first bad line.
 
 Cube files are either a JSON document {"order": n, "triples": [[i, j, k],
 ...]} (extra keys ignored) or plain text with one "i j k" line per row,
@@ -43,28 +43,18 @@ def parse_array_file(text: str) -> np.ndarray:
     in the least unsigned dtype for n; a row of lesser order is
     zero-padded.
 
-    np.loadtxt converts the array lines in one call when every line holds
-    as many tokens as the first, and otherwise in one call per token
-    count, whose rows are zero-padded back into file order.  One sort
-    along the rows of each call checks that each row is a bijection on
-    1..n.  The C reader accepts a subset of what int() reads, and its
-    result is taken only when the call raised no warning (older numpy
-    reads 1.0 as an integer, with a DeprecationWarning).  Any other text,
-    and a file with no array lines, is read again line by line, which
-    names its first bad line.
+    np.loadtxt converts the array lines in one call, which refuses a file
+    whose lines do not all hold as many tokens as the first.  One sort
+    along the rows checks that each row is a bijection on 1..n.  The C
+    reader accepts a subset of what int() reads, and its result is taken
+    only when the call raised no warning (older numpy reads 1.0 as an
+    integer, with a DeprecationWarning).  Any other text, a file of mixed
+    orders and a file with no array lines among it, is read line by line
+    (_read_lines), which zero-pads the lesser orders and names the first
+    bad line.
     """
     lines = array_lines(text)
     values = _bijections(lines)
-    if values is None and lines:
-        counts = np.array([len(line.split()) for line in lines])
-        values = np.zeros((len(lines), counts.max()), dtype=np.int64)
-        for k in np.unique(counts).tolist():
-            (at,) = np.nonzero(counts == k)
-            block = _bijections([lines[i] for i in at.tolist()])
-            if block is None or block.shape[1] != k:
-                values = None
-                break
-            values[at, :k] = block
     if values is None:
         values = _read_lines(array_line_numbers(text), lines)
     return values.astype(np.min_scalar_type(values.shape[1]))

@@ -12,17 +12,18 @@ inverses from one scatter, and the least is found column by column,
 among the images still least on every column before it: an array whose
 least image is the only one left stops being read, and the pass ends
 once every array has one.  The 48 images of a cube take a fixed number
-of numpy calls whatever its order: a copy of a read-only template kept
-per order and dtype, which already holds i and its complement, takes j
-and k, and their complements from one take through a complement table
-kept beside it; one argsort gives the orders of i, j and k, one take
-lists the six coordinate rows in each, 18 sequences, and one take
-through an index table built once per order reads the images from them.
-A cube's row list is keyed by its bytes as big-endian unsigned words of
-the least width for its order, whose byte order is their numeric order,
-so the least image is the least key.  The class walk keeps each class's
-least key and returns a list: the forms one call finds are decoded and
-checked as permutation cubes once, after the walk.  The cube
+of numpy calls whatever its order, through three read-only tables built
+once per order and dtype and cached together: a copy of a template,
+which already holds i and its complement, takes j and k, and their
+complements from one take through a complement table; one argsort gives
+the orders of i, j and k, one take lists the six coordinate rows in
+each, 18 sequences, and one take through an index table reads the images
+from them.  A cube's row list is keyed by its bytes as big-endian
+unsigned words of the least width for its order, whose byte order is
+their numeric order, so the least image is the least key.  The class
+walk keeps each class's least key and returns a list: after the walk,
+the first row of each class, as given, is checked as a permutation cube
+and the forms are decoded, once per call.  The cube
 symmetries permute the three projection planes and act on each by the
 square symmetries, so the arrays a cube's orbit projects, its projection
 set S(D), are the rows of the planar images of its (3, n) projection
@@ -140,43 +141,34 @@ def least_image(images: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _cube_gather(n: int) -> np.ndarray:
-    """Index table of the 48 cube images of order n into the sequences of
-    _row_images: image s lists coordinate axes[1 + c] (complemented where
-    flips[1 + c]) in the order of coordinate axes[0], from the back where
-    flips[0], for c = 0, 1 (j then k).  Shape (48, 2n), in
-    CUBE_SYMMETRIES order."""
-    positions = np.arange(n)
-    table = np.empty((len(CUBE_SYMMETRIES), n, 2), dtype=np.intp)
-    for s, sym in enumerate(CUBE_SYMMETRIES):
-        for c in (0, 1):
-            sequence = (sym.axes[1 + c] + 3 * sym.flips[1 + c]) * 3 + sym.axes[0]
-            table[s, :, c] = sequence * n + (positions[::-1] if sym.flips[0] else positions)
-    table.setflags(write=False)
-    return table.reshape(len(CUBE_SYMMETRIES), 2 * n)
+def _image_tables(n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only tables of _row_images at order n, for rows of dtype:
 
-
-@functools.cache
-def _coordinate_template(n: int, dtype: np.dtype) -> np.ndarray:
-    """The rows of _row_images's six coordinate sequences that do not
-    depend on the cube, as a read-only (6, n) array in dtype: i = 1..n in
-    row 0 and its complement n+1-i in row 3; the j and k rows 1, 2, 4 and
-    5 are 0, for each call to fill in its own copy."""
+    - the template of the six coordinate sequences, (6, n) in dtype: i =
+      1..n in row 0 and its complement n+1-i in row 3; the j and k rows 1,
+      2, 4 and 5 are 0, for each call to fill in its own copy;
+    - the complements n+1-x of x = 0..n, 0 for x = 0, in dtype: the table
+      never holds n + 1, which need not fit (256 in uint8);
+    - the index table of the 48 images into the 18 sequences: image s
+      lists coordinate axes[1 + c] (complemented where flips[1 + c]) in
+      the order of coordinate axes[0], from the back where flips[0], for
+      c = 0, 1 (j then k).  Shape (48, 2n), in CUBE_SYMMETRIES order.
+    """
     template = np.zeros((6, n), dtype=dtype)
     template[0] = np.arange(1, n + 1)
     template[3] = template[0][::-1]
-    template.setflags(write=False)
-    return template
-
-
-@functools.cache
-def _flip(n: int, dtype: np.dtype) -> np.ndarray:
-    """The complements n+1-x of x = 0..n, 0 for x = 0, as a read-only table
-    in dtype: it never holds n + 1, which need not fit (256 in uint8)."""
-    table = np.zeros(n + 1, dtype=dtype)
-    table[1:] = np.arange(n, 0, -1)
-    table.setflags(write=False)
-    return table
+    flip = np.zeros(n + 1, dtype=dtype)
+    flip[1:] = template[3]
+    positions = np.arange(n)
+    gather = np.empty((len(CUBE_SYMMETRIES), n, 2), dtype=np.intp)
+    for s, sym in enumerate(CUBE_SYMMETRIES):
+        for c in (0, 1):
+            sequence = (sym.axes[1 + c] + 3 * sym.flips[1 + c]) * 3 + sym.axes[0]
+            gather[s, :, c] = sequence * n + (positions[::-1] if sym.flips[0] else positions)
+    gather = gather.reshape(len(CUBE_SYMMETRIES), 2 * n)
+    for table in (template, flip, gather):
+        table.setflags(write=False)
+    return template, flip, gather
 
 
 def _row_images(row: np.ndarray) -> np.ndarray:
@@ -184,20 +176,22 @@ def _row_images(row: np.ndarray) -> np.ndarray:
     j_n, k_n under CUBE_SYMMETRIES, in that order: shape (48, 2n), in the
     row's dtype.
 
-    A copy of _coordinate_template takes j and k into rows 1 and 2 and
-    their complements into rows 4 and 5, one take through _flip, so that
-    row x of it is coordinate x of i, j, k (0, 1, 2) or its complement
-    (3, 4, 5).  One argsort of rows 0-2 gives the order of each
+    A copy of _image_tables' template takes j and k into rows 1 and 2 and
+    their complements into rows 4 and 5, one take through its complement
+    table, so that row x of it is coordinate x of i, j, k (0, 1, 2) or its
+    complement (3, 4, 5).  One argsort of rows 0-2 gives the order of each
     coordinate, one take lists every row in each of those orders, 18
     sequences with sequence (3x + y) at (3x + y) * n, and one take
-    through _cube_gather reads the 48 images from them.  The flip take
-    wraps, so that a row that is no permutation cube still forms images,
-    for first_of_each_class to refuse by its canonical form."""
+    through its index table reads the 48 images from them.  The flip take
+    wraps, so that a row that is no permutation cube still forms images
+    without an error: the walk goes on, and first_of_each_class refuses
+    the row after it."""
     n = len(row) // 2
-    coords = _coordinate_template(n, row.dtype).copy()
+    template, flip, gather = _image_tables(n, row.dtype)
+    coords = template.copy()
     coords[1:3] = row.reshape(n, 2).T
-    _flip(n, row.dtype).take(coords[1:3], out=coords[4:], mode="wrap")
-    return coords.take(coords[:3].argsort(axis=1), axis=1).take(_cube_gather(n))
+    flip.take(coords[1:3], out=coords[4:], mode="wrap")
+    return coords.take(coords[:3].argsort(axis=1), axis=1).take(gather)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -221,10 +215,17 @@ def first_of_each_class(rows: np.ndarray) -> list[tuple[int, CostasCube]]:
     against a set of the keys of every image of the classes found so far:
     a row in the set is skipped, and any other row's 48 images join the
     set, the least of their keys being the class's canonical form; no
-    cube is built for the row itself.  The forms are decoded and checked
-    once, after the walk (_cubes).
+    cube is built for the row itself.  After the walk, one sort of the
+    first rows, as given, refuses the first that is no permutation cube,
+    with CostasCube's own message, and the forms are decoded once (_cubes).
+    That checks every row: a skipped row equals an image of an earlier
+    first row, and the images of a permutation cube are permutation
+    cubes, so the first row that is none is a first row.  The rows are
+    read in those words, which hold every value of a permutation cube of
+    order n; a value that does not fit is read modulo the word.
     """
-    key_dtype = np.dtype(np.min_scalar_type(rows.shape[1] // 2)).newbyteorder(">")
+    n = rows.shape[1] // 2
+    key_dtype = np.dtype(np.min_scalar_type(n)).newbyteorder(">")
     rows = np.ascontiguousarray(rows, dtype=key_dtype)
     key = np.dtype((np.void, rows.shape[1] * key_dtype.itemsize))
     seen: set[bytes] = set()
@@ -238,6 +239,12 @@ def first_of_each_class(rows: np.ndarray) -> list[tuple[int, CostasCube]]:
         forms.append(min(keys))
     if not forms:
         return []
+    first_rows = rows[firsts]
+    identity = np.arange(1, n + 1, dtype=key_dtype)[:, None]
+    bad = (np.sort(first_rows.reshape(len(firsts), n, 2), axis=1) != identity).any(axis=(1, 2))
+    if bad.any():
+        row = first_rows[np.argmax(bad)].tolist()
+        CostasCube(tuple(zip(row[0::2], row[1::2])))  # raises
     least = np.frombuffer(b"".join(forms), dtype=key_dtype).reshape(len(forms), -1)
     return list(zip(firsts, _cubes(least)))
 

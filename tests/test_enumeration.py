@@ -204,6 +204,21 @@ def test_prefix_search_matches_backtracking_oracle(n):
     np.testing.assert_array_equal(enumeration._prefix_search(n, np.array(pairs)), np.concatenate(expected))
 
 
+@pytest.mark.parametrize("n", range(5, 9))
+def test_longer_prefixes_match_backtracking_oracle(n):
+    """Every 3- and 4-value prefix, those that repeat a value or a
+    difference included, as one prefix matrix per length, against the
+    oracle's corner-least arrays: the rows found are those that begin
+    with each prefix, the prefixes in row order."""
+    oracle = np.array([p.values for p in backtrack_costas_arrays(n) if corner_least(p.values)])
+    for k in (3, 4):
+        prefixes = np.array(list(itertools.product(range(1, n + 1), repeat=k)))
+        expected = [oracle[(oracle[:, :k] == prefix).all(axis=1)] for prefix in prefixes]
+        found = enumeration._prefix_search(n, prefixes)
+        assert found.dtype == np.int8 and found.shape[1] == n
+        np.testing.assert_array_equal(found, np.concatenate(expected))
+
+
 @pytest.mark.parametrize("block", [1, 5, 64, 1 << 20])
 def test_block_path_matches_backtracking_oracle(monkeypatch, block):
     """With steps of up to 1, 5, 64 or 2^20 rows, the search still gives

@@ -438,18 +438,38 @@ def test_first_of_each_class_above_order_255(dtype):
 @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint16])
 def test_first_of_each_class_refuses_the_first_bad_form(dtype):
     """Row lists that are no permutation cubes, after a valid class: the
-    walk refuses the first whose canonical form is no permutation cube,
-    in walk order, with CostasCube's message for that form."""
+    walk refuses the first that is no permutation cube, in walk order,
+    with CostasCube's message for that row as given."""
     x = costas_cube_classes(5)[0]
     j_repeated = (1, 1, 1, 2, 3, 3, 4, 4, 5, 5)
     k_repeated = (1, 2, 2, 2, 3, 3, 4, 4, 5, 1)
     j_message = "j coordinates [1, 1, 3, 4, 5] are not a bijection on 1..5"
-    k_message = "k coordinates [1, 4, 3, 2, 2] are not a bijection on 1..5"
+    k_message = "k coordinates [2, 2, 3, 4, 1] are not a bijection on 1..5"
     for bad, message in (((j_repeated, k_repeated), j_message), ((k_repeated, j_repeated), k_message)):
         rows = np.concatenate([_flat_rows([x], dtype), np.array(bad, dtype=dtype)])
         with pytest.raises(ValueError, match=re.escape(message)):
             list(first_of_each_class(rows))
     assert list(first_of_each_class(rows[:1])) == [(0, x)]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_first_of_each_class_refuses_every_row_that_is_no_permutation_cube(dtype):
+    """Each of the 232 order-4 rows with k = 1..4 whose j is no bijection
+    is refused with CostasCube's message for it, alone and after the
+    identity cube, though some have a least image that is a permutation
+    cube: j = (1, 3, 3, 3) has the identity cube's form."""
+    identity = (1, 1, 2, 2, 3, 3, 4, 4)
+    refused = 0
+    for j in itertools.product(range(1, 5), repeat=4):
+        if sorted(j) == [1, 2, 3, 4]:
+            continue
+        row = [x for pair in zip(j, (1, 2, 3, 4)) for x in pair]
+        message = f"j coordinates {list(j)} are not a bijection on 1..4"
+        for rows in ([row], [identity, row]):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                first_of_each_class(np.array(rows, dtype=dtype))
+        refused += 1
+    assert refused == 232
 
 
 def _rotation_projection_set(cube):
