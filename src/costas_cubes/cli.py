@@ -23,6 +23,7 @@ import functools
 import itertools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -210,9 +211,7 @@ def cmd_tables(args) -> int:
             lines.append(f"{r.order:>5}  {got[0]:>5}  {got[1]:>17}  {got[2]:>12}  {published:>11}{flag}")
     else:
         rows = table2(args.max_order)
-        doc = [{"order": r.order, "g2x3": r.g2x3, "w2w2g2": r.w2w2g2, "g3": r.g3,
-                "g3_variant_i": r.g3_variant_i, "g3_variant_ii": r.g3_variant_ii,
-                "total_known": r.total_known} for r in rows]
+        doc = [asdict(r) for r in rows]
         lines = ["order  g2x3  w2w2g2  g3 (i/ii)  total_known"]
         for r in rows:
             got, published = (r.g2x3, r.w2w2g2, r.g3), TABLE2.get(r.order, (0, 0, 0))

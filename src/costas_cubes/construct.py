@@ -35,14 +35,14 @@ rows by dropping the corner dot's row (the last W1 entry, the first G2
 entry or G2x3 row) and subtracting 1.  A constructor evaluates a family
 at one parameter tuple: an array constructor returns its value row, a
 tuple of ints, and a cube constructor a CostasCube.  sweep evaluates a
-cube family once per field, at every admissible tuple, into one int16
-row matrix, and counts equivalence classes per order: a row among the
-48 images of a class already found is skipped, so each class is
-canonicalized exactly once.  table2 makes each field once per call and
-hands the same fields to its four sweeps, so each table is built once
-per call; nothing is cached from one call to the next.  A field with no
-admissible tuple (10 of the 15 G3 fields to order 29) makes no row
-matrix and starts no walk.
+cube family once per field, at every admissible tuple, into one row
+matrix of the least unsigned dtype for its order, and counts
+equivalence classes per order: a row among the 48 images of a class
+already found is skipped, so each class is canonicalized exactly once.
+table2 makes each field once per call and hands the same fields to its
+four sweeps, so each table is built once per call; nothing is cached
+from one call to the next.  A field with no admissible tuple (10 of the
+15 G3 fields to order 29) makes no row matrix and starts no walk.
 catalog labels canonical arrays of one order by the families able to
 produce them, evaluating each array formula once over the field it
 holds and canonicalizing every array in one pass.
@@ -354,13 +354,12 @@ def _admissible_logs(family: Family, field: FieldSpec) -> list[int]:
 
 def _field_rows(family: Family, field: FieldSpec, logs: list[int]):
     """Every admissible tuple of family over field, from its
-    _admissible_logs, as one (T, 2n) int16 matrix of flattened rows
-    j_1, k_1, ..., j_n, k_n in sweep order, and the function mapping a
-    row index to its ConstructionId.
+    _admissible_logs, as one (T, 2n) matrix of flattened rows j_1, k_1,
+    ..., j_n, k_n in sweep order, in the least unsigned dtype for order
+    n, and the function mapping a row index to its ConstructionId.
 
     Tuples run phi-major over the ascending primitive elements; the G3
-    variants alternate for each phi, (ii) being (i) with k reversed.  int16 holds every coordinate the
-    sweep guard admits."""
+    variants alternate for each phi, (ii) being (i) with k reversed."""
     # The axes are lists, so that witness reads Python ints.
     a = np.array(logs, dtype=np.int64)
     if family is Family.CUBE_G2X3:
@@ -377,7 +376,7 @@ def _field_rows(family: Family, field: FieldSpec, logs: list[int]):
         k = np.stack([k[:, ::-1] if v is Family.CUBE_G3_II else k for v in axes[1]], axis=1)
         j = j[:, None]
     shape = tuple(map(len, axes))
-    rows = np.empty(shape + (j.shape[-1], 2), dtype=np.int16)
+    rows = np.empty(shape + (j.shape[-1], 2), dtype=np.min_scalar_type(j.shape[-1]))
     rows[..., 0] = j
     rows[..., 1] = k
 

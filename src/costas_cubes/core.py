@@ -17,8 +17,10 @@ Index conventions used throughout the package (all 1-based):
   a unique pair (j_i, k_i) carrying the 1, and the cube is the row list
   ((j_1, k_1), ..., (j_n, k_n)).  The cube class walk checks the rows
   it is given once, as a matrix, and builds the canonical forms of their
-  classes without CostasCube's sorts (_cubes): the images of a
-  permutation cube are permutation cubes.
+  classes without CostasCube's sorts: the images of a permutation cube
+  are permutation cubes.  Both matrix checks refuse a bad row by
+  building its object, so each class's messages have one source, and
+  build the rest through one unchecked builder (_unchecked).
 
 * The three projections of a cube collapse one axis by summation:
   A over k, B over j, C over i.  Read as permutations:
@@ -29,18 +31,10 @@ Index conventions used throughout the package (all 1-based):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
-from typing import Iterable
+from dataclasses import dataclass, fields
+from typing import Any, Iterable
 
 import numpy as np
-
-
-@cache
-def _identity(n: int) -> list[int]:
-    """[1, ..., n], shared by every Permutation and CostasCube check of
-    order n: never handed out, so never changed."""
-    return list(range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -53,7 +47,7 @@ class Permutation:
         n = len(self.values)
         if n == 0:
             raise ValueError("permutation must have order >= 1")
-        if sorted(self.values) != _identity(n):
+        if sorted(self.values) != list(range(1, n + 1)):
             raise ValueError(f"{self.values!r} is not a bijection on 1..{n}")
 
     @property
@@ -61,25 +55,34 @@ class Permutation:
         return len(self.values)
 
 
+def _unchecked(cls: type, values: Iterable[Any]) -> list[Any]:
+    """One cls object per value of its one field, each built as the frozen
+    dataclass __init__ builds it, without the __post_init__ check: for
+    values already checked as a matrix, by _permutations or the cube class
+    walk (symmetry.first_of_each_class)."""
+    (field,) = fields(cls)
+    name, new, set_field = field.name, object.__new__, object.__setattr__
+    out = []
+    for value in values:
+        obj = new(cls)
+        set_field(obj, name, value)
+        out.append(obj)
+    return out
+
+
 def _permutations(values: np.ndarray) -> list[Permutation]:
     """The rows of an (N, n) value matrix as Permutations, checked once as
-    a matrix: one row-wise sort against 1..n refuses the first row that is
-    not a bijection, with Permutation's own message.  Each object is then
-    built as the frozen dataclass __init__ builds it, without its sort."""
+    a matrix: one row-wise sort against 1..n finds the first row that is
+    not a bijection, and Permutation refuses it, as it refuses order 0
+    whatever the row count.  The objects are then built unchecked."""
     n = values.shape[1]
     if n == 0:
-        raise ValueError("permutation must have order >= 1")
+        Permutation(())  # raises
     rows = values.tolist()
     bad = (np.sort(values, axis=1) != np.arange(1, n + 1)).any(axis=1)
     if bad.any():
-        raise ValueError(f"{tuple(rows[np.argmax(bad)])!r} is not a bijection on 1..{n}")
-    new, set_values = object.__new__, object.__setattr__
-    out = []
-    for row in rows:
-        p = new(Permutation)
-        set_values(p, "values", tuple(row))
-        out.append(p)
-    return out
+        Permutation(tuple(rows[np.argmax(bad)]))  # raises
+    return _unchecked(Permutation, map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -99,9 +102,10 @@ class CostasCube:
         # Any row that is not a pair fails: strict catches mixed lengths, the
         # unpacking catches the rest.
         js, ks = zip(*self.rows, strict=True)
-        if sorted(js) != _identity(n):
+        identity = list(range(1, n + 1))
+        if sorted(js) != identity:
             raise ValueError(f"j coordinates {list(js)!r} are not a bijection on 1..{n}")
-        if sorted(ks) != _identity(n):
+        if sorted(ks) != identity:
             raise ValueError(f"k coordinates {list(ks)!r} are not a bijection on 1..{n}")
 
     @property
@@ -126,21 +130,6 @@ class CostasCube:
 
     def __str__(self) -> str:
         return " ".join(f"({i},{j},{k})" for i, j, k in self.triples())
-
-
-def _cubes(rows: np.ndarray) -> list[CostasCube]:
-    """The rows of a (C, 2n) matrix of flattened row lists j_1, k_1, ...,
-    j_n, k_n, each known to be a permutation cube, as CostasCubes, each
-    built as the frozen dataclass __init__ builds it, without its sorts.
-    The cube class walk (symmetry.first_of_each_class) gives it only the
-    canonical forms of rows it has checked."""
-    new, set_rows = object.__new__, object.__setattr__
-    out = []
-    for row in rows.tolist():
-        cube = new(CostasCube)
-        set_rows(cube, "rows", tuple(zip(row[0::2], row[1::2])))
-        out.append(cube)
-    return out
 
 
 def costas_violations(values: np.ndarray) -> np.ndarray:

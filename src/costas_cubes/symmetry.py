@@ -19,11 +19,11 @@ complements from one take through a complement table; one argsort gives
 the orders of i, j and k, one take lists the six coordinate rows in
 each, 18 sequences, and one take through an index table reads the images
 from them.  A cube's row list is keyed by its bytes as big-endian
-unsigned words of the least width for its order, whose byte order is
-their numeric order, so the least image is the least key.  The class
-walk keeps each class's least key and returns a list: after the walk,
-the first row of each class, as given, is checked as a permutation cube
-and the forms are decoded, once per call.  The cube
+words of the dtype it is given in, whose byte order is the numeric
+order of the values 1..n, so the least image is the least key.  The
+class walk keeps each class's least key and returns a list: after the
+walk, the first row of each class, as given, is checked as a
+permutation cube and the forms are decoded, once per call.  The cube
 symmetries permute the three projection planes and act on each by the
 square symmetries, so the arrays a cube's orbit projects, its projection
 set S(D), are the rows of the planar images of its (3, n) projection
@@ -39,7 +39,7 @@ from itertools import permutations as _axis_orders, product as _product
 
 import numpy as np
 
-from .core import CostasCube, _cubes, costas_violations, distinct_rows, projections
+from .core import CostasCube, _unchecked, costas_violations, distinct_rows, projections
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,10 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 
 def canonical_cube(cube: CostasCube) -> CostasCube:
-    """Lexicographically least row list over the 48-element orbit of cube."""
-    ((_, form),) = first_of_each_class(np.array(cube.rows).reshape(1, 2 * cube.order))
+    """Lexicographically least row list over the 48-element orbit of cube,
+    walked as one row of the least unsigned dtype for its order."""
+    row = np.array(cube.rows, dtype=np.min_scalar_type(cube.order)).reshape(1, 2 * cube.order)
+    ((_, form),) = first_of_each_class(row)
     return form
 
 
@@ -210,22 +212,21 @@ def first_of_each_class(rows: np.ndarray) -> list[tuple[int, CostasCube]]:
     """(t, canonical form) for each row t of a (T, 2n) matrix of flattened
     cube rows whose class no earlier row holds, in row order.
 
-    The rows are converted once to big-endian unsigned words of the least
-    width for order n, and keyed by their bytes.  They are walked in order
+    The rows are keyed by their bytes as big-endian words of the dtype
+    they are given in, so no value is changed.  They are walked in order
     against a set of the keys of every image of the classes found so far:
     a row in the set is skipped, and any other row's 48 images join the
     set, the least of their keys being the class's canonical form; no
     cube is built for the row itself.  After the walk, one sort of the
     first rows, as given, refuses the first that is no permutation cube,
-    with CostasCube's own message, and the forms are decoded once (_cubes).
-    That checks every row: a skipped row equals an image of an earlier
-    first row, and the images of a permutation cube are permutation
-    cubes, so the first row that is none is a first row.  The rows are
-    read in those words, which hold every value of a permutation cube of
-    order n; a value that does not fit is read modulo the word.
+    by building its CostasCube, and the forms are decoded once into
+    CostasCubes built unchecked (_unchecked).  That checks every row: a
+    skipped row equals an image of an earlier first row, and the images
+    of a permutation cube are permutation cubes, so the first row that is
+    none is a first row.
     """
     n = rows.shape[1] // 2
-    key_dtype = np.dtype(np.min_scalar_type(n)).newbyteorder(">")
+    key_dtype = rows.dtype.newbyteorder(">")
     rows = np.ascontiguousarray(rows, dtype=key_dtype)
     key = np.dtype((np.void, rows.shape[1] * key_dtype.itemsize))
     seen: set[bytes] = set()
@@ -246,7 +247,8 @@ def first_of_each_class(rows: np.ndarray) -> list[tuple[int, CostasCube]]:
         row = first_rows[np.argmax(bad)].tolist()
         CostasCube(tuple(zip(row[0::2], row[1::2])))  # raises
     least = np.frombuffer(b"".join(forms), dtype=key_dtype).reshape(len(forms), -1)
-    return list(zip(firsts, _cubes(least)))
+    cubes = _unchecked(CostasCube, (tuple(zip(row[0::2], row[1::2])) for row in least.tolist()))
+    return list(zip(firsts, cubes))
 
 
 def projection_set(cube: CostasCube) -> np.ndarray:

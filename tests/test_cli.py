@@ -300,6 +300,13 @@ def test_enumerate_emit_representatives(capsys):
                        "--format", "machine")
     doc = json.loads(out)
     assert len(doc["representatives"]) == 2
+    code, out, _ = run(capsys, "enumerate", "--order", "4", "--emit-representatives")
+    assert code == 0
+    assert out == (
+        "order 4: cube classes 2, projection array classes 1, total array classes 2\n"
+        "(1,1,1) (2,3,4) (3,4,2) (4,2,3)\n"
+        "(1,1,2) (2,3,3) (3,4,1) (4,2,4)\n"
+    )
 
 
 def test_enumerate_machine_representatives_never_format_a_cube(capsys, monkeypatch):

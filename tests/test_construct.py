@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,20 @@ def test_w2_examples():
     assert w2(5, 2) == (1, 3, 2)
     with pytest.raises(ValueError, match="not primitive"):
         w2(13, 3)
+
+
+@pytest.mark.parametrize("construction, message", [
+    (lambda: w1(2, 1), "W1 requires p > 2"),
+    (lambda: w1(13, 2, 13), "shift c=13 must lie in GF(13)"),
+    (lambda: w1(13, 2, -1), "shift c=-1 must lie in GF(13)"),
+    (lambda: g2(field_new(3, 1), 2, 2), "G2 requires q > 3"),
+    (lambda: w2(3, 2), "W2 requires p > 3"),
+    (lambda: cube_g2x3(field_new(3, 1), 2, 2, 2), "this construction requires q > 3"),
+    (lambda: cube_w2w2g2(3, 2, 2), "this construction requires p > 3"),
+], ids=["w1-p2", "w1-c13", "w1-c-1", "g2-q3", "w2-p3", "g2x3-q3", "w2w2g2-p3"])
+def test_constructors_refuse_fields_too_small_and_shifts_outside(construction, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        construction()
 
 
 def test_w2_is_w1_with_boundary_row_and_column_removed():
@@ -470,7 +485,7 @@ def test_field_rows_match_constructors_tuple_by_tuple():
             by_field.setdefault(field, []).append((ConstructionId(witness_family, field, elements), cube))
         for field, tuples in by_field.items():
             rows, witness = _field_rows(family, field, _admissible_logs(family, field))
-            assert rows.dtype == np.int16
+            assert rows.dtype == np.min_scalar_type(tuples[0][1].order)
             assert rows.shape == (len(tuples), 2 * tuples[0][1].order)
             for t, (construction, cube) in enumerate(tuples):
                 assert rows[t].tolist() == [x for row in cube.rows for x in row]

@@ -82,6 +82,11 @@ def test_cube_rejects_repeated_coordinates():
         CostasCube.from_triples([(1, 1, 1), (1, 2, 2)])
 
 
+def test_cube_rejects_order_zero():
+    with pytest.raises(ValueError, match="^cube must have order >= 1$"):
+        CostasCube(())
+
+
 @pytest.mark.parametrize("rows", [((1, 2), (2, 1, 3)), ((1, 2, 3), (2, 1)),
                                   ((1, 2, 3), (2, 1, 3)), ((1,), (2,))])
 def test_cube_rejects_rows_that_are_not_pairs(rows):

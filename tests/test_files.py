@@ -212,3 +212,9 @@ def test_cube_file_structural_errors():
         parse_cube_file(json.dumps({"triples": [[1, 1]]}))
     with pytest.raises(ValueError, match="bad JSON"):
         parse_cube_file("{not json")
+    with pytest.raises(ValueError, match='^JSON cube file needs a "triples" list$'):
+        parse_cube_file('{"order": 3}')
+    with pytest.raises(ValueError, match=r"^line 1: non-integer coordinate in '1 2 x'$"):
+        parse_cube_file("1 2 x\n")
+    with pytest.raises(ValueError, match="^no triples found$"):
+        parse_cube_file("# only a comment\n")

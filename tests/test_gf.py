@@ -42,6 +42,10 @@ def test_field_new_examples():
         field_new(6, 1)
     with pytest.raises(ValueError, match="degree"):
         field_new(2, 3, (1, 1, 1))
+    with pytest.raises(ValueError, match="^extension degree must be >= 1$"):
+        field_new(2, 0)
+    with pytest.raises(ValueError, match=r"^GF\(3\^2\) needs an explicit degree-2 modulus$"):
+        field_new(3, 2)
 
 
 @pytest.mark.parametrize("p, m, modulus", [
@@ -360,6 +364,13 @@ def test_element_text_forms():
         parse_element(GF13, "15")
     with pytest.raises(ValueError):
         parse_element(GF16, "x^9")
+    # Signed terms, and an empty term, which is skipped.
+    gf9 = default_field(9)
+    assert parse_element(gf9, "1-x") == 7
+    assert parse_element(gf9, "-x") == 6
+    assert parse_element(gf9, "x+") == 3
+    with pytest.raises(ValueError, match="^bad term 'x1'$"):
+        parse_element(gf9, "x1")
 
 
 def test_prime_power_detection():

@@ -472,6 +472,18 @@ def test_first_of_each_class_refuses_every_row_that_is_no_permutation_cube(dtype
     assert refused == 232
 
 
+@pytest.mark.parametrize("dtype, v", [(np.int16, 257), (np.uint16, 259), (np.int64, 261)])
+def test_first_of_each_class_reads_rows_in_their_own_dtype(dtype, v):
+    """A value too wide for the least word of order 5 is read as given,
+    not modulo that word: after the identity cube, the row with v in
+    place of its first j is refused naming v, where the least word would
+    read it as 1 (the identity cube, skipped unchecked), 3 or 5."""
+    rows = np.array([[1, 1, 2, 2, 3, 3, 4, 4, 5, 5], [v, 1, 2, 2, 3, 3, 4, 4, 5, 5]], dtype=dtype)
+    message = f"j coordinates [{v}, 2, 3, 4, 5] are not a bijection on 1..5"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        first_of_each_class(rows)
+
+
 def _rotation_projection_set(cube):
     """Oracle: Projection A over the 24 rotations only."""
     return {projections_oracle(image(s, cube))[0] for s in CUBE_ROTATIONS}
