@@ -39,10 +39,11 @@ cube family once per field, at every admissible tuple, into one row
 matrix of the least unsigned dtype for its order, and counts
 equivalence classes per order: a row among the 48 images of a class
 already found is skipped, so each class is canonicalized exactly once.
-table2 makes each field once per call and hands the same fields to its
-four sweeps, so each table is built once per call; nothing is cached
-from one call to the next.  A field with no admissible tuple (10 of the
-15 G3 fields to order 29) makes no row matrix and starts no walk.
+sweep and table2 take their fields from one per-field iterator.  table2
+makes each field once per call, walks one G3 matrix of both variants,
+and counts the walk's canonical keys without building cubes; nothing is
+cached from one call to the next.  A field with no admissible tuple (10
+of the 15 G3 fields to order 29) makes no row matrix and starts no walk.
 catalog labels canonical arrays of one order by the families able to
 produce them, evaluating each array formula once over the field it
 holds and canonicalizing every array in one pass.
@@ -53,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -71,7 +72,7 @@ from .gf import (
     _is_irreducible,
     _primitive_logs,
 )
-from .symmetry import first_of_each_class, least_image, planar_images
+from .symmetry import class_keys, first_of_each_class, least_image, planar_images
 
 # One fixed representation per non-prime field order used by sweeps and
 # the catalog (default_field picks one for any other order); different
@@ -400,6 +401,29 @@ def _check_sweep_order(max_order: int) -> None:
         raise ValueError(f"max_order {max_order} exceeds the guard {SWEEP_ORDER_GUARD}")
 
 
+def _sweep_fields(
+    family: Family, max_order: int, fields: Mapping[int, FieldSpec] | None
+) -> Iterator[tuple[int, FieldSpec, list[int]]]:
+    """(order, field, logs) for each field of a cube family's sweep to
+    max_order that admits a tuple, ascending: GF(q) is fields[q], or
+    default_field(q) where fields has no q, and logs its
+    _admissible_logs.  W2W2G2 takes prime fields only."""
+    _check_sweep_order(max_order)
+    if family not in (Family.CUBE_G2X3, Family.CUBE_W2W2G2, *_G3_VARIANTS):
+        raise ValueError(f"sweep is defined for cube families, not {family.value}")
+    shift = 3 if family in _G3_VARIANTS else 2
+    # Order q - shift starts at 2.
+    for q in range(shift + 2, max_order + shift + 1):
+        if prime_power(q) is None or family is Family.CUBE_W2W2G2 and not is_prime(q):
+            continue
+        field = fields[q] if fields and q in fields else default_field(q)
+        if field.q != q:
+            raise ValueError(f"fields[{q}] is GF({field.q}), not GF({q})")
+        logs = _admissible_logs(family, field)
+        if logs:
+            yield q - shift, field, logs
+
+
 def sweep(
     family: Family,
     max_order: int = SWEEP_ORDER_GUARD,
@@ -415,28 +439,10 @@ def sweep(
     first_of_each_class: the witness of a class is the first tuple that
     produced it.  A field that admits no tuple makes no matrix.
     """
-    _check_sweep_order(max_order)
-    if family in (Family.CUBE_G2X3, Family.CUBE_W2W2G2):
-        shift = 2
-    elif family in _G3_VARIANTS:
-        shift = 3
-    else:
-        raise ValueError(f"sweep is defined for cube families, not {family.value}")
     classes: dict[int, dict[CostasCube, ConstructionId]] = {}
-    for q in range(4, max_order + shift + 1):
-        if q - shift < 2 or prime_power(q) is None:
-            continue
-        if family is Family.CUBE_W2W2G2 and not is_prime(q):
-            continue
-        field = fields[q] if fields and q in fields else default_field(q)
-        if field.q != q:
-            raise ValueError(f"fields[{q}] is GF({field.q}), not GF({q})")
-        logs = _admissible_logs(family, field)
-        if not logs:
-            continue
+    for order, field, logs in _sweep_fields(family, max_order, fields):
         rows, witness = _field_rows(family, field, logs)
-        for t, cube in first_of_each_class(rows):
-            classes.setdefault(q - shift, {})[cube] = witness(t)
+        classes[order] = {cube: witness(t) for t, cube in first_of_each_class(rows)}
     return SweepReport(family, classes)
 
 
@@ -501,32 +507,26 @@ def table2(
     """Constructed-class counts per order over all four cube families.
 
     Each GF(q) is default_field(q, moduli), made once per call and shared
-    by the four sweeps, so each field's table is built once per call; no
-    field is kept from one call to the next.  The two G3 variants are
-    pooled into one column (their class sets can overlap) and also
-    reported separately.
+    by the three families' walks, so each field's table is built once per
+    call; no field is kept from one call to the next.  Each field's rows
+    are walked by class_keys, as sweep walks them, and its keys counted:
+    no cube, witness or report is built.  A G3 field makes one matrix of
+    both variants, whose halves are walked as (i) and (ii); the pooled
+    column is the union of their keys (their class sets can overlap).
     """
     if max_order < 2:
         raise ValueError(f"max order {max_order} is below 2, the least order Table 2 lists")
     _check_sweep_order(max_order)
     # The G3 sweeps reach the farthest, to q = max_order + 3.
     fields = {q: default_field(q, moduli) for q in range(4, max_order + 4) if prime_power(q)}
-    s_ggg = sweep(Family.CUBE_G2X3, max_order, fields=fields)
-    s_www = sweep(Family.CUBE_W2W2G2, max_order, fields=fields)
-    s_i = sweep(Family.CUBE_G3_I, max_order, fields=fields)
-    s_ii = sweep(Family.CUBE_G3_II, max_order, fields=fields)
-    rows = []
-    for order in range(2, max_order + 1):
-        pooled = set(s_i.classes.get(order, {})) | set(s_ii.classes.get(order, {}))
-        rows.append(
-            Table2Row(
-                order=order,
-                g2x3=s_ggg.count(order),
-                w2w2g2=s_www.count(order),
-                g3=len(pooled),
-                g3_variant_i=s_i.count(order),
-                g3_variant_ii=s_ii.count(order),
-                total_known=CUBE_CLASS_COUNTS.get(order),
-            )
-        )
-    return rows
+    # Per order: g2x3, w2w2g2, g3, g3_variant_i, g3_variant_ii.
+    counts = {order: [0] * 5 for order in range(2, max_order + 1)}
+    for c, family in enumerate((Family.CUBE_G2X3, Family.CUBE_W2W2G2)):
+        for order, field, logs in _sweep_fields(family, max_order, fields):
+            counts[order][c] = len(class_keys(_field_rows(family, field, logs)[0])[1])
+    for order, field, logs in _sweep_fields(Family.CUBE_G3, max_order, fields):
+        # The variants' rows alternate for each phi.
+        halves = _field_rows(Family.CUBE_G3, field, logs)[0].reshape(len(logs), 2, -1)
+        keys_i, keys_ii = (class_keys(halves[:, v])[1] for v in (0, 1))
+        counts[order][2:] = len(set(keys_i) | set(keys_ii)), len(keys_i), len(keys_ii)
+    return [Table2Row(order, *row, CUBE_CLASS_COUNTS.get(order)) for order, row in counts.items()]

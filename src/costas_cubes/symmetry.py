@@ -21,13 +21,13 @@ each, 18 sequences, and one take through an index table reads the images
 from them.  A cube's row list is keyed by its bytes as big-endian
 words of the dtype it is given in, whose byte order is the numeric
 order of the values 1..n, so the least image is the least key.  The
-class walk keeps each class's least key and returns a list: after the
-walk, the first row of each class, as given, is checked as a
-permutation cube and the forms are decoded, once per call.  The cube
-symmetries permute the three projection planes and act on each by the
-square symmetries, so the arrays a cube's orbit projects, its projection
-set S(D), are the rows of the planar images of its (3, n) projection
-matrix.
+class walk (class_keys) gives each class's first row and least key, and
+after the walk checks the first rows, as given, as permutation cubes,
+once per call; decode_keys builds CostasCubes from keys, so a caller
+that only counts classes builds none.  The cube symmetries permute the
+three projection planes and act on each by the square symmetries, so
+the arrays a cube's orbit projects, its projection set S(D), are the
+rows of the planar images of its (3, n) projection matrix.
 """
 
 from __future__ import annotations
@@ -208,24 +208,25 @@ def canonical_cube(cube: CostasCube) -> CostasCube:
     return form
 
 
-def first_of_each_class(rows: np.ndarray) -> list[tuple[int, CostasCube]]:
-    """(t, canonical form) for each row t of a (T, 2n) matrix of flattened
-    cube rows whose class no earlier row holds, in row order.
+def class_keys(rows: np.ndarray) -> tuple[list[int], list[bytes]]:
+    """The class walk: the rows t of a (T, 2n) matrix of flattened cube
+    rows whose class no earlier row holds, in row order, and each one's
+    canonical key, the least key of its 48 images.
 
     The rows are keyed by their bytes as big-endian words of the dtype
     they are given in, so no value is changed.  They are walked in order
     against a set of the keys of every image of the classes found so far:
     a row in the set is skipped, and any other row's 48 images join the
-    set, the least of their keys being the class's canonical form; no
-    cube is built for the row itself.  After the walk, one sort of the
-    first rows, as given, refuses the first that is no permutation cube,
-    by building its CostasCube, and the forms are decoded once into
-    CostasCubes built unchecked (_unchecked).  That checks every row: a
-    skipped row equals an image of an earlier first row, and the images
-    of a permutation cube are permutation cubes, so the first row that is
-    none is a first row.
+    set.  After the walk, one sort of the first rows, as given, refuses
+    the first that is no permutation cube, by building its CostasCube.
+    That checks every row: a skipped row equals an image of an earlier
+    first row, and the images of a permutation cube are permutation
+    cubes, so the first row that is none is a first row.  A width that is
+    0 or odd is refused before any row is keyed.
     """
-    n = rows.shape[1] // 2
+    n, odd = divmod(rows.shape[1], 2)
+    if not n or odd:
+        raise ValueError(f"cube rows need an even width of at least 2, not shape {rows.shape}")
     key_dtype = rows.dtype.newbyteorder(">")
     rows = np.ascontiguousarray(rows, dtype=key_dtype)
     key = np.dtype((np.void, rows.shape[1] * key_dtype.itemsize))
@@ -238,17 +239,30 @@ def first_of_each_class(rows: np.ndarray) -> list[tuple[int, CostasCube]]:
         seen.update(keys)
         firsts.append(t)
         forms.append(min(keys))
-    if not forms:
-        return []
-    first_rows = rows[firsts]
+    first_rows = rows[firsts].reshape(len(firsts), n, 2)
     identity = np.arange(1, n + 1, dtype=key_dtype)[:, None]
-    bad = (np.sort(first_rows.reshape(len(firsts), n, 2), axis=1) != identity).any(axis=(1, 2))
+    bad = (np.sort(first_rows, axis=1) != identity).any(axis=(1, 2))
     if bad.any():
         row = first_rows[np.argmax(bad)].tolist()
-        CostasCube(tuple(zip(row[0::2], row[1::2])))  # raises
-    least = np.frombuffer(b"".join(forms), dtype=key_dtype).reshape(len(forms), -1)
-    cubes = _unchecked(CostasCube, (tuple(zip(row[0::2], row[1::2])) for row in least.tolist()))
-    return list(zip(firsts, cubes))
+        CostasCube(tuple(map(tuple, row)))  # raises
+    return firsts, forms
+
+
+def decode_keys(keys: list[bytes], dtype: np.dtype) -> list[CostasCube]:
+    """The CostasCubes of class_keys' keys of rows of dtype, built
+    unchecked (_unchecked): the walk has checked their first rows."""
+    if not keys:
+        return []
+    least = np.frombuffer(b"".join(keys), dtype=dtype.newbyteorder(">")).reshape(len(keys), -1)
+    return _unchecked(CostasCube, (tuple(zip(row[0::2], row[1::2])) for row in least.tolist()))
+
+
+def first_of_each_class(rows: np.ndarray) -> list[tuple[int, CostasCube]]:
+    """(t, canonical form) for each row t of a (T, 2n) matrix of flattened
+    cube rows whose class no earlier row holds, in row order: class_keys'
+    walk, its keys decoded once per call by decode_keys."""
+    firsts, keys = class_keys(rows)
+    return list(zip(firsts, decode_keys(keys, rows.dtype)))
 
 
 def projection_set(cube: CostasCube) -> np.ndarray:

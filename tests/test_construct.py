@@ -31,6 +31,7 @@ from costas_cubes.core import (
     is_costas_cube,
 )
 from costas_cubes import symmetry
+from costas_cubes.reference import CUBE_CLASS_COUNTS
 from costas_cubes.gf import (
     FieldSpec,
     field_new,
@@ -536,7 +537,7 @@ def test_sweep_rejects_a_field_of_another_order():
 
 
 def test_table2_builds_each_field_table_once_per_call(monkeypatch):
-    """The four sweeps of one table2 call share one field per q, and no
+    """The three family walks of one table2 call share one field per q, and no
     field outlives the call: each call builds the tables of the 16 prime
     powers 4..32 once."""
     built = []
@@ -553,6 +554,88 @@ def test_table2_builds_each_field_table_once_per_call(monkeypatch):
     assert len(built) == 16
     table2(29)
     assert len(built) == 32
+
+
+def test_table2_makes_one_g3_list_and_matrix_per_field(monkeypatch):
+    """One table2(29) call lists the G3 parameters of each of the 15 G3
+    fields once, and builds one row matrix holding both variants for
+    each of the 5 fields that admit a tuple (the two variant sweeps made
+    30 lists and 10 matrices)."""
+    lists, matrices = [], []
+    primitive_logs, field_rows = construct._primitive_logs, construct._field_rows
+
+    def counted_logs(field, *one_minus):
+        if one_minus:
+            lists.append(field.q)
+        return primitive_logs(field, *one_minus)
+
+    def counted_rows(family, field, logs):
+        if family not in (Family.CUBE_G2X3, Family.CUBE_W2W2G2):
+            matrices.append((family, field.q))
+        return field_rows(family, field, logs)
+
+    monkeypatch.setattr(construct, "_primitive_logs", counted_logs)
+    monkeypatch.setattr(construct, "_field_rows", counted_rows)
+    table2(29)
+    assert lists == [q for q in range(5, 33) if prime_power(q)]
+    assert len(lists) == 15
+    assert matrices == [(Family.CUBE_G3, q) for q in (7, 8, 23, 27, 32)]
+
+
+@pytest.mark.parametrize("moduli", [DEFAULT_MODULI, OTHER_MODULI], ids=["default", "other"])
+def test_table2_columns_are_the_sweep_counts(moduli):
+    """Every column of table2 at every order 2-29 is the class count of
+    its family's sweep over the same fields; g3 is the size of the union
+    of the two variants' class sets, which the pooled sweep finds too."""
+    fields = fields_for(moduli)
+    classes = {family: sweep(family, 29, fields=fields).classes for family in CUBE_FAMILIES}
+    rows = table2(29, moduli=moduli)
+    assert [row.order for row in rows] == list(range(2, 30))
+    for row in rows:
+        found = {family: set(classes[family].get(row.order, {})) for family in CUBE_FAMILIES}
+        pooled = found[Family.CUBE_G3_I] | found[Family.CUBE_G3_II]
+        assert pooled == found[Family.CUBE_G3]
+        assert (row.g2x3, row.w2w2g2, row.g3, row.g3_variant_i, row.g3_variant_ii) == (
+            len(found[Family.CUBE_G2X3]), len(found[Family.CUBE_W2W2G2]), len(pooled),
+            len(found[Family.CUBE_G3_I]), len(found[Family.CUBE_G3_II])), row.order
+        assert row.total_known == CUBE_CLASS_COUNTS.get(row.order)
+
+
+def test_table2_walks_once_per_class_and_builds_no_objects(monkeypatch):
+    """table2(29) forms the 48 images once per class of each walk, 273
+    in all, and counts keys: no CostasCube, checked or unchecked, and no
+    ConstructionId is built.  A sweep afterwards builds both, so the
+    counters see them."""
+    images, built = [], []
+    row_images, unchecked = symmetry._row_images, symmetry._unchecked
+
+    def counted_images(row):
+        images.append(row)
+        return row_images(row)
+
+    def counted_unchecked(cls, values):
+        built.append(cls.__name__)
+        return unchecked(cls, values)
+
+    def counted_init(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(cls.__name__)
+            init(self, *args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(symmetry, "_row_images", counted_images)
+    monkeypatch.setattr(symmetry, "_unchecked", counted_unchecked)
+    for cls in (CostasCube, ConstructionId):
+        monkeypatch.setattr(cls, "__init__", counted_init(cls))
+    rows = table2(29)
+    walked = sum(row.g2x3 + row.w2w2g2 + row.g3_variant_i + row.g3_variant_ii for row in rows)
+    assert len(images) == walked == 273
+    assert built == []
+    sweep(Family.CUBE_G3_I, 4)
+    assert set(built) == {"CostasCube", "ConstructionId"}
 
 
 def test_table2_refuses_an_order_above_the_guard_before_any_field(monkeypatch):

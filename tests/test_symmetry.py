@@ -19,6 +19,8 @@ from costas_cubes.symmetry import (
     PLANAR_SYMMETRIES,
     AxisSymmetry,
     canonical_cube,
+    class_keys,
+    decode_keys,
     first_of_each_class,
     least_image,
     planar_images,
@@ -416,6 +418,26 @@ def test_first_of_each_class_skips_known_orbits(dtype):
     rows = _flat_rows(cubes, dtype)
     assert list(first_of_each_class(rows)) == [(0, x), (1, y)]
     assert list(first_of_each_class(np.empty((0, 10), dtype=dtype))) == []
+    firsts, keys = class_keys(rows)
+    assert firsts == [0, 1]
+    assert keys == [_flat_rows([x], np.dtype(dtype).newbyteorder(">")).tobytes(),
+                    _flat_rows([y], np.dtype(dtype).newbyteorder(">")).tobytes()]
+    assert decode_keys(keys, rows.dtype) == [x, y]
+    assert decode_keys([], rows.dtype) == []
+
+
+@pytest.mark.parametrize("shape", [(1, 0), (3, 0), (0, 0), (1, 5), (2, 9), (0, 3)])
+def test_class_walk_refuses_a_width_that_is_zero_or_odd(shape, monkeypatch):
+    """A row width that holds no cube is refused naming the shape, before
+    any row is keyed: a (T, 0) matrix found no class, and an odd width
+    failed inside numpy's reshape."""
+    keyed = []
+    monkeypatch.setattr(np, "ascontiguousarray", lambda *a, **k: keyed.append(a))
+    message = f"cube rows need an even width of at least 2, not shape {shape}"
+    for walk in (class_keys, first_of_each_class):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            walk(np.ones(shape, dtype=np.uint8))
+    assert keyed == []
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.uint16])
