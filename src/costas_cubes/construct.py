@@ -39,11 +39,12 @@ cube family once per field, at every admissible tuple, into one row
 matrix of the least unsigned dtype for its order, and counts
 equivalence classes per order: a row among the 48 images of a class
 already found is skipped, so each class is canonicalized exactly once.
-sweep and table2 take their fields from one per-field iterator.  table2
-makes each field once per call, walks one G3 matrix of both variants,
-and counts the walk's canonical keys without building cubes; nothing is
-cached from one call to the next.  A field with no admissible tuple (10
-of the 15 G3 fields to order 29) makes no row matrix and starts no walk.
+sweep and table2 make each field once per call, default_field(q,
+moduli), and take them from one per-field iterator.  table2 walks one G3
+matrix of both variants, and counts the walk's canonical keys without
+building cubes; nothing is cached from one call to the next.  A field
+with no admissible tuple (10 of the 15 G3 fields to order 29) makes no
+row matrix and starts no walk.
 catalog labels canonical arrays of one order by the families able to
 produce them, evaluating each array formula once over the field it
 holds and canonicalizing every array in one pass.
@@ -54,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -72,7 +73,7 @@ from .gf import (
     _is_irreducible,
     _primitive_logs,
 )
-from .symmetry import class_keys, first_of_each_class, least_image, planar_images
+from .symmetry import class_keys, decode_keys, least_image, planar_images
 
 # One fixed representation per non-prime field order used by sweeps and
 # the catalog (default_field picks one for any other order); different
@@ -348,14 +349,9 @@ _G3_VARIANTS = {
 }
 
 
-def _admissible_logs(family: Family, field: FieldSpec) -> list[int]:
-    """The logs of the phi that family admits over field (_primitive_logs)."""
-    return _primitive_logs(field, 1, -1) if family in _G3_VARIANTS else _primitive_logs(field)
-
-
 def _field_rows(family: Family, field: FieldSpec, logs: list[int]):
-    """Every admissible tuple of family over field, from its
-    _admissible_logs, as one (T, 2n) matrix of flattened rows j_1, k_1,
+    """Every admissible tuple of family over field, from the logs
+    _sweep_fields gives, as one (T, 2n) matrix of flattened rows j_1, k_1,
     ..., j_n, k_n in sweep order, in the least unsigned dtype for order
     n, and the function mapping a row index to its ConstructionId.
 
@@ -396,30 +392,30 @@ def _field_rows(family: Family, field: FieldSpec, logs: list[int]):
     return rows.reshape(-1, 2 * j.shape[-1]), witness
 
 
-def _check_sweep_order(max_order: int) -> None:
+def _fields(max_order: int, moduli: dict[int, tuple[int, ...]] | None) -> dict[int, FieldSpec]:
+    """default_field(q, moduli) for every prime power q that a sweep to
+    max_order reads, 4..max_order+3 (the G3 sweeps reach the farthest),
+    after the guard on max_order."""
     if max_order > SWEEP_ORDER_GUARD:
         raise ValueError(f"max_order {max_order} exceeds the guard {SWEEP_ORDER_GUARD}")
+    return {q: default_field(q, moduli) for q in range(4, max_order + 4) if prime_power(q)}
 
 
 def _sweep_fields(
-    family: Family, max_order: int, fields: Mapping[int, FieldSpec] | None
+    family: Family, max_order: int, fields: dict[int, FieldSpec]
 ) -> Iterator[tuple[int, FieldSpec, list[int]]]:
-    """(order, field, logs) for each field of a cube family's sweep to
-    max_order that admits a tuple, ascending: GF(q) is fields[q], or
-    default_field(q) where fields has no q, and logs its
-    _admissible_logs.  W2W2G2 takes prime fields only."""
-    _check_sweep_order(max_order)
+    """(order, field, logs) for each of the _fields a cube family's sweep
+    to max_order reads that admits a tuple, ascending: logs are the
+    _primitive_logs of its phi.  W2W2G2 takes prime fields only."""
     if family not in (Family.CUBE_G2X3, Family.CUBE_W2W2G2, *_G3_VARIANTS):
         raise ValueError(f"sweep is defined for cube families, not {family.value}")
     shift = 3 if family in _G3_VARIANTS else 2
     # Order q - shift starts at 2.
     for q in range(shift + 2, max_order + shift + 1):
-        if prime_power(q) is None or family is Family.CUBE_W2W2G2 and not is_prime(q):
+        field = fields.get(q)
+        if field is None or family is Family.CUBE_W2W2G2 and field.m != 1:
             continue
-        field = fields[q] if fields and q in fields else default_field(q)
-        if field.q != q:
-            raise ValueError(f"fields[{q}] is GF({field.q}), not GF({q})")
-        logs = _admissible_logs(family, field)
+        logs = _primitive_logs(field, 1, -1) if family in _G3_VARIANTS else _primitive_logs(field)
         if logs:
             yield q - shift, field, logs
 
@@ -428,21 +424,21 @@ def sweep(
     family: Family,
     max_order: int = SWEEP_ORDER_GUARD,
     *,
-    fields: Mapping[int, FieldSpec] | None = None,
+    moduli: dict[int, tuple[int, ...]] | None = None,
 ) -> SweepReport:
     """All inequivalent cubes of orders 2..max_order from one family.
 
-    GF(q) is fields[q], or default_field(q) where fields has no q; a
-    field builds its table on first use, so passing the same fields to
-    several sweeps builds each table once.  Each field makes one row
-    matrix of every admissible parameter tuple, walked in tuple order by
-    first_of_each_class: the witness of a class is the first tuple that
-    produced it.  A field that admits no tuple makes no matrix.
+    Each GF(q) is default_field(q, moduli), made once per call.  Each
+    field makes one row matrix of every admissible parameter tuple,
+    walked in tuple order by class_keys, whose keys decode_keys turns
+    into cubes: the witness of a class is the first tuple that produced
+    it.  A field that admits no tuple makes no matrix.
     """
     classes: dict[int, dict[CostasCube, ConstructionId]] = {}
-    for order, field, logs in _sweep_fields(family, max_order, fields):
+    for order, field, logs in _sweep_fields(family, max_order, _fields(max_order, moduli)):
         rows, witness = _field_rows(family, field, logs)
-        classes[order] = {cube: witness(t) for t, cube in first_of_each_class(rows)}
+        firsts, keys = class_keys(rows)
+        classes[order] = dict(zip(decode_keys(keys, rows.dtype), map(witness, firsts)))
     return SweepReport(family, classes)
 
 
@@ -516,9 +512,7 @@ def table2(
     """
     if max_order < 2:
         raise ValueError(f"max order {max_order} is below 2, the least order Table 2 lists")
-    _check_sweep_order(max_order)
-    # The G3 sweeps reach the farthest, to q = max_order + 3.
-    fields = {q: default_field(q, moduli) for q in range(4, max_order + 4) if prime_power(q)}
+    fields = _fields(max_order, moduli)
     # Per order: g2x3, w2w2g2, g3, g3_variant_i, g3_variant_ii.
     counts = {order: [0] * 5 for order in range(2, max_order + 1)}
     for c, family in enumerate((Family.CUBE_G2X3, Family.CUBE_W2W2G2)):

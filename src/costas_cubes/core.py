@@ -59,7 +59,7 @@ def _unchecked(cls: type, values: Iterable[Any]) -> list[Any]:
     """One cls object per value of its one field, each built as the frozen
     dataclass __init__ builds it, without the __post_init__ check: for
     values already checked as a matrix, by _permutations or the cube class
-    walk (symmetry.first_of_each_class)."""
+    walk (symmetry.class_keys)."""
     (field,) = fields(cls)
     name, new, set_field = field.name, object.__new__, object.__setattr__
     out = []

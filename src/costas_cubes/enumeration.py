@@ -91,7 +91,7 @@ import numpy as np
 
 from .core import CostasCube, Permutation, _permutations, costas_violations, distinct_rows
 from .reference import COSTAS_ARRAY_TOTALS
-from .symmetry import _row_keys, first_of_each_class, inverse_rows, least_image, planar_images
+from .symmetry import _row_keys, class_keys, decode_keys, inverse_rows, least_image, planar_images
 
 DEFAULT_ORDER_LIMIT = 13
 
@@ -662,8 +662,9 @@ def _scan(values: np.ndarray, prepared: _Prepared) -> tuple[list[CostasCube], in
         a_at, b_at = block[first[hit]], seconds[second[hit]]
         hits.append(np.stack((inverses[a_at], inverses[b_at]), axis=2).reshape(-1, 2 * n))
         projected.append(np.concatenate((ordered[a_at], ordered[b_at], classes[c_at[hit]])))
-    cubes = (cube for _, cube in first_of_each_class(np.concatenate(hits)))
-    return sorted(cubes, key=lambda cube: cube.rows), len(np.unique(np.concatenate(projected)))
+    rows = np.concatenate(hits)  # big-endian keys sort as the rows they encode
+    cubes = decode_keys(sorted(class_keys(rows)[1]), rows.dtype)
+    return cubes, len(np.unique(np.concatenate(projected)))
 
 
 @dataclass(frozen=True)

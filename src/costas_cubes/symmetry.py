@@ -121,7 +121,7 @@ def _least(images: np.ndarray) -> np.ndarray:
             break
         # An image no longer live reads the dtype's maximum, so that a plain
         # min finds the least live value (a where= reduction is far slower).
-        dead = np.multiply(~live, top, dtype=images.dtype)
+        dead = np.multiply(~live, top, dtype=images.dtype.type)
         column = np.maximum(np.take(flat[:, :, j], open_, axis=1), dead)
         live &= column == column.min(axis=0)
         settled = live.sum(axis=0, dtype=np.min_scalar_type(count)) == 1
@@ -184,8 +184,8 @@ def _row_images(row: np.ndarray) -> np.ndarray:
     sequences with sequence (3x + y) at (3x + y) * n, and one take
     through its index table reads the 48 images from them.  The flip take
     wraps, so that a row that is no permutation cube still forms images
-    without an error: the walk goes on, and first_of_each_class refuses
-    the row after it."""
+    without an error: the walk goes on, and class_keys refuses the row
+    after it."""
     n = len(row) // 2
     template, flip, gather = _image_tables(n, row.dtype)
     coords = template.copy()
@@ -204,7 +204,7 @@ def canonical_cube(cube: CostasCube) -> CostasCube:
     """Lexicographically least row list over the 48-element orbit of cube,
     walked as one row of the least unsigned dtype for its order."""
     row = np.array(cube.rows, dtype=np.min_scalar_type(cube.order)).reshape(1, 2 * cube.order)
-    ((_, form),) = first_of_each_class(row)
+    (form,) = decode_keys(class_keys(row)[1], row.dtype)
     return form
 
 
@@ -255,14 +255,6 @@ def decode_keys(keys: list[bytes], dtype: np.dtype) -> list[CostasCube]:
         return []
     least = np.frombuffer(b"".join(keys), dtype=dtype.newbyteorder(">")).reshape(len(keys), -1)
     return _unchecked(CostasCube, (tuple(zip(row[0::2], row[1::2])) for row in least.tolist()))
-
-
-def first_of_each_class(rows: np.ndarray) -> list[tuple[int, CostasCube]]:
-    """(t, canonical form) for each row t of a (T, 2n) matrix of flattened
-    cube rows whose class no earlier row holds, in row order: class_keys'
-    walk, its keys decoded once per call by decode_keys."""
-    firsts, keys = class_keys(rows)
-    return list(zip(firsts, decode_keys(keys, rows.dtype)))
 
 
 def projection_set(cube: CostasCube) -> np.ndarray:

@@ -9,7 +9,6 @@ from costas_cubes.construct import (
     DEFAULT_MODULI,
     ConstructionId,
     Family,
-    _admissible_logs,
     _field_rows,
     catalog,
     cube_g2x3,
@@ -441,11 +440,6 @@ def sweep_tuples_oracle(family, max_order, moduli=None):
                     yield p - 2, family, field, (phi, psi), cube_w2w2g2(p, phi, psi)
 
 
-def fields_for(moduli):
-    """default_field(q, moduli) for every q a sweep to order 29 reads."""
-    return {q: default_field(q, moduli) for q in range(4, 33) if prime_power(q)}
-
-
 def sweep_oracle(family, max_order, moduli=None):
     """The classes of sweep(family, max_order), canonicalizing every tuple."""
     classes = {}
@@ -469,7 +463,7 @@ def test_sweep_matches_per_tuple_oracle(moduli):
         field_new(pm[0], pm[1], modulus)  # irreducible
         assert modulus != DEFAULT_MODULI[q] or q == 4
     for family in CUBE_FAMILIES:
-        report = sweep(family, 29, fields=fields_for(moduli))
+        report = sweep(family, 29, moduli=moduli)
         oracle = sweep_oracle(family, 29, moduli)
         assert _listing(report.classes) == _listing(oracle), family
         assert report.classes == oracle
@@ -485,7 +479,8 @@ def test_field_rows_match_constructors_tuple_by_tuple():
         for _, witness_family, field, elements, cube in sweep_tuples_oracle(family, 29, OTHER_MODULI):
             by_field.setdefault(field, []).append((ConstructionId(witness_family, field, elements), cube))
         for field, tuples in by_field.items():
-            rows, witness = _field_rows(family, field, _admissible_logs(family, field))
+            logs = construct._primitive_logs(field, *((1, -1) if family is Family.CUBE_G3 else ()))
+            rows, witness = _field_rows(family, field, logs)
             assert rows.dtype == np.min_scalar_type(tuples[0][1].order)
             assert rows.shape == (len(tuples), 2 * tuples[0][1].order)
             for t, (construction, cube) in enumerate(tuples):
@@ -523,17 +518,12 @@ def test_sweep_classes_above_order_13_match_the_oracle():
 
 
 def test_sweep_is_modulus_invariant_at_q16():
-    alt = field_new(2, 4, (1, 1, 0, 0, 1))  # 1 + x + x^4, also irreducible
-    assert alt != default_field(16)
+    alt = {**DEFAULT_MODULI, 16: (1, 1, 0, 0, 1)}  # 1 + x + x^4, also irreducible
+    assert default_field(16, alt) != default_field(16)
     default_set = set(sweep(Family.CUBE_G2X3, 14).classes.get(14, {}))
-    alt_set = set(sweep(Family.CUBE_G2X3, 14, fields={16: alt}).classes.get(14, {}))
+    alt_set = set(sweep(Family.CUBE_G2X3, 14, moduli=alt).classes.get(14, {}))
     assert default_set == alt_set
     assert len(default_set) == 5
-
-
-def test_sweep_rejects_a_field_of_another_order():
-    with pytest.raises(ValueError, match=r"fields\[7\] is GF\(13\)"):
-        sweep(Family.CUBE_G2X3, 5, fields={7: GF13})
 
 
 def test_table2_builds_each_field_table_once_per_call(monkeypatch):
@@ -587,8 +577,7 @@ def test_table2_columns_are_the_sweep_counts(moduli):
     """Every column of table2 at every order 2-29 is the class count of
     its family's sweep over the same fields; g3 is the size of the union
     of the two variants' class sets, which the pooled sweep finds too."""
-    fields = fields_for(moduli)
-    classes = {family: sweep(family, 29, fields=fields).classes for family in CUBE_FAMILIES}
+    classes = {family: sweep(family, 29, moduli=moduli).classes for family in CUBE_FAMILIES}
     rows = table2(29, moduli=moduli)
     assert [row.order for row in rows] == list(range(2, 30))
     for row in rows:

@@ -575,16 +575,17 @@ def test_class_report_refuses_an_order_below_one(n):
 
 
 def test_class_report_does_not_depend_on_dtype_or_layout():
-    """One list as uint8, uint16 and int64 rows, Fortran-ordered and with
-    its rows reversed gives one report: the scan looks rows up by their
-    bytes, always in the list's own dtype."""
+    """One list as uint8, uint16 and int64 rows, and as big-endian uint16
+    and int32 rows, Fortran-ordered and with its rows reversed gives one
+    report: the scan looks rows up by their bytes, always in the list's
+    own dtype."""
     lists = {n: costas_values(n) for n in range(1, 11)}
     lists[11] = parse_array_file(ORDER11_DATABASE.read_text())
     for n, values in lists.items():
         expected = class_report(n, values)
         assert expected.cube_classes == CUBE_CLASS_COUNTS.get(n, 1)
         assert expected.representatives == costas_cube_classes(n)
-        for dtype in (np.uint8, np.uint16, np.int64):
+        for dtype in (np.uint8, np.uint16, np.int64, ">u2", ">i4"):
             given = values.astype(dtype)
             for variant in (given, np.asfortranarray(given), given[::-1]):
                 assert class_report(n, variant) == expected, (n, dtype, variant.flags)
@@ -671,13 +672,13 @@ def test_join_keeps_one_of_each_reversal_pair(monkeypatch):
     rule, half of them for n >= 2, and finds the same representatives and
     projection classes as the join over every B."""
     handed = []
-    walk = enumeration.first_of_each_class
+    walk = enumeration.class_keys
 
     def recorded(rows):
         handed.append(rows)
         return walk(rows)
 
-    monkeypatch.setattr(enumeration, "first_of_each_class", recorded)
+    monkeypatch.setattr(enumeration, "class_keys", recorded)
     lists = {n: costas_values(n) for n in range(1, 11)}
     lists[11] = parse_array_file(ORDER11_DATABASE.read_text())
     for n, values in lists.items():
@@ -751,13 +752,13 @@ def test_scan_hits_match_the_2d_filter_oracle(monkeypatch, block_pairs):
     does; in the default blocks and in blocks of about 97 pairs, where
     most blocks hold a few first arrays of unequal reach."""
     handed = []
-    walk = enumeration.first_of_each_class
+    walk = enumeration.class_keys
 
     def recorded(rows):
         handed.append(rows)
         return walk(rows)
 
-    monkeypatch.setattr(enumeration, "first_of_each_class", recorded)
+    monkeypatch.setattr(enumeration, "class_keys", recorded)
     monkeypatch.setattr(enumeration, "_BLOCK_PAIRS", block_pairs)
     cases = [(n, costas_values(n)) for n in range(1, 11)]
     cases.append((11, parse_array_file(ORDER11_DATABASE.read_text())))

@@ -31,7 +31,7 @@ MOVED_TO_TESTS = {
 REMOVED = {
     "gf": ("primitive_elements", "g3_admissible", "g3_cube_admissible"),
     "core": ("ProjectionTriple", "costas_violation", "value_matrix"),
-    "symmetry": ("canonical_array",),
+    "symmetry": ("canonical_array", "first_of_each_class"),
     "files": ("numbered_arrays",),
 }
 

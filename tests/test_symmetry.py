@@ -21,7 +21,6 @@ from costas_cubes.symmetry import (
     canonical_cube,
     class_keys,
     decode_keys,
-    first_of_each_class,
     least_image,
     planar_images,
     projection_set,
@@ -235,12 +234,13 @@ def test_planar_images_match_apply_planar(rows):
         assert [tuple(v) for v in images[s].tolist()] == [image(sym, p).values for p in perms]
 
 
-@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64, ">u2", ">i2", ">i8"])
 def test_least_image_matches_min_over_image_tuples(dtype):
     """least_image against a Python min over the 8 oracle image tuples, and
     its index against the first symmetry that gives that min: on arrays of
     a 4-member class, whose least image occurs twice, on arrays of an
-    8-member class, on an empty batch and at order 300."""
+    8-member class, on an empty batch and at order 300; in native and in
+    big-endian words."""
     batches = [
         [p for p in costas_arrays(n) if array_class_size_oracle(p) == 4] for n in (5, 6, 7, 8)
     ] + [list(costas_arrays(6)[:40])]
@@ -411,19 +411,40 @@ def test_cube_orbit_properties(order6_cube):
 @pytest.mark.parametrize("dtype", [np.uint8, np.int16])
 def test_first_of_each_class_skips_known_orbits(dtype):
     """Two images of one class around one cube of another: the walk
-    yields the first row of each class, with its canonical form."""
+    gives the first row of each class and its canonical key, which
+    decodes to its canonical form."""
     x, y = costas_cube_classes(5)[:2]
     cubes = [image(CUBE_SYMMETRIES[5], x), y, image(CUBE_SYMMETRIES[17], x)]
     assert cubes[0] != cubes[2]
     rows = _flat_rows(cubes, dtype)
-    assert list(first_of_each_class(rows)) == [(0, x), (1, y)]
-    assert list(first_of_each_class(np.empty((0, 10), dtype=dtype))) == []
+    assert class_keys(np.empty((0, 10), dtype=dtype)) == ([], [])
     firsts, keys = class_keys(rows)
     assert firsts == [0, 1]
     assert keys == [_flat_rows([x], np.dtype(dtype).newbyteorder(">")).tobytes(),
                     _flat_rows([y], np.dtype(dtype).newbyteorder(">")).tobytes()]
     assert decode_keys(keys, rows.dtype) == [x, y]
     assert decode_keys([], rows.dtype) == []
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.uint16, np.int64, ">i4"])
+def test_sorted_keys_decode_in_row_order(dtype):
+    """The walk's keys, sorted, decode to its cubes sorted by their rows:
+    big-endian words sort as the values they hold, so the join sorts keys
+    rather than cubes.  Every image of the order-6 classes, shuffled, and
+    where the dtype holds 300, random cubes of order 300, whose values
+    above 255 a little-endian byte order would misorder."""
+    rng = random.Random(6)
+    classes = costas_cube_classes(6)
+    batches = [([image(s, x) for x in classes for s in CUBE_SYMMETRIES], len(classes))]
+    if np.iinfo(dtype).max >= 300:
+        batches.append(([_random_cube(300, rng) for _ in range(20)], 20))
+    for cubes, count in batches:
+        rng.shuffle(cubes)
+        rows = _flat_rows(cubes, dtype)
+        keys = class_keys(rows)[1]
+        forms = sorted(decode_keys(keys, rows.dtype), key=lambda cube: cube.rows)
+        assert len(forms) == count
+        assert decode_keys(sorted(keys), rows.dtype) == forms
 
 
 @pytest.mark.parametrize("shape", [(1, 0), (3, 0), (0, 0), (1, 5), (2, 9), (0, 3)])
@@ -434,9 +455,8 @@ def test_class_walk_refuses_a_width_that_is_zero_or_odd(shape, monkeypatch):
     keyed = []
     monkeypatch.setattr(np, "ascontiguousarray", lambda *a, **k: keyed.append(a))
     message = f"cube rows need an even width of at least 2, not shape {shape}"
-    for walk in (class_keys, first_of_each_class):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            walk(np.ones(shape, dtype=np.uint8))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        class_keys(np.ones(shape, dtype=np.uint8))
     assert keyed == []
 
 
@@ -453,8 +473,10 @@ def test_first_of_each_class_above_order_255(dtype):
     y = CostasCube(tuple((swap.get(j, j), swap.get(k, k)) for j, k in last.rows))
     x_form, y_form = canonical_cube_oracle(x), canonical_cube_oracle(y)
     assert x_form != y_form
-    cubes = [image(CUBE_SYMMETRIES[5], x), y, last]
-    assert list(first_of_each_class(_flat_rows(cubes, dtype))) == [(0, x_form), (1, y_form)]
+    rows = _flat_rows([image(CUBE_SYMMETRIES[5], x), y, last], dtype)
+    firsts, keys = class_keys(rows)
+    assert firsts == [0, 1]
+    assert decode_keys(keys, rows.dtype) == [x_form, y_form]
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint16])
@@ -470,8 +492,10 @@ def test_first_of_each_class_refuses_the_first_bad_form(dtype):
     for bad, message in (((j_repeated, k_repeated), j_message), ((k_repeated, j_repeated), k_message)):
         rows = np.concatenate([_flat_rows([x], dtype), np.array(bad, dtype=dtype)])
         with pytest.raises(ValueError, match=re.escape(message)):
-            list(first_of_each_class(rows))
-    assert list(first_of_each_class(rows[:1])) == [(0, x)]
+            class_keys(rows)
+    firsts, keys = class_keys(rows[:1])
+    assert firsts == [0]
+    assert decode_keys(keys, rows.dtype) == [x]
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
@@ -489,7 +513,7 @@ def test_first_of_each_class_refuses_every_row_that_is_no_permutation_cube(dtype
         message = f"j coordinates {list(j)} are not a bijection on 1..4"
         for rows in ([row], [identity, row]):
             with pytest.raises(ValueError, match=re.escape(message)):
-                first_of_each_class(np.array(rows, dtype=dtype))
+                class_keys(np.array(rows, dtype=dtype))
         refused += 1
     assert refused == 232
 
@@ -503,7 +527,7 @@ def test_first_of_each_class_reads_rows_in_their_own_dtype(dtype, v):
     rows = np.array([[1, 1, 2, 2, 3, 3, 4, 4, 5, 5], [v, 1, 2, 2, 3, 3, 4, 4, 5, 5]], dtype=dtype)
     message = f"j coordinates [{v}, 2, 3, 4, 5] are not a bijection on 1..5"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        first_of_each_class(rows)
+        class_keys(rows)
 
 
 def _rotation_projection_set(cube):
